@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"shef/internal/accel"
-	"shef/internal/crypto/engine"
 	"shef/internal/hostapp"
 )
 
@@ -82,7 +81,6 @@ func main() {
 			unlimited(*maxTenants), unlimited(int(*tenantQuota)), *tenantFair)
 	}
 	fmt.Printf("shefd: designs available in this build: %v\n", accel.Designs())
-	fmt.Printf("shefd: %s\n", engine.Select())
 
 	dbg, err := startDebug(*debugAddr, srv)
 	if err != nil {
@@ -140,7 +138,6 @@ func startDebug(addr string, srv *hostapp.VendorServer) (*hostapp.DebugServer, e
 		stats := map[string]any{
 			"server":   srv.Stats(),
 			"sessions": srv.Sessions(),
-			"engine":   engine.Select().String(),
 		}
 		if reg := srv.Tenants(); reg != nil {
 			stats["tenants"] = reg.Stats()

@@ -15,16 +15,10 @@ import (
 	"log"
 
 	"shef/internal/accel"
-	"shef/internal/crypto/engine"
 	"shef/internal/hostapp"
 )
 
 func main() {
-	// One line on which functional crypto engines this process selected
-	// (detected CPU features, forced vs micro-benchmarked choice). The
-	// simulated cycle numbers below are identical either way.
-	fmt.Println(engine.Select())
-
 	// The Data Owner picks a design from the vendor's catalogue and the
 	// Shield variant it was compiled with.
 	platform, err := hostapp.Build(hostapp.Options{

@@ -1,12 +1,13 @@
 package accel
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strconv"
 
-	"shef/internal/crypto/sha256x"
+	"shef/internal/crypto/hmacx"
 	"shef/internal/shield"
 )
 
@@ -68,7 +69,7 @@ func (b *Bitcoin) Inputs(rng *rand.Rand) map[string][]byte {
 
 // hashCyclesPerNonce is the miner datapath cost per attempted nonce: the
 // 80-byte header is two SHA-256 blocks, the second pass one more.
-const hashCyclesPerNonce = 3 * sha256x.CyclesPerBlock
+const hashCyclesPerNonce = 3 * hmacx.CyclesPerBlock
 
 // meetsDifficulty reports whether digest has at least d leading zero bits.
 func meetsDifficulty(digest [32]byte, d int) bool {
@@ -102,7 +103,7 @@ func (b *Bitcoin) Run(ctx *Ctx) error {
 	for n := uint32(0); n < b.MaxNonce; n++ {
 		binary.LittleEndian.PutUint32(full[76:], n)
 		tried++
-		if meetsDifficulty(sha256x.DoubleDigest(full[:]), b.Difficulty) {
+		if meetsDifficulty(doubleSHA(full[:]), b.Difficulty) {
 			nonce, found = n, true
 			break
 		}
@@ -133,7 +134,7 @@ func (b *Bitcoin) Check(inputs, outputs map[string][]byte) error {
 	copy(full[:76], b.Header[:])
 	for n := uint32(0); n < b.MaxNonce; n++ {
 		binary.LittleEndian.PutUint32(full[76:], n)
-		if meetsDifficulty(sha256x.DoubleDigest(full[:]), b.Difficulty) {
+		if meetsDifficulty(doubleSHA(full[:]), b.Difficulty) {
 			return nil
 		}
 	}
@@ -147,5 +148,8 @@ func min(a, b int) int {
 	return b
 }
 
-// doubleSHA exposes the miner's hash for verification in tests.
-func doubleSHA(b []byte) [32]byte { return sha256x.DoubleDigest(b) }
+// doubleSHA is SHA-256(SHA-256(b)), the Bitcoin block-header hash.
+func doubleSHA(b []byte) [32]byte {
+	first := sha256.Sum256(b)
+	return sha256.Sum256(first[:])
+}

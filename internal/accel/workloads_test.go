@@ -1,7 +1,9 @@
 package accel
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -170,6 +172,20 @@ func TestDNNWeaverShieldConfigShape(t *testing.T) {
 }
 
 // --- bitcoin ---
+
+// TestDoubleSHAKnownAnswer checks the miner's hash on the FIPS 180-4 "abc"
+// message: the outer pass hashes the FIPS digest
+// ba7816bf…f20015ad, and the double digest is the known value below.
+func TestDoubleSHAKnownAnswer(t *testing.T) {
+	const want = "4f8b42c22dd3729b519ba6f68d2da7cc5b2d606d05daed5ad5128cc03e6c6358"
+	fips, _ := hex.DecodeString("ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+	if got := doubleSHA([]byte("abc")); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("doubleSHA(abc) = %x, want %s", got, want)
+	}
+	if got := sha256.Sum256(fips); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("SHA-256 of the FIPS abc digest = %x, want %s", got, want)
+	}
+}
 
 func TestMeetsDifficulty(t *testing.T) {
 	var d [32]byte

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"syscall"
 	"time"
 
 	"shef/internal/bitstream"
@@ -92,6 +93,24 @@ func WriteBusy(w io.Writer, retryAfter time.Duration) error {
 		Error:        "vendor busy",
 		RetryAfterMS: retryAfter.Milliseconds(),
 	})
+}
+
+// sendRequest writes an owner request. When the write fails because the
+// server has already closed the connection, a response it sent first —
+// an admission-control shed — is read and wins over the write error, so
+// a shed surfaces as ErrBusy rather than as a broken pipe.
+func sendRequest(conn io.ReadWriter, req OwnerRequest) error {
+	err := writeMsg(conn, req)
+	if err == nil || !(errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET)) {
+		return err
+	}
+	var resp OwnerResponse
+	if readMsg(conn, &resp) == nil {
+		if berr := busyError(&resp); berr != nil {
+			return berr
+		}
+	}
+	return err
 }
 
 // busyError maps a shed response to ErrBusy (nil for anything else).
@@ -197,7 +216,7 @@ func (v *Vendor) HandleOwnerRequest(ownerConn io.ReadWriter, req *OwnerRequest) 
 // Bitstream Encryption Key the kernel received.
 func ProvisionViaHost(vendorConn io.ReadWriter, product string, group *modp.Group,
 	k *boot.SecurityKernel, enc *bitstream.Encrypted) (*OwnerResponse, *schnorr.PublicKey, []byte, error) {
-	if err := writeMsg(vendorConn, OwnerRequest{Kind: KindProvision, Product: product}); err != nil {
+	if err := sendRequest(vendorConn, OwnerRequest{Kind: KindProvision, Product: product}); err != nil {
 		return nil, nil, nil, err
 	}
 	bitKey, kerr := ServeKernel(vendorConn, k, enc)
@@ -226,7 +245,7 @@ func ProvisionViaHost(vendorConn io.ReadWriter, product string, group *modp.Grou
 
 // FetchBitstream downloads the encrypted bitstream for a product.
 func FetchBitstream(vendorConn io.ReadWriter, product string) (*bitstream.Encrypted, error) {
-	if err := writeMsg(vendorConn, OwnerRequest{Kind: KindFetch, Product: product}); err != nil {
+	if err := sendRequest(vendorConn, OwnerRequest{Kind: KindFetch, Product: product}); err != nil {
 		return nil, err
 	}
 	var resp OwnerResponse
@@ -258,7 +277,7 @@ func DestroyZone(vendorConn io.ReadWriter, tenant string) error {
 }
 
 func zoneRequest(vendorConn io.ReadWriter, req OwnerRequest) error {
-	if err := writeMsg(vendorConn, req); err != nil {
+	if err := sendRequest(vendorConn, req); err != nil {
 		return err
 	}
 	var resp OwnerResponse
@@ -277,7 +296,7 @@ func zoneRequest(vendorConn io.ReadWriter, req OwnerRequest) error {
 // RegisterDevice records a device public key with the vendor's CA view
 // (demo convenience standing in for the Manufacturer's CA publication).
 func RegisterDevice(vendorConn io.ReadWriter, serial string, pub *rsax.PublicKey) error {
-	err := writeMsg(vendorConn, OwnerRequest{
+	err := sendRequest(vendorConn, OwnerRequest{
 		Kind:         KindRegister,
 		DeviceSerial: serial,
 		DeviceKeyN:   pub.N.Bytes(),

@@ -3,7 +3,9 @@ package attest
 import (
 	"bytes"
 	"context"
+	"crypto/aes"
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -16,7 +18,6 @@ import (
 	"shef/internal/crypto/kdf"
 	"shef/internal/crypto/rsax"
 	"shef/internal/crypto/schnorr"
-	"shef/internal/crypto/sha256x"
 	"shef/internal/profiling"
 )
 
@@ -87,7 +88,7 @@ type Vendor struct {
 	CA *CA
 	// KernelAllowlist is the public list of trusted Security Kernel
 	// hashes.
-	KernelAllowlist [][sha256x.Size]byte
+	KernelAllowlist [][sha256.Size]byte
 	// Bitstreams maps product names to their distribution records.
 	Bitstreams map[string]*Product
 	// Zones handles tenant zone lifecycle requests (nil refuses them).
@@ -113,7 +114,7 @@ func sessionBinding(sessionKey, nonce []byte) []byte {
 
 // sealSession encrypts-then-MACs a payload under the session key.
 func sealSession(sessionKey, payload []byte) (keyDelivery, error) {
-	c, err := aesx.NewCipher(sessionKey)
+	c, err := aes.NewCipher(sessionKey)
 	if err != nil {
 		return keyDelivery{}, err
 	}
@@ -128,7 +129,7 @@ func openSession(sessionKey []byte, d keyDelivery) ([]byte, error) {
 	if !hmacx.Verify(sessionKey, d.Ciphertext, d.Tag) {
 		return nil, errors.New("attest: session payload authentication failed")
 	}
-	c, err := aesx.NewCipher(sessionKey)
+	c, err := aes.NewCipher(sessionKey)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +187,7 @@ func (v *Vendor) RunVendor(conn io.ReadWriter, product string) (*Result, error) 
 	if err != nil {
 		return fail("attest: bad attestation key in report: %v", err)
 	}
-	var kh [sha256x.Size]byte
+	var kh [sha256.Size]byte
 	copy(kh[:], rep.KernelHash)
 	if !boot.VerifyKernelCert(devicePub, kh, attestPub, rep.KernelCert) {
 		return fail("attest: kernel certificate invalid: report not from a legitimate device")
@@ -233,7 +234,7 @@ func (v *Vendor) RunVendor(conn io.ReadWriter, product string) (*Result, error) 
 	return &Result{Report: rep, SessionKey: sessionKey}, nil
 }
 
-func (v *Vendor) kernelAllowed(h [sha256x.Size]byte) bool {
+func (v *Vendor) kernelAllowed(h [sha256.Size]byte) bool {
 	for _, k := range v.KernelAllowlist {
 		if k == h {
 			return true

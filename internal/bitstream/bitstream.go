@@ -13,6 +13,8 @@
 package bitstream
 
 import (
+	"crypto/aes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +25,6 @@ import (
 	"shef/internal/crypto/modp"
 	"shef/internal/crypto/rsax"
 	"shef/internal/crypto/schnorr"
-	"shef/internal/crypto/sha256x"
 	"shef/internal/fpga"
 	"shef/internal/shield"
 )
@@ -75,11 +76,11 @@ type Encrypted struct {
 
 // Hash is the value remote attestation reports:
 // H(Enc_BitstrKey(Accelerator)) in Figure 3.
-func (e *Encrypted) Hash() [sha256x.Size]byte {
-	h := sha256x.New()
+func (e *Encrypted) Hash() [sha256.Size]byte {
+	h := sha256.New()
 	h.Write([]byte(e.Name))
 	h.Write(e.Blob)
-	return h.Sum()
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 // Compile serialises and encrypts a manifest under the Bitstream
@@ -136,7 +137,7 @@ func VerifySignature(e *Encrypted, vendorPub *rsax.PublicKey) bool {
 }
 
 func seal(key, plain []byte) ([]byte, error) {
-	c, err := aesx.NewCipher(key)
+	c, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, fmt.Errorf("bitstream: bad bitstream key: %w", err)
 	}
@@ -157,7 +158,7 @@ func open(key, blob []byte) ([]byte, error) {
 	if !hmacx.Verify(key, ct, tag) {
 		return nil, errors.New("bitstream: authentication failed (wrong key or tampered image)")
 	}
-	c, err := aesx.NewCipher(key)
+	c, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,7 @@ package boot
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,7 +27,6 @@ import (
 	"shef/internal/crypto/modp"
 	"shef/internal/crypto/rsax"
 	"shef/internal/crypto/schnorr"
-	"shef/internal/crypto/sha256x"
 	"shef/internal/fpga"
 )
 
@@ -105,14 +105,14 @@ type KernelImage struct {
 }
 
 // Hash is H(SecKrnl).
-func (k KernelImage) Hash() [sha256x.Size]byte {
-	h := sha256x.New()
+func (k KernelImage) Hash() [sha256.Size]byte {
+	h := sha256.New()
 	h.Write([]byte(k.Name))
 	h.Write([]byte{0})
 	h.Write([]byte(k.Version))
 	h.Write([]byte{0})
 	h.Write(k.Code)
-	return h.Sum()
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 // ReferenceKernel is the Security Kernel image this repository ships; its
@@ -131,12 +131,12 @@ type SecurityKernel struct {
 	group      *modp.Group
 	attestKey  *schnorr.PrivateKey
 	certSK     []byte // σ_SecKrnl: device-key signature binding kernel hash and attest key
-	kernelHash [sha256x.Size]byte
+	kernelHash [sha256.Size]byte
 }
 
 // certMessage is the byte string the device key signs to certify the
 // kernel and its attestation key.
-func certMessage(kernelHash [sha256x.Size]byte, attestPub *schnorr.PublicKey) []byte {
+func certMessage(kernelHash [sha256.Size]byte, attestPub *schnorr.PublicKey) []byte {
 	msg := append([]byte("shef/seckrnl-cert:"), kernelHash[:]...)
 	return append(msg, attestPub.Bytes()...)
 }
@@ -185,7 +185,7 @@ func Boot(pd *ProvisionedDevice, kernel KernelImage, group *modp.Group) (*Securi
 // VerifyKernelCert checks σ_SecKrnl against a device public key obtained
 // from the Manufacturer's certificate authority. IP Vendors run this
 // during attestation (Figure 3 step 5).
-func VerifyKernelCert(devicePub *rsax.PublicKey, kernelHash [sha256x.Size]byte,
+func VerifyKernelCert(devicePub *rsax.PublicKey, kernelHash [sha256.Size]byte,
 	attestPub *schnorr.PublicKey, cert []byte) bool {
 	return rsax.Verify(devicePub, certMessage(kernelHash, attestPub), cert)
 }
@@ -199,7 +199,7 @@ func (k *SecurityKernel) AttestKey() *schnorr.PrivateKey { return k.attestKey }
 func (k *SecurityKernel) KernelCert() []byte { return append([]byte(nil), k.certSK...) }
 
 // KernelHash returns H(SecKrnl).
-func (k *SecurityKernel) KernelHash() [sha256x.Size]byte { return k.kernelHash }
+func (k *SecurityKernel) KernelHash() [sha256.Size]byte { return k.kernelHash }
 
 // Group returns the attestation group.
 func (k *SecurityKernel) Group() *modp.Group { return k.group }

@@ -1,6 +1,9 @@
 package aesx
 
-import "encoding/binary"
+import (
+	"crypto/cipher"
+	"encoding/binary"
+)
 
 // IVSize is the Shield's initialisation-vector length: each authenticated
 // encryption chunk carries a 12-byte IV, and the low 4 bytes of the counter
@@ -9,10 +12,9 @@ const IVSize = 12
 
 // CTR encrypts or decrypts src into dst using AES-CTR with the given
 // 12-byte IV. The counter block is IV || big-endian 32-bit block counter
-// starting at 0. dst and src may alias. The operation is its own inverse.
-// Any Block implementation works: the reference *Cipher or a
-// hardware-backed block from internal/crypto/engine.
-func CTR(c Block, iv [IVSize]byte, dst, src []byte) {
+// starting at 0. dst and src may alias. The operation is its own inverse,
+// and its output equals cipher.NewCTR over the counter block IV||0.
+func CTR(c cipher.Block, iv [IVSize]byte, dst, src []byte) {
 	var st CTRStream
 	st.XORKeyStream(c, iv, dst, src)
 }
@@ -30,7 +32,7 @@ type CTRStream struct {
 
 // XORKeyStream encrypts or decrypts src into dst under iv, using the
 // stream's scratch. Semantics match CTR; dst and src may alias.
-func (st *CTRStream) XORKeyStream(c Block, iv [IVSize]byte, dst, src []byte) {
+func (st *CTRStream) XORKeyStream(c cipher.Block, iv [IVSize]byte, dst, src []byte) {
 	if len(dst) < len(src) {
 		panic("aesx: CTR destination shorter than source")
 	}
@@ -39,7 +41,7 @@ func (st *CTRStream) XORKeyStream(c Block, iv [IVSize]byte, dst, src []byte) {
 	// Full blocks: XOR eight bytes at a time through the scratch words.
 	for ; off+BlockSize <= len(src); off, ctr = off+BlockSize, ctr+1 {
 		binary.BigEndian.PutUint32(st.ctrBlock[IVSize:], ctr)
-		c.EncryptBlock(st.ks[:], st.ctrBlock[:])
+		c.Encrypt(st.ks[:], st.ctrBlock[:])
 		k0 := binary.LittleEndian.Uint64(st.ks[0:8])
 		k1 := binary.LittleEndian.Uint64(st.ks[8:16])
 		s0 := binary.LittleEndian.Uint64(src[off : off+8])
@@ -49,7 +51,7 @@ func (st *CTRStream) XORKeyStream(c Block, iv [IVSize]byte, dst, src []byte) {
 	}
 	if off < len(src) {
 		binary.BigEndian.PutUint32(st.ctrBlock[IVSize:], ctr)
-		c.EncryptBlock(st.ks[:], st.ctrBlock[:])
+		c.Encrypt(st.ks[:], st.ctrBlock[:])
 		for i := 0; off+i < len(src); i++ {
 			dst[off+i] = src[off+i] ^ st.ks[i]
 		}

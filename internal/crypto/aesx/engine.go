@@ -1,6 +1,45 @@
+// Package aesx models the Shield's configurable AES engines and provides
+// the CTR mode and per-chunk IV layout its memory encryption uses.
+//
+// The paper's AES engine (§5.2.2) contains an internal 256-byte S-box
+// lookup table that can be duplicated up to 16 times, trading LUTs for
+// latency; the key size (128 or 256 bits) is selected at bitstream
+// compilation. Engine describes one such engine instance by its simulated
+// cost. The bytes themselves move through crypto/aes: every function here
+// that transforms data takes a cipher.Block.
 package aesx
 
-import "fmt"
+import (
+	"crypto/aes"
+	"fmt"
+)
+
+// KeySize selects the AES key length.
+type KeySize int
+
+// Supported key sizes.
+const (
+	AES128 KeySize = 16
+	AES256 KeySize = 32
+)
+
+// Rounds returns the number of AES rounds for the key size.
+func (k KeySize) Rounds() int {
+	if k == AES256 {
+		return 14
+	}
+	return 10
+}
+
+func (k KeySize) String() string {
+	if k == AES256 {
+		return "AES-256"
+	}
+	return "AES-128"
+}
+
+// BlockSize is the AES block size in bytes.
+const BlockSize = aes.BlockSize
 
 // SBoxParallelism is the number of duplicated S-box lookup tables inside a
 // Shield AES engine. The paper's engine duplicates the 256-byte table up to
@@ -28,35 +67,28 @@ func (p SBoxParallelism) Valid() bool {
 
 func (p SBoxParallelism) String() string { return fmt.Sprintf("%dx", int(p)) }
 
-// Engine models one Shield AES engine instance: a functional AES cipher
-// plus the cycle cost implied by its S-box parallelism. One engine
-// processes one 16-byte block at a time; engine sets instantiate several
-// engines to scale throughput (paper §6.2).
+// Engine models one Shield AES engine instance: the cycle cost implied by
+// its key size and S-box parallelism. One engine processes one 16-byte
+// block at a time; engine sets instantiate several engines to scale
+// throughput (paper §6.2).
 type Engine struct {
-	cipher *Cipher
-	sbox   SBoxParallelism
+	size KeySize
+	sbox SBoxParallelism
 }
 
-// NewEngine builds an engine for key with the given S-box parallelism.
+// NewEngine builds the model of an engine loaded with key: the key's
+// length selects AES-128 or AES-256, sbox the S-box duplication. The key
+// material is not retained.
 func NewEngine(key []byte, sbox SBoxParallelism) (*Engine, error) {
 	if !sbox.Valid() {
 		return nil, fmt.Errorf("aesx: unsupported S-box parallelism %d", sbox)
 	}
-	c, err := NewCipher(key)
-	if err != nil {
-		return nil, err
+	size := KeySize(len(key))
+	if size != AES128 && size != AES256 {
+		return nil, fmt.Errorf("aesx: invalid key length %d (want 16 or 32)", len(key))
 	}
-	return &Engine{cipher: c, sbox: sbox}, nil
+	return &Engine{size: size, sbox: sbox}, nil
 }
-
-// Cipher exposes the engine's expanded key for functional use.
-func (e *Engine) Cipher() *Cipher { return e.cipher }
-
-// SBox reports the engine's S-box duplication factor.
-func (e *Engine) SBox() SBoxParallelism { return e.sbox }
-
-// KeySize reports the engine's key size.
-func (e *Engine) KeySize() KeySize { return e.cipher.size }
 
 // CyclesPerBlock is the simulated cost of one 16-byte block through the
 // engine: each round performs 16 S-box substitutions, of which `sbox` can
@@ -66,7 +98,7 @@ func (e *Engine) KeySize() KeySize { return e.cipher.size }
 // the paper's Table 2 and Figures 5-6 shapes reproduce (DESIGN.md §4).
 func (e *Engine) CyclesPerBlock() uint64 {
 	perRound := uint64(16 / int(e.sbox))
-	return uint64(e.cipher.rounds) * perRound
+	return uint64(e.size.Rounds()) * perRound
 }
 
 // Cycles returns the engine-cycle cost of processing n bytes of CTR

@@ -1,5 +1,6 @@
-// Package hmacx implements HMAC-SHA256 (RFC 2104) from scratch, plus the
-// cycle model of the Shield's HMAC engine.
+// Package hmacx provides the Shield's truncated HMAC-SHA256 tag over
+// crypto/hmac, plus the cycle model of the Shield's HMAC engine and its
+// SHA-256 core.
 //
 // The Shield's default authentication engine is a SHA-256 HMAC core (paper
 // Table 1). HMAC chains block-to-block, so a single stream cannot be
@@ -8,37 +9,32 @@
 package hmacx
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"crypto/subtle"
-
-	"shef/internal/crypto/sha256x"
 )
 
 // TagSize is the truncated MAC tag the Shield stores per chunk: 16 bytes
 // (paper §5.2.2: "each chunk is authenticated via a 16-byte MAC tag").
 const TagSize = 16
 
+// BlockSize is the SHA-256 message block size in bytes.
+const BlockSize = sha256.BlockSize
+
+// CyclesPerBlock is the cycle cost of one 64-byte compression in the
+// Shield's SHA-256 core: one round per cycle plus schedule/setup. The core
+// is inherently serial: each block's output chains into the next, so a
+// single HMAC stream cannot be accelerated by adding engines (paper §6.2.3,
+// where HMAC is the SDP bottleneck).
+const CyclesPerBlock = 68
+
 // Sum computes the full 32-byte HMAC-SHA256 of msg under key.
-func Sum(key, msg []byte) [sha256x.Size]byte {
-	var kblock [sha256x.BlockSize]byte
-	if len(key) > sha256x.BlockSize {
-		kh := sha256x.Digest(key)
-		copy(kblock[:], kh[:])
-	} else {
-		copy(kblock[:], key)
-	}
-	var ipad, opad [sha256x.BlockSize]byte
-	for i := range kblock {
-		ipad[i] = kblock[i] ^ 0x36
-		opad[i] = kblock[i] ^ 0x5c
-	}
-	inner := sha256x.New()
-	inner.Write(ipad[:])
-	inner.Write(msg)
-	innerSum := inner.Sum()
-	outer := sha256x.New()
-	outer.Write(opad[:])
-	outer.Write(innerSum[:])
-	return outer.Sum()
+func Sum(key, msg []byte) [sha256.Size]byte {
+	m := hmac.New(sha256.New, key)
+	m.Write(msg)
+	var out [sha256.Size]byte
+	m.Sum(out[:0])
+	return out
 }
 
 // Tag computes the Shield's 16-byte truncated tag over msg.
@@ -56,83 +52,12 @@ func Verify(key, msg []byte, tag [TagSize]byte) bool {
 	return subtle.ConstantTimeCompare(want[:], tag[:]) == 1
 }
 
-// Hash is the incremental-hash contract the reusable HMAC state needs:
-// sha256x.State satisfies it, and so does the stdlib-backed hash from
-// internal/crypto/engine. SumInto must finalise a copy, leaving the
-// stream usable, and must not allocate.
-type Hash interface {
-	Reset()
-	Write(p []byte) (int, error)
-	SumInto(out *[sha256x.Size]byte)
-}
-
-// State is a reusable HMAC-SHA256 computation: the key pads and both hash
-// streams persist, so the Shield's per-scratch states tag a window of
-// chunks with zero per-chunk heap allocations. A State is not safe for
-// concurrent use; check one out per in-flight worker.
-type State struct {
-	inner, outer Hash
-	ipad, opad   [sha256x.BlockSize]byte
-	// isum and osum live in the State rather than on the stack because
-	// they are handed to the Hash interface: escape analysis would heap-
-	// allocate a local on every call.
-	isum, osum [sha256x.Size]byte
-}
-
-// NewState builds a reusable HMAC state for key. newHash constructs the
-// underlying SHA-256 streams (two are made); pass nil for the scalar
-// reference sha256x implementation.
-func NewState(key []byte, newHash func() Hash) *State {
-	if newHash == nil {
-		newHash = func() Hash { return sha256x.New() }
-	}
-	st := &State{inner: newHash(), outer: newHash()}
-	var kblock [sha256x.BlockSize]byte
-	if len(key) > sha256x.BlockSize {
-		kh := sha256x.Digest(key)
-		copy(kblock[:], kh[:])
-	} else {
-		copy(kblock[:], key)
-	}
-	for i := range kblock {
-		st.ipad[i] = kblock[i] ^ 0x36
-		st.opad[i] = kblock[i] ^ 0x5c
-	}
-	return st
-}
-
-// Sum computes the full 32-byte HMAC-SHA256 of msg into out.
-func (st *State) Sum(msg []byte, out *[sha256x.Size]byte) {
-	st.inner.Reset()
-	st.inner.Write(st.ipad[:])
-	st.inner.Write(msg)
-	st.inner.SumInto(&st.isum)
-	st.outer.Reset()
-	st.outer.Write(st.opad[:])
-	st.outer.Write(st.isum[:])
-	st.outer.SumInto(out)
-}
-
-// Tag computes the Shield's 16-byte truncated tag over msg into out.
-func (st *State) Tag(msg []byte, out *[TagSize]byte) {
-	st.Sum(msg, &st.osum)
-	copy(out[:], st.osum[:TagSize])
-}
-
-// Verify reports whether tag is the correct truncated tag for msg, in
-// constant time.
-func (st *State) Verify(msg []byte, tag [TagSize]byte) bool {
-	var want [TagSize]byte
-	st.Tag(msg, &want)
-	return subtle.ConstantTimeCompare(want[:], tag[:]) == 1
-}
-
 // Cycles is the simulated cost of MACing n message bytes on one HMAC
 // engine: the inner hash absorbs the key pad plus the message, the outer
 // hash absorbs two more blocks. The computation is serial; instantiating
 // more HMAC engines only helps across independent chunks, never within one.
 func Cycles(n int) uint64 {
-	innerBlocks := 1 + (n+9+sha256x.BlockSize-1)/sha256x.BlockSize // ipad block + message
-	outerBlocks := 2                                               // opad block + inner digest
-	return uint64(innerBlocks+outerBlocks) * sha256x.CyclesPerBlock
+	innerBlocks := 1 + (n+9+BlockSize-1)/BlockSize // ipad block + message
+	outerBlocks := 2                               // opad block + inner digest
+	return uint64(innerBlocks+outerBlocks) * CyclesPerBlock
 }

@@ -7,17 +7,18 @@
 package kdf
 
 import (
+	"crypto/sha256"
+
 	"shef/internal/crypto/hmacx"
-	"shef/internal/crypto/sha256x"
 )
 
 // Extract condenses input keying material into a pseudorandom key.
-func Extract(salt, ikm []byte) [sha256x.Size]byte {
+func Extract(salt, ikm []byte) [sha256.Size]byte {
 	return hmacx.Sum(salt, ikm)
 }
 
 // Expand stretches a pseudorandom key into n bytes bound to info.
-func Expand(prk [sha256x.Size]byte, info []byte, n int) []byte {
+func Expand(prk [sha256.Size]byte, info []byte, n int) []byte {
 	out := make([]byte, 0, n)
 	var prev []byte
 	for counter := byte(1); len(out) < n; counter++ {

@@ -10,6 +10,7 @@
 package keywrap
 
 import (
+	"crypto/aes"
 	"errors"
 	"io"
 	"math/big"
@@ -43,7 +44,7 @@ func Wrap(recipient *schnorr.PublicKey, payload []byte, rng io.Reader) (*Wrapped
 	}
 	encKey, macKey := splitKeys(shared, eph.Y, recipient.Y)
 	ct := make([]byte, len(payload))
-	cipher, err := aesx.NewCipher(encKey)
+	cipher, err := aes.NewCipher(encKey)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +76,7 @@ func Unwrap(recipient *schnorr.PrivateKey, w *Wrapped) ([]byte, error) {
 		return nil, errors.New("keywrap: authentication failed")
 	}
 	pt := make([]byte, len(w.Ciphertext))
-	cipher, err := aesx.NewCipher(encKey)
+	cipher, err := aes.NewCipher(encKey)
 	if err != nil {
 		return nil, err
 	}

@@ -3,13 +3,11 @@ package pmacx
 import (
 	"encoding/hex"
 	"testing"
-
-	"shef/internal/crypto/engine"
 )
 
 // TestGoldenVector pins PMAC's output on a message whose final block is
-// full (the L/x offset branch). It was recorded from the scalar reference
-// and hardware-backed AES alike.
+// full (the L/x offset branch). The tag was recorded from two independent
+// AES implementations that agreed on it.
 func TestGoldenVector(t *testing.T) {
 	key, _ := hex.DecodeString("000102030405060708090a0b0c0d0e0f")
 	msg := make([]byte, 64)
@@ -17,14 +15,8 @@ func TestGoldenVector(t *testing.T) {
 		msg[i] = byte(i*13 + 1)
 	}
 	const want = "9570e91642c4a905eea7f410b9ebd905"
-	for _, kind := range []engine.Kind{engine.Scalar, engine.Hardware} {
-		b, err := engine.NewAES(key, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tag := NewWithBlock(b).Sum(msg)
-		if got := hex.EncodeToString(tag[:]); got != want {
-			t.Errorf("%v: PMAC tag %s, want %s", kind, got, want)
-		}
+	tag := newMAC(t, key).Sum(msg)
+	if got := hex.EncodeToString(tag[:]); got != want {
+		t.Errorf("PMAC tag %s, want %s", got, want)
 	}
 }

@@ -11,20 +11,18 @@
 package pmacx
 
 import (
+	"crypto/cipher"
 	"crypto/subtle"
 	"encoding/binary"
-
-	"shef/internal/crypto/aesx"
 )
 
 // TagSize matches the Shield's 16-byte stored tag.
 const TagSize = 16
 
-// MAC is a PMAC instance bound to one AES key. The underlying block
-// cipher is any aesx.Block — the scalar reference cipher or a
-// hardware-backed block from internal/crypto/engine.
+// MAC is a PMAC instance bound to one AES key, held as the
+// cipher.Block (crypto/aes) it runs on.
 type MAC struct {
-	cipher aesx.Block
+	cipher cipher.Block
 	l      [16]byte // L = AES_K(0^128)
 	lInv   [16]byte // L / x, for final-block offset when the last block is full
 	// Word forms of l and lInv (big-endian hi/lo halves) feed the
@@ -34,22 +32,11 @@ type MAC struct {
 	lInvHi, lInvLo uint64
 }
 
-// New builds a PMAC instance over the given AES key (16 or 32 bytes),
-// using the scalar reference cipher.
-func New(key []byte) (*MAC, error) {
-	c, err := aesx.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithBlock(c), nil
-}
-
-// NewWithBlock builds a PMAC instance over an already-constructed block
-// cipher, letting callers choose the engine implementation.
-func NewWithBlock(b aesx.Block) *MAC {
+// New builds a PMAC instance over an AES block cipher.
+func New(b cipher.Block) *MAC {
 	m := &MAC{cipher: b}
 	var zero [16]byte
-	b.EncryptBlock(m.l[:], zero[:])
+	b.Encrypt(m.l[:], zero[:])
 	m.lInv = halve(m.l)
 	m.lHi = binary.BigEndian.Uint64(m.l[0:8])
 	m.lLo = binary.BigEndian.Uint64(m.l[8:16])
@@ -59,7 +46,7 @@ func NewWithBlock(b aesx.Block) *MAC {
 }
 
 // Scratch holds the block buffers of one in-flight PMAC computation.
-// They cannot live on SumWith's stack: the buffers cross the aesx.Block
+// They cannot live on SumWith's stack: the buffers cross the cipher.Block
 // interface boundary, so escape analysis would heap-allocate them per
 // call. Callers on the hot path keep one Scratch per worker (the
 // Shield's seal scratch does); a zero Scratch is ready for use.
@@ -95,7 +82,7 @@ func (m *MAC) SumWith(sc *Scratch, msg []byte) [TagSize]byte {
 		blk := msg[i*16 : i*16+16]
 		binary.BigEndian.PutUint64(sc.tmp[0:8], binary.BigEndian.Uint64(blk[0:8])^deltaHi)
 		binary.BigEndian.PutUint64(sc.tmp[8:16], binary.BigEndian.Uint64(blk[8:16])^deltaLo)
-		m.cipher.EncryptBlock(sc.enc[:], sc.tmp[:])
+		m.cipher.Encrypt(sc.enc[:], sc.tmp[:])
 		sigmaHi ^= binary.BigEndian.Uint64(sc.enc[0:8])
 		sigmaLo ^= binary.BigEndian.Uint64(sc.enc[8:16])
 	}
@@ -112,7 +99,7 @@ func (m *MAC) SumWith(sc *Scratch, msg []byte) [TagSize]byte {
 		binary.BigEndian.PutUint64(sc.final[0:8], binary.BigEndian.Uint64(sc.final[0:8])^sigmaHi)
 		binary.BigEndian.PutUint64(sc.final[8:16], binary.BigEndian.Uint64(sc.final[8:16])^sigmaLo)
 	}
-	m.cipher.EncryptBlock(sc.tag[:], sc.final[:])
+	m.cipher.Encrypt(sc.tag[:], sc.final[:])
 	return sc.tag
 }
 

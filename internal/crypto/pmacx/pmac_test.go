@@ -2,15 +2,22 @@ package pmacx
 
 import (
 	"bytes"
+	"crypto/aes"
 	"testing"
 	"testing/quick"
 )
 
-func TestDeterministic(t *testing.T) {
-	m, err := New(make([]byte, 16))
+func newMAC(t testing.TB, key []byte) *MAC {
+	t.Helper()
+	b, err := aes.NewCipher(key)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return New(b)
+}
+
+func TestDeterministic(t *testing.T) {
+	m := newMAC(t, make([]byte, 16))
 	msg := []byte("deterministic MAC over a chunk")
 	if m.Sum(msg) != m.Sum(msg) {
 		t.Fatal("PMAC not deterministic")
@@ -21,8 +28,8 @@ func TestKeySeparation(t *testing.T) {
 	k1 := make([]byte, 16)
 	k2 := make([]byte, 16)
 	k2[0] = 1
-	m1, _ := New(k1)
-	m2, _ := New(k2)
+	m1 := newMAC(t, k1)
+	m2 := newMAC(t, k2)
 	msg := []byte("same message, different keys")
 	if m1.Sum(msg) == m2.Sum(msg) {
 		t.Fatal("tags collide across keys")
@@ -30,7 +37,7 @@ func TestKeySeparation(t *testing.T) {
 }
 
 func TestVerify(t *testing.T) {
-	m, _ := New(make([]byte, 32))
+	m := newMAC(t, make([]byte, 32))
 	msg := bytes.Repeat([]byte{0xAB}, 4096)
 	tag := m.Sum(msg)
 	if !m.Verify(msg, tag) {
@@ -45,7 +52,7 @@ func TestVerify(t *testing.T) {
 // Property: messages differing in any byte, or by length, yield different
 // tags (no trivial padding/length collisions).
 func TestNoLengthExtensionCollision(t *testing.T) {
-	m, _ := New([]byte("0123456789abcdef"))
+	m := newMAC(t, []byte("0123456789abcdef"))
 	f := func(msg []byte) bool {
 		t1 := m.Sum(msg)
 		t2 := m.Sum(append(msg, 0x00))
@@ -57,7 +64,7 @@ func TestNoLengthExtensionCollision(t *testing.T) {
 }
 
 func TestFullBlockVsPadded(t *testing.T) {
-	m, _ := New(make([]byte, 16))
+	m := newMAC(t, make([]byte, 16))
 	// A 16-byte message (full final block) vs the same 16 bytes followed by
 	// the 10* pad as explicit data must not collide.
 	full := bytes.Repeat([]byte{0x42}, 16)
@@ -68,14 +75,14 @@ func TestFullBlockVsPadded(t *testing.T) {
 }
 
 func TestEmptyAndSingleByte(t *testing.T) {
-	m, _ := New(make([]byte, 16))
+	m := newMAC(t, make([]byte, 16))
 	if m.Sum(nil) == m.Sum([]byte{0}) {
 		t.Fatal("empty and single-zero-byte messages collide")
 	}
 }
 
 func TestBitFlipSensitivity(t *testing.T) {
-	m, _ := New([]byte("kkkkkkkkkkkkkkkk"))
+	m := newMAC(t, []byte("kkkkkkkkkkkkkkkk"))
 	f := func(msg []byte, pos uint16) bool {
 		if len(msg) == 0 {
 			return true
@@ -120,7 +127,7 @@ func TestCyclesScaleWithEngines(t *testing.T) {
 }
 
 func BenchmarkPMAC4K(b *testing.B) {
-	m, _ := New(make([]byte, 16))
+	m := newMAC(b, make([]byte, 16))
 	msg := make([]byte, 4096)
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {

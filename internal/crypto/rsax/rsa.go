@@ -10,12 +10,11 @@ package rsax
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
-
-	"shef/internal/crypto/sha256x"
 )
 
 // PublicKey is an RSA public key (N, E).
@@ -104,7 +103,7 @@ var digestInfoPrefix = []byte{
 // pad builds the EMSA-PKCS1-v1_5 encoding of msg's SHA-256 digest for a
 // k-byte modulus.
 func pad(msg []byte, k int) ([]byte, error) {
-	digest := sha256x.Digest(msg)
+	digest := sha256.Sum256(msg)
 	tLen := len(digestInfoPrefix) + len(digest)
 	if k < tLen+11 {
 		return nil, errors.New("rsax: modulus too small for SHA-256 signature")
@@ -167,9 +166,9 @@ func Verify(pub *PublicKey, msg, sig []byte) bool {
 }
 
 // Fingerprint returns a stable identifier for the public key.
-func (p *PublicKey) Fingerprint() [sha256x.Size]byte {
-	h := sha256x.New()
+func (p *PublicKey) Fingerprint() [sha256.Size]byte {
+	h := sha256.New()
 	h.Write(p.N.Bytes())
 	h.Write([]byte{byte(p.E >> 16), byte(p.E >> 8), byte(p.E)})
-	return h.Sum()
+	return [sha256.Size]byte(h.Sum(nil))
 }

@@ -9,12 +9,12 @@
 package schnorr
 
 import (
+	"crypto/sha256"
 	"errors"
 	"io"
 	"math/big"
 
 	"shef/internal/crypto/modp"
-	"shef/internal/crypto/sha256x"
 )
 
 // PublicKey is a group element Y = g^x.
@@ -66,15 +66,15 @@ func KeyFromScalar(group *modp.Group, x *big.Int) *PrivateKey {
 func (k *PrivateKey) Sign(msg []byte) Signature {
 	group := k.Group
 	// Deterministic nonce: H(x || msg) reduced into [1, Q).
-	h := sha256x.New()
+	h := sha256.New()
 	h.Write(k.X.Bytes())
 	h.Write(msg)
-	seed := h.Sum()
+	seed := h.Sum(nil)
 	// Widen to 64 bytes to avoid bias against Q.
-	h2 := sha256x.New()
+	h2 := sha256.New()
 	h2.Write(seed[:])
 	h2.Write([]byte("widen"))
-	seed2 := h2.Sum()
+	seed2 := h2.Sum(nil)
 	kn := group.ScalarFromBytes(append(seed[:], seed2[:]...))
 
 	r := group.Exp(kn)
@@ -107,11 +107,11 @@ func Verify(pub *PublicKey, msg []byte, sig Signature) bool {
 }
 
 func challenge(group *modp.Group, r, y *big.Int, msg []byte) *big.Int {
-	h := sha256x.New()
+	h := sha256.New()
 	h.Write(r.Bytes())
 	h.Write(y.Bytes())
 	h.Write(msg)
-	sum := h.Sum()
+	sum := h.Sum(nil)
 	e := new(big.Int).SetBytes(sum[:])
 	e.Mod(e, group.Q)
 	if e.Sign() == 0 {
@@ -132,11 +132,11 @@ func (k *PrivateKey) SharedSecret(peer *PublicKey) (*big.Int, error) {
 
 // Fingerprint returns a stable 32-byte identifier for the public key,
 // suitable for certificate contents and audit lists.
-func (p *PublicKey) Fingerprint() [sha256x.Size]byte {
-	h := sha256x.New()
+func (p *PublicKey) Fingerprint() [sha256.Size]byte {
+	h := sha256.New()
 	h.Write([]byte(p.Group.Name))
 	h.Write(p.Y.Bytes())
-	return h.Sum()
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 // Bytes serialises the public element.

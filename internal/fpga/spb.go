@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"crypto/aes"
 	"errors"
 	"fmt"
 
@@ -45,7 +46,7 @@ func (s *SPB) DeviceAESKey() ([]byte, error) {
 		return nil, errors.New("fpga: PUF unwrap failed (fuses corrupted or wrong device)")
 	}
 	key := make([]byte, len(ct))
-	cipher, err := aesx.NewCipher(kek)
+	cipher, err := aes.NewCipher(kek)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,7 @@ func (s *SPB) DeviceAESKey() ([]byte, error) {
 func WrapKeyForEFuse(puf *PUF, key []byte) []byte {
 	kek := puf.Response(pufChallenge)
 	ct := make([]byte, len(key))
-	cipher, err := aesx.NewCipher(kek)
+	cipher, err := aes.NewCipher(kek)
 	if err != nil {
 		panic(fmt.Sprintf("fpga: PUF response not a valid AES key: %v", err))
 	}
@@ -85,7 +86,7 @@ func (s *SPB) DecryptBlob(blob []byte) ([]byte, error) {
 // SealBlob is the offline companion to DecryptBlob: encrypt-then-MAC under
 // key. The Manufacturer seals the SPB firmware with the AES device key.
 func SealBlob(key, plaintext []byte) ([]byte, error) {
-	cipher, err := aesx.NewCipher(key)
+	cipher, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +108,7 @@ func OpenBlob(key, blob []byte) ([]byte, error) {
 	if !hmacx.Verify(key, ct, tag) {
 		return nil, errors.New("fpga: blob authentication failed")
 	}
-	cipher, err := aesx.NewCipher(key)
+	cipher, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
 	}

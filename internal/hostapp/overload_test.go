@@ -119,6 +119,41 @@ func TestServerOverloadSheds(t *testing.T) {
 	}
 }
 
+// TestServerShedAlwaysErrBusy pins the client-visible shed contract: with
+// the only slot held and no queue, every one of many back-to-back
+// connections must surface as attest.ErrBusy — never as a transport error
+// such as `write: broken pipe` or `connection reset`, which is what a
+// client sees when the server closes on its unread request.
+func TestServerShedAlwaysErrBusy(t *testing.T) {
+	srv, _ := overloadServer(t, ServerConfig{MaxSessions: 1, RetryAfter: time.Millisecond})
+	defer srv.Shutdown(time.Second)
+	held, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	waitFor(t, "slot to fill", func() bool { return srv.Stats().Active == 1 })
+
+	const attempts = 200
+	failures := 0
+	for i := 0; i < attempts; i++ {
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = attest.RegisterDevice(conn, "shed-device", testDeviceKey())
+		conn.Close()
+		if !errors.Is(err, attest.ErrBusy) {
+			failures++
+			t.Errorf("attempt %d: got %v, want ErrBusy", i, err)
+		}
+	}
+	if failures > 0 {
+		t.Fatalf("%d of %d shed connections did not surface as ErrBusy", failures, attempts)
+	}
+	waitFor(t, "every shed to be counted", func() bool { return srv.Stats().Shed == attempts })
+}
+
 // TestShutdownReleasesQueuedAdmissions is the drain-race regression test:
 // connections waiting in the admission queue when Shutdown begins must
 // abort through the shutdown gate — not be admitted behind the drain's

@@ -248,8 +248,8 @@ func (s *VendorServer) serveConn(conn net.Conn, onError func(error)) {
 // acquireSlot is the admission gate. With MaxSessions unset it admits
 // immediately. At capacity the connection joins the bounded wait queue;
 // past the queue bound it is shed: the server writes the busy response
-// with the retry-after hint and closes. A queued connection aborts if
-// shutdown begins. Reports whether a slot was acquired.
+// with the retry-after hint and closes (shedConn). A queued connection
+// aborts if shutdown begins. Reports whether a slot was acquired.
 //
 // Tenant-aware servers add a weighted-fair pre-gate: when the server is
 // saturated, a tenant already at its fair share is shed immediately —
@@ -268,8 +268,7 @@ func (s *VendorServer) acquireSlot(conn net.Conn, tenant string) bool {
 	if s.registry != nil && s.registry.OverFairShare(tenant, s.cfg.MaxSessions) {
 		s.registry.RecordShed(tenant)
 		s.shed.Add(1)
-		attest.WriteBusy(conn, s.cfg.RetryAfter)
-		conn.Close()
+		s.shedConn(conn)
 		return false
 	}
 	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
@@ -278,8 +277,7 @@ func (s *VendorServer) acquireSlot(conn net.Conn, tenant string) bool {
 		if s.registry != nil {
 			s.registry.RecordShed(tenant)
 		}
-		attest.WriteBusy(conn, s.cfg.RetryAfter)
-		conn.Close()
+		s.shedConn(conn)
 		return false
 	}
 	defer s.queued.Add(-1)
@@ -290,6 +288,36 @@ func (s *VendorServer) acquireSlot(conn net.Conn, tenant string) bool {
 		conn.Close()
 		return false
 	}
+}
+
+// shedDrainTimeout bounds how long a shed connection is drained, and
+// shedDrainBytes how much of the client's request is read, before close.
+const (
+	shedDrainTimeout = 250 * time.Millisecond
+	shedDrainBytes   = 1 << 20
+)
+
+// shedConn answers a connection that admission control refused: the busy
+// response, then a half-close so the client reads it followed by EOF,
+// then a bounded drain of whatever the client has sent, then close.
+// Closing with the client's request still unread would make the kernel
+// reset the connection, and a client still writing would see
+// `write: broken pipe` instead of the busy response.
+func (s *VendorServer) shedConn(conn net.Conn) {
+	defer conn.Close()
+	if attest.WriteBusy(conn, s.cfg.RetryAfter) != nil {
+		return
+	}
+	cw, ok := conn.(interface{ CloseWrite() error })
+	if !ok || cw.CloseWrite() != nil {
+		return
+	}
+	if conn.SetReadDeadline(time.Now().Add(shedDrainTimeout)) != nil {
+		return
+	}
+	// The drain ends at EOF, the deadline or a reset; the connection
+	// closes the same way after each, so the error is not needed.
+	_, _ = io.Copy(io.Discard, io.LimitReader(conn, shedDrainBytes))
 }
 
 func (s *VendorServer) releaseSlot() {

@@ -92,15 +92,6 @@ type Params struct {
 	// WritebackBatchChunks): contiguous runs of path buckets longer than
 	// this are split into separate ReadAuto/WriteAuto transfers.
 	ORAMBatchBuckets int
-
-	// CryptoEngine picks the functional crypto implementation the Shield's
-	// real data path runs on: "auto" (or empty — runtime detection plus a
-	// first-use micro-benchmark), "scalar" (the from-scratch reference
-	// engines), or "hardware" (the stdlib AES-NI/SHA-NI backed engines).
-	// It changes real MB/s only: ciphertext, tags, and simulated cycles
-	// are bit-identical either way (the cycle model always charges the
-	// paper's FPGA engine costs). Tests pin it to cover both paths.
-	CryptoEngine string
 }
 
 // Default returns the calibrated F1 parameter set.

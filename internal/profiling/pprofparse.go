@@ -374,9 +374,8 @@ func (s *Sample) labelKey() string {
 }
 
 // Merge sums profiles of identical sample-type shape: samples with the
-// same stack and label set add their values. The pgo job merges per-suite
-// CPU profiles the same way before committing default.pgo; here the merge
-// feeds the attribution table.
+// same stack and label set add their values; the merge feeds the
+// attribution table.
 func Merge(profiles ...*Profile) (*Profile, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("profiling: nothing to merge")

@@ -2,6 +2,7 @@ package sdp
 
 import (
 	"context"
+	"crypto/aes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -117,7 +118,7 @@ type SealedKeyDB struct {
 
 // ctrXor runs the AES-CTR involution under key/iv.
 func ctrXor(key []byte, iv [aesx.IVSize]byte, data []byte) ([]byte, error) {
-	cipher, err := aesx.NewCipher(key)
+	cipher, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
 	}

@@ -11,13 +11,14 @@
 package sdp
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 
 	"shef/internal/crypto/aesx"
-	"shef/internal/crypto/engine"
 	"shef/internal/crypto/kdf"
 	"shef/internal/crypto/keywrap"
 	"shef/internal/crypto/modp"
@@ -183,13 +184,13 @@ type respEntry struct {
 	last     uint64
 }
 
-// userCipher is the cached per-(user, file) GDPR layer state: the
-// engine-selected AES block under the derived file key, plus the file IV.
+// userCipher is the cached per-(user, file) GDPR layer state: the AES
+// block under the derived file key, plus the file IV.
 // Deriving these per operation was pure hot-path waste — the key is a
 // function of (user key, file name) only — and the cache is invalidated
 // wholesale whenever user keys are (re)provisioned.
 type userCipher struct {
-	block aesx.Block
+	block cipher.Block
 	iv    [aesx.IVSize]byte
 }
 
@@ -863,12 +864,12 @@ func (n *Node) GetSealed(user, name string, ct, tags []byte) (int, error) {
 // sealForUser applies the per-user GDPR encryption layer in place: an
 // AES-CTR pass under the user's key with a per-file IV. CTR is an
 // involution, so the same call encrypts and decrypts. The derived cipher
-// is cached per (user, file) and runs on the selected hardware engine.
+// is cached per (user, file).
 func (n *Node) sealForUser(user, name string, data []byte) {
 	uc, ok := n.userCiphers[user+"\x00"+name]
 	if !ok {
 		key := kdf.Derive([]byte("sdp/user-file"), n.userKeys[user], []byte(name), 16)
-		block, err := engine.NewAES(key, engine.Auto)
+		block, err := aes.NewCipher(key)
 		if err != nil {
 			panic("sdp: derived key invalid: " + err.Error())
 		}

@@ -10,8 +10,7 @@ import (
 
 	"shef/internal/axi"
 	"shef/internal/crypto/aesx"
-	"shef/internal/crypto/engine"
-	"shef/internal/crypto/sha256x"
+	"shef/internal/crypto/hmacx"
 	"shef/internal/mem"
 	"shef/internal/perf"
 	"shef/internal/profiling"
@@ -160,11 +159,7 @@ type bufLine struct {
 func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 	port axi.MemoryPort, ocm *mem.OCM, params perf.Params) (*engineSet, error) {
 
-	kind, err := engine.ParseKind(params.CryptoEngine)
-	if err != nil {
-		return nil, fmt.Errorf("shield: region %q: %w", cfg.Name, err)
-	}
-	seal, err := newSealer(cfg, regionID, dek, kind)
+	seal, err := newSealer(cfg, regionID, dek)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +334,7 @@ func (s *engineSet) poolCycles(blocks int) uint64 {
 // hmacCyclesPerChunk is the serial HMAC core's time for one chunk: ipad
 // block + message blocks + outer pass, one strictly serial stream.
 func (s *engineSet) hmacCyclesPerChunk() uint64 {
-	return uint64(3+(s.cfg.ChunkSize+sha256x.BlockSize-1)/sha256x.BlockSize) * hmacEngineCyclesPerBlock
+	return uint64(3+(s.cfg.ChunkSize+hmacx.BlockSize-1)/hmacx.BlockSize) * hmacEngineCyclesPerBlock
 }
 
 // cryptoCycles is the engine-set crypto time for one chunk transfer. The

@@ -1,35 +1,38 @@
 package shield
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
-	"shef/internal/crypto/engine"
 	"shef/internal/perf"
 )
 
 // This file measures the Shield's *real* data-path throughput — wall-clock
-// MB/s through the functional crypto engines — as opposed to the simulated
-// cycle metrics (sim-*) the calibration benchmarks report. Every benchmark
-// here runs once per crypto engine kind, and the steady-state window loop
-// is asserted allocation-free: benchtab gates allocs/op at zero for any
-// benchmark whose name contains "Real".
+// MB/s through the stdlib crypto — as opposed to the simulated cycle
+// metrics (sim-*) the calibration benchmarks report. Every benchmark here
+// runs once per MAC kind, and the steady-state window loop is asserted
+// allocation-free: benchtab gates allocs/op at zero for any benchmark
+// whose name contains "Real".
 
 // realBenchBytes is the per-op transfer size: large enough that the
 // per-call setup (lock, region routing) is noise against the per-window
 // crypto work, small enough that -benchtime=1x CI runs stay instant.
 const realBenchBytes = 1 << 20
 
-// realEngines are the engine kinds the Real benchmarks pin via
-// perf.Params.CryptoEngine. "hardware" first so the headline number leads.
-var realEngines = []string{"hardware", "scalar"}
+// realMACs are the region MAC kinds the Real benchmarks run over, named
+// as their sub-benchmarks. PMAC first so the headline number leads.
+var realMACs = []struct {
+	name string
+	mac  MACKind
+}{
+	{"pmac", PMAC},
+	{"hmac", HMAC},
+}
 
-// realParams returns the default parameter set pinned to one engine kind.
-func realParams(eng string) perf.Params {
-	p := perf.Default()
-	p.CryptoEngine = eng
-	return p
+// realConfig is the stream bench region with its MAC set to mac.
+func realConfig(mac MACKind, size uint64) Config {
+	cfg := streamBenchConfig(size)
+	cfg.Regions[0].MAC = mac
+	return cfg
 }
 
 // reportRealMBps attaches the real throughput metric benchtab records.
@@ -47,9 +50,9 @@ func reportRealMBps(b *testing.B, unit string, bytesPerOp int) {
 // lines and readWindow never inserts lines, so every op re-fetches and
 // re-verifies the full image — pure fetch/open pipeline.
 func BenchmarkRealReadStream(b *testing.B) {
-	for _, eng := range realEngines {
-		b.Run(eng, func(b *testing.B) {
-			sh, _ := newStreamRigParams(b, streamBenchConfig(realBenchBytes), realBenchBytes, realParams(eng))
+	for _, rm := range realMACs {
+		b.Run(rm.name, func(b *testing.B) {
+			sh, _ := newStreamRigParams(b, realConfig(rm.mac, realBenchBytes), realBenchBytes, perf.Default())
 			buf := make([]byte, realBenchBytes)
 			if _, err := sh.ReadStream(0, buf); err != nil { // prime pools and workers
 				b.Fatal(err)
@@ -71,9 +74,9 @@ func BenchmarkRealReadStream(b *testing.B) {
 // Full-chunk stream writes never fetch and supersede resident lines, so
 // every op seals the full image.
 func BenchmarkRealWriteStream(b *testing.B) {
-	for _, eng := range realEngines {
-		b.Run(eng, func(b *testing.B) {
-			sh, img := newStreamRigParams(b, streamBenchConfig(realBenchBytes), realBenchBytes, realParams(eng))
+	for _, rm := range realMACs {
+		b.Run(rm.name, func(b *testing.B) {
+			sh, img := newStreamRigParams(b, realConfig(rm.mac, realBenchBytes), realBenchBytes, perf.Default())
 			if _, err := sh.WriteStream(0, img); err != nil { // prime pools and workers
 				b.Fatal(err)
 			}
@@ -96,11 +99,11 @@ func BenchmarkRealWriteStream(b *testing.B) {
 // error-slice setup), and a buffer sized to the region keeps every line
 // resident across ops, so the loop is re-dirty + flush only.
 func BenchmarkRealFlush(b *testing.B) {
-	for _, eng := range realEngines {
-		b.Run(eng, func(b *testing.B) {
-			cfg := streamBenchConfig(realBenchBytes)
+	for _, rm := range realMACs {
+		b.Run(rm.name, func(b *testing.B) {
+			cfg := realConfig(rm.mac, realBenchBytes)
 			cfg.Regions[0].BufferBytes = realBenchBytes
-			sh, img := newStreamRigParams(b, cfg, realBenchBytes, realParams(eng))
+			sh, img := newStreamRigParams(b, cfg, realBenchBytes, perf.Default())
 			dirty := func() {
 				if _, err := sh.WriteBurst(0, img); err != nil {
 					b.Fatal(err)
@@ -126,65 +129,18 @@ func BenchmarkRealFlush(b *testing.B) {
 	}
 }
 
-// measureReadStreamMBps times full-image ReadStream ops on a fresh rig
-// pinned to eng and returns the best observed MB/s (min-of-reps filters
-// scheduler noise the way the engine micro-benchmark does).
-func measureReadStreamMBps(tb testing.TB, eng string, size uint64, reps int) float64 {
-	tb.Helper()
-	sh, _ := newStreamRigParams(tb, streamBenchConfig(size), size, realParams(eng))
-	buf := make([]byte, size)
-	if _, err := sh.ReadStream(0, buf); err != nil { // warm pools and workers
-		tb.Fatal(err)
-	}
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if _, err := sh.ReadStream(0, buf); err != nil {
-			tb.Fatal(err)
-		}
-		if mbps := float64(size) / time.Since(start).Seconds() / 1e6; mbps > best {
-			best = mbps
-		}
-	}
-	return best
-}
-
-// TestEngineRealSpeedup is the acceptance gate on the engine layer: with
-// AES-NI available, the hardware-backed engines must move at least twice
-// the scalar reference's MB/s through Shield ReadStream. Skipped when the
-// platform (or SHEF_CRYPTO_ENGINE) does not select the hardware engine,
-// and under the race detector, whose instrumentation distorts wall-clock
-// ratios.
-func TestEngineRealSpeedup(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock ratio not meaningful under the race detector")
-	}
-	if sel := engine.Select(); sel.AES != engine.Hardware {
-		t.Skipf("hardware AES engine not selected on this platform (%v)", sel)
-	}
-	const size = 1 << 19
-	const reps = 4
-	hw := measureReadStreamMBps(t, "hardware", size, reps)
-	sc := measureReadStreamMBps(t, "scalar", size, reps)
-	ratio := hw / sc
-	t.Logf("ReadStream real throughput: hardware %.1f MB/s, scalar %.1f MB/s (%.2fx)", hw, sc, ratio)
-	if ratio < 2 {
-		t.Errorf("hardware engine only %.2fx scalar (want >= 2x): hardware %.1f MB/s, scalar %.1f MB/s",
-			ratio, hw, sc)
-	}
-}
-
 // TestRealBenchZeroAlloc pins the zero-alloc claim as a plain test so it
 // holds on every `go test` run, not only when benchmarks are invoked: a
-// steady-state full-image ReadStream and WriteStream must not allocate.
+// steady-state full-image ReadStream and WriteStream must not allocate,
+// under PMAC and HMAC alike.
 func TestRealBenchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	const size = 1 << 18
-	for _, eng := range realEngines {
-		t.Run(eng, func(t *testing.T) {
-			sh, img := newStreamRigParams(t, streamBenchConfig(size), size, realParams(eng))
+	for _, rm := range realMACs {
+		t.Run(rm.name, func(t *testing.T) {
+			sh, img := newStreamRigParams(t, realConfig(rm.mac, size), size, perf.Default())
 			buf := make([]byte, size)
 			if _, err := sh.ReadStream(0, buf); err != nil {
 				t.Fatal(err)
@@ -201,18 +157,9 @@ func TestRealBenchZeroAlloc(t *testing.T) {
 				"WriteStream": func() { sh.WriteStream(0, img) },
 			} {
 				if allocs := testing.AllocsPerRun(20, op); allocs >= 1 {
-					t.Errorf("%s %s: %v allocs/op, want 0", name, eng, allocs)
+					t.Errorf("%s %s: %v allocs/op, want 0", name, rm.name, allocs)
 				}
 			}
 		})
 	}
-}
-
-// Example of the one-line engine log the daemons emit at startup; kept
-// next to the benchmarks so the format stays in sync with Selection.String.
-func ExampleSelection_log() {
-	sel := engine.Selection{AES: engine.Scalar, SHA: engine.Scalar, Forced: true}
-	fmt.Println(sel.String())
-	// Output:
-	// crypto engines: aes=scalar sha=scalar (aesni=false sha_ni=false, via env SHEF_CRYPTO_ENGINE)
 }

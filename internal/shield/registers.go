@@ -1,6 +1,8 @@
 package shield
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,7 +53,7 @@ type RegisterFile struct {
 	cfg    Config
 	encKey []byte
 	macKey []byte
-	cipher *aesx.Cipher
+	cipher cipher.Block
 	params perf.Params
 
 	mu      sync.Mutex
@@ -70,7 +72,7 @@ const (
 func newRegisterFile(cfg Config, dek []byte, params perf.Params) (*RegisterFile, error) {
 	encKey := kdf.Derive([]byte("shef/reg-enc"), dek, nil, 32)
 	macKey := kdf.Derive([]byte("shef/reg-mac"), dek, nil, 32)
-	cipher, err := aesx.NewCipher(encKey)
+	cipher, err := aes.NewCipher(encKey)
 	if err != nil {
 		return nil, err
 	}

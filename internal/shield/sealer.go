@@ -1,12 +1,17 @@
 package shield
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
+	"crypto/subtle"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 
 	"shef/internal/crypto/aesx"
-	"shef/internal/crypto/engine"
 	"shef/internal/crypto/hmacx"
 	"shef/internal/crypto/kdf"
 	"shef/internal/crypto/pmacx"
@@ -21,16 +26,13 @@ import (
 // The sealer splits its crypto in two: engine (aesx.Engine) is the *cycle
 // model* of the FPGA engine pool — simulated cost only, identical on
 // every host — while block and the per-scratch HMAC/PMAC states are the
-// *functional* implementations that actually move bytes, selected between
-// scalar reference and hardware-backed stdlib code by
-// internal/crypto/engine. Ciphertext and tags are bit-identical whichever
-// functional engine runs (FuzzEngineParity).
+// stdlib implementations that actually move bytes (golden_test.go pins
+// their output).
 type sealer struct {
 	cfg      RegionConfig
 	regionID uint32
 	engine   *aesx.Engine
-	block    aesx.Block
-	shaNew   func() hmacx.Hash
+	block    cipher.Block
 	macKey   []byte
 	pmac     *pmacx.MAC
 
@@ -42,23 +44,25 @@ type sealer struct {
 }
 
 // sealScratch is one in-flight chunk's working state: the MAC message
-// buffer, the CTR counter-block/keystream state, a reusable HMAC state
-// (persistent key pads and hash streams), and the PMAC block scratch.
+// buffer, the CTR counter-block/keystream state, a keyed HMAC-SHA256
+// (Reset keeps the key pads, and Sum into the sum array allocates
+// nothing), and the PMAC block scratch.
 type sealScratch struct {
 	msg  []byte
 	ctr  aesx.CTRStream
-	hmac *hmacx.State
+	hmac hash.Hash
+	sum  [sha256.Size]byte
 	pmac pmacx.Scratch
 }
 
-func newSealer(cfg RegionConfig, regionID uint32, dek []byte, kind engine.Kind) (*sealer, error) {
+func newSealer(cfg RegionConfig, regionID uint32, dek []byte) (*sealer, error) {
 	encKey := kdf.Derive([]byte("shef/region-enc"), dek, []byte(cfg.Name), int(cfg.KeySize))
 	macKey := kdf.Derive([]byte("shef/region-mac"), dek, []byte(cfg.Name), 32)
 	eng, err := aesx.NewEngine(encKey, cfg.SBox)
 	if err != nil {
 		return nil, fmt.Errorf("shield: region %q: %w", cfg.Name, err)
 	}
-	blk, err := engine.NewAES(encKey, kind)
+	blk, err := aes.NewCipher(encKey)
 	if err != nil {
 		return nil, fmt.Errorf("shield: region %q: %w", cfg.Name, err)
 	}
@@ -67,16 +71,15 @@ func newSealer(cfg RegionConfig, regionID uint32, dek []byte, kind engine.Kind) 
 		regionID: regionID,
 		engine:   eng,
 		block:    blk,
-		shaNew:   engine.NewSHA(kind),
 		macKey:   macKey,
 	}
 	s.scratch.New = func() any { return s.newScratch() }
 	if cfg.MAC == PMAC {
-		macBlock, err := engine.NewAES(macKey[:16], kind)
+		macBlock, err := aes.NewCipher(macKey[:16])
 		if err != nil {
 			return nil, err
 		}
-		s.pmac = pmacx.NewWithBlock(macBlock)
+		s.pmac = pmacx.New(macBlock)
 	}
 	return s, nil
 }
@@ -85,9 +88,16 @@ func newSealer(cfg RegionConfig, regionID uint32, dek []byte, kind engine.Kind) 
 func (s *sealer) newScratch() *sealScratch {
 	sc := &sealScratch{msg: make([]byte, 0, 12+s.cfg.ChunkSize)}
 	if s.cfg.MAC == HMAC {
-		sc.hmac = hmacx.NewState(s.macKey, s.shaNew)
+		sc.hmac = hmac.New(sha256.New, s.macKey)
 	}
 	return sc
+}
+
+// hmacTag writes the truncated HMAC-SHA256 tag of msg into tag.
+func (sc *sealScratch) hmacTag(msg []byte, tag *[TagSize]byte) {
+	sc.hmac.Reset()
+	sc.hmac.Write(msg)
+	copy(tag[:], sc.hmac.Sum(sc.sum[:0]))
 }
 
 // iv derives the CTR IV for a chunk at a write epoch. Counter zero is the
@@ -149,7 +159,7 @@ func (s *sealer) sealChunkWith(sc *sealScratch, ct, tagOut []byte, chunk int, co
 	if s.cfg.MAC == PMAC {
 		tag = s.pmac.SumWith(&sc.pmac, msg)
 	} else {
-		sc.hmac.Tag(msg, &tag)
+		sc.hmacTag(msg, &tag)
 	}
 	copy(tagOut, tag[:])
 	sc.msg = msg[:0]
@@ -188,7 +198,9 @@ func (s *sealer) openChunkWith(sc *sealScratch, dst []byte, chunk int, counter u
 	if s.cfg.MAC == PMAC {
 		ok = s.pmac.VerifyWith(&sc.pmac, msg, t)
 	} else {
-		ok = sc.hmac.Verify(msg, t)
+		var want [TagSize]byte
+		sc.hmacTag(msg, &want)
+		ok = subtle.ConstantTimeCompare(want[:], t[:]) == 1
 	}
 	sc.msg = msg[:0]
 	if !ok {
@@ -239,7 +251,7 @@ func SealRegionData(cfg RegionConfig, regionID uint32, dek, data []byte) (ct, ta
 	if uint64(len(data)) != cfg.Size {
 		return nil, nil, fmt.Errorf("shield: region %q image is %d bytes, want %d", cfg.Name, len(data), cfg.Size)
 	}
-	s, err := newSealer(cfg, regionID, dek, engine.Auto)
+	s, err := newSealer(cfg, regionID, dek)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -267,7 +279,7 @@ func OpenRegionData(cfg RegionConfig, regionID uint32, dek, ct, tags []byte, cou
 	if counters != nil && len(counters) != cfg.Chunks() {
 		return nil, errors.New("shield: counter array has wrong size")
 	}
-	s, err := newSealer(cfg, regionID, dek, engine.Auto)
+	s, err := newSealer(cfg, regionID, dek)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +352,7 @@ type RegionSealer struct {
 // regionID must match the Shield-side region (see Layout for the
 // region's ID and chunk geometry).
 func NewRegionSealer(cfg RegionConfig, regionID uint32, dek []byte) (*RegionSealer, error) {
-	s, err := newSealer(cfg, regionID, dek, engine.Auto)
+	s, err := newSealer(cfg, regionID, dek)
 	if err != nil {
 		return nil, err
 	}

@@ -342,7 +342,7 @@ func newStreamRig(tb testing.TB, size uint64) (*Shield, []byte) {
 }
 
 // newStreamRigParams is newStreamRig with the region config and perf
-// parameters (notably CryptoEngine) chosen by the caller. cfg's first
+// parameters chosen by the caller. cfg's first
 // region must be named "bulk" with Base 0 and Size size.
 func newStreamRigParams(tb testing.TB, cfg Config, size uint64, params perf.Params) (*Shield, []byte) {
 	tb.Helper()
