@@ -7,10 +7,10 @@ import (
 )
 
 // HotpathAlloc enforces DESIGN.md §6: functions marked //shef:hotpath —
-// the engine-set stream/gather/flush span work, sealer seal/open cores,
-// the faultinject/profiling Enabled fast paths — must not contain
-// allocating constructs. The check is syntactic and deliberately
-// stricter than the escape analyzer: a hot path that *looks*
+// the engine-set per-chunk seal/open and chunked load/prefetch loops, the
+// sealer seal/open cores, the faultinject/profiling Enabled fast paths —
+// must not contain allocating constructs. The check is syntactic and
+// deliberately stricter than the escape analyzer: a hot path that *looks*
 // allocation-free stays allocation-free under inlining changes, whereas
 // one that leans on escape analysis regresses silently when a function
 // grows past the inlining budget.

@@ -209,17 +209,38 @@ func (v *Vendor) HandleOwnerRequest(ownerConn io.ReadWriter, req *OwnerRequest) 
 	}
 }
 
+// provisionOpening is the first frame after a provision request: the
+// vendor's Figure 3 challenge when it runs the exchange, or an
+// OwnerResponse when it does not — the admission-control shed, or a
+// refusal such as an unknown product. The two shapes share no JSON keys,
+// so one decode tells them apart.
+type provisionOpening struct {
+	challenge
+	OwnerResponse
+}
+
 // ProvisionViaHost runs the Data Owner + host-proxy side of a provision
 // request on one connection: it sends the request, lets the resident
 // Security Kernel answer the interleaved Figure 3 exchange, and returns
 // the vendor's verdict, the public Shield Encryption Key, and the
-// Bitstream Encryption Key the kernel received.
+// Bitstream Encryption Key the kernel received. A shed surfaces as
+// ErrBusy before the kernel is involved.
 func ProvisionViaHost(vendorConn io.ReadWriter, product string, group *modp.Group,
 	k *boot.SecurityKernel, enc *bitstream.Encrypted) (*OwnerResponse, *schnorr.PublicKey, []byte, error) {
 	if err := sendRequest(vendorConn, OwnerRequest{Kind: KindProvision, Product: product}); err != nil {
 		return nil, nil, nil, err
 	}
-	bitKey, kerr := ServeKernel(vendorConn, k, enc)
+	var open provisionOpening
+	if err := readMsg(vendorConn, &open); err != nil {
+		return nil, nil, nil, err
+	}
+	if resp := &open.OwnerResponse; resp.Busy || resp.Error != "" {
+		if err := busyError(resp); err != nil {
+			return resp, nil, nil, err
+		}
+		return resp, nil, nil, fmt.Errorf("attest: vendor refused provisioning: %s", resp.Error)
+	}
+	bitKey, kerr := answerChallenge(vendorConn, k, enc, open.challenge)
 	var resp OwnerResponse
 	if err := readMsg(vendorConn, &resp); err != nil {
 		if kerr != nil {

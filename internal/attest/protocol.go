@@ -251,6 +251,11 @@ func ServeKernel(conn io.ReadWriter, k *boot.SecurityKernel, enc *bitstream.Encr
 	if err := readMsg(conn, &ch); err != nil {
 		return nil, err
 	}
+	return answerChallenge(conn, k, enc, ch)
+}
+
+// answerChallenge is ServeKernel after the challenge has been read.
+func answerChallenge(conn io.ReadWriter, k *boot.SecurityKernel, enc *bitstream.Encrypted, ch challenge) ([]byte, error) {
 	if len(ch.Nonce) < 16 {
 		return nil, errors.New("attest: vendor nonce too short")
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"shef/internal/attest"
+	"shef/internal/crypto/modp"
 	"shef/internal/crypto/rsax"
 )
 
@@ -152,6 +153,32 @@ func TestServerShedAlwaysErrBusy(t *testing.T) {
 		t.Fatalf("%d of %d shed connections did not surface as ErrBusy", failures, attempts)
 	}
 	waitFor(t, "every shed to be counted", func() bool { return srv.Stats().Shed == attempts })
+}
+
+// TestProvisionShedIsErrBusy: a provision request shed by a full server
+// surfaces as attest.ErrBusy. The busy frame arrives where the kernel
+// proxy expects the vendor's challenge, so it must not be read as one.
+func TestProvisionShedIsErrBusy(t *testing.T) {
+	srv, _ := overloadServer(t, ServerConfig{MaxSessions: 1, RetryAfter: time.Millisecond})
+	defer srv.Shutdown(time.Second)
+	held, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	waitFor(t, "slot to fill", func() bool { return srv.Stats().Active == 1 })
+
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The shed precedes any kernel exchange, so no kernel or bitstream
+	// is needed.
+	_, _, _, err = attest.ProvisionViaHost(conn, "bitcoin", modp.TestGroup, nil, nil)
+	conn.Close()
+	if !errors.Is(err, attest.ErrBusy) {
+		t.Fatalf("provision against a full server: got %v, want ErrBusy", err)
+	}
 }
 
 // TestShutdownReleasesQueuedAdmissions is the drain-race regression test:

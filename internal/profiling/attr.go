@@ -21,7 +21,7 @@ type AttrRow struct {
 }
 
 // LabelRow is one pprof label's share of CPU time — the per-shard /
-// per-session / per-engine-set breakdown.
+// per-session breakdown.
 type LabelRow struct {
 	Label   string // "key=value"
 	Nanos   int64

@@ -545,7 +545,7 @@ func TestPrefetchServesCorrectData(t *testing.T) {
 }
 
 // TestPrefetchIntegrityTamperLatches: corruption inside a prefetched
-// window is caught by the fan-out verify and latches the set.
+// window is caught by the window's verify and latches the set.
 func TestPrefetchIntegrityTamperLatches(t *testing.T) {
 	const size = 1 << 14
 	cfg := prefetchConfig(size, true)

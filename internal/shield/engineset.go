@@ -1,9 +1,7 @@
 package shield
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,7 +11,6 @@ import (
 	"shef/internal/crypto/hmacx"
 	"shef/internal/mem"
 	"shef/internal/perf"
-	"shef/internal/profiling"
 )
 
 // engineSet is the runtime of one configured memory region: the AES engine
@@ -98,31 +95,13 @@ type engineSet struct {
 	// loop measurably zero-alloc.
 	win *streamWindow
 
-	// The persistent seal/open worker pool: the engine pool's goroutine
-	// fan-out without per-window goroutine or closure allocations. A job
-	// is described by the job* fields (set under mu), split into
-	// contiguous spans of jobSpan items; workers receive span indices
-	// over fanTasks and run spanWork. The channel send/receive pairs with
-	// fanWG establish the happens-before edges, so workers never touch
-	// mu. scratches holds one sealScratch per span slot — dedicated, not
-	// pooled, for the same GC-drain reason as win.
-	// inlineFan, sampled at provisioning time, records that the process
-	// has a single P: fanning spans out to pool workers then buys no
-	// parallelism, only a context switch per span, so runJob runs every
-	// span inline instead. The simulated cycle accounting is unaffected —
-	// poolCycles models the hardware engine pool analytically, not the
-	// host's execution strategy.
-	inlineFan bool
-
-	jobOpen       bool
-	jobN, jobSpan int
-	jobSlots      [streamWindowChunks]int
-	jobChunks     [streamWindowChunks]int
-	jobDsts       [streamWindowChunks][]byte
-	scratches     [streamWindowChunks]*sealScratch
-	fanTasks      chan int
-	fanWG         sync.WaitGroup
-	fanWorkers    int
+	// scratch is the set's chunk-crypto working state (dedicated, not
+	// pooled, for the same GC-drain reason as win). Every seal and open
+	// runs on the calling goroutine under mu, one chunk after another, so
+	// one scratch serves them all. The AES engine pool's parallelism is a
+	// hardware property that the cycle model charges analytically
+	// (cryptoStages, poolCycles); the host does not re-enact it.
+	scratch *sealScratch
 
 	// flushScratch is the reusable dirty-chunk list of flush.
 	flushScratch []int
@@ -164,16 +143,16 @@ func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 		return nil, err
 	}
 	s := &engineSet{
-		cfg:       cfg,
-		regionID:  regionID,
-		params:    params,
-		seal:      seal,
-		tagBase:   tagBase,
-		port:      port,
-		lines:     make(map[int]*bufLine),
-		capacity:  cfg.bufferLines(),
-		seqNext:   -1,
-		inlineFan: runtime.GOMAXPROCS(0) == 1,
+		cfg:      cfg,
+		regionID: regionID,
+		params:   params,
+		seal:     seal,
+		scratch:  seal.newScratch(),
+		tagBase:  tagBase,
+		port:     port,
+		lines:    make(map[int]*bufLine),
+		capacity: cfg.bufferLines(),
+		seqNext:  -1,
 	}
 	s.lruRoot.prev = &s.lruRoot
 	s.lruRoot.next = &s.lruRoot
@@ -230,7 +209,6 @@ func (s *engineSet) adoptMeta(counters []uint32, initialized []bool) {
 // valid bits (still charged on-chip) transfer to the caller for the next
 // materialisation.
 func (s *engineSet) detachMeta(ocm *mem.OCM) (counters []uint32, initialized []bool, metaBytes int) {
-	s.stopWorkers()
 	metaBytes = s.metaOCMBytes
 	if s.ocmBytes > metaBytes {
 		ocm.Free(s.ocmBytes - metaBytes)
@@ -240,10 +218,8 @@ func (s *engineSet) detachMeta(ocm *mem.OCM) (counters []uint32, initialized []b
 }
 
 // releaseOCM returns the set's on-chip budget to the pool (the partial
-// reconfiguration that clears a replaced session's logic) and retires the
-// seal/open worker pool.
+// reconfiguration that clears a replaced session's logic).
 func (s *engineSet) releaseOCM(ocm *mem.OCM) {
-	s.stopWorkers()
 	if s.ocmBytes > 0 {
 		ocm.Free(s.ocmBytes)
 		s.ocmBytes = 0
@@ -437,8 +413,32 @@ func (s *engineSet) prefetchArmed() bool {
 	return s.cfg.SeqPrefetch && s.params.PrefetchMinMisses > 0 && s.capacity > 1
 }
 
+// openSlot verifies the ciphertext and tag staged in window slot slot as
+// chunk, at its current write epoch, and decrypts it into dst. It runs on
+// the calling goroutine with s.mu held.
+//
+//shef:hotpath
+func (s *engineSet) openSlot(slot, chunk int, dst []byte) error {
+	cs := s.cfg.ChunkSize
+	return s.seal.openChunkWith(s.scratch, dst, chunk, s.counters[chunk],
+		s.win.ct[slot*cs:(slot+1)*cs], s.win.tags[slot*TagSize:(slot+1)*TagSize])
+}
+
+// sealSlot encrypts src as chunk, at its current write epoch, into window
+// slot slot and writes the slot's tag. It runs on the calling goroutine
+// with s.mu held.
+//
+//shef:hotpath
+func (s *engineSet) sealSlot(slot, chunk int, src []byte) {
+	cs := s.cfg.ChunkSize
+	s.seal.sealChunkWith(s.scratch, s.win.ct[slot*cs:(slot+1)*cs],
+		s.win.tags[slot*TagSize:(slot+1)*TagSize], chunk, s.counters[chunk], src)
+}
+
 // load makes a chunk resident, fetching/decrypting/verifying on miss.
 // fill == false skips the DRAM fetch (full-chunk overwrite).
+//
+//shef:hotpath
 func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 	if s.integrityErr != nil {
 		return nil, s.integrityErr
@@ -487,10 +487,7 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 			s.linePool.Put(ln)
 			return nil, err
 		}
-		s.jobSlots[0], s.jobChunks[0], s.jobDsts[0] = 0, chunk, ln.data
-		s.runJob(true, 1)
-		if err := win.errs[0]; err != nil {
-			win.errs[0] = nil
+		if err := s.openSlot(0, chunk, ln.data); err != nil {
 			s.linePool.Put(ln)
 			s.integrityErr = err
 			return nil, err
@@ -509,9 +506,11 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 
 // prefetchRun services a detected sequential run: the demand chunk plus up
 // to prefetchDegree-1 chunks ahead move through one batched fetch and a
-// decrypt/verify fan-out straight into buffer lines, charged with the
+// decrypt/verify pass straight into buffer lines, charged with the
 // overlapped stream-window accounting (the first window of a streak also
 // pays pipeline fill/drain). The demand chunk is resident on return.
+//
+//shef:hotpath
 func (s *engineSet) prefetchRun(c0 int) error {
 	cs := s.cfg.ChunkSize
 	n := 1
@@ -540,12 +539,9 @@ func (s *engineSet) prefetchRun(c0 int) error {
 	var lines [streamWindowChunks]*bufLine
 	for i := 0; i < n; i++ {
 		lines[i] = s.linePool.Get().(*bufLine)
-		s.jobSlots[i], s.jobChunks[i], s.jobDsts[i] = i, c0+i, lines[i].data
 	}
-	s.runJob(true, n)
 	for i := 0; i < n; i++ {
-		if err := win.errs[i]; err != nil {
-			win.errs[i] = nil
+		if err := s.openSlot(i, c0+i, lines[i].data); err != nil {
 			for j := 0; j < n; j++ {
 				s.linePool.Put(lines[j])
 			}
@@ -648,12 +644,12 @@ func (s *engineSet) evictFor(n int) error {
 
 // writebackChunks seals and stores the given resident dirty chunks, which
 // must be sorted ascending. Maximal contiguous runs move through pipelined
-// windows of up to batchChunks: seal fan-out across the engine pool into
-// pooled staging, then one AXI store transaction for the run's ciphertext
-// and one for its tags, charged with the overlapped window accounting.
-// Runs of a single chunk keep the chunked ChunkTime charge — batching
-// cannot help them. Freshness counters bump exactly once per chunk before
-// sealing, and valid bits are set exactly as the serial path would.
+// windows of up to batchChunks: each chunk sealed into the set's staging
+// window, then one AXI store transaction for the run's ciphertext and one
+// for its tags, charged with the overlapped window accounting. Runs of a
+// single chunk keep the chunked ChunkTime charge — batching cannot help
+// them. Freshness counters bump exactly once per chunk before sealing,
+// and valid bits are set exactly as the serial path would.
 // fillDrain charges the one-time pipeline fill/drain on the first batched
 // window (a flush drains the pipeline; eviction write-backs do not).
 func (s *engineSet) writebackChunks(chunks []int, fillDrain bool) error {
@@ -670,9 +666,8 @@ func (s *engineSet) writebackChunks(chunks []int, fillDrain bool) error {
 		}
 		win := s.win
 		for i := 0; i < n; i++ {
-			s.jobSlots[i], s.jobChunks[i], s.jobDsts[i] = i, c0+i, s.lines[c0+i].data
+			s.sealSlot(i, c0+i, s.lines[c0+i].data)
 		}
-		s.runJob(false, n)
 		dataAddr, tagAddr := s.dramAddrs(c0)
 		if _, err := s.port.WriteBurst(dataAddr, win.ct[:n*cs]); err != nil {
 			return err
@@ -700,134 +695,6 @@ func (s *engineSet) writebackChunks(chunks []int, fillDrain bool) error {
 		s.batchedWritebacks += uint64(n)
 		return nil
 	})
-}
-
-// runJob runs the seal (open=false) or open (open=true) job described by
-// jobSlots/jobChunks/jobDsts[0..n-1] across the engine pool — the
-// hardware's parallelism made real by persistent worker goroutines.
-// Callers hold s.mu, so worker reads of counters and the sealer are
-// exclusive with all mutation.
-//
-// The job splits into contiguous spans, one per participating worker, so
-// each span is one batched engine call: a single scratch checkout (CTR
-// state, HMAC streams, PMAC scratch, MAC message buffer) serves the whole
-// run of chunks instead of a checkout per chunk. For open jobs, item k's
-// verdict lands in win.errs[k].
-//
-//shef:hotpath
-func (s *engineSet) runJob(open bool, n int) {
-	if n <= 0 {
-		return
-	}
-	s.jobOpen, s.jobN = open, n
-	workers := s.cfg.AESEngines
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || s.inlineFan {
-		// One worker — or one P, where handing spans to pool goroutines
-		// costs a context switch each and overlaps nothing. Run the whole
-		// job on the caller's goroutine (span width n covers every item).
-		s.jobSpan = n
-		s.spanWork(0)
-		s.clearJob(n)
-		return
-	}
-	span := (n + workers - 1) / workers
-	s.jobSpan = span
-	nspans := (n + span - 1) / span
-	s.ensureWorkers(nspans - 1)
-	s.fanWG.Add(nspans - 1)
-	for w := 1; w < nspans; w++ {
-		s.fanTasks <- w
-	}
-	s.spanWork(0) // the caller is worker zero
-	s.fanWG.Wait()
-	s.clearJob(n)
-}
-
-// clearJob drops the job's buffer references so a finished window does
-// not pin caller buffers until the next job.
-func (s *engineSet) clearJob(n int) {
-	for k := 0; k < n; k++ {
-		s.jobDsts[k] = nil
-	}
-}
-
-// spanWork processes job items [w*jobSpan, min((w+1)*jobSpan, jobN)) on
-// the span's dedicated scratch. Runs on the caller's goroutine for span 0
-// and on pool workers for the rest.
-//
-//shef:hotpath
-func (s *engineSet) spanWork(w int) {
-	lo := w * s.jobSpan
-	hi := lo + s.jobSpan
-	if hi > s.jobN {
-		hi = s.jobN
-	}
-	sc := s.scratches[w]
-	if sc == nil {
-		sc = s.seal.newScratch()
-		s.scratches[w] = sc
-	}
-	cs := s.cfg.ChunkSize
-	win := s.win
-	for k := lo; k < hi; k++ {
-		slot, chunk := s.jobSlots[k], s.jobChunks[k]
-		ct := win.ct[slot*cs : (slot+1)*cs]
-		tag := win.tags[slot*TagSize : (slot+1)*TagSize]
-		if s.jobOpen {
-			win.errs[k] = s.seal.openChunkWith(sc, s.jobDsts[k], chunk, s.counters[chunk], ct, tag)
-		} else {
-			s.seal.sealChunkWith(sc, ct, tag, chunk, s.counters[chunk], s.jobDsts[k])
-		}
-	}
-}
-
-// ensureWorkers grows the persistent worker pool to at least k workers.
-// Workers live until releaseOCM retires the set; in steady state a job
-// costs no goroutine spawns and no closures.
-func (s *engineSet) ensureWorkers(k int) {
-	if s.fanTasks == nil {
-		s.fanTasks = make(chan int, streamWindowChunks)
-	}
-	for s.fanWorkers < k {
-		s.fanWorkers++
-		go s.fanWorker()
-	}
-}
-
-func (s *engineSet) fanWorker() {
-	// The pool goroutine carries the engine set's profiling label for its
-	// whole life, so a CPU profile attributes crypto fan-out work to the
-	// region (store vs tls) it ran for. Workers spawned while no harness
-	// is active take the direct branch and never touch the profiling
-	// layer; harness runs build their clusters (and hence workers) after
-	// Start, so sweeps are labelled.
-	if profiling.Enabled() {
-		profiling.Do(context.Background(), s.fanLoop, "engine-set", s.cfg.Name)
-		return
-	}
-	s.fanLoop()
-}
-
-// fanLoop drains the task channel until stopWorkers closes it.
-func (s *engineSet) fanLoop() {
-	for w := range s.fanTasks {
-		s.spanWork(w)
-		s.fanWG.Done()
-	}
-}
-
-// stopWorkers retires the worker pool (no job may be in flight).
-func (s *engineSet) stopWorkers() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fanTasks != nil {
-		close(s.fanTasks)
-		s.fanTasks = nil
-		s.fanWorkers = 0
-	}
 }
 
 // cryptoStages returns the engine-pool occupancy and serial-HMAC stage

@@ -54,7 +54,7 @@ func BenchmarkRealReadStream(b *testing.B) {
 		b.Run(rm.name, func(b *testing.B) {
 			sh, _ := newStreamRigParams(b, realConfig(rm.mac, realBenchBytes), realBenchBytes, perf.Default())
 			buf := make([]byte, realBenchBytes)
-			if _, err := sh.ReadStream(0, buf); err != nil { // prime pools and workers
+			if _, err := sh.ReadStream(0, buf); err != nil { // prime the line pool
 				b.Fatal(err)
 			}
 			b.SetBytes(realBenchBytes)
@@ -77,7 +77,7 @@ func BenchmarkRealWriteStream(b *testing.B) {
 	for _, rm := range realMACs {
 		b.Run(rm.name, func(b *testing.B) {
 			sh, img := newStreamRigParams(b, realConfig(rm.mac, realBenchBytes), realBenchBytes, perf.Default())
-			if _, err := sh.WriteStream(0, img); err != nil { // prime pools and workers
+			if _, err := sh.WriteStream(0, img); err != nil { // prime the line pool
 				b.Fatal(err)
 			}
 			b.SetBytes(realBenchBytes)
@@ -130,9 +130,9 @@ func BenchmarkRealFlush(b *testing.B) {
 }
 
 // TestRealBenchZeroAlloc pins the zero-alloc claim as a plain test so it
-// holds on every `go test` run, not only when benchmarks are invoked: a
-// steady-state full-image ReadStream and WriteStream must not allocate,
-// under PMAC and HMAC alike.
+// holds on every `go test` run, not only when benchmarks are invoked:
+// every path that seals or opens chunks must not allocate in steady
+// state, under PMAC and HMAC alike.
 func TestRealBenchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -140,24 +140,55 @@ func TestRealBenchZeroAlloc(t *testing.T) {
 	const size = 1 << 18
 	for _, rm := range realMACs {
 		t.Run(rm.name, func(t *testing.T) {
-			sh, img := newStreamRigParams(t, realConfig(rm.mac, size), size, perf.Default())
+			// stream has the four-line buffer of the Real benchmarks;
+			// resident's buffer holds the whole region, as in
+			// BenchmarkRealFlush.
+			stream, img := newStreamRigParams(t, realConfig(rm.mac, size), size, perf.Default())
+			cfg := realConfig(rm.mac, size)
+			cfg.Regions[0].BufferBytes = size
+			resident, _ := newStreamRigParams(t, cfg, size, perf.Default())
 			buf := make([]byte, size)
-			if _, err := sh.ReadStream(0, buf); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sh.WriteStream(0, img); err != nil {
-				t.Fatal(err)
-			}
-			// Averaging over many runs applies the same rounding -benchmem
-			// does: the worker fan-out occasionally costs a runtime-internal
-			// allocation (sudog churn under goroutine ping-pong), but any
-			// *deterministic* per-op allocation shows up as >= 1.
-			for name, op := range map[string]func(){
-				"ReadStream":  func() { sh.ReadStream(0, buf) },
-				"WriteStream": func() { sh.WriteStream(0, img) },
+			chunk := make([]byte, cfg.Regions[0].ChunkSize)
+			next := 0
+			for _, tc := range []struct {
+				name string
+				op   func() error
+			}{
+				{"ReadStream", func() error { _, err := stream.ReadStream(0, buf); return err }},
+				{"WriteStream", func() error { _, err := stream.WriteStream(0, img); return err }},
+				// A one-chunk read of the next chunk along: always a buffer
+				// miss, so load fetches and opens it.
+				{"ReadBurst miss", func() error {
+					next = (next + 1) % (size / len(chunk))
+					_, err := stream.ReadBurst(uint64(next*len(chunk)), chunk)
+					return err
+				}},
+				// Re-dirty every resident line, then write them all back
+				// through writebackChunks.
+				{"re-dirty + Flush", func() error {
+					if _, err := resident.WriteBurst(0, img); err != nil {
+						return err
+					}
+					return resident.Flush()
+				}},
 			} {
-				if allocs := testing.AllocsPerRun(20, op); allocs >= 1 {
-					t.Errorf("%s %s: %v allocs/op, want 0", name, rm.name, allocs)
+				// Prime: fill the buffer and the line pool.
+				for i := 0; i < 8; i++ {
+					if err := tc.op(); err != nil {
+						t.Fatalf("%s: %v", tc.name, err)
+					}
+				}
+				var opErr error
+				allocs := testing.AllocsPerRun(20, func() {
+					if err := tc.op(); err != nil {
+						opErr = err
+					}
+				})
+				if opErr != nil {
+					t.Fatalf("%s: %v", tc.name, opErr)
+				}
+				if allocs != 0 {
+					t.Errorf("%s %s: %v allocs/op, want 0", tc.name, rm.name, allocs)
 				}
 			}
 		})

@@ -20,8 +20,8 @@ import (
 //   - a direct-mapped lookup cache on the burst-decode path (the TLB of
 //     this address space), so per-access resolution is O(1) no matter how
 //     many zones exist;
-//   - lazy engine sets: a zone holds no worker pool, buffer lines, or
-//     pooled scratch until its first access materialises them, and
+//   - lazy engine sets: a zone holds no buffer lines, staging window, or
+//     seal scratch until its first access materialises them, and
 //     reclamation hands them back, so idle tenants cost only a descriptor;
 //   - per-tenant quota accounting (mem.Accountant) charged at creation
 //     for the zone's DRAM footprint and worst-case OCM metadata, so one

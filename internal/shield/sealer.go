@@ -37,9 +37,9 @@ type sealer struct {
 	pmac     *pmacx.MAC
 
 	// scratch pools the per-chunk working state for the convenience
-	// entry points (sealChunkInto/openChunkInto); the engine set's hot
-	// path holds dedicated per-worker scratches instead, because a GC
-	// pass may drain a sync.Pool mid-stream and reintroduce allocations.
+	// entry points (sealChunkInto/openChunkInto); each engine set holds
+	// one dedicated scratch instead, because a GC pass may drain a
+	// sync.Pool mid-stream and reintroduce allocations.
 	scratch sync.Pool
 }
 
@@ -84,7 +84,7 @@ func newSealer(cfg RegionConfig, regionID uint32, dek []byte) (*sealer, error) {
 	return s, nil
 }
 
-// newScratch builds one worker's chunk-crypto working state.
+// newScratch builds one chunk-crypto working state.
 func (s *sealer) newScratch() *sealScratch {
 	sc := &sealScratch{msg: make([]byte, 0, 12+s.cfg.ChunkSize)}
 	if s.cfg.MAC == HMAC {
@@ -139,8 +139,7 @@ func (s *sealer) sealChunk(chunk int, counter uint32, plain []byte) (ct []byte, 
 }
 
 // sealChunkInto encrypts plain into ct (same length) and writes the tag,
-// using pooled scratch. Safe for concurrent use: the streamed write path
-// fans consecutive chunks out across the engine pool.
+// using pooled scratch. Safe for concurrent use.
 func (s *sealer) sealChunkInto(ct []byte, tag *[TagSize]byte, chunk int, counter uint32, plain []byte) {
 	sc := s.scratch.Get().(*sealScratch)
 	s.sealChunkWith(sc, ct, tag[:], chunk, counter, plain)
@@ -175,8 +174,7 @@ func (s *sealer) openChunk(chunk int, counter uint32, ct []byte, tag [TagSize]by
 }
 
 // openChunkInto verifies ct and decrypts it into dst (same length), using
-// pooled scratch. Safe for concurrent use by the stream pipeline's
-// decrypt/verify fan-out.
+// pooled scratch. Safe for concurrent use.
 func (s *sealer) openChunkInto(dst []byte, chunk int, counter uint32, ct []byte, tag [TagSize]byte) error {
 	sc := s.scratch.Get().(*sealScratch)
 	err := s.openChunkWith(sc, dst, chunk, counter, ct, tag[:])

@@ -173,7 +173,7 @@ func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
 // errors.Is(err, mem.ErrQuotaExceeded) — reports an over-budget tenant).
 // The zone must fit below the tag shadow: static regions plus
 // Config.ArenaEnd bound the usable address space. The zone starts idle —
-// no engine set, worker pool, or on-chip memory — and materialises on
+// no engine set, buffer, or on-chip memory — and materialises on
 // first access.
 func (s *Shield) CreateRegion(rc RegionConfig) error {
 	s.mu.RLock()
@@ -200,7 +200,7 @@ func (s *Shield) DestroyRegion(tenant, region string) error {
 }
 
 // ReclaimRegion retires an idle zone's engine set — dirty lines are
-// written back, then the worker pool, buffer, and counters return to the
+// written back, then the buffer, staging window, and counters return to the
 // device's on-chip pool — while the zone descriptor and its quota
 // reservation stay, so the next access re-materialises transparently.
 // Serving tiers call it when a tenant goes quiet.

@@ -12,8 +12,9 @@ import (
 //
 //	stage 1  fetch ciphertext + tags for a window of chunks from DRAM in
 //	         one batched AXI transaction per contiguous run
-//	stage 2  decrypt/verify the window across the engine pool, with
-//	         goroutine fan-out bounded by the set's AESEngines
+//	stage 2  decrypt/verify the window's chunks (the set's AESEngines
+//	         pool in the cycle model; one chunk after another on the
+//	         calling goroutine in this process)
 //	stage 3  merge into the caller's buffer (on-chip copy)
 //
 // Windows overlap in the performance model (perf.StreamWindowTime /
@@ -30,22 +31,20 @@ import (
 // same region interleave between windows. Resident buffer lines stay
 // authoritative — streamed reads serve them from on-chip memory, and
 // streamed full-chunk writes supersede them — so streams and cached
-// traffic never diverge. The per-chunk hot path allocates nothing:
-// staging buffers, buffer lines, and seal scratch are pooled (the
-// remaining per-window cost is the bounded goroutine fan-out, dwarfed by
-// the window's crypto work).
+// traffic never diverge. The per-chunk hot path allocates nothing: the
+// staging window and seal scratch are dedicated per engine set, and
+// buffer lines are pooled.
 
 // streamWindowChunks is the pipeline window: how many chunks stage 1
-// fetches per batched transaction and stage 2 decrypts per fan-out.
+// fetches per batched transaction and stage 2 decrypts per window.
 const streamWindowChunks = 16
 
 // streamWindow is the preallocated staging state of one pipeline window,
-// pooled per engine set so the hot path is allocation-free.
+// dedicated per engine set so the hot path is allocation-free.
 type streamWindow struct {
 	ct   []byte
 	tags []byte
 	idx  [streamWindowChunks]int
-	errs [streamWindowChunks]error
 }
 
 // fetchRun is the shared stage-1 fetch accounting: one batched AXI
@@ -109,8 +108,8 @@ func (s *Shield) ReadStream(addr uint64, buf []byte) (uint64, error) {
 }
 
 // WriteStream writes like WriteBurst but seals and stores full chunks
-// through the pipelined burst engine: seal fan-out across the engine
-// pool, then one batched AXI write per window. Full-chunk writes never
+// through the pipelined burst engine: each window's chunks are sealed,
+// then stored in one batched AXI write. Full-chunk writes never
 // fetch (the streaming write-once pattern); unaligned head and tail bytes
 // fall back to the chunked read-modify-write path.
 func (s *Shield) WriteStream(addr uint64, data []byte) (uint64, error) {
@@ -134,7 +133,7 @@ func (s *engineSet) readStream(addr uint64, buf []byte) (uint64, error) {
 }
 
 // readWindow moves one chunk-aligned window: classify, batch-fetch,
-// fan-out decrypt/verify, merge. addr is chunk-aligned and len(buf) is a
+// decrypt/verify, merge. addr is chunk-aligned and len(buf) is a
 // multiple of ChunkSize, at most streamWindowChunks chunks.
 func (s *engineSet) readWindow(addr uint64, buf []byte, first bool) (uint64, error) {
 	s.mu.Lock()
@@ -179,32 +178,16 @@ func (s *engineSet) readWindow(addr uint64, buf []byte, first bool) (uint64, err
 		return s.busyCycles - start, err
 	}
 
-	// Stage 2: decrypt/verify fan-out across the engine pool.
-	if err := s.openFanout(win, fetch, c0, cs, buf); err != nil {
-		s.integrityErr = err
-		return s.busyCycles - start, err
+	// Stage 2: decrypt/verify each fetched chunk into its place in buf.
+	for _, i := range fetch {
+		if err := s.openSlot(i, c0+i, buf[i*cs:(i+1)*cs]); err != nil {
+			s.integrityErr = err
+			return s.busyCycles - start, err
+		}
 	}
 
 	s.chargeWindow(len(fetch), n, len(buf), dramBusy, dramBus, first)
 	return s.busyCycles - start, nil
-}
-
-// openFanout verifies and decrypts the fetched chunks of a window into
-// buf through the engine pool's persistent workers (runJob). Callers hold
-// s.mu, so worker reads of counters and the sealer are exclusive with all
-// mutation.
-func (s *engineSet) openFanout(win *streamWindow, fetch []int, c0, cs int, buf []byte) error {
-	for k, i := range fetch {
-		s.jobSlots[k], s.jobChunks[k], s.jobDsts[k] = i, c0+i, buf[i*cs:(i+1)*cs]
-	}
-	s.runJob(true, len(fetch))
-	for k := range fetch {
-		if err := win.errs[k]; err != nil {
-			win.errs[k] = nil
-			return err
-		}
-	}
-	return nil
 }
 
 // writeStream implements the streamed write for one engine set.
@@ -214,9 +197,9 @@ func (s *engineSet) writeStream(addr uint64, data []byte) (uint64, error) {
 		func(a uint64, lo, hi int, first bool) (uint64, error) { return s.writeWindow(a, data[lo:hi], first) })
 }
 
-// writeWindow seals one chunk-aligned window across the engine pool and
-// stores ciphertext and tags in one batched AXI transaction each. Full
-// windows are always contiguous, so there is exactly one run.
+// writeWindow seals one chunk-aligned window and stores ciphertext and
+// tags in one batched AXI transaction each. Full windows are always
+// contiguous, so there is exactly one run.
 func (s *engineSet) writeWindow(addr uint64, data []byte, first bool) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,11 +220,10 @@ func (s *engineSet) writeWindow(addr uint64, data []byte, first bool) (uint64, e
 		}
 	}
 
-	// Stage 1: seal fan-out across the engine pool's persistent workers.
+	// Stage 1: seal each chunk into its window slot.
 	for i := 0; i < n; i++ {
-		s.jobSlots[i], s.jobChunks[i], s.jobDsts[i] = i, c0+i, data[i*cs:(i+1)*cs]
+		s.sealSlot(i, c0+i, data[i*cs:(i+1)*cs])
 	}
-	s.runJob(false, n)
 
 	// Stage 2: one batched store for the window's ciphertext and tags.
 	dramBusy, dramBus, err := s.storeRun(win, 0, c0, n)
@@ -280,8 +262,8 @@ func (s *Shield) ReadGather(runs []axi.Burst, buf []byte) (uint64, error) {
 	return set.gather(runs, buf, set.readWindowSlots)
 }
 
-// WriteGather implements axi.Gatherer for the write side: seal fan-out
-// across the engine pool, one batched store per contiguous chunk run,
+// WriteGather implements axi.Gatherer for the write side: each window's
+// chunks sealed, one batched store per contiguous chunk run,
 // windows overlapped, fill/drain once per gather. Runs are whole chunks,
 // so stores never read-modify-write.
 func (s *Shield) WriteGather(runs []axi.Burst, data []byte) (uint64, error) {
@@ -416,14 +398,9 @@ func (s *engineSet) readWindowSlots(chunks, offs []int, buf []byte, first bool) 
 		i = j + 1
 	}
 
-	// Stage 2: decrypt/verify fan-out into the scattered destinations.
-	for k, i := range fetch {
-		s.jobSlots[k], s.jobChunks[k], s.jobDsts[k] = i, chunks[i], buf[offs[i]:offs[i]+cs]
-	}
-	s.runJob(true, len(fetch))
-	for k := range fetch {
-		if err := win.errs[k]; err != nil {
-			win.errs[k] = nil
+	// Stage 2: decrypt/verify into the scattered destinations.
+	for _, i := range fetch {
+		if err := s.openSlot(i, chunks[i], buf[offs[i]:offs[i]+cs]); err != nil {
 			s.integrityErr = err
 			return s.busyCycles - start, err
 		}
@@ -434,8 +411,8 @@ func (s *engineSet) readWindowSlots(chunks, offs []int, buf []byte, first bool) 
 }
 
 // writeWindowSlots is writeWindow generalised to a gather window: seal
-// fan-out across the pool, then one batched store per contiguous chunk
-// run. Full-chunk stores supersede resident lines and never fetch.
+// every slot, then one batched store per contiguous chunk run.
+// Full-chunk stores supersede resident lines and never fetch.
 func (s *engineSet) writeWindowSlots(chunks, offs []int, data []byte, first bool) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -455,11 +432,10 @@ func (s *engineSet) writeWindowSlots(chunks, offs []int, data []byte, first bool
 		}
 	}
 
-	// Stage 1: seal fan-out across the engine pool's persistent workers.
+	// Stage 1: seal each chunk into its window slot.
 	for i := 0; i < n; i++ {
-		s.jobSlots[i], s.jobChunks[i], s.jobDsts[i] = i, chunks[i], data[offs[i]:offs[i]+cs]
+		s.sealSlot(i, chunks[i], data[offs[i]:offs[i]+cs])
 	}
-	s.runJob(false, n)
 
 	// Stage 2: one batched store per contiguous chunk run.
 	var dramBusy, dramBus uint64
