@@ -49,12 +49,14 @@ func FuzzSealOpenRoundtrip(f *testing.F) {
 			data = data[:4096]
 		}
 		for _, s := range sealers {
-			ct, tag := s.sealChunk(chunk, counter, data)
-			if len(ct) != len(data) {
-				t.Fatalf("%v: ciphertext length %d, want %d", s.cfg.MAC, len(ct), len(data))
+			sc := s.newScratch()
+			open := func(chunk int, counter uint32, ct, tag []byte) error {
+				return s.openChunkWith(sc, make([]byte, len(ct)), chunk, counter, ct, tag)
 			}
-			plain, err := s.openChunk(chunk, counter, ct, tag)
-			if err != nil {
+			ct, tag := make([]byte, len(data)), make([]byte, TagSize)
+			s.sealChunkWith(sc, ct, tag, chunk, counter, data)
+			plain := make([]byte, len(ct))
+			if err := s.openChunkWith(sc, plain, chunk, counter, ct, tag); err != nil {
 				t.Fatalf("%v: roundtrip rejected: %v", s.cfg.MAC, err)
 			}
 			if !bytes.Equal(plain, data) {
@@ -64,22 +66,22 @@ func FuzzSealOpenRoundtrip(f *testing.F) {
 			if len(ct) > 0 {
 				bad := append([]byte(nil), ct...)
 				bad[int(flip)%len(bad)] ^= 1
-				if _, err := s.openChunk(chunk, counter, bad, tag); !isIntegrity(err) {
+				if err := open(chunk, counter, bad, tag); !isIntegrity(err) {
 					t.Fatalf("%v: corrupted ciphertext accepted (err=%v)", s.cfg.MAC, err)
 				}
 			}
 			// Corrupt the tag: must fail.
-			badTag := tag
+			badTag := append([]byte(nil), tag...)
 			badTag[int(flip)%TagSize] ^= 1
-			if _, err := s.openChunk(chunk, counter, ct, badTag); !isIntegrity(err) {
+			if err := open(chunk, counter, ct, badTag); !isIntegrity(err) {
 				t.Fatalf("%v: corrupted tag accepted (err=%v)", s.cfg.MAC, err)
 			}
 			// Splicing to a different chunk index or replaying an older
 			// epoch must fail.
-			if _, err := s.openChunk(chunk+1, counter, ct, tag); !isIntegrity(err) {
+			if err := open(chunk+1, counter, ct, tag); !isIntegrity(err) {
 				t.Fatalf("%v: spliced chunk accepted (err=%v)", s.cfg.MAC, err)
 			}
-			if _, err := s.openChunk(chunk, counter+1, ct, tag); !isIntegrity(err) {
+			if err := open(chunk, counter+1, ct, tag); !isIntegrity(err) {
 				t.Fatalf("%v: replayed epoch accepted (err=%v)", s.cfg.MAC, err)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"sync"
 
 	"shef/internal/crypto/aesx"
 	"shef/internal/crypto/hmacx"
@@ -35,12 +34,6 @@ type sealer struct {
 	block    cipher.Block
 	macKey   []byte
 	pmac     *pmacx.MAC
-
-	// scratch pools the per-chunk working state for the convenience
-	// entry points (sealChunkInto/openChunkInto); each engine set holds
-	// one dedicated scratch instead, because a GC pass may drain a
-	// sync.Pool mid-stream and reintroduce allocations.
-	scratch sync.Pool
 }
 
 // sealScratch is one in-flight chunk's working state: the MAC message
@@ -73,7 +66,6 @@ func newSealer(cfg RegionConfig, regionID uint32, dek []byte) (*sealer, error) {
 		block:    blk,
 		macKey:   macKey,
 	}
-	s.scratch.New = func() any { return s.newScratch() }
 	if cfg.MAC == PMAC {
 		macBlock, err := aes.NewCipher(macKey[:16])
 		if err != nil {
@@ -131,24 +123,10 @@ func be32(b []byte, v uint32) {
 	b[3] = byte(v)
 }
 
-// sealChunk encrypts plaintext and computes its tag for a write epoch.
-func (s *sealer) sealChunk(chunk int, counter uint32, plain []byte) (ct []byte, tag [TagSize]byte) {
-	ct = make([]byte, len(plain))
-	s.sealChunkInto(ct, &tag, chunk, counter, plain)
-	return ct, tag
-}
-
-// sealChunkInto encrypts plain into ct (same length) and writes the tag,
-// using pooled scratch. Safe for concurrent use.
-func (s *sealer) sealChunkInto(ct []byte, tag *[TagSize]byte, chunk int, counter uint32, plain []byte) {
-	sc := s.scratch.Get().(*sealScratch)
-	s.sealChunkWith(sc, ct, tag[:], chunk, counter, plain)
-	s.scratch.Put(sc)
-}
-
-// sealChunkWith is the allocation-free core of sealChunkInto: the caller
-// owns sc exclusively for the duration of the call. tagOut receives the
-// TagSize-byte tag (typically a slice of the window's staging buffer).
+// sealChunkWith encrypts plain into ct (same length) and writes the
+// TagSize-byte tag into tagOut (typically a slice of the window's staging
+// buffer), allocating nothing. The caller owns sc exclusively for the
+// duration of the call.
 //
 //shef:hotpath
 func (s *sealer) sealChunkWith(sc *sealScratch, ct, tagOut []byte, chunk int, counter uint32, plain []byte) {
@@ -164,28 +142,10 @@ func (s *sealer) sealChunkWith(sc *sealScratch, ct, tagOut []byte, chunk int, co
 	sc.msg = msg[:0]
 }
 
-// openChunk verifies and decrypts a chunk at a write epoch.
-func (s *sealer) openChunk(chunk int, counter uint32, ct []byte, tag [TagSize]byte) ([]byte, error) {
-	plain := make([]byte, len(ct))
-	if err := s.openChunkInto(plain, chunk, counter, ct, tag); err != nil {
-		return nil, err
-	}
-	return plain, nil
-}
-
-// openChunkInto verifies ct and decrypts it into dst (same length), using
-// pooled scratch. Safe for concurrent use.
-func (s *sealer) openChunkInto(dst []byte, chunk int, counter uint32, ct []byte, tag [TagSize]byte) error {
-	sc := s.scratch.Get().(*sealScratch)
-	err := s.openChunkWith(sc, dst, chunk, counter, ct, tag[:])
-	s.scratch.Put(sc)
-	return err
-}
-
-// openChunkWith is the allocation-free core of openChunkInto: the caller
-// owns sc exclusively for the duration of the call. tag is the
-// TagSize-byte stored tag (typically a slice of the window's staging
-// buffer).
+// openChunkWith verifies ct against the TagSize-byte stored tag
+// (typically a slice of the window's staging buffer) and decrypts it into
+// dst (same length), allocating nothing. The caller owns sc exclusively
+// for the duration of the call.
 //
 //shef:hotpath
 func (s *sealer) openChunkWith(sc *sealScratch, dst []byte, chunk int, counter uint32, ct, tag []byte) error {
@@ -253,12 +213,12 @@ func SealRegionData(cfg RegionConfig, regionID uint32, dek, data []byte) (ct, ta
 	if err != nil {
 		return nil, nil, err
 	}
-	ct = make([]byte, 0, len(data))
-	tags = make([]byte, 0, cfg.Chunks()*TagSize)
+	ct = make([]byte, len(data))
+	tags = make([]byte, cfg.Chunks()*TagSize)
+	sc := s.newScratch()
+	cs := cfg.ChunkSize
 	for c := 0; c < cfg.Chunks(); c++ {
-		chunkCT, tag := s.sealChunk(c, 0, data[c*cfg.ChunkSize:(c+1)*cfg.ChunkSize])
-		ct = append(ct, chunkCT...)
-		tags = append(tags, tag[:]...)
+		s.sealChunkWith(sc, ct[c*cs:(c+1)*cs], tags[c*TagSize:(c+1)*TagSize], c, 0, data[c*cs:(c+1)*cs])
 	}
 	return ct, tags, nil
 }
@@ -281,19 +241,17 @@ func OpenRegionData(cfg RegionConfig, regionID uint32, dek, ct, tags []byte, cou
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(ct))
+	out := make([]byte, len(ct))
+	sc := s.newScratch()
+	cs := cfg.ChunkSize
 	for c := 0; c < cfg.Chunks(); c++ {
-		var tag [TagSize]byte
-		copy(tag[:], tags[c*TagSize:])
 		ctr := uint32(0)
 		if counters != nil {
 			ctr = counters[c]
 		}
-		plain, err := s.openChunk(c, ctr, ct[c*cfg.ChunkSize:(c+1)*cfg.ChunkSize], tag)
-		if err != nil {
+		if err := s.openChunkWith(sc, out[c*cs:(c+1)*cs], c, ctr, ct[c*cs:(c+1)*cs], tags[c*TagSize:(c+1)*TagSize]); err != nil {
 			return nil, err
 		}
-		out = append(out, plain...)
 	}
 	return out, nil
 }
