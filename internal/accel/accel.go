@@ -36,8 +36,8 @@ type Ctx struct {
 func (c *Ctx) Compute(cycles uint64) { c.computeCycles += cycles }
 
 // ReadStream reads a bulk transfer through the port's pipelined streaming
-// path when it has one (the Shield's burst engine, the bare cache's
-// batched fetch), falling back to a plain burst otherwise. Workloads use
+// path when it has one (the engine sets' stream windows, shielded or
+// bare), falling back to a plain burst otherwise. Workloads use
 // it for multi-chunk sequential transfers.
 func (c *Ctx) ReadStream(addr uint64, buf []byte) error {
 	_, err := axi.ReadAuto(c.Mem, addr, buf)

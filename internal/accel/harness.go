@@ -73,11 +73,14 @@ func RunBare(w Workload, params perf.Params, seed int64) (RunResult, error) {
 		}
 	}
 	dram.ResetStats()
-	// The baseline keeps the Shield configuration's buffering
-	// microarchitecture — chunked line buffers over the same regions —
-	// with the cryptography removed, so the comparison isolates the cost
-	// of security rather than of caching.
-	cache := newBareCachePort(cfg, dram, params)
+	// The baseline is the Shield configuration's own engine sets without a
+	// sealer — the same buffers, prefetcher and windows over the same
+	// regions — so the comparison isolates the cost of security rather
+	// than of caching.
+	cache, err := shield.NewBarePort(cfg, dram, params)
+	if err != nil {
+		return RunResult{}, err
+	}
 	ctx := &Ctx{Mem: cache, Regs: &bareRegs{regs: make([]uint64, 32)}}
 	if err := w.Run(ctx); err != nil {
 		return RunResult{}, err

@@ -55,16 +55,6 @@ type Params struct {
 	// ChunkTime — which is also what singleton runs always pay.
 	WritebackBatchChunks int
 
-	// PrefetchMinMisses is the sequential-stride detector's trigger: after
-	// this many consecutive ascending chunk misses in a region with
-	// SeqPrefetch enabled, the engine set services the run through stream
-	// windows transparently. Zero disables the prefetcher everywhere.
-	PrefetchMinMisses int
-
-	// PrefetchWindowChunks is how many chunks one prefetch window moves
-	// (capped by the engine set's staging window and buffer capacity).
-	PrefetchWindowChunks int
-
 	// RegionLookupEntries is the slot count of the Shield's region-lookup
 	// cache (the burst decoder's TLB): direct-mapped entries resolving an
 	// accelerator address to its protection zone in O(1) regardless of
@@ -106,8 +96,6 @@ func Default() Params {
 		ShieldInitCycles:  40_000,
 
 		WritebackBatchChunks: 16,
-		PrefetchMinMisses:    4,
-		PrefetchWindowChunks: 16,
 		ORAMBatchBuckets:     8,
 
 		RegionLookupEntries:    1024,

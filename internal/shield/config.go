@@ -88,7 +88,7 @@ type RegionConfig struct {
 	// read-modify-write when chunks are written exactly once.
 	ZeroFillWrites bool
 	// SeqPrefetch arms the adaptive sequential prefetcher: after
-	// perf.Params.PrefetchMinMisses consecutive ascending chunk misses,
+	// prefetchMinMisses consecutive ascending chunk misses,
 	// the engine set fetches ahead through pipelined stream windows, so
 	// chunk-at-a-time sequential access patterns get the streaming path's
 	// overlapped accounting without the accelerator calling ReadStream.

@@ -19,6 +19,10 @@ import (
 // operate concurrently — in this reproduction as real goroutines — and the
 // performance model takes the maximum busy time across sets (paper §5.2.2).
 //
+// A set without a sealer is the unsecured baseline (NewBarePort): the same
+// buffer, LRU, write combining, prefetcher and windows, with no tags and
+// no crypto stages, so Figures 5-6 isolate the cost of security.
+//
 // All exported-to-Shield entry points (read, write, flush, the stats and
 // maintenance accessors) take mu; the lower-case helpers below them assume
 // it is held. One mutex per set means accesses to *different* regions run
@@ -31,7 +35,11 @@ type engineSet struct {
 	cfg      RegionConfig
 	regionID uint32
 	params   perf.Params
-	seal     *sealer
+	seal     *sealer // nil for the unsecured baseline
+
+	// tagSize is the bytes of tag stored per chunk: TagSize, or 0 without
+	// a sealer (no tag bursts, no tag bytes in the DRAM charges).
+	tagSize int
 
 	// share points at the region table's materialised-set counter for
 	// this set's off-chip channel: each live set sees 1/share of the
@@ -96,11 +104,12 @@ type engineSet struct {
 	win *streamWindow
 
 	// scratch is the set's chunk-crypto working state (dedicated, not
-	// pooled, for the same GC-drain reason as win). Every seal and open
-	// runs on the calling goroutine under mu, one chunk after another, so
-	// one scratch serves them all. The AES engine pool's parallelism is a
-	// hardware property that the cycle model charges analytically
-	// (cryptoStages, poolCycles); the host does not re-enact it.
+	// pooled, for the same GC-drain reason as win; nil without a sealer).
+	// Every seal and open runs on the calling goroutine under mu, one
+	// chunk after another, so one scratch serves them all. The AES engine
+	// pool's parallelism is a hardware property that the cycle model
+	// charges analytically (cryptoStages, poolCycles); the host does not
+	// re-enact it.
 	scratch *sealScratch
 
 	// flushScratch is the reusable dirty-chunk list of flush.
@@ -132,8 +141,9 @@ type bufLine struct {
 	prev, next *bufLine
 }
 
-// newEngineSet builds the runtime for a region. Keys are derived from the
-// Data Encryption Key per region so that regions are cryptographically
+// newEngineSet builds the Shield runtime for a region: the common set
+// plus the sealer and the on-chip memory charges. Keys are derived from
+// the Data Encryption Key per region so that regions are cryptographically
 // isolated from one another.
 func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 	port axi.MemoryPort, ocm *mem.OCM, params perf.Params) (*engineSet, error) {
@@ -142,27 +152,7 @@ func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 	if err != nil {
 		return nil, err
 	}
-	s := &engineSet{
-		cfg:      cfg,
-		regionID: regionID,
-		params:   params,
-		seal:     seal,
-		scratch:  seal.newScratch(),
-		tagBase:  tagBase,
-		port:     port,
-		lines:    make(map[int]*bufLine),
-		capacity: cfg.bufferLines(),
-		seqNext:  -1,
-	}
-	s.lruRoot.prev = &s.lruRoot
-	s.lruRoot.next = &s.lruRoot
-	s.linePool.New = func() any {
-		return &bufLine{data: make([]byte, cfg.ChunkSize)}
-	}
-	s.win = &streamWindow{
-		ct:   make([]byte, streamWindowChunks*cfg.ChunkSize),
-		tags: make([]byte, streamWindowChunks*TagSize),
-	}
+	s := newSet(cfg, regionID, seal, tagBase, port, params)
 	// Charge on-chip memory: the buffer, counters, and valid bits.
 	alloc := func(n int, what string) error {
 		if _, err := ocm.Alloc(n); err != nil {
@@ -187,9 +177,42 @@ func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 		return nil, err
 	}
 	s.metaOCMBytes += (cfg.Chunks() + 7) / 8
-	s.counters = make([]uint32, cfg.Chunks())
-	s.initialized = make([]bool, cfg.Chunks())
 	return s, nil
+}
+
+// newSet builds what every engine set has, with or without a sealer: the
+// line buffer and its LRU, the line pool, the staging window, and the
+// counters and valid bits. seal == nil gives the unsecured baseline.
+func newSet(cfg RegionConfig, regionID uint32, seal *sealer, tagBase uint64,
+	port axi.MemoryPort, params perf.Params) *engineSet {
+
+	s := &engineSet{
+		cfg:         cfg,
+		regionID:    regionID,
+		params:      params,
+		seal:        seal,
+		tagBase:     tagBase,
+		port:        port,
+		lines:       make(map[int]*bufLine),
+		capacity:    cfg.bufferLines(),
+		seqNext:     -1,
+		counters:    make([]uint32, cfg.Chunks()),
+		initialized: make([]bool, cfg.Chunks()),
+	}
+	if seal != nil {
+		s.tagSize = TagSize
+		s.scratch = seal.newScratch()
+	}
+	s.lruRoot.prev = &s.lruRoot
+	s.lruRoot.next = &s.lruRoot
+	s.linePool.New = func() any {
+		return &bufLine{data: make([]byte, cfg.ChunkSize)}
+	}
+	s.win = &streamWindow{
+		ct:   make([]byte, streamWindowChunks*cfg.ChunkSize),
+		tags: make([]byte, streamWindowChunks*s.tagSize),
+	}
+	return s
 }
 
 // adoptMeta restores durable metadata a reclaim preserved (the zone's
@@ -317,8 +340,11 @@ func (s *engineSet) hmacCyclesPerChunk() uint64 {
 // AES pool serves the CTR blocks plus, under PMAC, the MAC blocks; an HMAC
 // engine runs serially in parallel with decryption ("the engine set
 // decrypts and authenticates the returned ciphertext in parallel",
-// paper §5.2.2).
+// paper §5.2.2). A set without a sealer has no crypto stage.
 func (s *engineSet) cryptoCycles() uint64 {
+	if s.seal == nil {
+		return 0
+	}
 	aesBlocks := s.ctrBlocksPerChunk()
 	if s.cfg.MAC == PMAC {
 		aesBlocks += s.pmacBlocksPerChunk()
@@ -361,10 +387,10 @@ func (s *engineSet) shareNow() int {
 func (s *engineSet) chargeChunk() {
 	// The set experiences its bandwidth share; the channel-occupancy bound
 	// (Report.MemoryCycles) counts the bytes once at full channel rate.
-	dram := s.params.DRAMCyclesShared(s.cfg.ChunkSize+TagSize, s.shareNow())
+	dram := s.params.DRAMCyclesShared(s.cfg.ChunkSize+s.tagSize, s.shareNow())
 	crypto := s.cryptoCycles()
 	s.busyCycles += s.params.ChunkTime(dram, crypto) + s.params.ChunkIssueCycles
-	s.dramCycles += s.params.DRAMCycles(s.cfg.ChunkSize + TagSize)
+	s.dramCycles += s.params.DRAMCycles(s.cfg.ChunkSize + s.tagSize)
 }
 
 // chargeHit accounts a buffer hit: on-chip access only.
@@ -377,7 +403,7 @@ func (s *engineSet) chargeHit(nBytes int) {
 // dramAddrs returns the ciphertext and tag addresses of a chunk.
 func (s *engineSet) dramAddrs(chunk int) (data, tag uint64) {
 	data = s.cfg.Base + uint64(chunk*s.cfg.ChunkSize)
-	tag = s.tagBase + uint64(chunk*TagSize)
+	tag = s.tagBase + uint64(chunk*s.tagSize)
 	return
 }
 
@@ -394,45 +420,55 @@ func (s *engineSet) batchChunks() int {
 	return n
 }
 
-// prefetchDegree is how many chunks one prefetch window may move, bounded
-// by the staging buffers and the on-chip buffer capacity.
+// prefetchMinMisses is the sequential-stride detector's trigger: after
+// this many consecutive ascending chunk misses in a region with
+// SeqPrefetch enabled, the engine set services the run through stream
+// windows transparently.
+const prefetchMinMisses = 4
+
+// prefetchDegree is how many chunks one prefetch window may move: a full
+// staging window, bounded by the on-chip buffer capacity.
 func (s *engineSet) prefetchDegree() int {
-	n := s.params.PrefetchWindowChunks
-	if n < 1 || n > streamWindowChunks {
-		n = streamWindowChunks
-	}
-	if n > s.capacity {
-		n = s.capacity
-	}
-	return n
+	return min(streamWindowChunks, s.capacity)
 }
 
 // prefetchArmed reports whether the adaptive sequential prefetcher is
 // configured for this set.
 func (s *engineSet) prefetchArmed() bool {
-	return s.cfg.SeqPrefetch && s.params.PrefetchMinMisses > 0 && s.capacity > 1
+	return s.cfg.SeqPrefetch && s.capacity > 1
 }
 
 // openSlot verifies the ciphertext and tag staged in window slot slot as
-// chunk, at its current write epoch, and decrypts it into dst. It runs on
-// the calling goroutine with s.mu held.
+// chunk, at its current write epoch, and decrypts it into dst; without a
+// sealer it copies the slot. It runs on the calling goroutine with s.mu
+// held.
 //
 //shef:hotpath
 func (s *engineSet) openSlot(slot, chunk int, dst []byte) error {
 	cs := s.cfg.ChunkSize
+	ct := s.win.ct[slot*cs : (slot+1)*cs]
+	if s.seal == nil {
+		copy(dst, ct)
+		return nil
+	}
 	return s.seal.openChunkWith(s.scratch, dst, chunk, s.counters[chunk],
-		s.win.ct[slot*cs:(slot+1)*cs], s.win.tags[slot*TagSize:(slot+1)*TagSize])
+		ct, s.win.tags[slot*TagSize:(slot+1)*TagSize])
 }
 
 // sealSlot encrypts src as chunk, at its current write epoch, into window
-// slot slot and writes the slot's tag. It runs on the calling goroutine
-// with s.mu held.
+// slot slot and writes the slot's tag; without a sealer it copies src into
+// the slot. It runs on the calling goroutine with s.mu held.
 //
 //shef:hotpath
 func (s *engineSet) sealSlot(slot, chunk int, src []byte) {
 	cs := s.cfg.ChunkSize
-	s.seal.sealChunkWith(s.scratch, s.win.ct[slot*cs:(slot+1)*cs],
-		s.win.tags[slot*TagSize:(slot+1)*TagSize], chunk, s.counters[chunk], src)
+	ct := s.win.ct[slot*cs : (slot+1)*cs]
+	if s.seal == nil {
+		copy(ct, src)
+		return
+	}
+	s.seal.sealChunkWith(s.scratch, ct, s.win.tags[slot*TagSize:(slot+1)*TagSize],
+		chunk, s.counters[chunk], src)
 }
 
 // load makes a chunk resident, fetching/decrypting/verifying on miss.
@@ -459,7 +495,7 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 			s.seqRun, s.seqStreak = 1, false
 		}
 		s.seqNext = chunk + 1
-		if s.prefetchArmed() && s.seqRun >= s.params.PrefetchMinMisses {
+		if s.prefetchArmed() && s.seqRun >= prefetchMinMisses {
 			// The detector fired: service the run through a pipelined
 			// stream window instead of a chunk-at-a-time fetch.
 			if err := s.prefetchRun(chunk); err != nil {
@@ -476,14 +512,9 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 	ln := s.linePool.Get().(*bufLine)
 	ln.dirty, ln.prefetched = false, false
 	if fill {
-		dataAddr, tagAddr := s.dramAddrs(chunk)
-		win := s.win
-		ct := win.ct[:s.cfg.ChunkSize]
-		if _, err := s.port.ReadBurst(dataAddr, ct); err != nil {
-			s.linePool.Put(ln)
-			return nil, err
-		}
-		if _, err := s.port.ReadBurst(tagAddr, win.tags[:TagSize]); err != nil {
+		// A single chunk keeps the chunked ChunkTime charge, so the run
+		// pricing fetchRun returns is not used.
+		if _, _, err := s.fetchRun(s.win, 0, chunk, 1); err != nil {
 			s.linePool.Put(ln)
 			return nil, err
 		}
@@ -512,7 +543,6 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 //
 //shef:hotpath
 func (s *engineSet) prefetchRun(c0 int) error {
-	cs := s.cfg.ChunkSize
 	n := 1
 	for max := s.prefetchDegree(); n < max; n++ {
 		c := c0 + n
@@ -527,12 +557,8 @@ func (s *engineSet) prefetchRun(c0 int) error {
 		return err
 	}
 
-	win := s.win
-	dataAddr, tagAddr := s.dramAddrs(c0)
-	if _, err := s.port.ReadBurst(dataAddr, win.ct[:n*cs]); err != nil {
-		return err
-	}
-	if _, err := s.port.ReadBurst(tagAddr, win.tags[:n*TagSize]); err != nil {
+	dramBusy, dramBus, err := s.fetchRun(s.win, 0, c0, n)
+	if err != nil {
 		return err
 	}
 
@@ -558,16 +584,8 @@ func (s *engineSet) prefetchRun(c0 int) error {
 
 	s.misses++
 	s.prefetched += uint64(n - 1)
-	if n == 1 {
-		// A window of one chunk is just the chunked fetch.
-		s.chargeChunk()
-	} else {
-		runBytes := n * (cs + TagSize)
-		extraBursts := uint64(axi.BurstsFor(runBytes) - 1)
-		dramBusy := s.params.DRAMCyclesShared(runBytes, s.shareNow()) + extraBursts*s.params.DRAMRequestCycles
-		dramBus := s.params.DRAMCycles(runBytes) + extraBursts*s.params.DRAMRequestCycles
-		pool, hmac := s.cryptoStages(n)
-		s.chargeOverlapped(dramBusy, dramBus, pool, hmac, uint64(n*cs)/64, !s.seqStreak)
+	s.chargeRun(n, dramBusy, dramBus, !s.seqStreak)
+	if n > 1 {
 		s.seqStreak = true
 	}
 	s.seqNext = c0 + n // a miss at the window's end continues the streak
@@ -657,22 +675,17 @@ func (s *engineSet) writebackChunks(chunks []int, fillDrain bool) error {
 		return s.integrityErr
 	}
 	first := fillDrain
-	cs := s.cfg.ChunkSize
 	return axi.ForEachRunCapped(chunks, s.batchChunks(), func(c0, n int) error {
 		if s.cfg.Freshness {
 			for i := 0; i < n; i++ {
 				s.counters[c0+i]++ // bump before sealing the new epoch
 			}
 		}
-		win := s.win
 		for i := 0; i < n; i++ {
 			s.sealSlot(i, c0+i, s.lines[c0+i].data)
 		}
-		dataAddr, tagAddr := s.dramAddrs(c0)
-		if _, err := s.port.WriteBurst(dataAddr, win.ct[:n*cs]); err != nil {
-			return err
-		}
-		if _, err := s.port.WriteBurst(tagAddr, win.tags[:n*TagSize]); err != nil {
+		dramBusy, dramBus, err := s.storeRun(s.win, 0, c0, n)
+		if err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
@@ -681,26 +694,20 @@ func (s *engineSet) writebackChunks(chunks []int, fillDrain bool) error {
 			s.lines[chunk].dirty = false
 		}
 		s.writebacks += uint64(n)
-		if n == 1 {
-			s.chargeChunk()
-			return nil
+		s.chargeRun(n, dramBusy, dramBus, first)
+		if n > 1 {
+			first = false
+			s.batchedWritebacks += uint64(n)
 		}
-		runBytes := n * (cs + TagSize)
-		extraBursts := uint64(axi.BurstsFor(runBytes) - 1)
-		dramBusy := s.params.DRAMCyclesShared(runBytes, s.shareNow()) + extraBursts*s.params.DRAMRequestCycles
-		dramBus := s.params.DRAMCycles(runBytes) + extraBursts*s.params.DRAMRequestCycles
-		pool, hmac := s.cryptoStages(n)
-		s.chargeOverlapped(dramBusy, dramBus, pool, hmac, uint64(n*cs)/64, first)
-		first = false
-		s.batchedWritebacks += uint64(n)
 		return nil
 	})
 }
 
 // cryptoStages returns the engine-pool occupancy and serial-HMAC stage
-// times for a window of n chunks crossing the crypto pipeline.
+// times for a window of n chunks crossing the crypto pipeline (none
+// without a sealer).
 func (s *engineSet) cryptoStages(n int) (poolStage, hmacStage uint64) {
-	if n <= 0 {
+	if n <= 0 || s.seal == nil {
 		return 0, 0
 	}
 	pool := n * s.ctrBlocksPerChunk()
@@ -710,6 +717,19 @@ func (s *engineSet) cryptoStages(n int) (poolStage, hmacStage uint64) {
 		hmacStage = uint64(n) * s.hmacCyclesPerChunk()
 	}
 	return s.poolCycles(pool), hmacStage
+}
+
+// chargeRun accounts one batched fetch or store of n chunks priced by
+// fetchRun/storeRun: a run of one chunk keeps the chunked ChunkTime
+// charge — batching cannot help it — while longer runs pay the overlapped
+// window charge, plus fill/drain when first.
+func (s *engineSet) chargeRun(n int, dramBusy, dramBus uint64, first bool) {
+	if n == 1 {
+		s.chargeChunk()
+		return
+	}
+	pool, hmac := s.cryptoStages(n)
+	s.chargeOverlapped(dramBusy, dramBus, pool, hmac, uint64(n*s.cfg.ChunkSize)/64, first)
 }
 
 // chargeOverlapped accounts one pipeline window under the overlapped

@@ -47,8 +47,8 @@ func reportRealMBps(b *testing.B, unit string, bytesPerOp int) {
 
 // BenchmarkRealReadStream is the headline number: MB/s of authenticated
 // decryption through ReadStream. The region's buffer holds only four
-// lines and readWindow never inserts lines, so every op re-fetches and
-// re-verifies the full image — pure fetch/open pipeline.
+// lines and readWindowSlots never inserts lines, so every op re-fetches
+// and re-verifies the full image — pure fetch/open pipeline.
 func BenchmarkRealReadStream(b *testing.B) {
 	for _, rm := range realMACs {
 		b.Run(rm.name, func(b *testing.B) {

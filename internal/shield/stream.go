@@ -40,41 +40,58 @@ import (
 const streamWindowChunks = 16
 
 // streamWindow is the preallocated staging state of one pipeline window,
-// dedicated per engine set so the hot path is allocation-free.
+// dedicated per engine set so the hot path is allocation-free. chunks and
+// offs hold a stream window's slots (span), idx the slots a read fetches.
 type streamWindow struct {
-	ct   []byte
-	tags []byte
-	idx  [streamWindowChunks]int
+	ct     []byte
+	tags   []byte
+	idx    [streamWindowChunks]int
+	chunks [streamWindowChunks]int
+	offs   [streamWindowChunks]int
+}
+
+// span lays out a contiguous window of n slots in the window's own slot
+// arrays: slot i carries chunk c0+i at buffer offset off+i*cs.
+func (w *streamWindow) span(c0, off, n, cs int) (chunks, offs []int) {
+	for i := 0; i < n; i++ {
+		w.chunks[i], w.offs[i] = c0+i, off+i*cs
+	}
+	return w.chunks[:n], w.offs[:n]
 }
 
 // fetchRun is the shared stage-1 fetch accounting: one batched AXI
 // transaction for runChunks chunks starting at chunk0, ciphertext and
 // tags landing in the window's staging at slot0, returning the busy-side
-// and bus-side DRAM charges. Every windowed data path (stream, gather)
-// uses it so the charge model lives in one place.
+// and bus-side DRAM charges. Every path that moves chunks from DRAM
+// (chunked load, prefetch, stream, gather) uses it so the burst and charge
+// model lives in one place. A set without tags issues no tag burst.
 func (s *engineSet) fetchRun(win *streamWindow, slot0, chunk0, runChunks int) (dramBusy, dramBus uint64, err error) {
-	cs := s.cfg.ChunkSize
+	cs, ts := s.cfg.ChunkSize, s.tagSize
 	dataAddr, tagAddr := s.dramAddrs(chunk0)
 	if _, err := s.port.ReadBurst(dataAddr, win.ct[slot0*cs:(slot0+runChunks)*cs]); err != nil {
 		return 0, 0, err
 	}
-	if _, err := s.port.ReadBurst(tagAddr, win.tags[slot0*TagSize:(slot0+runChunks)*TagSize]); err != nil {
-		return 0, 0, err
+	if ts > 0 {
+		if _, err := s.port.ReadBurst(tagAddr, win.tags[slot0*ts:(slot0+runChunks)*ts]); err != nil {
+			return 0, 0, err
+		}
 	}
 	busy, bus := s.runCharge(runChunks)
 	return busy, bus, nil
 }
 
 // storeRun is fetchRun's write-side twin: one batched store for the
-// window's sealed ciphertext and tags at slot0.
+// window's sealed ciphertext and tags at slot0 (write-back, stream, gather).
 func (s *engineSet) storeRun(win *streamWindow, slot0, chunk0, runChunks int) (dramBusy, dramBus uint64, err error) {
-	cs := s.cfg.ChunkSize
+	cs, ts := s.cfg.ChunkSize, s.tagSize
 	dataAddr, tagAddr := s.dramAddrs(chunk0)
 	if _, err := s.port.WriteBurst(dataAddr, win.ct[slot0*cs:(slot0+runChunks)*cs]); err != nil {
 		return 0, 0, err
 	}
-	if _, err := s.port.WriteBurst(tagAddr, win.tags[slot0*TagSize:(slot0+runChunks)*TagSize]); err != nil {
-		return 0, 0, err
+	if ts > 0 {
+		if _, err := s.port.WriteBurst(tagAddr, win.tags[slot0*ts:(slot0+runChunks)*ts]); err != nil {
+			return 0, 0, err
+		}
 	}
 	busy, bus := s.runCharge(runChunks)
 	return busy, bus, nil
@@ -83,7 +100,7 @@ func (s *engineSet) storeRun(win *streamWindow, slot0, chunk0, runChunks int) (d
 // runCharge prices one batched transaction of runChunks chunks plus their
 // tags: requests amortise per legal AXI burst, bandwidth per byte.
 func (s *engineSet) runCharge(runChunks int) (dramBusy, dramBus uint64) {
-	runBytes := runChunks * (s.cfg.ChunkSize + TagSize)
+	runBytes := runChunks * (s.cfg.ChunkSize + s.tagSize)
 	extraBursts := uint64(axi.BurstsFor(runBytes) - 1)
 	return s.params.DRAMCyclesShared(runBytes, s.shareNow()) + extraBursts*s.params.DRAMRequestCycles,
 		s.params.DRAMCycles(runBytes) + extraBursts*s.params.DRAMRequestCycles
@@ -127,122 +144,30 @@ func (s *Shield) WriteStream(addr uint64, data []byte) (uint64, error) {
 
 // readStream implements the streamed read for one engine set.
 func (s *engineSet) readStream(addr uint64, buf []byte) (uint64, error) {
-	return axi.StreamWindows(s.cfg.Base, addr, len(buf), s.cfg.ChunkSize, streamWindowChunks,
-		func(a uint64, lo, hi int) (uint64, error) { return s.read(a, buf[lo:hi]) },
-		func(a uint64, lo, hi int, first bool) (uint64, error) { return s.readWindow(a, buf[lo:hi], first) })
-}
-
-// readWindow moves one chunk-aligned window: classify, batch-fetch,
-// decrypt/verify, merge. addr is chunk-aligned and len(buf) is a
-// multiple of ChunkSize, at most streamWindowChunks chunks.
-func (s *engineSet) readWindow(addr uint64, buf []byte, first bool) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.integrityErr != nil {
-		return 0, s.integrityErr
-	}
-	start := s.busyCycles
-	cs := s.cfg.ChunkSize
-	c0 := int((addr - s.cfg.Base) / uint64(cs))
-	n := len(buf) / cs
-
-	win := s.win
-	fetch := win.idx[:0]
-	for i := 0; i < n; i++ {
-		chunk := c0 + i
-		dst := buf[i*cs : (i+1)*cs]
-		if ln, ok := s.lines[chunk]; ok {
-			// Resident lines (clean or dirty) are authoritative.
-			s.touchResident(ln)
-			copy(dst, ln.data)
-			s.hits++
-		} else if !s.initialized[chunk] {
-			// Virgin chunk: zeros from the on-chip valid bits.
-			clear(dst)
-		} else {
-			fetch = append(fetch, i)
-		}
-	}
-
-	// Stage 1: one batched fetch per contiguous run of chunks, tags
-	// riding the same request window (as chargeChunk accounts them); runs
-	// larger than the legal AXI burst pay one request per burst.
-	var dramBusy, dramBus uint64
-	err := axi.ForEachRun(fetch, func(i0, runChunks int) error {
-		busy, bus, err := s.fetchRun(win, i0, c0+i0, runChunks)
-		dramBusy += busy
-		dramBus += bus
-		return err
-	})
-	if err != nil {
-		return s.busyCycles - start, err
-	}
-
-	// Stage 2: decrypt/verify each fetched chunk into its place in buf.
-	for _, i := range fetch {
-		if err := s.openSlot(i, c0+i, buf[i*cs:(i+1)*cs]); err != nil {
-			s.integrityErr = err
-			return s.busyCycles - start, err
-		}
-	}
-
-	s.chargeWindow(len(fetch), n, len(buf), dramBusy, dramBus, first)
-	return s.busyCycles - start, nil
+	return s.stream(addr, buf, s.read, s.readWindowSlots)
 }
 
 // writeStream implements the streamed write for one engine set.
 func (s *engineSet) writeStream(addr uint64, data []byte) (uint64, error) {
-	return axi.StreamWindows(s.cfg.Base, addr, len(data), s.cfg.ChunkSize, streamWindowChunks,
-		func(a uint64, lo, hi int) (uint64, error) { return s.write(a, data[lo:hi]) },
-		func(a uint64, lo, hi int, first bool) (uint64, error) { return s.writeWindow(a, data[lo:hi], first) })
+	return s.stream(addr, data, s.write, s.writeWindowSlots)
 }
 
-// writeWindow seals one chunk-aligned window and stores ciphertext and
-// tags in one batched AXI transaction each. Full windows are always
-// contiguous, so there is exactly one run.
-func (s *engineSet) writeWindow(addr uint64, data []byte, first bool) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.integrityErr != nil {
-		return 0, s.integrityErr
-	}
-	start := s.busyCycles
+// stream splits [addr, addr+len(buf)) into unaligned head and tail bytes,
+// which take the chunked path, and chunk-aligned windows, each a run of
+// contiguous slots handed to move (the read or write window
+// implementation) under the set lock.
+func (s *engineSet) stream(addr uint64, buf []byte, chunked func(uint64, []byte) (uint64, error),
+	move func(chunks, offs []int, buf []byte, first bool) (uint64, error)) (uint64, error) {
+
 	cs := s.cfg.ChunkSize
-	c0 := int((addr - s.cfg.Base) / uint64(cs))
-	n := len(data) / cs
-
-	win := s.win
-
-	// New write epoch for every chunk before sealing it.
-	if s.cfg.Freshness {
-		for i := 0; i < n; i++ {
-			s.counters[c0+i]++
-		}
-	}
-
-	// Stage 1: seal each chunk into its window slot.
-	for i := 0; i < n; i++ {
-		s.sealSlot(i, c0+i, data[i*cs:(i+1)*cs])
-	}
-
-	// Stage 2: one batched store for the window's ciphertext and tags.
-	dramBusy, dramBus, err := s.storeRun(win, 0, c0, n)
-	if err != nil {
-		return s.busyCycles - start, err
-	}
-
-	// The stream write supersedes any resident lines wholesale: DRAM now
-	// holds the authoritative ciphertext at the bumped epoch.
-	for i := 0; i < n; i++ {
-		chunk := c0 + i
-		if ln, ok := s.lines[chunk]; ok {
-			s.dropLine(ln)
-		}
-		s.initialized[chunk] = true
-	}
-
-	s.chargeWindow(n, n, len(data), dramBusy, dramBus, first)
-	return s.busyCycles - start, nil
+	return axi.StreamWindows(s.cfg.Base, addr, len(buf), cs, streamWindowChunks,
+		func(a uint64, lo, hi int) (uint64, error) { return chunked(a, buf[lo:hi]) },
+		func(a uint64, lo, hi int, first bool) (uint64, error) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			chunks, offs := s.win.span(int((a-s.cfg.Base)/uint64(cs)), lo, (hi-lo)/cs, cs)
+			return move(chunks, offs, buf, first)
+		})
 }
 
 // ReadGather implements axi.Gatherer: the runs — disjoint ascending
@@ -313,8 +238,8 @@ func (s *Shield) gatherSet(runs []axi.Burst, n int) (*engineSet, error) {
 
 // gather walks the runs, packing chunks into pipeline windows of up to
 // streamWindowChunks slots and handing each window to move (the read or
-// write window implementation). Only the very first window pays
-// fill/drain.
+// write window implementation) under the set lock. Only the very first
+// window pays fill/drain.
 func (s *engineSet) gather(runs []axi.Burst,
 	buf []byte, move func(chunks, offs []int, buf []byte, first bool) (uint64, error)) (uint64, error) {
 
@@ -327,7 +252,9 @@ func (s *engineSet) gather(runs []axi.Burst,
 		if n == 0 {
 			return nil
 		}
+		s.mu.Lock()
 		c, err := move(chunks[:n], offs[:n], buf, first)
+		s.mu.Unlock()
 		total += c
 		first = false
 		n = 0
@@ -350,12 +277,11 @@ func (s *engineSet) gather(runs []axi.Burst,
 	return total, flush()
 }
 
-// readWindowSlots is readWindow generalised to a gather window: slot i
-// carries absolute chunk chunks[i], delivered at buf[offs[i]]. Fetches
-// batch per contiguous chunk run among the missing slots.
+// readWindowSlots moves one read window — classify, batch-fetch,
+// decrypt/verify, merge — for streams and gathers alike: slot i carries
+// absolute chunk chunks[i], delivered at buf[offs[i]]. Fetches batch per
+// contiguous chunk run among the missing slots. Callers hold s.mu.
 func (s *engineSet) readWindowSlots(chunks, offs []int, buf []byte, first bool) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
@@ -410,12 +336,11 @@ func (s *engineSet) readWindowSlots(chunks, offs []int, buf []byte, first bool) 
 	return s.busyCycles - start, nil
 }
 
-// writeWindowSlots is writeWindow generalised to a gather window: seal
-// every slot, then one batched store per contiguous chunk run.
-// Full-chunk stores supersede resident lines and never fetch.
+// writeWindowSlots moves one write window for streams and gathers alike:
+// seal every slot, then one batched store per contiguous chunk run.
+// Full-chunk stores supersede resident lines and never fetch. Callers
+// hold s.mu.
 func (s *engineSet) writeWindowSlots(chunks, offs []int, data []byte, first bool) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
