@@ -43,7 +43,7 @@ func main() {
 	retryAfter := flag.Duration("retry-after", 100*time.Millisecond, "backoff hint sent with shed (busy) responses")
 	maxTenants := flag.Int("max-tenants", 0, "multi-tenant: max distinct tenants holding protection zones (0 = unlimited)")
 	tenantQuota := flag.Uint64("tenant-quota", 0, "multi-tenant: per-tenant zone byte budget (0 = unlimited)")
-	tenantFair := flag.Bool("tenant-fair", false, "multi-tenant: weighted-fair admission under overload")
+	tenantFair := flag.Bool("tenant-fair", false, "multi-tenant: fair-share admission under overload")
 	flag.Parse()
 
 	v, err := parseVariant(*variant)

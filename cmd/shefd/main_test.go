@@ -34,7 +34,7 @@ func newTestServer(t *testing.T) *hostapp.VendorServer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	return hostapp.NewVendorServer(&attest.Vendor{CA: attest.NewCA()}, ln)
+	return hostapp.NewVendorServerWith(&attest.Vendor{CA: attest.NewCA()}, ln, hostapp.ServerConfig{})
 }
 
 // TestDebugServesProfilesAndStats is the -debug regression test: the

@@ -17,19 +17,16 @@ import (
 
 // LoadedPackage is one parsed, type-checked package ready for analysis.
 type LoadedPackage struct {
-	ImportPath string
-	Dir        string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // listPackage is the subset of `go list -json` output the loader needs.
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	Export     string
 	Standard   bool
@@ -138,14 +135,7 @@ func typecheckPackage(fset *token.FileSet, gc types.Importer, p *listPackage,
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", p.ImportPath, err)
 	}
-	return &LoadedPackage{
-		ImportPath: p.ImportPath,
-		Dir:        p.Dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      pkg,
-		Info:       info,
-	}, nil
+	return &LoadedPackage{Fset: fset, Files: files, Types: pkg, Info: info}, nil
 }
 
 // TypeCheckVetPackage type-checks one compilation unit as described by

@@ -51,9 +51,8 @@ var lockRanks = map[string]int{
 	"sdp.Node.mu":           40,
 	"sdp.healthFSM.mu":      50,
 	// hostapp: the server session table above the CA registry (attest
-	// package) and the platform pool's own lock.
+	// package).
 	"hostapp.VendorServer.mu": 10,
-	"hostapp.Pool.mu":         20,
 	// The tenant registry is self-contained: the server calls it with no
 	// lock held, and registry methods never call back out.
 	"hostapp.TenantRegistry.mu": 30,
@@ -63,14 +62,6 @@ var lockRanks = map[string]int{
 	"lockorder.Cluster.mu":   10,
 	"lockorder.Cluster.file": 20,
 	"lockorder.Node.mu":      30,
-}
-
-// lockAcq is one acquisition site inside a function.
-type lockAcq struct {
-	class string
-	rank  int
-	read  bool // RLock/RUnlock
-	pos   token.Pos
 }
 
 func runLockOrder(pass *Pass) {
@@ -190,7 +181,6 @@ type lockCall struct {
 	class   string
 	rank    int
 	acquire bool
-	read    bool
 }
 
 // lockCallClass recognizes x.Lock/RLock/Unlock/RUnlock calls on
@@ -202,15 +192,11 @@ func lockCallClass(pass *Pass, call *ast.CallExpr, vars map[types.Object]string)
 	if !ok {
 		return lockCall{}, false
 	}
-	var acquire, read bool
+	var acquire bool
 	switch sel.Sel.Name {
-	case "Lock":
+	case "Lock", "RLock":
 		acquire = true
-	case "RLock":
-		acquire, read = true, true
-	case "Unlock":
-	case "RUnlock":
-		read = true
+	case "Unlock", "RUnlock":
 	default:
 		return lockCall{}, false
 	}
@@ -226,7 +212,7 @@ func lockCallClass(pass *Pass, call *ast.CallExpr, vars map[types.Object]string)
 	if !ok {
 		return lockCall{}, false
 	}
-	return lockCall{class: class, rank: rank, acquire: acquire, read: read}, true
+	return lockCall{class: class, rank: rank, acquire: acquire}, true
 }
 
 // lockOperandClass resolves the receiver expression of a Lock call —

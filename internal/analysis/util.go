@@ -171,14 +171,3 @@ func isMapType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Map)
 	return ok
 }
-
-// enclosingFuncLit returns the innermost *ast.FuncLit in ancestors, or
-// nil if n is not inside a function literal.
-func enclosingFuncLit(ancestors []ast.Node) *ast.FuncLit {
-	for i := len(ancestors) - 1; i >= 0; i-- {
-		if fl, ok := ancestors[i].(*ast.FuncLit); ok {
-			return fl
-		}
-	}
-	return nil
-}

@@ -55,7 +55,7 @@ type OwnerRequest struct {
 	Kind    string `json:"kind"`
 	Product string `json:"product"`
 	// Tenant identifies the requesting tenant for multi-tenant serving:
-	// zone lifecycle requests require it, and the server's weighted-fair
+	// zone lifecycle requests require it, and the server's fair-share
 	// admission sheds per tenant when it is present. Empty is the legacy
 	// single-tenant client.
 	Tenant string `json:"tenant,omitempty"`

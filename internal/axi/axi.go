@@ -231,29 +231,6 @@ func WriteAuto(p MemoryPort, addr uint64, data []byte) (uint64, error) {
 // MaxBurstBytes is the largest legal AXI4 burst (256 beats of 64 bytes).
 const MaxBurstBytes = 256 * 64
 
-// SplitBurst decomposes an arbitrarily long transfer into legal AXI bursts
-// that do not cross chunk boundaries of the given alignment. align == 0
-// means only the AXI maximum applies.
-func SplitBurst(addr uint64, n int, align int) []Burst {
-	var out []Burst
-	for n > 0 {
-		take := n
-		if take > MaxBurstBytes {
-			take = MaxBurstBytes
-		}
-		if align > 0 {
-			boundary := int(uint64(align) - addr%uint64(align))
-			if take > boundary {
-				take = boundary
-			}
-		}
-		out = append(out, Burst{Addr: addr, Len: take})
-		addr += uint64(take)
-		n -= take
-	}
-	return out
-}
-
 // Burst is one AXI4 transaction.
 type Burst struct {
 	Addr uint64

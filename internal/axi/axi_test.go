@@ -2,51 +2,10 @@ package axi
 
 import (
 	"testing"
-	"testing/quick"
 
 	"shef/internal/mem"
 	"shef/internal/perf"
 )
-
-func TestSplitBurstCoversRange(t *testing.T) {
-	f := func(addr uint32, n uint16, alignPow uint8) bool {
-		align := 0
-		if alignPow%4 != 0 {
-			align = 1 << (6 + alignPow%6) // 64..2048
-		}
-		bursts := SplitBurst(uint64(addr), int(n), align)
-		next := uint64(addr)
-		total := 0
-		for _, b := range bursts {
-			if b.Addr != next || b.Len <= 0 || b.Len > MaxBurstBytes {
-				return false
-			}
-			if align > 0 && b.Addr/uint64(align) != (b.Addr+uint64(b.Len)-1)/uint64(align) {
-				return false // burst crosses an alignment boundary
-			}
-			next += uint64(b.Len)
-			total += b.Len
-		}
-		return total == int(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitBurstZero(t *testing.T) {
-	if got := SplitBurst(0x100, 0, 64); got != nil {
-		t.Fatalf("SplitBurst of zero length = %v, want nil", got)
-	}
-}
-
-func TestSplitBurstAligned(t *testing.T) {
-	bursts := SplitBurst(0x10, 0x100, 64)
-	// 0x10..0x40 (48), then 64-byte chunks, then remainder.
-	if bursts[0].Len != 48 {
-		t.Fatalf("first burst %v, want len 48 up to the 64B boundary", bursts[0])
-	}
-}
 
 func TestCheckedPort(t *testing.T) {
 	d := mem.NewDRAM(1<<20, perf.Default())
@@ -238,5 +197,18 @@ func TestCheckedPortStreamAndGather(t *testing.T) {
 	}
 	if _, err := scp.WriteStream(1<<12, make([]byte, 8)); err == nil {
 		t.Fatal("out-of-window stream accepted")
+	}
+}
+
+// TestBurstsFor pins AXI legalisation as the cycle model charges it: one
+// request per MaxBurstBytes (256 beats of 64 bytes), rounded up.
+func TestBurstsFor(t *testing.T) {
+	for _, c := range []struct{ n, want int }{
+		{0, 0}, {-1, 0}, {1, 1}, {MaxBurstBytes, 1}, {MaxBurstBytes + 1, 2},
+		{16 * (512 + 16), 1}, {16 * (4096 + 16), 5},
+	} {
+		if got := BurstsFor(c.n); got != c.want {
+			t.Errorf("BurstsFor(%d) = %d, want %d", c.n, got, c.want)
+		}
 	}
 }

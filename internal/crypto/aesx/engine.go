@@ -95,20 +95,9 @@ func NewEngine(key []byte, sbox SBoxParallelism) (*Engine, error) {
 // proceed in parallel; the linear layers overlap the lookups. AES-128/16x
 // therefore costs 10 cycles per block (1.6 B/cycle), AES-128/4x 40 cycles
 // (0.4 B/cycle). These rates are calibrated jointly with perf.Params so
-// the paper's Table 2 and Figures 5-6 shapes reproduce (DESIGN.md §4).
+// the paper's Table 2 and Figures 5-6 shapes reproduce (DESIGN.md §4); the
+// engine set in package shield is the one caller.
 func (e *Engine) CyclesPerBlock() uint64 {
 	perRound := uint64(16 / int(e.sbox))
 	return uint64(e.size.Rounds()) * perRound
-}
-
-// Cycles returns the engine-cycle cost of processing n bytes of CTR
-// keystream (one block per 16 bytes, rounded up).
-func (e *Engine) Cycles(n int) uint64 {
-	blocks := uint64((n + BlockSize - 1) / BlockSize)
-	return blocks * e.CyclesPerBlock()
-}
-
-// BytesPerCycle is the engine's steady-state throughput.
-func (e *Engine) BytesPerCycle() float64 {
-	return float64(BlockSize) / float64(e.CyclesPerBlock())
 }

@@ -1,11 +1,9 @@
 // Package hmacx provides the Shield's truncated HMAC-SHA256 tag over
-// crypto/hmac, plus the cycle model of the Shield's HMAC engine and its
-// SHA-256 core.
+// crypto/hmac.
 //
 // The Shield's default authentication engine is a SHA-256 HMAC core (paper
-// Table 1). HMAC chains block-to-block, so a single stream cannot be
-// parallelised — this is exactly the bottleneck the paper's SDP case study
-// hits before switching to PMAC (§6.2.3).
+// Table 1). Its cycle cost is modelled by the engine set in package shield,
+// the one place the Shield's crypto costs are computed.
 package hmacx
 
 import (
@@ -21,11 +19,9 @@ const TagSize = 16
 // BlockSize is the SHA-256 message block size in bytes.
 const BlockSize = sha256.BlockSize
 
-// CyclesPerBlock is the cycle cost of one 64-byte compression in the
-// Shield's SHA-256 core: one round per cycle plus schedule/setup. The core
-// is inherently serial: each block's output chains into the next, so a
-// single HMAC stream cannot be accelerated by adding engines (paper §6.2.3,
-// where HMAC is the SDP bottleneck).
+// CyclesPerBlock is the cycle cost of one 64-byte compression in an
+// accelerator's SHA-256 core: one round per cycle plus schedule/setup. The
+// bitcoin design prices its double-SHA nonce search with it.
 const CyclesPerBlock = 68
 
 // Sum computes the full 32-byte HMAC-SHA256 of msg under key.
@@ -50,14 +46,4 @@ func Tag(key, msg []byte) [TagSize]byte {
 func Verify(key, msg []byte, tag [TagSize]byte) bool {
 	want := Tag(key, msg)
 	return subtle.ConstantTimeCompare(want[:], tag[:]) == 1
-}
-
-// Cycles is the simulated cost of MACing n message bytes on one HMAC
-// engine: the inner hash absorbs the key pad plus the message, the outer
-// hash absorbs two more blocks. The computation is serial; instantiating
-// more HMAC engines only helps across independent chunks, never within one.
-func Cycles(n int) uint64 {
-	innerBlocks := 1 + (n+9+BlockSize-1)/BlockSize // ipad block + message
-	outerBlocks := 2                               // opad block + inner digest
-	return uint64(innerBlocks+outerBlocks) * CyclesPerBlock
 }

@@ -99,18 +99,3 @@ func TestTagBitFlipSensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCyclesMonotone(t *testing.T) {
-	prev := uint64(0)
-	for n := 0; n <= 8192; n += 64 {
-		c := Cycles(n)
-		if c < prev {
-			t.Fatalf("Cycles not monotone at n=%d", n)
-		}
-		prev = c
-	}
-	// 4KB chunk: 1 ipad + 65 msg blocks + 2 outer = 68 blocks.
-	if got, want := Cycles(4096), uint64(68*68); got != want {
-		t.Errorf("Cycles(4096) = %d, want %d", got, want)
-	}
-}

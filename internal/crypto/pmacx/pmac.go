@@ -1,10 +1,11 @@
 // Package pmacx implements PMAC (a parallelisable message authentication
-// code, Black–Rogaway) over AES, plus its cycle model.
+// code, Black–Rogaway) over AES.
 //
 // The paper replaces the serial HMAC engine with PMAC engines when a
 // workload is authentication-bound (§6.2.3, §6.2.4): because PMAC's block
 // computations are independent, MAC throughput scales with the number of
-// engines, unlike HMAC. The implementation below follows the PMAC1
+// engines, unlike HMAC; the engine set in package shield charges that
+// cost. The implementation below follows the PMAC1
 // construction: Sigma = XOR_i AES(M_i xor Delta_i), tag = AES(Sigma xor
 // pad(M_last) xor Delta*), where the offsets Delta derive from L = AES(0)
 // by Galois-field doubling.
@@ -51,11 +52,13 @@ func New(b cipher.Block) *MAC {
 // call. Callers on the hot path keep one Scratch per worker (the
 // Shield's seal scratch does); a zero Scratch is ready for use.
 type Scratch struct {
-	sigma, tmp, enc, final, tag [16]byte
+	tmp, enc, final, tag [16]byte
 }
 
 // Sum computes the 16-byte PMAC tag of msg. It allocates a transient
-// scratch; hot paths should hold a Scratch and call SumWith.
+// scratch; hot paths should hold a Scratch and call SumWith, as the
+// Shield does. Only tests call Sum: the golden vector, and a tag that
+// changes under any bit flip or key change (paper §5.2.2).
 func (m *MAC) Sum(msg []byte) [TagSize]byte {
 	var sc Scratch
 	return m.SumWith(&sc, msg)
@@ -103,12 +106,6 @@ func (m *MAC) SumWith(sc *Scratch, msg []byte) [TagSize]byte {
 	return sc.tag
 }
 
-// Verify reports whether tag authenticates msg, in constant time.
-func (m *MAC) Verify(msg []byte, tag [TagSize]byte) bool {
-	want := m.Sum(msg)
-	return subtle.ConstantTimeCompare(want[:], tag[:]) == 1
-}
-
 // VerifyWith reports whether tag authenticates msg using caller scratch,
 // in constant time and without allocating.
 func (m *MAC) VerifyWith(sc *Scratch, msg []byte, tag [TagSize]byte) bool {
@@ -151,20 +148,4 @@ func halve(b [16]byte) [16]byte {
 		out[15] ^= 0x43
 	}
 	return out
-}
-
-// Cycles is the cost of MACing n bytes on `engines` parallel PMAC engines,
-// each processing one AES block per aesCyclesPerBlock cycles. The block
-// computations distribute across engines; the final XOR-fold and tag
-// encryption are a small serial tail.
-func Cycles(n int, engines int, aesCyclesPerBlock uint64) uint64 {
-	if engines < 1 {
-		engines = 1
-	}
-	blocks := (n + 15) / 16
-	if blocks == 0 {
-		blocks = 1
-	}
-	waves := uint64((blocks + engines - 1) / engines)
-	return waves*aesCyclesPerBlock + aesCyclesPerBlock // parallel phase + final tag block
 }

@@ -165,7 +165,9 @@ func Verify(pub *PublicKey, msg, sig []byte) bool {
 	return diff == 0
 }
 
-// Fingerprint returns a stable identifier for the public key.
+// Fingerprint returns a stable identifier for the public key. Only tests
+// call it: distinct device keys have distinct identities (paper §3, the
+// Manufacturer's per-device key).
 func (p *PublicKey) Fingerprint() [sha256.Size]byte {
 	h := sha256.New()
 	h.Write(p.N.Bytes())

@@ -130,15 +130,6 @@ func (k *PrivateKey) SharedSecret(peer *PublicKey) (*big.Int, error) {
 	return k.Group.ExpBase(peer.Y, k.X), nil
 }
 
-// Fingerprint returns a stable 32-byte identifier for the public key,
-// suitable for certificate contents and audit lists.
-func (p *PublicKey) Fingerprint() [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte(p.Group.Name))
-	h.Write(p.Y.Bytes())
-	return [sha256.Size]byte(h.Sum(nil))
-}
-
 // Bytes serialises the public element.
 func (p *PublicKey) Bytes() []byte { return p.Y.Bytes() }
 

@@ -1,6 +1,7 @@
 package schnorr
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -115,8 +116,8 @@ func TestPublicKeyRoundTrip(t *testing.T) {
 	if got.Y.Cmp(key.Y) != 0 {
 		t.Fatal("public key round trip changed value")
 	}
-	if got.Fingerprint() != key.PublicKey.Fingerprint() {
-		t.Fatal("fingerprint not stable across serialisation")
+	if !bytes.Equal(got.Bytes(), b) {
+		t.Fatal("encoding not stable across serialisation")
 	}
 }
 

@@ -116,17 +116,12 @@ func (d *Device) readEFuse() ([]byte, bool, error) {
 }
 
 // OpenPort simulates an adversary (or operator) enabling an external port.
+// Only tests call it: they check that the Security Kernel's port
+// monitoring (paper §3 step 9) reports and closes every opened port.
 func (d *Device) OpenPort(p PortName) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.ports[p] = true
-}
-
-// ClosePort disables a port.
-func (d *Device) ClosePort(p PortName) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ports[p] = false
 }
 
 // ScanPorts is the Security Kernel's monitoring primitive: it reports any
@@ -146,7 +141,8 @@ func (d *Device) ScanPorts() []TamperEvent {
 	return events
 }
 
-// TamperLog returns all recorded tamper events.
+// TamperLog returns all recorded tamper events. Only tests read it, to
+// check that runtime monitoring records each event (paper §3 step 9).
 func (d *Device) TamperLog() []TamperEvent {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -166,7 +162,9 @@ func (d *Device) Zeroize() {
 	d.partialLoaded = false
 }
 
-// Zeroized reports whether the tamper response has fired.
+// Zeroized reports whether the tamper response has fired. Only tests read
+// it, next to the checks that zeroization leaves the device key
+// unreadable (paper §2.2).
 func (d *Device) Zeroized() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -224,7 +222,9 @@ func (d *Device) FabricState() (staticName, partialName string, partialUse Resou
 	return d.staticName, d.partialName, d.partialUse
 }
 
-// PartialLoaded reports whether a user design is resident.
+// PartialLoaded reports whether a user design is resident. Only tests read
+// it, to check that only an authenticated bitstream programs the fabric
+// and that the tamper response clears it (paper §3).
 func (d *Device) PartialLoaded() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -51,14 +51,11 @@ type Model struct {
 	OCMBits uint64
 	// DRAMSize is the attached device memory in bytes.
 	DRAMSize uint64
-	// HardenedCores is the number of reserved hardened CPU cores available
-	// to host a Security Kernel (the Ultra96's Cortex-R5); zero means the
-	// Security Kernel needs a soft-CPU partial bitstream.
-	HardenedCores int
 }
 
 // VU9P is the AWS F1 device: a Xilinx Virtex UltraScale+ VU9P with 64 GB of
-// DDR4 (paper §2.3). The budget numbers are chosen so that the paper's
+// DDR4 (paper §2.3). It has no hardened CPU core, so the Security Kernel
+// runs on a soft processor. The budget numbers are chosen so that the paper's
 // Table 1 utilisation percentages reproduce: e.g. the Controller's 2348
 // LUTs are reported as 0.26% of the fabric.
 var VU9P = Model{
@@ -69,14 +66,13 @@ var VU9P = Model{
 		REG:  1_790_000, // 2508 REG = 0.14% (Table 1, Engine Set row)
 		URAM: 960,
 	},
-	OCMBits:       382 * 1000 * 1000, // "max available 382Mb" (paper §6.2.1)
-	DRAMSize:      64 << 30,
-	HardenedCores: 0, // F1 needs a soft Security Kernel Processor
+	OCMBits:  382 * 1000 * 1000, // "max available 382Mb" (paper §6.2.1)
+	DRAMSize: 64 << 30,
 }
 
 // Ultra96 is the local development board used for the end-to-end boot
-// prototype (paper §6.1): a Zynq UltraScale+ ZU3EG with a dedicated
-// Cortex-R5 core for the Security Kernel.
+// prototype (paper §6.1): a Zynq UltraScale+ ZU3EG whose hardened
+// Cortex-R5 pair hosts the Security Kernel.
 var Ultra96 = Model{
 	Name: "ultra96-zu3eg",
 	Budget: Resources{
@@ -85,7 +81,6 @@ var Ultra96 = Model{
 		REG:  141_120,
 		URAM: 0,
 	},
-	OCMBits:       7.6 * 1000 * 1000,
-	DRAMSize:      2 << 30,
-	HardenedCores: 2, // PMU-adjacent R5 pair
+	OCMBits:  7.6 * 1000 * 1000,
+	DRAMSize: 2 << 30,
 }

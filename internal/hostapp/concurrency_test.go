@@ -1,7 +1,6 @@
 package hostapp
 
 import (
-	"errors"
 	"io"
 	"net"
 	"sync"
@@ -25,7 +24,7 @@ func TestTwoSimultaneousOwnerSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewVendorServer(vendor, ln)
+	srv := NewVendorServerWith(vendor, ln, ServerConfig{})
 	go srv.Serve(nil)
 	defer srv.Shutdown(time.Second)
 
@@ -61,42 +60,6 @@ func TestTwoSimultaneousOwnerSessions(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentRuns multiplexes more simultaneous workloads than the
-// pool has platforms: runs beyond the fleet size must queue, none may
-// interleave on one device.
-func TestPoolConcurrentRuns(t *testing.T) {
-	pool, err := NewPool(Options{
-		Design: "vecadd",
-		Params: map[string]string{"bytes": "16384"},
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Size() != 2 {
-		t.Fatalf("pool size = %d", pool.Size())
-	}
-	const runs = 6
-	var wg sync.WaitGroup
-	errs := make([]error, runs)
-	for i := 0; i < runs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := pool.Run(int64(i))
-			if err == nil && res.Cycles == 0 {
-				err = errors.New("run accounted no simulated time")
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-}
-
 // TestServerGracefulShutdownDrains starts a session, shuts the server
 // down, and checks the in-flight session still completes inside the drain
 // window.
@@ -110,7 +73,7 @@ func TestServerGracefulShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewVendorServer(vendor, ln)
+	srv := NewVendorServerWith(vendor, ln, ServerConfig{})
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(nil) }()
 
@@ -139,8 +102,8 @@ func TestServerGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestAccelVariantsStillRegistered guards the designs the pool tests rely
-// on (a rename would fail the tests above confusingly).
+// TestAccelVariantsStillRegistered guards the designs the serving tests
+// rely on (a rename would fail the tests in this file confusingly).
 func TestAccelVariantsStillRegistered(t *testing.T) {
 	found := map[string]bool{}
 	for _, d := range accel.Designs() {
@@ -153,18 +116,18 @@ func TestAccelVariantsStillRegistered(t *testing.T) {
 	}
 }
 
-// TestPoolRunsUseStreamingDataPath asserts the serving tier's workloads
-// actually ride the Shield's pipelined burst engine: a pooled vecadd run
-// must report streamed chunks and stream windows in every vector region.
-func TestPoolRunsUseStreamingDataPath(t *testing.T) {
-	pool, err := NewPool(Options{
+// TestPlatformRunsUseStreamingDataPath asserts the served workloads
+// actually ride the Shield's pipelined burst engine: a provisioned vecadd
+// run must report streamed chunks batched into stream windows.
+func TestPlatformRunsUseStreamingDataPath(t *testing.T) {
+	plat, err := Build(Options{
 		Design: "vecadd",
 		Params: map[string]string{"bytes": "65536"},
-	}, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.Run(3)
+	res, err := plat.Run(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +140,7 @@ func TestPoolRunsUseStreamingDataPath(t *testing.T) {
 		windows += r.StreamWindows
 	}
 	if streamed == 0 || windows == 0 {
-		t.Fatalf("pool run moved no streamed chunks (streamed=%d windows=%d)", streamed, windows)
+		t.Fatalf("platform run moved no streamed chunks (streamed=%d windows=%d)", streamed, windows)
 	}
 	if windows >= streamed {
 		t.Fatalf("windows (%d) should batch multiple chunks (%d)", windows, streamed)

@@ -81,10 +81,8 @@ func (o *Options) fill() error {
 // run its accelerator.
 type Platform struct {
 	Options  Options
-	PD       *boot.ProvisionedDevice
 	Kernel   *boot.SecurityKernel
 	Shell    *shell.Shell
-	Product  string
 	Enc      *bitstream.Encrypted
 	Manifest *bitstream.Manifest
 	Shield   *shield.Shield
@@ -272,8 +270,7 @@ func BuildAgainstVendor(opts Options, product string, dial DialFunc, registerWit
 	}
 
 	return &Platform{
-		Options: opts, PD: pd, Kernel: kernel, Shell: sh,
-		Product: product, Enc: enc, Manifest: man,
+		Options: opts, Kernel: kernel, Shell: sh, Enc: enc, Manifest: man,
 		Shield: sd, Workload: w, DEK: dek,
 	}, nil
 }

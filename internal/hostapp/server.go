@@ -52,7 +52,7 @@ type ServerConfig struct {
 	MaxTenants int
 	// TenantQuotaBytes caps each tenant's zone footprint (0 = unlimited).
 	TenantQuotaBytes uint64
-	// TenantFair enables weighted-fair admission even with no tenant
+	// TenantFair enables fair-share admission even with no tenant
 	// caps configured.
 	TenantFair bool
 }
@@ -98,12 +98,6 @@ type VendorServer struct {
 	served atomic.Uint64
 	failed atomic.Uint64
 	shed   atomic.Uint64
-}
-
-// NewVendorServer wraps a vendor and a listener with no admission bounds.
-// Call Serve to start accepting.
-func NewVendorServer(vendor *attest.Vendor, ln net.Listener) *VendorServer {
-	return NewVendorServerWith(vendor, ln, ServerConfig{})
 }
 
 // NewVendorServerWith wraps a vendor and a listener with admission
@@ -251,7 +245,7 @@ func (s *VendorServer) serveConn(conn net.Conn, onError func(error)) {
 // with the retry-after hint and closes (shedConn). A queued connection
 // aborts if shutdown begins. Reports whether a slot was acquired.
 //
-// Tenant-aware servers add a weighted-fair pre-gate: when the server is
+// Tenant-aware servers add a fair-share pre-gate: when the server is
 // saturated, a tenant already at its fair share is shed immediately —
 // before it can occupy queue space — so overload falls on whoever is
 // hogging, not on every tenant equally. The gate is work-conserving: a

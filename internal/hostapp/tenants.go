@@ -37,14 +37,13 @@ func (e *TenantQuotaError) Unwrap() error { return ErrTenantQuota }
 type tenantState struct {
 	zoneBytes uint64
 	zones     int
-	weight    int
 	active    int // sessions in flight
 	served    uint64
 	shed      uint64
 }
 
 // TenantRegistry is the serving tier's tenant table: zone footprints
-// against per-tenant quotas, live-session counts for the weighted-fair
+// against per-tenant quotas, live-session counts for the fair-share
 // admission gate, and per-tenant served/shed counters. It implements
 // attest.ZoneHandler so zone-create/zone-destroy RPCs land on the same
 // bookkeeping the admission gate reads. Safe for concurrent use.
@@ -72,7 +71,7 @@ func NewTenantRegistry(maxTenants int, quotaBytes uint64) *TenantRegistry {
 func (r *TenantRegistry) state(tenant string) *tenantState {
 	s, ok := r.tenants[tenant]
 	if !ok {
-		s = &tenantState{weight: 1}
+		s = &tenantState{}
 		r.tenants[tenant] = s
 	}
 	return s
@@ -121,17 +120,6 @@ func (r *TenantRegistry) DestroyZone(tenant string) error {
 	return nil
 }
 
-// SetWeight adjusts a tenant's fair-share weight (default 1; higher
-// weight, larger share of a saturated server).
-func (r *TenantRegistry) SetWeight(tenant string, w int) {
-	if w < 1 {
-		w = 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.state(tenant).weight = w
-}
-
 // SessionStart records a tenant's session entering service.
 func (r *TenantRegistry) SessionStart(tenant string) {
 	r.mu.Lock()
@@ -162,22 +150,22 @@ func (r *TenantRegistry) RecordShed(tenant string) {
 	r.state(tenant).shed++
 }
 
-// OverFairShare reports whether tenant is at or above its weighted fair
-// share of a saturated server: share = maxSessions * weight /
-// total-active-weight (at least 1, so every tenant can always run one
-// session). The gate is work-conserving — it is consulted only when no
-// free slot exists, so an under-subscribed server admits anyone.
+// OverFairShare reports whether tenant is at or above its fair share of a
+// saturated server: share = maxSessions / active tenants (at least 1, so
+// every tenant can always run one session). The gate is work-conserving —
+// it is consulted only when no free slot exists, so an under-subscribed
+// server admits anyone.
 func (r *TenantRegistry) OverFairShare(tenant string, maxSessions int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.state(tenant)
-	totalWeight := s.weight // the asking tenant counts even when idle
+	tenants := 1 // the asking tenant counts even when idle
 	for t, ts := range r.tenants {
 		if t != tenant && ts.active > 0 {
-			totalWeight += ts.weight
+			tenants++
 		}
 	}
-	share := maxSessions * s.weight / totalWeight
+	share := maxSessions / tenants
 	if share < 1 {
 		share = 1
 	}
@@ -194,7 +182,6 @@ type TenantStats struct {
 	ZoneBytes uint64 `json:"zone_bytes"`
 	// QuotaBytes echoes the per-tenant quota (0 = unlimited).
 	QuotaBytes uint64 `json:"quota_bytes"`
-	Weight     int    `json:"weight"`
 }
 
 // Stats snapshots every tenant row, sorted by tenant for deterministic
@@ -212,7 +199,6 @@ func (r *TenantRegistry) Stats() []TenantStats {
 			Zones:      s.zones,
 			ZoneBytes:  s.zoneBytes,
 			QuotaBytes: r.quotaBytes,
-			Weight:     s.weight,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })

@@ -16,7 +16,7 @@ import (
 // real-tenant-fairness-x = victim ops/sec under flood / victim ops/sec
 // alone. Both ends run on the same host in the same process, so the
 // ratio is host-relative; benchtab -check floors it at 0.25 — below
-// that, the weighted-fair admission gate is no longer protecting
+// that, the fair-share admission gate is no longer protecting
 // victims from noisy neighbours.
 func BenchmarkTenantFairness(b *testing.B) {
 	srv, _ := overloadServer(b, ServerConfig{

@@ -125,7 +125,7 @@ func (s *slowZones) CreateZone(tenant string, bytes uint64) error {
 
 // TestNoisyNeighborFairness floods the server from one tenant while
 // well-behaved tenants issue sequential requests, and asserts the
-// weighted-fair gate keeps the victims' tail latency bounded: every
+// fair-share gate keeps the victims' tail latency bounded: every
 // victim request completes (with bounded busy-retries) and the shed
 // count lands on the flooder, not the victims.
 func TestNoisyNeighborFairness(t *testing.T) {

@@ -61,9 +61,6 @@ func NewDRAM(size uint64, params perf.Params) *DRAM {
 	return d
 }
 
-// Size reports the memory capacity in bytes.
-func (d *DRAM) Size() uint64 { return d.size }
-
 // ReadBurst reads len(buf) bytes at addr and returns the simulated cycle
 // cost of the burst.
 func (d *DRAM) ReadBurst(addr uint64, buf []byte) (uint64, error) {
@@ -118,7 +115,9 @@ func (d *DRAM) RawWrite(addr uint64, data []byte) error {
 	return nil
 }
 
-// Snapshot copies out a region so an adversary can later replay it.
+// Snapshot copies out a region so an adversary can later replay it. With
+// Restore it is the replay adversary of the tests: freshness counters must
+// detect the replayed ciphertext (paper §5.2.2).
 func (d *DRAM) Snapshot(addr uint64, n int) ([]byte, error) {
 	return d.RawRead(addr, n)
 }

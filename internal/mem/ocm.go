@@ -62,14 +62,3 @@ func (o *OCM) UsedBits() uint64 {
 	defer o.mu.Unlock()
 	return o.usedBits
 }
-
-// CapacityBits reports the pool capacity.
-func (o *OCM) CapacityBits() uint64 { return o.capacityBits }
-
-// Utilization reports the fraction of on-chip memory in use.
-func (o *OCM) Utilization() float64 {
-	if o.capacityBits == 0 {
-		return 0
-	}
-	return float64(o.UsedBits()) / float64(o.capacityBits)
-}

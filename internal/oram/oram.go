@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"shef/internal/axi"
-	"shef/internal/perf"
 )
 
 // BucketSlots is Z, the number of block slots per tree bucket. Z = 4 is
@@ -62,6 +61,12 @@ const maxLevels = 40
 // initSlabBuckets is how many buckets one initialisation write moves when
 // the batched path is enabled.
 const initSlabBuckets = 64
+
+// batchBuckets caps how many tree buckets one batched path transaction
+// carries (the controller's analogue of perf.Params.WritebackBatchChunks):
+// contiguous runs of path buckets longer than this are split into
+// separate ReadAuto/WriteAuto transfers.
+const batchBuckets = 8
 
 // Sentinel causes for the typed *Error.
 var (
@@ -96,7 +101,7 @@ func (e *Error) Unwrap() error { return e.Err }
 
 // Config describes an ORAM controller. The zero value of the optional
 // fields reproduces the classic geometry: unpadded buckets, batched path
-// I/O with the perf-default run cap, and a fully on-chip position map.
+// I/O capped at batchBuckets per run, and a fully on-chip position map.
 type Config struct {
 	// Base is where the tree starts in the backend window.
 	Base uint64
@@ -116,9 +121,6 @@ type Config struct {
 	// read-modify-writing the chunks they straddle. Zero keeps the packed
 	// layout.
 	ChunkAlign int
-	// BatchBuckets caps how many buckets one batched transaction carries;
-	// zero uses perf.Default().ORAMBatchBuckets.
-	BatchBuckets int
 	// PosMapThreshold bounds the on-chip position map: while the table has
 	// more entries than this (and more than one position-map block's
 	// worth), it recurses into a smaller ORAM placed after the tree in the
@@ -139,7 +141,6 @@ type ORAM struct {
 	base   uint64
 	stride int // bucket pitch in bytes (bucketBytes padded to ChunkAlign)
 	levels int // tree height; leaves = 1<<levels
-	batch  int // bucket cap per batched transaction
 
 	// mu serialises accesses: the controller is one path state machine, so
 	// concurrent Access calls queue exactly as they would on the hardware
@@ -185,17 +186,12 @@ func NewWithConfig(port axi.MemoryPort, cfg Config) (*ORAM, error) {
 	if err != nil {
 		return nil, err
 	}
-	batch := cfg.BatchBuckets
-	if batch <= 0 {
-		batch = perf.Default().ORAMBatchBuckets
-	}
 	o := &ORAM{
 		port:     port,
 		cfg:      cfg,
 		base:     cfg.Base,
 		stride:   stride,
 		levels:   levels,
-		batch:    batch,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stash:    make(map[uint64]*stashEntry),
 		path:     make([]int, levels+1),
@@ -312,9 +308,6 @@ func heightFor(numBlocks int) int {
 
 // TreeBuckets returns the bucket count for the configured geometry.
 func (o *ORAM) TreeBuckets() int { return 1<<(o.levels+1) - 1 }
-
-// Levels returns the tree height (leaves = 1<<Levels()).
-func (o *ORAM) Levels() int { return o.levels }
 
 // Depth reports the recursion depth: 1 for an on-chip position map, plus
 // one per recursive position-map ORAM.
@@ -494,10 +487,10 @@ func (o *ORAM) accessLocked(op string, block int, mutate func([]byte), needOld b
 }
 
 // pathRuns gathers the (ascending) path bucket indices into contiguous
-// runs of at most o.batch buckets, as byte ranges.
+// runs of at most batchBuckets buckets, as byte ranges.
 func (o *ORAM) pathRuns(path []int) []axi.Burst {
 	runs := o.runs[:0]
-	axi.ForEachRunCapped(path, o.batch, func(b0, n int) error {
+	axi.ForEachRunCapped(path, batchBuckets, func(b0, n int) error {
 		runs = append(runs, axi.Burst{Addr: o.bucketAddr(b0), Len: n * o.stride})
 		return nil
 	})
@@ -552,7 +545,7 @@ func (o *ORAM) readPath(op string, path []int) error {
 		}
 		return nil
 	}
-	return axi.ForEachRunCapped(path, o.batch, func(b0, n int) error {
+	return axi.ForEachRunCapped(path, batchBuckets, func(b0, n int) error {
 		buf := o.pathBuf[:n*o.stride]
 		c, err := axi.ReadAuto(o.port, o.bucketAddr(b0), buf)
 		o.cycles.Add(c)
@@ -671,7 +664,7 @@ func (o *ORAM) evictPath(op string, path []int) error {
 		o.bytesMoved.Add(uint64(len(wb)))
 		return nil
 	}
-	return axi.ForEachRunCapped(path, o.batch, func(b0, n int) error {
+	return axi.ForEachRunCapped(path, batchBuckets, func(b0, n int) error {
 		l := sort.SearchInts(path, b0)
 		slab := wb[l*o.stride : (l+n)*o.stride]
 		c, err := axi.WriteAuto(o.port, o.bucketAddr(b0), slab)

@@ -28,7 +28,7 @@ type Params struct {
 	// DRAM stage and crypto stage: chunk time = max(Td, Tc) + alpha*min(Td,
 	// Tc). The Shield keeps a single outstanding burst per engine set and
 	// releases data only after the MAC check, so the stages overlap only
-	// partially. alpha = 0.5 is fitted so the SDP sweep lands on the
+	// partially. alpha = 0.35 is fitted so the SDP sweep lands on the
 	// paper's Table 2 (298/297/59/20/20% overheads).
 	OverlapAlpha float64
 
@@ -55,18 +55,6 @@ type Params struct {
 	// ChunkTime — which is also what singleton runs always pay.
 	WritebackBatchChunks int
 
-	// RegionLookupEntries is the slot count of the Shield's region-lookup
-	// cache (the burst decoder's TLB): direct-mapped entries resolving an
-	// accelerator address to its protection zone in O(1) regardless of
-	// how many tenant zones exist. Zero selects the default geometry.
-	RegionLookupEntries int
-
-	// RegionLookupPageBytes is the coverage granule of one lookup-cache
-	// entry. Addresses are hashed to a slot by page number, so zones
-	// smaller than a page share slots and streaming access within a zone
-	// reuses one entry. Must be a power of two; zero selects the default.
-	RegionLookupPageBytes int
-
 	// RegionLookupHitCycles is the burst-decode cost of resolving an
 	// address through a valid lookup-cache entry (a CAM/BRAM probe,
 	// pipelined with decode).
@@ -76,12 +64,6 @@ type Params struct {
 	// the region table (a binary search over base-sorted zone descriptors
 	// held in on-chip RAM) and refilling the entry.
 	RegionLookupMissCycles uint64
-
-	// ORAMBatchBuckets caps how many tree buckets one batched ORAM path
-	// transaction carries (the oram controller's analogue of
-	// WritebackBatchChunks): contiguous runs of path buckets longer than
-	// this are split into separate ReadAuto/WriteAuto transfers.
-	ORAMBatchBuckets int
 }
 
 // Default returns the calibrated F1 parameter set.
@@ -96,10 +78,7 @@ func Default() Params {
 		ShieldInitCycles:  40_000,
 
 		WritebackBatchChunks: 16,
-		ORAMBatchBuckets:     8,
 
-		RegionLookupEntries:    1024,
-		RegionLookupPageBytes:  4096,
 		RegionLookupHitCycles:  1,
 		RegionLookupMissCycles: 40,
 	}
@@ -180,18 +159,3 @@ func (p Params) StreamFillDrain(stages ...uint64) uint64 {
 func (p Params) Seconds(cycles uint64) float64 {
 	return float64(cycles) / p.ClockHz
 }
-
-// Clock is a monotonically advancing cycle counter used by simulated
-// components to account elapsed time.
-type Clock struct {
-	cycles uint64
-}
-
-// Advance adds n cycles.
-func (c *Clock) Advance(n uint64) { c.cycles += n }
-
-// Cycles reports the elapsed cycle count.
-func (c *Clock) Cycles() uint64 { return c.cycles }
-
-// Reset zeroes the clock.
-func (c *Clock) Reset() { c.cycles = 0 }

@@ -67,19 +67,6 @@ func TestSeconds(t *testing.T) {
 	}
 }
 
-func TestClock(t *testing.T) {
-	var c Clock
-	c.Advance(10)
-	c.Advance(5)
-	if c.Cycles() != 15 {
-		t.Errorf("clock = %d, want 15", c.Cycles())
-	}
-	c.Reset()
-	if c.Cycles() != 0 {
-		t.Error("reset failed")
-	}
-}
-
 func TestStreamWindowTimePacedBySlowestStage(t *testing.T) {
 	p := Default()
 	if got := p.StreamWindowTime(100, 700, 300, 50); got != 700 {

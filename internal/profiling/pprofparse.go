@@ -12,7 +12,6 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -155,7 +154,6 @@ func packedOrSingle(f field, out []uint64) ([]uint64, error) {
 type rawSample struct {
 	locIDs []uint64
 	values []int64
-	labels map[string]string // resolved inline (needs strtab, patched later)
 	labs   []rawLabel
 }
 
@@ -351,77 +349,4 @@ func ParseProfile(data []byte) (*Profile, error) {
 		prof.Samples = append(prof.Samples, s)
 	}
 	return prof, nil
-}
-
-// labelKey renders a sample's labels canonically for merging.
-func (s *Sample) labelKey() string {
-	if len(s.Labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(s.Labels))
-	for k := range s.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b bytes.Buffer
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(s.Labels[k])
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// Merge sums profiles of identical sample-type shape: samples with the
-// same stack and label set add their values; the merge feeds the
-// attribution table.
-func Merge(profiles ...*Profile) (*Profile, error) {
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("profiling: nothing to merge")
-	}
-	out := &Profile{
-		SampleTypes: profiles[0].SampleTypes,
-		PeriodType:  profiles[0].PeriodType,
-		Period:      profiles[0].Period,
-	}
-	type aggKey struct{ stack, labels string }
-	agg := map[aggKey]*Sample{}
-	var order []aggKey
-	for _, p := range profiles {
-		if len(p.SampleTypes) != len(out.SampleTypes) {
-			return nil, fmt.Errorf("profiling: merging profiles with different sample types")
-		}
-		for i, st := range p.SampleTypes {
-			if st != out.SampleTypes[i] {
-				return nil, fmt.Errorf("profiling: merging profiles with different sample types")
-			}
-		}
-		out.DurationNanos += p.DurationNanos
-		for _, s := range p.Samples {
-			k := aggKey{stack: stackKey(s.Stack), labels: s.labelKey()}
-			dst, ok := agg[k]
-			if !ok {
-				dst = &Sample{Stack: s.Stack, Values: make([]int64, len(s.Values)), Labels: s.Labels}
-				agg[k] = dst
-				order = append(order, k)
-			}
-			for i, v := range s.Values {
-				dst.Values[i] += v
-			}
-		}
-	}
-	for _, k := range order {
-		out.Samples = append(out.Samples, agg[k])
-	}
-	return out, nil
-}
-
-func stackKey(stack []string) string {
-	var b bytes.Buffer
-	for _, fr := range stack {
-		b.WriteString(fr)
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

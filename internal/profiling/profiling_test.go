@@ -128,41 +128,6 @@ func mkProfile(samples ...*Sample) *Profile {
 	}
 }
 
-// TestMerge sums matching (stack, labels) samples and rejects shape
-// mismatches.
-func TestMerge(t *testing.T) {
-	a := mkProfile(
-		&Sample{Stack: []string{"f", "main"}, Values: []int64{1, 100}},
-		&Sample{Stack: []string{"g", "main"}, Values: []int64{1, 50}, Labels: map[string]string{"op": "put"}},
-	)
-	b := mkProfile(
-		&Sample{Stack: []string{"f", "main"}, Values: []int64{2, 300}},
-		&Sample{Stack: []string{"g", "main"}, Values: []int64{1, 70}}, // no label: distinct sample
-	)
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Samples) != 3 {
-		t.Fatalf("merged into %d samples, want 3", len(m.Samples))
-	}
-	byStack := map[string]int64{}
-	for _, s := range m.Samples {
-		byStack[stackKey(s.Stack)+s.labelKey()] += s.Values[1]
-	}
-	if got := byStack[stackKey([]string{"f", "main"})]; got != 400 {
-		t.Fatalf("f summed to %d, want 400", got)
-	}
-	if got := byStack[stackKey([]string{"g", "main"})+"op=put;"]; got != 50 {
-		t.Fatalf("labelled g = %d, want 50", got)
-	}
-
-	bad := &Profile{SampleTypes: []ValueType{{"cpu", "nanoseconds"}}}
-	if _, err := Merge(a, bad); err == nil {
-		t.Fatal("merge of mismatched sample types did not fail")
-	}
-}
-
 // TestAttribution checks self-frame selection: CPU attributes to the
 // leaf, off-CPU walks past the runtime's parking frames.
 func TestAttribution(t *testing.T) {

@@ -313,6 +313,9 @@ func (c *Cluster) RestartShard(i int) error {
 
 // PartitionShard makes a shard unreachable without losing its state —
 // the network-partition half of the fault model. Heal with HealShard.
+// Only the resilience and chaos tests call the pair: no acknowledged
+// write is lost, and no replica serves stale or forged data, across
+// partitions (DESIGN.md §9).
 func (c *Cluster) PartitionShard(i int) {
 	c.slots[i].partitioned.Store(true)
 }

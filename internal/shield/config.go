@@ -83,10 +83,6 @@ type RegionConfig struct {
 	// costs CounterSize bytes of on-chip RAM per chunk and one counter
 	// fold per MAC (paper §5.2.2, "Advanced integrity verification").
 	Freshness bool
-	// ZeroFillWrites declares streaming-write behaviour: on a write miss
-	// the buffer line is zeroed instead of fetched, avoiding a
-	// read-modify-write when chunks are written exactly once.
-	ZeroFillWrites bool
 	// SeqPrefetch arms the adaptive sequential prefetcher: after
 	// prefetchMinMisses consecutive ascending chunk misses,
 	// the engine set fetches ahead through pipelined stream windows, so
@@ -188,17 +184,6 @@ func (r RegionConfig) validate() error {
 	}
 	if r.MAC != HMAC && r.MAC != PMAC {
 		return fmt.Errorf("shield: region %q: invalid MAC kind %d", r.Name, r.MAC)
-	}
-	return nil
-}
-
-// RegionFor returns the region containing addr, or nil.
-func (c *Config) RegionFor(addr uint64) *RegionConfig {
-	for i := range c.Regions {
-		r := &c.Regions[i]
-		if addr >= r.Base && addr < r.Base+r.Size {
-			return r
-		}
 	}
 	return nil
 }

@@ -336,27 +336,15 @@ func (s *engineSet) hmacCyclesPerChunk() uint64 {
 	return uint64(3+(s.cfg.ChunkSize+hmacx.BlockSize-1)/hmacx.BlockSize) * hmacEngineCyclesPerBlock
 }
 
-// cryptoCycles is the engine-set crypto time for one chunk transfer. The
-// AES pool serves the CTR blocks plus, under PMAC, the MAC blocks; an HMAC
-// engine runs serially in parallel with decryption ("the engine set
-// decrypts and authenticates the returned ciphertext in parallel",
-// paper §5.2.2). A set without a sealer has no crypto stage.
+// cryptoCycles is the engine-set crypto time for one chunk transfer: the
+// slower of a one-chunk window's two stages. The AES pool serves the CTR
+// blocks plus, under PMAC, the MAC blocks; an HMAC engine runs serially in
+// parallel with decryption ("the engine set decrypts and authenticates
+// the returned ciphertext in parallel", paper §5.2.2). A set without a
+// sealer has no crypto stage.
 func (s *engineSet) cryptoCycles() uint64 {
-	if s.seal == nil {
-		return 0
-	}
-	aesBlocks := s.ctrBlocksPerChunk()
-	if s.cfg.MAC == PMAC {
-		aesBlocks += s.pmacBlocksPerChunk()
-	}
-	aesCycles := s.poolCycles(aesBlocks)
-	if s.cfg.MAC == PMAC {
-		return aesCycles
-	}
-	if hmacCycles := s.hmacCyclesPerChunk(); hmacCycles > aesCycles {
-		return hmacCycles
-	}
-	return aesCycles
+	pool, hmac := s.cryptoStages(1)
+	return max(pool, hmac)
 }
 
 // hmacEngineCyclesPerBlock is the Shield HMAC core's cost per 64-byte SHA
@@ -365,10 +353,6 @@ func (s *engineSet) cryptoCycles() uint64 {
 // it (paper §6.2.3). Calibrated jointly with perf.Default (DESIGN.md §4).
 const hmacEngineCyclesPerBlock = 54
 
-// chargeChunk accounts one chunk movement (fetch or write-back): the DRAM
-// burst for data plus its tag (fetched in the same request window) and the
-// crypto stage, partially overlapped.
-//
 // shareNow reads the channel's live materialised-set count for the
 // bandwidth-share charge; an unwired set charges as the sole occupant.
 //
@@ -381,16 +365,6 @@ func (s *engineSet) shareNow() int {
 		return int(n)
 	}
 	return 1
-}
-
-//shef:hotpath
-func (s *engineSet) chargeChunk() {
-	// The set experiences its bandwidth share; the channel-occupancy bound
-	// (Report.MemoryCycles) counts the bytes once at full channel rate.
-	dram := s.params.DRAMCyclesShared(s.cfg.ChunkSize+s.tagSize, s.shareNow())
-	crypto := s.cryptoCycles()
-	s.busyCycles += s.params.ChunkTime(dram, crypto) + s.params.ChunkIssueCycles
-	s.dramCycles += s.params.DRAMCycles(s.cfg.ChunkSize + s.tagSize)
 }
 
 // chargeHit accounts a buffer hit: on-chip access only.
@@ -512,9 +486,8 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 	ln := s.linePool.Get().(*bufLine)
 	ln.dirty, ln.prefetched = false, false
 	if fill {
-		// A single chunk keeps the chunked ChunkTime charge, so the run
-		// pricing fetchRun returns is not used.
-		if _, _, err := s.fetchRun(s.win, 0, chunk, 1); err != nil {
+		dramBusy, dramBus, err := s.fetchRun(s.win, 0, chunk, 1)
+		if err != nil {
 			s.linePool.Put(ln)
 			return nil, err
 		}
@@ -523,7 +496,7 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 			s.integrityErr = err
 			return nil, err
 		}
-		s.chargeChunk()
+		s.chargeRun(1, dramBusy, dramBus, false)
 		s.misses++
 	} else {
 		// Zero-filled line: no DRAM traffic, only issue cost.
@@ -719,13 +692,21 @@ func (s *engineSet) cryptoStages(n int) (poolStage, hmacStage uint64) {
 	return s.poolCycles(pool), hmacStage
 }
 
-// chargeRun accounts one batched fetch or store of n chunks priced by
-// fetchRun/storeRun: a run of one chunk keeps the chunked ChunkTime
-// charge — batching cannot help it — while longer runs pay the overlapped
-// window charge, plus fill/drain when first.
+// chargeRun accounts one fetch or store of n chunks priced by
+// fetchRun/storeRun; it is the one charge of every miss, prefetch and
+// write-back. dramBusy is the burst as the set experiences it, at its
+// bandwidth share; dramBus counts the bytes once at full channel rate
+// (Report.MemoryCycles). A single chunk (a chunked miss or a lone
+// write-back) pays the chunked charge — the burst partially overlapped
+// with the crypto stage (ChunkTime), plus the per-chunk issue cost —
+// because batching cannot help it. Longer runs pay the overlapped window
+// charge, plus fill/drain when first.
+//
+//shef:hotpath
 func (s *engineSet) chargeRun(n int, dramBusy, dramBus uint64, first bool) {
 	if n == 1 {
-		s.chargeChunk()
+		s.busyCycles += s.params.ChunkTime(dramBusy, s.cryptoCycles()) + s.params.ChunkIssueCycles
+		s.dramCycles += dramBus
 		return
 	}
 	pool, hmac := s.cryptoStages(n)

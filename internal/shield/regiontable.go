@@ -86,20 +86,23 @@ type lookupCache struct {
 	shift uint
 }
 
-func newLookupCache(entries, pageBytes int) *lookupCache {
-	if entries <= 0 {
-		entries = 1024
-	}
-	if pageBytes <= 0 {
-		pageBytes = 4096
-	}
-	// Round both to powers of two: the slot index is a shift and mask.
-	entries = 1 << bits.Len(uint(entries-1))
-	pageBytes = 1 << bits.Len(uint(pageBytes-1))
+// lookupEntries is the slot count of the region-lookup cache: direct-mapped
+// entries resolving an accelerator address to its protection zone in O(1)
+// regardless of how many tenant zones exist. lookupPageBytes is the
+// coverage granule of one entry: addresses hash to a slot by page number,
+// so zones smaller than a page share slots and streaming access within a
+// zone reuses one entry. Both are powers of two, so the slot index is a
+// shift and a mask.
+const (
+	lookupEntries   = 1024
+	lookupPageBytes = 4096
+)
+
+func newLookupCache() *lookupCache {
 	return &lookupCache{
-		slots: make([]atomic.Pointer[lookupEntry], entries),
-		mask:  uint64(entries - 1),
-		shift: uint(bits.TrailingZeros(uint(pageBytes))),
+		slots: make([]atomic.Pointer[lookupEntry], lookupEntries),
+		mask:  lookupEntries - 1,
+		shift: uint(bits.TrailingZeros(lookupPageBytes)),
 	}
 }
 
@@ -122,11 +125,10 @@ type RegionTable struct {
 	channels map[int]*atomic.Int64
 	acct     *mem.Accountant
 	nextID   uint32
-	// Tag-shadow allocator: static regions occupy [tagBase, tagCursor)
-	// exactly as the fixed-array design laid them out; dynamic zones
-	// carve from the cursor with an exact-fit free list so create/destroy
-	// churn does not leak tag space.
-	tagBase   uint64
+	// Tag-shadow allocator: static regions occupy the shadow from its
+	// base (the Shield's tagBase) to tagCursor exactly as the fixed-array
+	// design laid them out; dynamic zones carve from the cursor with an
+	// exact-fit free list so create/destroy churn does not leak tag space.
 	tagCursor uint64
 	tagFree   map[uint64][]uint64 // span size -> free offsets
 
@@ -139,15 +141,14 @@ type RegionTable struct {
 	hits, misses atomic.Uint64
 }
 
-func newRegionTable(tagBase uint64, acct *mem.Accountant, params perf.Params) *RegionTable {
+func newRegionTable(tagBase uint64, acct *mem.Accountant) *RegionTable {
 	return &RegionTable{
 		byKey:     make(map[string]*vRegion),
 		channels:  make(map[int]*atomic.Int64),
 		acct:      acct,
-		tagBase:   tagBase,
 		tagCursor: tagBase,
 		tagFree:   make(map[uint64][]uint64),
-		cache:     newLookupCache(params.RegionLookupEntries, params.RegionLookupPageBytes),
+		cache:     newLookupCache(),
 	}
 }
 

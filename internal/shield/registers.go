@@ -11,7 +11,6 @@ import (
 	"shef/internal/crypto/aesx"
 	"shef/internal/crypto/hmacx"
 	"shef/internal/crypto/kdf"
-	"shef/internal/perf"
 )
 
 // regOpCycles is the simulated cost of one secured AXI4-Lite access: an
@@ -51,10 +50,8 @@ type SealedReg struct {
 // need no locking — each host session owns its own sequence counter.
 type RegisterFile struct {
 	cfg    Config
-	encKey []byte
 	macKey []byte
 	cipher cipher.Block
-	params perf.Params
 
 	mu      sync.Mutex
 	regs    []uint64
@@ -69,7 +66,7 @@ const (
 	dirResponse  byte = 3
 )
 
-func newRegisterFile(cfg Config, dek []byte, params perf.Params) (*RegisterFile, error) {
+func newRegisterFile(cfg Config, dek []byte) (*RegisterFile, error) {
 	encKey := kdf.Derive([]byte("shef/reg-enc"), dek, nil, 32)
 	macKey := kdf.Derive([]byte("shef/reg-mac"), dek, nil, 32)
 	cipher, err := aes.NewCipher(encKey)
@@ -83,16 +80,11 @@ func newRegisterFile(cfg Config, dek []byte, params perf.Params) (*RegisterFile,
 	return &RegisterFile{
 		cfg:     cfg,
 		regs:    make([]uint64, n),
-		encKey:  encKey,
 		macKey:  macKey,
 		cipher:  cipher,
 		lastSeq: make(map[byte]uint64),
-		params:  params,
 	}, nil
 }
-
-// Len reports the register count.
-func (rf *RegisterFile) Len() int { return len(rf.regs) }
 
 // --- Accelerator side (plaintext, inside the perimeter) ---
 
@@ -241,7 +233,9 @@ func (rf *RegisterFile) SealWrite(index uint32, value uint64, seq uint64) Sealed
 	return rf.seal(dirHostWrite, index, seq, v[:])
 }
 
-// SealReadRequest builds a sealed read request.
+// SealReadRequest builds a sealed read request. With HostRead and
+// OpenResponse it is the host's secured register read, which only tests
+// drive: a tampered, replayed or swapped response is rejected (paper §5.1).
 func (rf *RegisterFile) SealReadRequest(index uint32, seq uint64) SealedReg {
 	return rf.seal(dirHostRead, index, seq, nil)
 }

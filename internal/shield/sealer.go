@@ -173,13 +173,11 @@ func (s *sealer) openChunkWith(sc *sealScratch, dst []byte, chunk int, counter u
 // device DRAM, so the (untrusted) host program can DMA sealed data in and
 // out without understanding it.
 type RegionLayout struct {
-	Name     string
 	RegionID uint32
 	DataBase uint64 // ciphertext, identity-mapped at the region base
 	DataSize uint64
 	TagBase  uint64
 	TagSize  uint64
-	Chunk    int
 }
 
 // Layout reports the DRAM layout of a configured region.
@@ -188,13 +186,11 @@ func (s *Shield) Layout(region string) (RegionLayout, error) {
 	for i, rc := range s.cfg.Regions {
 		if rc.Name == region {
 			return RegionLayout{
-				Name:     rc.Name,
 				RegionID: uint32(i + 1),
 				DataBase: rc.Base,
 				DataSize: rc.Size,
 				TagBase:  tagOff,
 				TagSize:  uint64(rc.Chunks() * TagSize),
-				Chunk:    rc.ChunkSize,
 			}, nil
 		}
 		tagOff += uint64(rc.Chunks() * TagSize)
@@ -306,28 +302,13 @@ type RegionSealer struct {
 
 // NewRegionSealer builds a persistent sealer for a region. cfg and
 // regionID must match the Shield-side region (see Layout for the
-// region's ID and chunk geometry).
+// region's ID).
 func NewRegionSealer(cfg RegionConfig, regionID uint32, dek []byte) (*RegionSealer, error) {
 	s, err := newSealer(cfg, regionID, dek)
 	if err != nil {
 		return nil, err
 	}
 	return &RegionSealer{s: s, sc: s.newScratch()}, nil
-}
-
-// ChunkSize returns the region's chunk size in bytes.
-func (rs *RegionSealer) ChunkSize() int { return rs.s.cfg.ChunkSize }
-
-// SealChunk encrypts plain (exactly one chunk) into ct and writes the
-// TagSize-byte tag, at the given write epoch, allocating nothing.
-func (rs *RegionSealer) SealChunk(chunk int, counter uint32, ct, tag, plain []byte) {
-	rs.s.sealChunkWith(rs.sc, ct, tag, chunk, counter, plain)
-}
-
-// OpenChunk verifies ct (exactly one chunk) against tag and decrypts it
-// into dst, at the given write epoch, allocating nothing.
-func (rs *RegionSealer) OpenChunk(chunk int, counter uint32, dst, ct, tag []byte) error {
-	return rs.s.openChunkWith(rs.sc, dst, chunk, counter, ct, tag)
 }
 
 // SealRange seals plain — whose length must be a whole number of chunks
@@ -392,7 +373,8 @@ func (s *Shield) CounterSnapshot(region string) (CounterSnapshot, error) {
 }
 
 // VerifyCounterSnapshot checks a snapshot on the Data Owner side, given
-// the register file keys derived from the same DEK.
+// the register file keys derived from the same DEK. Only tests call it:
+// the untrusted host cannot forge the counters it relays (paper §5.2.2).
 func (rf *RegisterFile) VerifyCounterSnapshot(snap CounterSnapshot) bool {
 	return rf.macSnapshot(snap.Region, snap.Counters) == snap.Tag
 }

@@ -139,7 +139,7 @@ func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
 	// (preserving the fixed-array design's region IDs and tag layout) and
 	// materialised eagerly so provisioning fails up front, DRAM shares
 	// match the static counts, and the first burst pays no build cost.
-	table := newRegionTable(s.tagBase, s.acct, s.params)
+	table := newRegionTable(s.tagBase, s.acct)
 	fail := func(err error) error {
 		table.releaseAll(s.ocm)
 		return err
@@ -154,7 +154,7 @@ func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
 			return fail(err)
 		}
 	}
-	regs, err := newRegisterFile(s.cfg, dek, s.params)
+	regs, err := newRegisterFile(s.cfg, dek)
 	if err != nil {
 		return fail(err)
 	}
@@ -203,7 +203,9 @@ func (s *Shield) DestroyRegion(tenant, region string) error {
 // written back, then the buffer, staging window, and counters return to the
 // device's on-chip pool — while the zone descriptor and its quota
 // reservation stay, so the next access re-materialises transparently.
-// Serving tiers call it when a tenant goes quiet.
+// Only tests call it: a reclaimed zone keeps its freshness counters and
+// valid bits on-chip, so its data survives and stays replay-protected
+// (paper §5.2.2).
 func (s *Shield) ReclaimRegion(tenant, region string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,6 +218,10 @@ func (s *Shield) ReclaimRegion(tenant, region string) error {
 	}
 	return s.table.reclaim(r, s.ocm)
 }
+
+// SetTenantQuota, TenantUsage and Tenants expose the per-tenant quota
+// accounting. Only tests call them: a tenant cannot exceed its quota, and
+// destroying a zone releases its charge, so churn leaks nothing.
 
 // SetTenantQuota overrides the default per-tenant quota for one tenant.
 func (s *Shield) SetTenantQuota(tenant string, q mem.Quota) { s.acct.SetQuota(tenant, q) }
@@ -408,23 +414,6 @@ func (s *Shield) FlushTenantRegion(tenant, region string) error {
 		return err
 	}
 	return set.flush()
-}
-
-// InvalidateCleanRegion drops the clean buffer lines of one region only,
-// leaving every other region's residency intact. A host DMA that
-// overwrites one region's ciphertext must invalidate that region's
-// lines, but dropping the whole Shield's buffers (InvalidateClean)
-// would needlessly evict hot lines of unrelated regions — exactly the
-// aggregate on-chip residency a fleet of shards is supposed to build.
-func (s *Shield) InvalidateCleanRegion(region string) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	set, err := s.namedSet(s.cfg.Tenant, region)
-	if err != nil {
-		return err
-	}
-	set.invalidateClean()
-	return nil
 }
 
 // RegionStats is the per-engine-set activity report.

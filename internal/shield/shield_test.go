@@ -31,7 +31,7 @@ func simpleConfig() Config {
 			{
 				Name: "stream", Base: 1 << 16, Size: 1 << 16, ChunkSize: 512,
 				AESEngines: 2, SBox: aesx.SBox4x, KeySize: aesx.AES256,
-				MAC: PMAC, BufferBytes: 2 * 512, ZeroFillWrites: true,
+				MAC: PMAC, BufferBytes: 2 * 512,
 			},
 		},
 		Registers: 8,
