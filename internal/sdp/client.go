@@ -3,39 +3,10 @@ package sdp
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"shef/internal/faultinject"
-	"shef/internal/profiling"
 	"shef/internal/shield"
 )
-
-// Interned shard-index labels for the profiling taxonomy: formatting the
-// index per operation would put an allocation on the serving hot path
-// even though labels only matter while a harness runs.
-var shardLabels = [...]string{"0", "1", "2", "3", "4", "5", "6", "7",
-	"8", "9", "10", "11", "12", "13", "14", "15"}
-
-func shardLabel(i int) string {
-	if i >= 0 && i < len(shardLabels) {
-		return shardLabels[i]
-	}
-	return strconv.Itoa(i)
-}
-
-// doOp wraps one client operation in the profiling label taxonomy
-// (sdp-op=put|get, sdp-shard=N) when a harness is active. The call is
-// explicitly branched at every site rather than funnelled through a
-// closure so the disabled path performs the operation directly — no
-// closure escapes, no allocations, no label building.
-//
-//shef:guarded
-func doOp(op string, shard int, f func() error) error {
-	var err error
-	profiling.Do(context.Background(), func() { err = f() },
-		"sdp-op", op, "sdp-shard", shardLabel(shard))
-	return err
-}
 
 // TLSSession is a Data Owner endpoint onto one Storage Node's tls
 // region: a persistent region sealer plus staging buffers, built once
@@ -150,79 +121,56 @@ func (cl *Client) Put(user, name string, payload []byte) error {
 
 // PutCtx is Put with caller-controlled cancellation.
 func (cl *Client) PutCtx(ctx context.Context, user, name string, payload []byte) error {
-	if cl.c.resilient() {
-		if profiling.Enabled() {
-			return doOp("put", cl.c.ShardFor(name), func() error {
-				return cl.putResilient(ctx, user, name, payload)
-			})
-		}
-		return cl.putResilient(ctx, user, name, payload)
-	}
-	i := cl.c.ShardFor(name)
-	if profiling.Enabled() {
-		return doOp("put", i, func() error { return cl.put(i, user, name, payload) })
-	}
-	return cl.put(i, user, name, payload)
-}
-
-func (cl *Client) put(i int, user, name string, payload []byte) error {
-	ct, tags, err := cl.sessions[i].Seal(payload)
-	if err == nil {
-		err = cl.c.slots[i].node.Load().PutSealed(user, name, len(payload), ct, tags)
-	}
-	if err != nil {
-		cl.c.errs.Add(1)
-		return err
-	}
-	cl.c.puts.Add(1)
-	return nil
-}
-
-// putResilient writes through the replica machinery, re-sealing per
-// replica on that replica's session. An injected corruption fault mangles
-// the sealed image in transit — the node's tls engine set refuses it, the
-// attempt fails authenticated-closed, and the retry re-seals cleanly.
-func (cl *Client) putResilient(ctx context.Context, user, name string, payload []byte) error {
 	return cl.c.writeReplicas(ctx, user, name, func(shard int, n *Node, fi faultinject.Result) error {
-		ct, tags, err := cl.sessions[shard].Seal(payload)
-		if err != nil {
-			return reject(err)
-		}
-		if fi.Corrupt {
-			faultinject.CorruptBytes(ct, fi.CorruptSeed)
-		}
-		return n.PutSealed(user, name, len(payload), ct, tags)
+		return cl.sealPut(shard, n, fi, user, name, payload)
 	})
+}
+
+// sealPut is one replica attempt of a sealed write: seal on that
+// replica's session, then store. An injected corruption fault mangles the
+// sealed image in transit — the node's tls engine set refuses it, the
+// attempt fails authenticated-closed, and the retry re-seals cleanly.
+func (cl *Client) sealPut(shard int, n *Node, fi faultinject.Result, user, name string, payload []byte) error {
+	ct, tags, err := cl.sessions[shard].Seal(payload)
+	if err != nil {
+		return reject(err)
+	}
+	if fi.Corrupt {
+		faultinject.CorruptBytes(ct, fi.CorruptSeed)
+	}
+	return n.PutSealed(user, name, len(payload), ct, tags)
 }
 
 // PutSealed stores a pre-sealed image (from Seal on the file's home
 // shard session) — the loadgen path, where one sealed request image is
-// replayed many times without resealing. In replicated mode the image is
-// opened to recover the payload and re-sealed per replica (each shard
-// seals under its own session DEK).
+// replayed many times without resealing. The home shard stores the image
+// as given, so a single-copy write does no client-side crypto. Followers
+// get their own seals: the image is opened once on the home session and
+// re-sealed per follower session. The caller's buffers are only ever
+// read — they may alias the home session's staging buffers — so an
+// injected corruption fault on the home shard mangles a private copy.
 func (cl *Client) PutSealed(user, name string, size int, ct, tags []byte) error {
-	i := cl.c.ShardFor(name)
-	if cl.c.resilient() {
-		plain, err := cl.sessions[i].Open(nil, ct, tags, size)
-		if err != nil {
-			cl.c.errs.Add(1)
-			return err
+	home := cl.c.ShardFor(name)
+	var plain []byte
+	return cl.c.writeReplicas(context.Background(), user, name, func(shard int, n *Node, fi faultinject.Result) error {
+		if shard == home {
+			img := ct
+			if fi.Corrupt {
+				img = append([]byte(nil), ct...)
+				faultinject.CorruptBytes(img, fi.CorruptSeed)
+			}
+			return n.PutSealed(user, name, size, img, tags)
 		}
-		return cl.PutCtx(context.Background(), user, name, plain)
-	}
-	if profiling.Enabled() {
-		return doOp("put", i, func() error { return cl.putSealed(i, user, name, size, ct, tags) })
-	}
-	return cl.putSealed(i, user, name, size, ct, tags)
-}
-
-func (cl *Client) putSealed(i int, user, name string, size int, ct, tags []byte) error {
-	if err := cl.c.slots[i].node.Load().PutSealed(user, name, size, ct, tags); err != nil {
-		cl.c.errs.Add(1)
-		return err
-	}
-	cl.c.puts.Add(1)
-	return nil
+		if plain == nil {
+			p, err := cl.sessions[home].Open(nil, ct, tags, size)
+			if err != nil {
+				// The caller's image is at fault, not this replica.
+				return reject(err)
+			}
+			plain = p
+		}
+		return cl.sealPut(shard, n, fi, user, name, plain)
+	})
 }
 
 // Session returns the client's TLS session for the shard that owns name.
@@ -231,116 +179,55 @@ func (cl *Client) Session(name string) *TLSSession {
 }
 
 // Get fetches a file, opening the sealed response on the client's
-// goroutine, and appends the payload to dst. In replicated mode the read
-// falls back replica by replica: a replica whose sealed response fails
-// authentication (corrupted storage or transit) is treated as a failed
-// replica and the next one serves.
+// goroutine, and appends the payload to dst. The read falls back replica
+// by replica: a replica whose sealed response fails authentication
+// (corrupted storage or transit) is treated as a failed replica and the
+// next one serves.
 func (cl *Client) Get(user, name string, dst []byte) ([]byte, error) {
 	return cl.GetCtx(context.Background(), user, name, dst)
 }
 
 // GetCtx is Get with caller-controlled cancellation.
 func (cl *Client) GetCtx(ctx context.Context, user, name string, dst []byte) ([]byte, error) {
-	if cl.c.resilient() {
-		var out []byte
-		read := func(shard int, n *Node, fi faultinject.Result) error {
+	var out []byte
+	err := cl.c.readReplicas(ctx, name, func(shard int, n *Node, fi faultinject.Result) error {
+		size, err := cl.fetch(shard, n, fi, user, name)
+		if err == nil {
 			t := cl.sessions[shard]
-			size, err := n.GetSealed(user, name, t.ct, t.tags)
-			if err != nil {
-				return err
-			}
-			if fi.Corrupt {
-				faultinject.CorruptBytes(t.ct[:alignUp(size, t.chunk)], fi.CorruptSeed)
-			}
-			o, err := t.Open(dst, t.ct, t.tags, size)
-			if err != nil {
-				return err
-			}
-			out = o
-			return nil
+			out, err = t.Open(dst, t.ct, t.tags, size)
 		}
-		if profiling.Enabled() {
-			err := doOp("get", cl.c.ShardFor(name), func() error {
-				return cl.c.readReplicas(ctx, name, read)
-			})
-			return out, err
-		}
-		return out, cl.c.readReplicas(ctx, name, read)
-	}
-	i := cl.c.ShardFor(name)
-	if profiling.Enabled() {
-		var out []byte
-		err := doOp("get", i, func() error {
-			var err error
-			out, err = cl.get(i, user, name, dst)
-			return err
-		})
-		return out, err
-	}
-	return cl.get(i, user, name, dst)
-}
-
-func (cl *Client) get(i int, user, name string, dst []byte) ([]byte, error) {
-	t := cl.sessions[i]
-	size, err := cl.c.slots[i].node.Load().GetSealed(user, name, t.ct, t.tags)
-	if err != nil {
-		cl.c.errs.Add(1)
-		return nil, err
-	}
-	out, err := t.Open(dst, t.ct, t.tags, size)
-	if err != nil {
-		cl.c.errs.Add(1)
-		return nil, err
-	}
-	cl.c.gets.Add(1)
-	return out, nil
+		return err
+	})
+	return out, err
 }
 
 // GetSealed fetches a file's sealed response into the serving shard's
 // session staging buffers without opening it — the loadgen path,
 // measuring server-side serving with the client-side open sampled
 // separately. Returns the payload size and the session holding the
-// sealed bytes (the home shard's in single-copy mode; in replicated mode
-// whichever replica served the read).
+// sealed bytes: whichever replica served the read (the home shard's in
+// single-copy mode).
 func (cl *Client) GetSealed(user, name string) (int, *TLSSession, error) {
-	if cl.c.resilient() {
-		var size int
-		var t *TLSSession
-		err := cl.c.readReplicas(context.Background(), name, func(shard int, n *Node, fi faultinject.Result) error {
-			s := cl.sessions[shard]
-			sz, err := n.GetSealed(user, name, s.ct, s.tags)
-			if err != nil {
-				return err
-			}
-			if fi.Corrupt {
-				faultinject.CorruptBytes(s.ct[:alignUp(sz, s.chunk)], fi.CorruptSeed)
-			}
-			size, t = sz, s
-			return nil
-		})
-		return size, t, err
-	}
-	i := cl.c.ShardFor(name)
-	if profiling.Enabled() {
-		var size int
-		var t *TLSSession
-		err := doOp("get", i, func() error {
-			var err error
-			size, t, err = cl.getSealed(i, user, name)
-			return err
-		})
-		return size, t, err
-	}
-	return cl.getSealed(i, user, name)
+	var size int
+	var t *TLSSession
+	err := cl.c.readReplicas(context.Background(), name, func(shard int, n *Node, fi faultinject.Result) error {
+		sz, err := cl.fetch(shard, n, fi, user, name)
+		if err == nil {
+			size, t = sz, cl.sessions[shard]
+		}
+		return err
+	})
+	return size, t, err
 }
 
-func (cl *Client) getSealed(i int, user, name string) (int, *TLSSession, error) {
-	t := cl.sessions[i]
-	size, err := cl.c.slots[i].node.Load().GetSealed(user, name, t.ct, t.tags)
-	if err != nil {
-		cl.c.errs.Add(1)
-		return 0, nil, err
+// fetch is one replica attempt of a sealed read: the node DMAs the sealed
+// response into that replica's session buffers, where an injected
+// corruption fault mangles it in transit.
+func (cl *Client) fetch(shard int, n *Node, fi faultinject.Result, user, name string) (int, error) {
+	t := cl.sessions[shard]
+	size, err := n.GetSealed(user, name, t.ct, t.tags)
+	if err == nil && fi.Corrupt {
+		faultinject.CorruptBytes(t.ct[:alignUp(size, t.chunk)], fi.CorruptSeed)
 	}
-	cl.c.gets.Add(1)
-	return size, t, nil
+	return size, err
 }

@@ -16,7 +16,6 @@ import (
 	"shef/internal/crypto/kdf"
 	"shef/internal/faultinject"
 	"shef/internal/perf"
-	"shef/internal/profiling"
 )
 
 // ClusterConfig sizes an SDP cluster: the paper's single Storage Node case
@@ -33,8 +32,9 @@ type ClusterConfig struct {
 	// Replicas places each file on this many successor shards (home shard
 	// plus Replicas-1 followers). Writes need a majority write quorum
 	// (Replicas/2+1) to acknowledge; reads fall back replica by replica;
-	// Sync runs anti-entropy repair across the set. 0 or 1 keeps the
-	// original single-copy placement with its unchanged fast path.
+	// Sync runs anti-entropy repair across the set. 0 or 1 places a
+	// single copy on the home shard, served by the same retrying,
+	// health-gated path with the same typed errors.
 	Replicas int
 	// Retry tunes the per-replica retry loop (zero value: defaults).
 	Retry RetryPolicy
@@ -265,7 +265,7 @@ type Cluster struct {
 	regMu    sync.RWMutex
 	registry map[string]fileMeta
 
-	// fileLocks serializes replicated writes and anti-entropy repair on a
+	// fileLocks serializes writes and anti-entropy repair on a
 	// per-file basis (striped by name hash). Without it a repair pass can
 	// read a replica, decide it is stale, lose the race to a concurrent
 	// write that acks on that replica, and then roll the fresh bytes back
@@ -412,16 +412,21 @@ func (c *Cluster) RegisterUser(user string, key []byte) error {
 }
 
 // ShardIndex is the cluster routing function in the open: FNV-1a over
-// the file name modulo the fleet size (computed inline — the stdlib hash
-// allocates per call, and routing is on every operation's path).
-// Exposed so load generators and capacity planners can reason about
-// placement without a cluster in hand.
+// the file name modulo the fleet size. Exposed so load generators and
+// capacity planners can reason about placement without a cluster in hand.
 func ShardIndex(name string, shards int) int {
+	return int(fnv1a(name) % uint32(shards))
+}
+
+// fnv1a is 32-bit FNV-1a over name, computed inline: the stdlib hash
+// allocates per call, and routing and file-lock striping are on every
+// operation's path.
+func fnv1a(name string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint32(name[i])) * 16777619
 	}
-	return int(h % uint32(shards))
+	return h
 }
 
 // ShardFor routes a file name to its home shard.
@@ -460,13 +465,6 @@ func (c *Cluster) Shards() int { return len(c.slots) }
 // nil until RestartShard brings it back.
 func (c *Cluster) Node(i int) *Node { return c.slots[i].node.Load() }
 
-// resilient reports whether operations must take the replica-aware
-// retry path. Single-copy clusters with no fault plan active keep the
-// original direct path — one atomic pointer load over the old code.
-func (c *Cluster) resilient() bool {
-	return c.cfg.Replicas > 1 || faultinject.Enabled()
-}
-
 // Put stores a file on its replica set (write-quorum acknowledged) —
 // the home shard alone in single-copy mode.
 func (c *Cluster) Put(user, name string, payload []byte) error {
@@ -476,37 +474,6 @@ func (c *Cluster) Put(user, name string, payload []byte) error {
 // PutCtx is Put with caller-controlled cancellation: the context is
 // checked between retries and replica attempts.
 func (c *Cluster) PutCtx(ctx context.Context, user, name string, payload []byte) error {
-	if c.resilient() {
-		if profiling.Enabled() {
-			return doOp("put", c.ShardFor(name), func() error {
-				return c.putReplicated(ctx, user, name, payload)
-			})
-		}
-		return c.putReplicated(ctx, user, name, payload)
-	}
-	i := c.ShardFor(name)
-	if profiling.Enabled() {
-		return doOp("put", i, func() error { return c.put(i, user, name, payload) })
-	}
-	return c.put(i, user, name, payload)
-}
-
-func (c *Cluster) put(i int, user, name string, payload []byte) error {
-	n := c.slots[i].node.Load()
-	if n == nil {
-		c.errs.Add(1)
-		return &ShardError{Shard: i, Op: "put", Err: ErrShardDown}
-	}
-	err := n.Put(user, name, payload)
-	if err != nil {
-		c.errs.Add(1)
-		return err
-	}
-	c.puts.Add(1)
-	return nil
-}
-
-func (c *Cluster) putReplicated(ctx context.Context, user, name string, payload []byte) error {
 	return c.writeReplicas(ctx, user, name, func(_ int, n *Node, _ faultinject.Result) error {
 		return n.Put(user, name, payload)
 	})
@@ -520,47 +487,13 @@ func (c *Cluster) Get(user, name string) ([]byte, error) {
 
 // GetCtx is Get with caller-controlled cancellation.
 func (c *Cluster) GetCtx(ctx context.Context, user, name string) ([]byte, error) {
-	if c.resilient() {
-		var data []byte
-		read := func(_ int, n *Node, _ faultinject.Result) error {
-			var err error
-			data, err = n.Get(user, name)
-			return err
-		}
-		if profiling.Enabled() {
-			err := doOp("get", c.ShardFor(name), func() error {
-				return c.readReplicas(ctx, name, read)
-			})
-			return data, err
-		}
-		return data, c.readReplicas(ctx, name, read)
-	}
-	i := c.ShardFor(name)
-	if profiling.Enabled() {
-		var data []byte
-		err := doOp("get", i, func() error {
-			var err error
-			data, err = c.get(i, user, name)
-			return err
-		})
-		return data, err
-	}
-	return c.get(i, user, name)
-}
-
-func (c *Cluster) get(i int, user, name string) ([]byte, error) {
-	n := c.slots[i].node.Load()
-	if n == nil {
-		c.errs.Add(1)
-		return nil, &ShardError{Shard: i, Op: "get", Err: ErrShardDown}
-	}
-	data, err := n.Get(user, name)
-	if err != nil {
-		c.errs.Add(1)
-		return nil, err
-	}
-	c.gets.Add(1)
-	return data, nil
+	var data []byte
+	err := c.readReplicas(ctx, name, func(_ int, n *Node, _ faultinject.Result) error {
+		var err error
+		data, err = n.Get(user, name)
+		return err
+	})
+	return data, err
 }
 
 // ClusterStats aggregates fleet activity.

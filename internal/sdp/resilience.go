@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"shef/internal/faultinject"
+	"shef/internal/profiling"
 )
 
 // Fault-injection site names for the cluster's Storage Node boundary —
@@ -30,14 +32,10 @@ func (c *Cluster) replicaSet(name string) []int {
 	return reps
 }
 
-// fileLock returns the stripe mutex serializing replicated writes and
+// fileLock returns the stripe mutex serializing writes and
 // repair for one file.
 func (c *Cluster) fileLock(name string) *sync.Mutex {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(name[i])) * 16777619
-	}
-	return &c.fileLocks[h%uint32(len(c.fileLocks))]
+	return &c.fileLocks[fnv1a(name)%uint32(len(c.fileLocks))]
 }
 
 // fileMeta is one registry entry: the file's owner and the witness set —
@@ -105,6 +103,33 @@ func (c *Cluster) backoff(attempt int) time.Duration {
 		return d
 	}
 	return half + time.Duration(x%uint64(half))
+}
+
+// Interned shard-index labels for the profiling taxonomy: formatting the
+// index per operation would put an allocation on the serving hot path
+// even though labels only matter while a harness runs.
+var shardLabels = [...]string{"0", "1", "2", "3", "4", "5", "6", "7",
+	"8", "9", "10", "11", "12", "13", "14", "15"}
+
+func shardLabel(i int) string {
+	if i >= 0 && i < len(shardLabels) {
+		return shardLabels[i]
+	}
+	return strconv.Itoa(i)
+}
+
+// doOp wraps one cluster operation in the profiling label taxonomy
+// (sdp-op=put|get, sdp-shard=home shard) when a harness is active. Its
+// two call sites, readReplicas and writeReplicas, branch on
+// profiling.Enabled() first, so the disabled path builds no closure and
+// no labels.
+//
+//shef:guarded
+func doOp(op string, shard int, f func() error) error {
+	var err error
+	profiling.Do(context.Background(), func() { err = f() },
+		"sdp-op", op, "sdp-shard", shardLabel(shard))
+	return err
 }
 
 // replicaOp is one replica attempt's body. The faultinject.Result carries
@@ -188,7 +213,18 @@ func (c *Cluster) tryReplica(ctx context.Context, site string, shard int, deadli
 // peers hold. The outcome ranking: any success wins; all-rejections
 // returns the first rejection (the authoritative answer); any
 // infrastructure failure in the mix degrades the read.
+//
+// It is the one entry every read takes, so it holds the read direction's
+// profiling site.
 func (c *Cluster) readReplicas(ctx context.Context, name string, do replicaOp) error {
+	if profiling.Enabled() {
+		return doOp("get", c.ShardFor(name), func() error { return c.walkReplicas(ctx, name, do) })
+	}
+	return c.walkReplicas(ctx, name, do)
+}
+
+// walkReplicas is readReplicas without the profiling labels.
+func (c *Cluster) walkReplicas(ctx context.Context, name string, do replicaOp) error {
 	reps := c.readOrder(name)
 	deadline := c.opDeadline()
 	var firstApp, firstInfra error
@@ -227,7 +263,18 @@ func (c *Cluster) readReplicas(ctx context.Context, name string, do replicaOp) e
 // quorum the write fails with ErrQuorumLost (unless every replica
 // rejected it at the application level, which is the authoritative
 // verdict and surfaces as-is).
+//
+// It is the one entry every write takes, so it holds the write
+// direction's profiling site.
 func (c *Cluster) writeReplicas(ctx context.Context, user, name string, do replicaOp) error {
+	if profiling.Enabled() {
+		return doOp("put", c.ShardFor(name), func() error { return c.writeQuorum(ctx, user, name, do) })
+	}
+	return c.writeQuorum(ctx, user, name, do)
+}
+
+// writeQuorum is writeReplicas without the profiling labels.
+func (c *Cluster) writeQuorum(ctx context.Context, user, name string, do replicaOp) error {
 	mu := c.fileLock(name)
 	mu.Lock()
 	defer mu.Unlock()

@@ -356,18 +356,85 @@ func TestAppRejectionsAreNotRetried(t *testing.T) {
 	}
 }
 
-// TestShardErrorIdentity: every cluster-level failure names its shard.
+// TestShardErrorIdentity: every cluster-level failure names its shard —
+// on a single-copy cluster with fault injection off too, through every
+// public operation, whether the home shard is crashed or partitioned.
+// Single-copy failures carry the replicated path's typed errors: a write
+// loses its quorum, a read degrades.
 func TestShardErrorIdentity(t *testing.T) {
-	c := newReplicatedCluster(t, 4, 1)
-	primary := c.ShardFor("doc")
-	c.CrashShard(primary)
-	err := c.Put("alice", "doc", []byte("x"))
-	var se *ShardError
-	if !errors.As(err, &se) {
-		t.Fatalf("cluster error carries no shard identity: %v", err)
+	faults := []struct {
+		name  string
+		apply func(c *Cluster, shard int)
+	}{
+		{"crash", (*Cluster).CrashShard},
+		{"partition", (*Cluster).PartitionShard},
 	}
-	if se.Shard != primary {
-		t.Fatalf("shard identity = %d, want %d", se.Shard, primary)
+	payload := bytes.Repeat([]byte{0x42}, 1500)
+	ops := []struct {
+		name string
+		want error
+		do   func(c *Cluster, cl *Client, ct, tags []byte) error
+	}{
+		{"Cluster.Put", ErrQuorumLost, func(c *Cluster, _ *Client, _, _ []byte) error {
+			return c.Put("alice", "doc", payload)
+		}},
+		{"Cluster.Get", ErrDegraded, func(c *Cluster, _ *Client, _, _ []byte) error {
+			_, err := c.Get("alice", "doc")
+			return err
+		}},
+		{"Client.Put", ErrQuorumLost, func(_ *Cluster, cl *Client, _, _ []byte) error {
+			return cl.Put("alice", "doc", payload)
+		}},
+		{"Client.Get", ErrDegraded, func(_ *Cluster, cl *Client, _, _ []byte) error {
+			_, err := cl.Get("alice", "doc", nil)
+			return err
+		}},
+		{"Client.PutSealed", ErrQuorumLost, func(_ *Cluster, cl *Client, ct, tags []byte) error {
+			return cl.PutSealed("alice", "doc", len(payload), ct, tags)
+		}},
+		{"Client.GetSealed", ErrDegraded, func(_ *Cluster, cl *Client, _, _ []byte) error {
+			_, _, err := cl.GetSealed("alice", "doc")
+			return err
+		}},
+	}
+	for _, f := range faults {
+		for _, op := range ops {
+			t.Run(f.name+"/"+op.name, func(t *testing.T) {
+				c := newReplicatedCluster(t, 4, 1)
+				cl, err := c.NewClient()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.Put("alice", "doc", payload); err != nil {
+					t.Fatal(err)
+				}
+				ct, tags, err := cl.Session("doc").Seal(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ct, tags = bytes.Clone(ct), bytes.Clone(tags)
+				home := c.ShardFor("doc")
+				f.apply(c, home)
+				err = op.do(c, cl, ct, tags)
+				if !errors.Is(err, ErrShardDown) || !errors.Is(err, op.want) {
+					t.Fatalf("err = %v, want %v wrapping %v", err, op.want, ErrShardDown)
+				}
+				var se *ShardError
+				if !errors.As(err, &se) {
+					t.Fatalf("cluster error carries no shard identity: %v", err)
+				}
+				if se.Shard != home {
+					t.Fatalf("shard identity = %d, want %d", se.Shard, home)
+				}
+				wantLost := uint64(0)
+				if op.want == ErrQuorumLost {
+					wantLost = 1
+				}
+				if st := c.Stats(); st.QuorumFailures != wantLost {
+					t.Fatalf("QuorumFailures = %d, want %d", st.QuorumFailures, wantLost)
+				}
+			})
+		}
 	}
 }
 
@@ -438,6 +505,78 @@ func TestClientReplicatedRoundTrip(t *testing.T) {
 	// Writes still land at quorum; the crashed primary is skipped.
 	if err := cl.Put("alice", "doc2", payload); err != nil {
 		t.Fatalf("degraded client write: %v", err)
+	}
+}
+
+// TestClientPutSealedReplicated: the home shard stores the caller's
+// sealed image byte for byte, each follower holds its own re-seal under
+// its session, and every replica serves the payload. The caller's
+// buffers come back untouched — even when they are the home session's
+// own staging buffers and an injected fault corrupts the home write.
+func TestClientPutSealedReplicated(t *testing.T) {
+	c := newReplicatedCluster(t, 4, 3)
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x6B}, 5000)
+	sealed, sealedTags, err := cl.Session("doc").Seal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, tags := bytes.Clone(sealed), bytes.Clone(sealedTags)
+	if err := cl.PutSealed("alice", "doc", len(payload), ct, tags); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ct, sealed) || !bytes.Equal(tags, sealedTags) {
+		t.Fatal("PutSealed wrote to the caller's image")
+	}
+	home := c.ShardFor("doc")
+	for _, shard := range c.replicaSet("doc") {
+		// The Put's DMA left the stored image in the tls extent; read it
+		// before a Get restages that extent.
+		n := c.Node(shard)
+		img, imgTags := make([]byte, len(ct)), make([]byte, len(tags))
+		if err := n.DRAM().RawReadInto(n.tlsLayout.DataBase, img); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.DRAM().RawReadInto(n.tlsLayout.TagBase, imgTags); err != nil {
+			t.Fatal(err)
+		}
+		same := bytes.Equal(img, ct) && bytes.Equal(imgTags, tags)
+		if shard == home && !same {
+			t.Fatalf("home shard %d does not hold the caller's image", shard)
+		}
+		if shard != home {
+			if same {
+				t.Fatalf("follower %d holds the home session's image, not its own seal", shard)
+			}
+			got, err := cl.sessions[shard].Open(nil, img, imgTags, len(payload))
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("follower %d image does not open under its session: %v", shard, err)
+			}
+		}
+		got, err := n.Get("alice", "doc")
+		if err != nil {
+			t.Fatalf("replica %d: %v", shard, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("replica %d holds divergent bytes", shard)
+		}
+	}
+
+	faultinject.Activate(&faultinject.Plan{Seed: 5, Rules: []faultinject.Rule{
+		{Target: FaultSitePut, Shard: home, Kind: faultinject.KindCorrupt, Prob: 1},
+	}})
+	defer faultinject.Deactivate()
+	if err := cl.PutSealed("alice", "doc", len(payload), sealed, sealedTags); err != nil {
+		t.Fatalf("write with a corrupting home link: %v", err)
+	}
+	if !bytes.Equal(sealed, ct) || !bytes.Equal(sealedTags, tags) {
+		t.Fatal("an injected corruption mangled the caller's image")
+	}
+	if st := c.Stats(); st.DegradedWrites != 1 {
+		t.Fatalf("home write was not refused: %+v", st)
 	}
 }
 

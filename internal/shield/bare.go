@@ -43,8 +43,8 @@ func NewBarePort(cfg Config, port axi.MemoryPort, params perf.Params) (*BarePort
 		shares[rc.Channel].Add(1)
 	}
 	p := &BarePort{}
-	for i, rc := range cfg.Regions {
-		set := newSet(rc, uint32(i+1), nil, 0, port, params)
+	for _, rc := range cfg.Regions {
+		set := newSet(rc, nil, 0, port, params)
 		set.share = shares[rc.Channel]
 		// The host wrote the plaintext inputs: every chunk is valid.
 		for c := range set.initialized {

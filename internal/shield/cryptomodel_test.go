@@ -30,7 +30,7 @@ func modelSet(t *testing.T, mac MACKind, key aesx.KeySize, sbox aesx.SBoxParalle
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSet(cfg, 1, seal, 0, nil, perf.Default())
+	return newSet(cfg, seal, 0, nil, perf.Default())
 }
 
 func ceilDiv(a, b int) uint64 { return uint64((a + b - 1) / b) }
@@ -162,7 +162,7 @@ func TestPMACStageScalesWithEngines(t *testing.T) {
 func TestBareSetHasNoCryptoStage(t *testing.T) {
 	cfg := RegionConfig{Name: "bare", Size: 4096, ChunkSize: 512, AESEngines: 1,
 		SBox: aesx.SBox4x, KeySize: aesx.AES128}
-	s := newSet(cfg, 1, nil, 0, nil, perf.Default())
+	s := newSet(cfg, nil, 0, nil, perf.Default())
 	if got := s.cryptoCycles(); got != 0 {
 		t.Errorf("bare cryptoCycles = %d, want 0", got)
 	}
@@ -184,7 +184,7 @@ func TestSingleChunkCharge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := newSet(cfg, 1, seal, 1<<14, mem.NewDRAM(1<<16, params), params)
+		s := newSet(cfg, seal, 1<<14, mem.NewDRAM(1<<16, params), params)
 		wantBusy := params.ChunkTime(params.DRAMCyclesShared(512+TagSize, 1), s.cryptoCycles()) +
 			params.ChunkIssueCycles
 		wantDRAM := params.DRAMCycles(512 + TagSize)

@@ -32,10 +32,9 @@ import (
 type engineSet struct {
 	mu sync.Mutex
 
-	cfg      RegionConfig
-	regionID uint32
-	params   perf.Params
-	seal     *sealer // nil for the unsecured baseline
+	cfg    RegionConfig
+	params perf.Params
+	seal   *sealer // nil for the unsecured baseline
 
 	// tagSize is the bytes of tag stored per chunk: TagSize, or 0 without
 	// a sealer (no tag bursts, no tag bytes in the DRAM charges).
@@ -152,7 +151,7 @@ func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 	if err != nil {
 		return nil, err
 	}
-	s := newSet(cfg, regionID, seal, tagBase, port, params)
+	s := newSet(cfg, seal, tagBase, port, params)
 	// Charge on-chip memory: the buffer, counters, and valid bits.
 	alloc := func(n int, what string) error {
 		if _, err := ocm.Alloc(n); err != nil {
@@ -183,12 +182,11 @@ func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 // newSet builds what every engine set has, with or without a sealer: the
 // line buffer and its LRU, the line pool, the staging window, and the
 // counters and valid bits. seal == nil gives the unsecured baseline.
-func newSet(cfg RegionConfig, regionID uint32, seal *sealer, tagBase uint64,
+func newSet(cfg RegionConfig, seal *sealer, tagBase uint64,
 	port axi.MemoryPort, params perf.Params) *engineSet {
 
 	s := &engineSet{
 		cfg:         cfg,
-		regionID:    regionID,
 		params:      params,
 		seal:        seal,
 		tagBase:     tagBase,
