@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -24,12 +25,21 @@ const (
 // replicaSet lists the shards holding a file: the home shard plus its
 // Replicas-1 successors on the ring, in placement order.
 func (c *Cluster) replicaSet(name string) []int {
+	return c.appendReplicaSet(make([]int, 0, c.cfg.Replicas), name)
+}
+
+// inlineReplicas sizes the stack buffers the per-operation paths hand to
+// appendReplicaSet and readOrder, so routing a request allocates nothing
+// at any common replication factor (larger sets spill to the heap).
+const inlineReplicas = 8
+
+// appendReplicaSet appends replicaSet(name) to dst.
+func (c *Cluster) appendReplicaSet(dst []int, name string) []int {
 	home := c.ShardFor(name)
-	reps := make([]int, c.cfg.Replicas)
-	for k := range reps {
-		reps[k] = (home + k) % len(c.slots)
+	for k := 0; k < c.cfg.Replicas; k++ {
+		dst = append(dst, (home+k)%len(c.slots))
 	}
-	return reps
+	return dst
 }
 
 // fileLock returns the stripe mutex serializing writes and
@@ -51,23 +61,23 @@ type fileMeta struct {
 // acknowledged write first, then the rest of the placement order. Without
 // this, a primary that missed an acknowledged write (transient fault,
 // crash window) would serve its stale copy to a reader while perfectly
-// fresh replicas sat idle behind it.
-func (c *Cluster) readOrder(name string) []int {
-	reps := c.replicaSet(name)
+// fresh replicas sat idle behind it. The order is appended to dst.
+// Single-copy clusters keep no registry, so their order is the home shard.
+func (c *Cluster) readOrder(dst []int, name string) []int {
+	reps := c.appendReplicaSet(dst, name)
+	if c.cfg.Replicas == 1 {
+		return reps
+	}
 	c.regMu.RLock()
 	meta, ok := c.registry[name]
 	c.regMu.RUnlock()
 	if !ok || len(meta.acked) == 0 {
 		return reps
 	}
-	witness := make(map[int]bool, len(meta.acked))
-	for _, s := range meta.acked {
-		witness[s] = true
-	}
 	order := make([]int, 0, len(reps))
 	order = append(order, meta.acked...)
 	for _, s := range reps {
-		if !witness[s] {
+		if !slices.Contains(meta.acked, s) {
 			order = append(order, s)
 		}
 	}
@@ -225,7 +235,8 @@ func (c *Cluster) readReplicas(ctx context.Context, name string, do replicaOp) e
 
 // walkReplicas is readReplicas without the profiling labels.
 func (c *Cluster) walkReplicas(ctx context.Context, name string, do replicaOp) error {
-	reps := c.readOrder(name)
+	var buf [inlineReplicas]int
+	reps := c.readOrder(buf[:0], name)
 	deadline := c.opDeadline()
 	var firstApp, firstInfra error
 	for idx, shard := range reps {
@@ -278,10 +289,11 @@ func (c *Cluster) writeQuorum(ctx context.Context, user, name string, do replica
 	mu := c.fileLock(name)
 	mu.Lock()
 	defer mu.Unlock()
-	reps := c.replicaSet(name)
+	var repBuf, ackBuf [inlineReplicas]int
+	reps := c.appendReplicaSet(repBuf[:0], name)
 	quorum := len(reps)/2 + 1
 	deadline := c.opDeadline()
-	var ackedShards []int
+	ackedShards := ackBuf[:0]
 	var firstApp, firstInfra error
 	for _, shard := range reps {
 		err := c.tryReplica(ctx, FaultSitePut, shard, deadline, do)
@@ -308,7 +320,7 @@ func (c *Cluster) writeQuorum(ctx context.Context, user, name string, do replica
 			c.degradedWrites.Add(1)
 		}
 		if c.cfg.Replicas > 1 {
-			c.registerFile(name, user, ackedShards)
+			c.registerFile(name, user, slices.Clone(ackedShards))
 		}
 		return nil
 	}

@@ -86,6 +86,27 @@ func TestReplicaSetPlacement(t *testing.T) {
 	}
 }
 
+// TestSingleCopyReplicaPathZeroAlloc: the replica machinery itself —
+// routing, read order, write quorum, health gate — adds no allocation to
+// a single-copy operation, so the node's own buffers stay the only
+// per-operation garbage.
+func TestSingleCopyReplicaPathZeroAlloc(t *testing.T) {
+	c := newCluster(t, 4)
+	ctx := context.Background()
+	nop := func(int, *Node, faultinject.Result) error { return nil }
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := c.writeReplicas(ctx, "alice", "doc", nop); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.readReplicas(ctx, "doc", nop); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("single-copy write+read through the replica path allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestDegradedReadAfterCrash: crash the primary; reads must fall back to
 // a successor replica and stats must show it.
 func TestDegradedReadAfterCrash(t *testing.T) {
