@@ -12,6 +12,7 @@
 package accel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -52,6 +53,21 @@ func (c *Ctx) WriteStream(addr uint64, data []byte) error {
 
 // ComputeCycles reports accumulated datapath time.
 func (c *Ctx) ComputeCycles() uint64 { return c.computeCycles }
+
+// decodeWords decodes b as little-endian 32-bit words into dst, reusing
+// its storage when it is large enough. Kernels decode an operand once and
+// run their multiply-accumulate loops over the words.
+func decodeWords(dst []uint32, b []byte) []uint32 {
+	n := len(b) / 4
+	if cap(dst) < n {
+		dst = make([]uint32, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(b[4*i : 4*i+4])
+	}
+	return dst
+}
 
 // Variant selects the Shield engine flavour a workload is compiled with —
 // the x-axis of Figure 6.

@@ -140,12 +140,15 @@ func (c *Conv) Run(ctx *Ctx) error {
 			return err
 		}
 	}
+	// Each weight is reused H×W times per image: decode the tensor once.
+	w32 := decodeWords(nil, weights)
 	inTotal := c.inBytes()
 	inPart := c.partSize(inTotal, convInSets)
 	inRow := make([]byte, c.W*c.Cin*4)
 	outRow := make([]byte, c.W*c.Cout*4)
-	// Sliding window of input rows for the current image.
-	rows := make([][]byte, c.H)
+	// Sliding window of decoded input rows for the current image.
+	rows := make([][]uint32, c.H)
+	acc := make([]uint32, c.Cout)
 
 	for b := 0; b < c.Batch; b++ {
 		// Stream the image's rows in.
@@ -154,55 +157,53 @@ func (c *Conv) Run(ctx *Ctx) error {
 			p := off / inPart
 			inOff := off % inPart
 			// A row may straddle partitions; split the read.
-			row := make([]byte, len(inRow))
 			done := 0
-			for done < len(row) {
+			for done < len(inRow) {
 				n := inPart - inOff
-				if n > len(row)-done {
-					n = len(row) - done
+				if n > len(inRow)-done {
+					n = len(inRow) - done
 				}
-				if err := ctx.ReadStream(convInBase+uint64(p*inPart+inOff), row[done:done+n]); err != nil {
+				if err := ctx.ReadStream(convInBase+uint64(p*inPart+inOff), inRow[done:done+n]); err != nil {
 					return err
 				}
 				done += n
 				p++
 				inOff = 0
 			}
-			rows[y] = row
+			rows[y] = decodeWords(rows[y], inRow)
 		}
 		// Compute and stream each output row. The accumulator array makes
 		// the innermost loop run contiguously over the weight layout.
-		acc := make([]uint32, c.Cout)
 		for y := 0; y < c.H; y++ {
 			for x := 0; x < c.W; x++ {
-				for i := range acc {
-					acc[i] = 0
-				}
+				clear(acc)
 				for kh := 0; kh < c.K; kh++ {
 					yy := y + kh - pad
 					if yy < 0 || yy >= c.H {
 						continue
 					}
-					row := rows[yy]
 					for kw := 0; kw < c.K; kw++ {
 						xx := x + kw - pad
 						if xx < 0 || xx >= c.W {
 							continue
 						}
-						for ci := 0; ci < c.Cin; ci++ {
-							a := binary.LittleEndian.Uint32(row[(xx*c.Cin+ci)*4:])
+						px := rows[yy][xx*c.Cin : (xx+1)*c.Cin]
+						base := (kh*c.K + kw) * c.Cin * c.Cout
+						for ci, a := range px {
 							if a == 0 {
 								continue
 							}
-							wrow := weights[(((kh*c.K+kw)*c.Cin+ci)*c.Cout)*4:]
-							for co := 0; co < c.Cout; co++ {
-								acc[co] += a * binary.LittleEndian.Uint32(wrow[co*4:])
+							w := w32[base+ci*c.Cout : base+(ci+1)*c.Cout]
+							acc := acc[:len(w)]
+							for co, wv := range w {
+								acc[co] += a * wv
 							}
 						}
 					}
 				}
-				for co := 0; co < c.Cout; co++ {
-					binary.LittleEndian.PutUint32(outRow[(x*c.Cout+co)*4:], acc[co])
+				o := outRow[x*c.Cout*4 : (x+1)*c.Cout*4]
+				for co, v := range acc {
+					binary.LittleEndian.PutUint32(o[4*co:4*co+4], v)
 				}
 			}
 			// MACs for this row: W * Cout * K² * Cin.

@@ -156,6 +156,7 @@ func (d *DNNWeaver) Run(ctx *Ctx) error {
 	}
 	outAll := make([]byte, d.outBytes())
 	outPer := alignUp(d.Dims[len(d.Dims)-1]*4, dwFChunk)
+	var act []uint32
 	for b := 0; b < d.Batch; b++ {
 		for l := 0; l+1 < len(d.Dims); l++ {
 			nin, nout := d.Dims[l], d.Dims[l+1]
@@ -166,12 +167,16 @@ func (d *DNNWeaver) Run(ctx *Ctx) error {
 			if _, err := ctx.Mem.ReadBurst(d.actBase(b, l), in); err != nil {
 				return err
 			}
+			act = decodeWords(act, in)
 			out := make([]byte, nout*4)
 			for j := 0; j < nout; j++ {
+				// Weights are read in place: a decoded copy of the whole
+				// tensor would double its resident size.
+				o := wOff[l] + 4*j*nin
+				wb := weights[o : o+4*len(act)]
 				var acc uint32
-				wrow := weights[wOff[l]+j*nin*4:]
-				for i := 0; i < nin; i++ {
-					acc += binary.LittleEndian.Uint32(in[i*4:]) * binary.LittleEndian.Uint32(wrow[i*4:])
+				for i, a := range act {
+					acc += a * binary.LittleEndian.Uint32(wb[4*i:4*i+4])
 				}
 				// ReLU-like nonlinearity on the integer domain.
 				if acc&0x8000_0000 != 0 {

@@ -118,28 +118,29 @@ func (m *MatMul) Run(ctx *Ctx) error {
 	n := m.N
 	rowA := make([]byte, n*4)
 	rowB := make([]byte, n*4)
+	var a, b []uint32
 	acc := make([]uint32, n)
 	out := make([]byte, n*4)
 	for i := 0; i < n; i++ {
 		if err := m.streamRow(ctx, mmABase, i, rowA); err != nil {
 			return err
 		}
-		for k := range acc {
-			acc[k] = 0
-		}
-		for k := 0; k < n; k++ {
-			aik := binary.LittleEndian.Uint32(rowA[k*4:])
+		a = decodeWords(a, rowA)
+		clear(acc)
+		for k, aik := range a {
 			if err := m.readRow(ctx, mmBBase, k, rowB); err != nil {
 				return err
 			}
-			for j := 0; j < n; j++ {
-				acc[j] += aik * binary.LittleEndian.Uint32(rowB[j*4:])
+			b = decodeWords(b, rowB)
+			acc := acc[:len(b)]
+			for j, bkj := range b {
+				acc[j] += aik * bkj
 			}
 		}
 		// n² MACs for this output row, m.Lanes MACs per cycle.
 		ctx.Compute(uint64(n*n) / uint64(m.Lanes))
-		for j := 0; j < n; j++ {
-			binary.LittleEndian.PutUint32(out[j*4:], acc[j])
+		for j, v := range acc {
+			binary.LittleEndian.PutUint32(out[4*j:4*j+4], v)
 		}
 		if err := ctx.WriteStream(mmOutBase+uint64(i*n*4), out); err != nil {
 			return err

@@ -131,6 +131,11 @@ type siteKey struct {
 	shard  int
 }
 
+// sleep applies a latency fault's stall. Only tests replace it: they
+// check that a latency rule stalls its op for exactly the rule's Latency,
+// once, and lets the op proceed, without sleeping or reading a clock.
+var sleep = time.Sleep
+
 // active is the installed plan; nil means fault injection is off. The
 // single pointer load is the entire disabled-path cost at every site.
 var active atomic.Pointer[Plan]
@@ -200,7 +205,7 @@ func (p *Plan) check(target string, shard int) Result {
 		switch r.Kind {
 		case KindLatency:
 			if r.Latency > 0 {
-				time.Sleep(r.Latency)
+				sleep(r.Latency)
 			}
 		case KindCorrupt:
 			res.Corrupt = true

@@ -105,20 +105,27 @@ func TestTargetFilter(t *testing.T) {
 	}
 }
 
-// TestLatencyRule checks that latency rules stall without failing the op.
+// TestLatencyRule checks that a latency rule stalls the op for exactly
+// its Latency without failing it. The stall is observed through the sleep
+// hook, so the test neither sleeps nor reads a clock.
 func TestLatencyRule(t *testing.T) {
+	var stalls []time.Duration
+	defer func(orig func(time.Duration)) { sleep = orig }(sleep)
+	sleep = func(d time.Duration) { stalls = append(stalls, d) }
 	p := &Plan{Seed: 3, Rules: []Rule{
 		{Target: "sdp.get", Shard: AnyShard, Kind: KindLatency, Prob: 1, Latency: 5 * time.Millisecond},
 	}}
 	Activate(p)
 	defer Deactivate()
-	start := time.Now()
 	res := Check("sdp.get", 0)
 	if res.Err != nil {
 		t.Fatalf("latency rule returned error: %v", res.Err)
 	}
-	if d := time.Since(start); d < 5*time.Millisecond {
-		t.Fatalf("latency rule stalled only %v, want >= 5ms", d)
+	if len(stalls) != 1 || stalls[0] != 5*time.Millisecond {
+		t.Fatalf("latency rule stalled %v, want one stall of 5ms", stalls)
+	}
+	if Check("sdp.put", 0); len(stalls) != 1 {
+		t.Fatalf("untargeted site stalled: %v", stalls)
 	}
 }
 
