@@ -84,15 +84,15 @@ func TestRunBareGolden(t *testing.T) {
 	}
 }
 
-// outputRecorder wraps a workload to keep the output images its harness
-// hands to Check.
+// outputRecorder wraps a workload to keep the input and output images its
+// harness hands to Check.
 type outputRecorder struct {
 	Workload
-	outputs map[string][]byte
+	inputs, outputs map[string][]byte
 }
 
 func (r *outputRecorder) Check(inputs, outputs map[string][]byte) error {
-	r.outputs = outputs
+	r.inputs, r.outputs = inputs, outputs
 	return r.Workload.Check(inputs, outputs)
 }
 

@@ -122,130 +122,102 @@ func (c *Conv) partSize(total, parts int) int {
 // streaming path, MAC, and stream the output rows back. Values use
 // wraparound int32 arithmetic (hardware-exact).
 func (c *Conv) Run(ctx *Ctx) error {
-	pad := c.K / 2
 	// Load weights once per image block (streamed, buffered by the Shield).
-	wTotal := c.wBytes()
-	weights := make([]byte, wTotal)
-	wPart := c.partSize(wTotal, convWSets)
-	for p := 0; p < convWSets; p++ {
-		lo := p * wPart
-		n := wPart
-		if lo+n > wTotal {
-			n = wTotal - lo
-		}
-		if n <= 0 {
-			break
-		}
-		if err := ctx.ReadStream(convWBase+uint64(p*wPart), weights[lo:lo+n]); err != nil {
-			return err
-		}
+	weights := make([]byte, c.wBytes())
+	if err := spanParts(convWBase, c.partSize(len(weights), convWSets), 0, weights, ctx.ReadStream); err != nil {
+		return err
 	}
 	// Each weight is reused H×W times per image: decode the tensor once.
 	w32 := decodeWords(nil, weights)
-	inTotal := c.inBytes()
-	inPart := c.partSize(inTotal, convInSets)
+	inPart := c.partSize(c.inBytes(), convInSets)
 	inRow := make([]byte, c.W*c.Cin*4)
+	outTotal := c.outBytes()
+	outPart := c.partSize(outTotal, convOutSets)
 	outRow := make([]byte, c.W*c.Cout*4)
 	// Sliding window of decoded input rows for the current image.
 	rows := make([][]uint32, c.H)
-	acc := make([]uint32, c.Cout)
 
 	for b := 0; b < c.Batch; b++ {
 		// Stream the image's rows in.
 		for y := 0; y < c.H; y++ {
+			// A row may straddle partitions; spanParts splits the read.
 			off := ((b*c.H + y) * c.W * c.Cin) * 4
-			p := off / inPart
-			inOff := off % inPart
-			// A row may straddle partitions; split the read.
-			done := 0
-			for done < len(inRow) {
-				n := inPart - inOff
-				if n > len(inRow)-done {
-					n = len(inRow) - done
-				}
-				if err := ctx.ReadStream(convInBase+uint64(p*inPart+inOff), inRow[done:done+n]); err != nil {
-					return err
-				}
-				done += n
-				p++
-				inOff = 0
+			if err := spanParts(convInBase, inPart, off, inRow, ctx.ReadStream); err != nil {
+				return err
 			}
 			rows[y] = decodeWords(rows[y], inRow)
 		}
-		// Compute and stream each output row. The accumulator array makes
-		// the innermost loop run contiguously over the weight layout.
+		// Compute and stream each output row. The row's pixels are split
+		// across Ps; each worker accumulates into its own array, which
+		// makes the innermost loop run contiguously over the weight layout,
+		// and encodes only its own pixels into outRow.
 		for y := 0; y < c.H; y++ {
-			for x := 0; x < c.W; x++ {
-				clear(acc)
-				for kh := 0; kh < c.K; kh++ {
-					yy := y + kh - pad
-					if yy < 0 || yy >= c.H {
-						continue
-					}
-					for kw := 0; kw < c.K; kw++ {
-						xx := x + kw - pad
-						if xx < 0 || xx >= c.W {
-							continue
-						}
-						px := rows[yy][xx*c.Cin : (xx+1)*c.Cin]
-						base := (kh*c.K + kw) * c.Cin * c.Cout
-						for ci, a := range px {
-							if a == 0 {
-								continue
-							}
-							w := w32[base+ci*c.Cout : base+(ci+1)*c.Cout]
-							acc := acc[:len(w)]
-							for co, wv := range w {
-								acc[co] += a * wv
-							}
-						}
+			parallelFor(c.W, func(lo, hi int) {
+				acc := make([]uint32, c.Cout)
+				for x := lo; x < hi; x++ {
+					c.pixel(acc, rows, w32, y, x)
+					o := outRow[x*c.Cout*4 : (x+1)*c.Cout*4]
+					for co, v := range acc {
+						binary.LittleEndian.PutUint32(o[4*co:4*co+4], v)
 					}
 				}
-				o := outRow[x*c.Cout*4 : (x+1)*c.Cout*4]
-				for co, v := range acc {
-					binary.LittleEndian.PutUint32(o[4*co:4*co+4], v)
-				}
-			}
+			})
 			// MACs for this row: W * Cout * K² * Cin.
 			ctx.Compute(uint64(c.W*c.Cout*c.K*c.K*c.Cin) / uint64(c.Lanes))
-			if err := c.writeOutRow(ctx, b, y, outRow); err != nil {
+			off := ((b*c.H + y) * c.W * c.Cout) * 4
+			if err := spanParts(convOutBase, outPart, off, outRow, ctx.WriteStream); err != nil {
 				return err
 			}
 		}
 	}
 	// Zero the chunk-alignment padding at the end of the output space so
 	// every output chunk carries valid ciphertext for the export path.
-	total := c.outBytes()
-	padded := c.partSize(total, convOutSets) * convOutSets
-	if padded > total {
-		pad := make([]byte, padded-total)
-		p := total / c.partSize(total, convOutSets)
-		inOff := total % c.partSize(total, convOutSets)
-		if err := ctx.WriteStream(convOutBase+uint64(p*c.partSize(total, convOutSets)+inOff), pad); err != nil {
-			return err
-		}
-	}
-	return nil
+	pad := make([]byte, outPart*convOutSets-outTotal)
+	return spanParts(convOutBase, outPart, outTotal, pad, ctx.WriteStream)
 }
 
-func (c *Conv) writeOutRow(ctx *Ctx, b, y int, row []byte) error {
-	outTotal := c.outBytes()
-	outPart := c.partSize(outTotal, convOutSets)
-	off := ((b*c.H + y) * c.W * c.Cout) * 4
-	p := off / outPart
-	inOff := off % outPart
-	done := 0
-	for done < len(row) {
-		n := outPart - inOff
-		if n > len(row)-done {
-			n = len(row) - done
+// pixel sets acc to output pixel (y, x) of the image whose decoded input
+// rows are rows, over the decoded weights w32.
+func (c *Conv) pixel(acc []uint32, rows [][]uint32, w32 []uint32, y, x int) {
+	pad := c.K / 2
+	clear(acc)
+	for kh := 0; kh < c.K; kh++ {
+		yy := y + kh - pad
+		if yy < 0 || yy >= c.H {
+			continue
 		}
-		if err := ctx.WriteStream(convOutBase+uint64(p*outPart+inOff), row[done:done+n]); err != nil {
+		for kw := 0; kw < c.K; kw++ {
+			xx := x + kw - pad
+			if xx < 0 || xx >= c.W {
+				continue
+			}
+			px := rows[yy][xx*c.Cin : (xx+1)*c.Cin]
+			base := (kh*c.K + kw) * c.Cin * c.Cout
+			for ci, a := range px {
+				if a == 0 {
+					continue
+				}
+				w := w32[base+ci*c.Cout : base+(ci+1)*c.Cout]
+				acc := acc[:len(w)]
+				for co, wv := range w {
+					acc[co] += a * wv
+				}
+			}
+		}
+	}
+}
+
+// spanParts calls op on each piece of buf that falls in one part-byte
+// partition of the tensor at base, starting off bytes into the tensor:
+// partitions are separate regions, and no transfer may cross regions.
+func spanParts(base uint64, part, off int, buf []byte, op func(addr uint64, b []byte) error) error {
+	for len(buf) > 0 {
+		n := min(part-off%part, len(buf))
+		if err := op(base+uint64(off), buf[:n]); err != nil {
 			return err
 		}
-		done += n
-		p++
-		inOff = 0
+		off += n
+		buf = buf[n:]
 	}
 	return nil
 }

@@ -169,21 +169,21 @@ func (d *DNNWeaver) Run(ctx *Ctx) error {
 			}
 			act = decodeWords(act, in)
 			out := make([]byte, nout*4)
-			for j := 0; j < nout; j++ {
-				// Weights are read in place: a decoded copy of the whole
-				// tensor would double its resident size.
-				o := wOff[l] + 4*j*nin
-				wb := weights[o : o+4*len(act)]
-				var acc uint32
-				for i, a := range act {
-					acc += a * binary.LittleEndian.Uint32(wb[4*i:4*i+4])
+			// Output neurons are split across Ps; each writes only its own
+			// words of out.
+			parallelFor(nout, func(lo, hi int) {
+				for j := lo; j < hi; j++ {
+					// Weights are read in place: a decoded copy of the
+					// whole tensor would double its resident size.
+					o := wOff[l] + 4*j*nin
+					acc := dot(act, weights[o:o+4*len(act)])
+					// ReLU-like nonlinearity on the integer domain.
+					if acc&0x8000_0000 != 0 {
+						acc = 0
+					}
+					binary.LittleEndian.PutUint32(out[j*4:], acc)
 				}
-				// ReLU-like nonlinearity on the integer domain.
-				if acc&0x8000_0000 != 0 {
-					acc = 0
-				}
-				binary.LittleEndian.PutUint32(out[j*4:], acc)
-			}
+			})
 			ctx.Compute(uint64(nin*nout) / uint64(d.Lanes))
 			if _, err := ctx.Mem.WriteBurst(d.actBase(b, l+1), out); err != nil {
 				return err
@@ -200,6 +200,27 @@ func (d *DNNWeaver) Run(ctx *Ctx) error {
 		return err
 	}
 	return nil
+}
+
+// dot is the wraparound dot product of act with the little-endian words
+// of wb. Four independent accumulators let the multiplies overlap; uint32
+// addition is associative, so the sum equals the serial one bit for bit.
+func dot(act []uint32, wb []byte) uint32 {
+	wb = wb[:4*len(act)]
+	var a0, a1, a2, a3 uint32
+	i := 0
+	for ; i+4 <= len(act); i += 4 {
+		a := act[i : i+4 : i+4]
+		w := wb[4*i : 4*i+16 : 4*i+16]
+		a0 += a[0] * binary.LittleEndian.Uint32(w[0:4])
+		a1 += a[1] * binary.LittleEndian.Uint32(w[4:8])
+		a2 += a[2] * binary.LittleEndian.Uint32(w[8:12])
+		a3 += a[3] * binary.LittleEndian.Uint32(w[12:16])
+	}
+	for ; i < len(act); i++ {
+		a0 += act[i] * binary.LittleEndian.Uint32(wb[4*i:4*i+4])
+	}
+	return a0 + a1 + a2 + a3
 }
 
 // OutputRegions implements Workload.
