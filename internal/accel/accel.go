@@ -15,8 +15,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"shef/internal/axi"
 	"shef/internal/crypto/aesx"
@@ -69,31 +67,6 @@ func decodeWords(dst []uint32, b []byte) []uint32 {
 		dst[i] = binary.LittleEndian.Uint32(b[4*i : 4*i+4])
 	}
 	return dst
-}
-
-// parallelFor splits [0, n) into one contiguous range per P and calls
-// body(lo, hi) once for each, running the first range on the calling
-// goroutine and waiting for the rest. At one P it calls body(0, n) inline
-// and starts no goroutine. Kernels use it for the pure arithmetic between
-// Ctx calls: body must not touch the Ctx, so the simulated call sequence
-// stays on the caller, in order, and each output word must be written by
-// exactly one range.
-func parallelFor(n int, body func(lo, hi int)) {
-	p := min(runtime.GOMAXPROCS(0), n)
-	if p <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p - 1)
-	for k := 1; k < p; k++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(k*n/p, (k+1)*n/p)
-	}
-	body(0, n/p)
-	wg.Wait()
 }
 
 // Variant selects the Shield engine flavour a workload is compiled with —

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"shef/internal/parallel"
 	"shef/internal/shield"
 )
 
@@ -152,7 +153,7 @@ func (c *Conv) Run(ctx *Ctx) error {
 		// makes the innermost loop run contiguously over the weight layout,
 		// and encodes only its own pixels into outRow.
 		for y := 0; y < c.H; y++ {
-			parallelFor(c.W, func(lo, hi int) {
+			parallel.For(c.W, func(lo, hi int) {
 				acc := make([]uint32, c.Cout)
 				for x := lo; x < hi; x++ {
 					c.pixel(acc, rows, w32, y, x)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"shef/internal/parallel"
 	"shef/internal/shield"
 )
 
@@ -171,7 +172,7 @@ func (d *DNNWeaver) Run(ctx *Ctx) error {
 			out := make([]byte, nout*4)
 			// Output neurons are split across Ps; each writes only its own
 			// words of out.
-			parallelFor(nout, func(lo, hi int) {
+			parallel.For(nout, func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					// Weights are read in place: a decoded copy of the
 					// whole tensor would double its resident size.

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
-	"sync"
 	"testing"
 
 	"shef/internal/perf"
@@ -17,58 +15,6 @@ import (
 func withProcs(procs int, f func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
-}
-
-// TestParallelForRanges: at every width, parallelFor calls body on
-// min(P, n) contiguous ranges that cover [0, n) exactly once.
-func TestParallelForRanges(t *testing.T) {
-	for _, procs := range []int{1, 2, 3, 8} {
-		withProcs(procs, func() {
-			for n := 0; n <= 20; n++ {
-				var mu sync.Mutex
-				var got [][2]int
-				parallelFor(n, func(lo, hi int) {
-					mu.Lock()
-					got = append(got, [2]int{lo, hi})
-					mu.Unlock()
-				})
-				slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
-				if want := max(1, min(procs, n)); len(got) != want {
-					t.Errorf("GOMAXPROCS=%d n=%d: %d ranges %v, want %d", procs, n, len(got), got, want)
-				}
-				next := 0
-				for _, r := range got {
-					if r[0] != next || r[1] < r[0] {
-						t.Errorf("GOMAXPROCS=%d n=%d: ranges %v do not tile [0, %d)", procs, n, got, n)
-						break
-					}
-					next = r[1]
-				}
-				if next != n {
-					t.Errorf("GOMAXPROCS=%d n=%d: ranges %v end at %d", procs, n, got, next)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelForInlineAtOneP: at one P, parallelFor runs body once over
-// the whole range without starting a goroutine.
-func TestParallelForInlineAtOneP(t *testing.T) {
-	withProcs(1, func() {
-		before := runtime.NumGoroutine()
-		calls, during := 0, 0
-		parallelFor(16, func(lo, hi int) {
-			calls++
-			during = runtime.NumGoroutine()
-			if lo != 0 || hi != 16 {
-				t.Errorf("body(%d, %d), want body(0, 16)", lo, hi)
-			}
-		})
-		if calls != 1 || during != before {
-			t.Fatalf("%d calls with %d goroutines running, want 1 call with %d", calls, during, before)
-		}
-	})
 }
 
 // bareOutputs runs w bare and returns the images its harness handed to

@@ -93,22 +93,26 @@ type engineSet struct {
 	// nothing in steady state.
 	linePool sync.Pool
 
-	// win is the set's single stream-window staging buffer (ciphertext +
-	// tags for one pipeline window). Exactly one window is ever in flight
-	// per set — every windowed path runs under mu and eviction write-backs
-	// complete before a window is (re)used — so a dedicated buffer
-	// replaces the old sync.Pool: unlike a pool, it cannot be drained by
-	// a GC pass mid-stream, which is what makes the steady-state window
-	// loop measurably zero-alloc.
+	// win is the set's single staging (ciphertext + tags for the windows
+	// in flight: one window, or one batch of windows for a stream or
+	// gather). Exactly one batch is ever in flight per set — every
+	// windowed path runs under mu and eviction write-backs complete before
+	// the staging is (re)used — so a dedicated buffer replaces the old
+	// sync.Pool: unlike a pool, it cannot be drained by a GC pass
+	// mid-stream, which is what makes the steady-state window loop
+	// measurably zero-alloc. It also holds the split's per-worker seal
+	// scratch and task slots.
 	win *streamWindow
 
 	// scratch is the set's chunk-crypto working state (dedicated, not
 	// pooled, for the same GC-drain reason as win; nil without a sealer).
-	// Every seal and open runs on the calling goroutine under mu, one
-	// chunk after another, so one scratch serves them all. The AES engine
+	// The chunked paths (load, prefetchRun, writebackChunks) seal and open
+	// with it on the calling goroutine under mu, one chunk after another;
+	// it is also worker 0's scratch when a stream or gather batch splits
+	// its crypto across Ps. That split is real-time only: the AES engine
 	// pool's parallelism is a hardware property that the cycle model
-	// charges analytically (cryptoStages, poolCycles); the host does not
-	// re-enact it.
+	// charges analytically (cryptoStages, poolCycles), whatever the host
+	// does.
 	scratch *sealScratch
 
 	// flushScratch is the reusable dirty-chunk list of flush.
@@ -206,10 +210,7 @@ func newSet(cfg RegionConfig, seal *sealer, tagBase uint64,
 	s.linePool.New = func() any {
 		return &bufLine{data: make([]byte, cfg.ChunkSize)}
 	}
-	s.win = &streamWindow{
-		ct:   make([]byte, streamWindowChunks*cfg.ChunkSize),
-		tags: make([]byte, streamWindowChunks*s.tagSize),
-	}
+	s.win = newStreamWindow(s, streamWindowChunks)
 	return s
 }
 
@@ -410,37 +411,36 @@ func (s *engineSet) prefetchArmed() bool {
 	return s.cfg.SeqPrefetch && s.capacity > 1
 }
 
-// openSlot verifies the ciphertext and tag staged in window slot slot as
-// chunk, at its current write epoch, and decrypts it into dst; without a
-// sealer it copies the slot. It runs on the calling goroutine with s.mu
-// held.
+// openSlot verifies the ciphertext and tag staged in slot slot as chunk,
+// at its current write epoch, and decrypts it into dst with scratch sc;
+// without a sealer it copies the slot. dst may be the slot itself, and it
+// is untouched if the slot fails to verify.
 //
 //shef:hotpath
-func (s *engineSet) openSlot(slot, chunk int, dst []byte) error {
+func (s *engineSet) openSlot(sc *sealScratch, slot, chunk int, dst []byte) error {
 	cs := s.cfg.ChunkSize
 	ct := s.win.ct[slot*cs : (slot+1)*cs]
 	if s.seal == nil {
 		copy(dst, ct)
 		return nil
 	}
-	return s.seal.openChunkWith(s.scratch, dst, chunk, s.counters[chunk],
+	return s.seal.openChunkWith(sc, dst, chunk, s.counters[chunk],
 		ct, s.win.tags[slot*TagSize:(slot+1)*TagSize])
 }
 
-// sealSlot encrypts src as chunk, at its current write epoch, into window
-// slot slot and writes the slot's tag; without a sealer it copies src into
-// the slot. It runs on the calling goroutine with s.mu held.
+// sealSlot encrypts src as chunk at write epoch epoch into slot slot and
+// writes the slot's tag, with scratch sc; without a sealer it copies src
+// into the slot.
 //
 //shef:hotpath
-func (s *engineSet) sealSlot(slot, chunk int, src []byte) {
+func (s *engineSet) sealSlot(sc *sealScratch, slot, chunk int, epoch uint32, src []byte) {
 	cs := s.cfg.ChunkSize
 	ct := s.win.ct[slot*cs : (slot+1)*cs]
 	if s.seal == nil {
 		copy(ct, src)
 		return
 	}
-	s.seal.sealChunkWith(s.scratch, ct, s.win.tags[slot*TagSize:(slot+1)*TagSize],
-		chunk, s.counters[chunk], src)
+	s.seal.sealChunkWith(sc, ct, s.win.tags[slot*TagSize:(slot+1)*TagSize], chunk, epoch, src)
 }
 
 // load makes a chunk resident, fetching/decrypting/verifying on miss.
@@ -489,7 +489,7 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 			s.linePool.Put(ln)
 			return nil, err
 		}
-		if err := s.openSlot(0, chunk, ln.data); err != nil {
+		if err := s.openSlot(s.scratch, 0, chunk, ln.data); err != nil {
 			s.linePool.Put(ln)
 			s.integrityErr = err
 			return nil, err
@@ -538,7 +538,7 @@ func (s *engineSet) prefetchRun(c0 int) error {
 		lines[i] = s.linePool.Get().(*bufLine)
 	}
 	for i := 0; i < n; i++ {
-		if err := s.openSlot(i, c0+i, lines[i].data); err != nil {
+		if err := s.openSlot(s.scratch, i, c0+i, lines[i].data); err != nil {
 			for j := 0; j < n; j++ {
 				s.linePool.Put(lines[j])
 			}
@@ -653,7 +653,7 @@ func (s *engineSet) writebackChunks(chunks []int, fillDrain bool) error {
 			}
 		}
 		for i := 0; i < n; i++ {
-			s.sealSlot(i, c0+i, s.lines[c0+i].data)
+			s.sealSlot(s.scratch, i, c0+i, s.counters[c0+i], s.lines[c0+i].data)
 		}
 		dramBusy, dramBus, err := s.storeRun(s.win, 0, c0, n)
 		if err != nil {

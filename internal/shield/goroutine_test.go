@@ -1,6 +1,7 @@
 package shield
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 )
@@ -23,13 +24,25 @@ func settledGoroutines(limit int) int {
 // tests.
 var SettledGoroutines = settledGoroutines
 
-// TestDataPathStartsNoGoroutines pins that a window's seal and open run
-// on the calling goroutine: streams, a prefetching chunked read and a
-// single-region Flush on a fresh Shield leave the goroutine count where
-// it was.
+// TestDataPathStartsNoGoroutines pins that the data path leaves no
+// goroutine running: a 64 KiB stream, a prefetching chunked read and a
+// single-region Flush run on the calling goroutine, and a 1 MiB stream
+// splits each batch's chunk crypto across workers that have exited by the
+// time the call returns (at four Ps; at one P the split runs inline). On
+// a fresh Shield, every step leaves the goroutine count where it was.
 func TestDataPathStartsNoGoroutines(t *testing.T) {
 	const size = 64 << 10
 	sh, img := newPrefetchRig(t, size, true)
+	big, bigImg := newStreamRig(t, 1<<20)
+	bigBuf := make([]byte, len(bigImg))
+	atProcs := func(procs int, op func() error) func() error {
+		return func() error {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return op()
+		}
+	}
+	bigRead := func() error { _, err := big.ReadStream(0, bigBuf); return err }
+	bigWrite := func() error { _, err := big.WriteStream(0, bigImg); return err }
 	before := runtime.NumGoroutine()
 	buf := make([]byte, size)
 	for _, step := range []struct {
@@ -45,6 +58,10 @@ func TestDataPathStartsNoGoroutines(t *testing.T) {
 			}
 			return sh.Flush()
 		}},
+		{"1 MiB ReadStream at 1 P", atProcs(1, bigRead)},
+		{"1 MiB WriteStream at 1 P", atProcs(1, bigWrite)},
+		{"1 MiB ReadStream at 4 Ps", atProcs(4, bigRead)},
+		{"1 MiB WriteStream at 4 Ps", atProcs(4, bigWrite)},
 	} {
 		if err := step.op(); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
@@ -55,5 +72,8 @@ func TestDataPathStartsNoGoroutines(t *testing.T) {
 	}
 	if rs := sh.Report().Regions[0]; rs.Prefetched == 0 || rs.BatchedWritebacks == 0 {
 		t.Fatalf("prefetch or batched write-back never ran: %+v", rs)
+	}
+	if !bytes.Equal(bigBuf, bigImg) {
+		t.Fatal("1 MiB streamed read returned the wrong bytes")
 	}
 }

@@ -1,6 +1,8 @@
 package shield
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"shef/internal/perf"
@@ -132,7 +134,9 @@ func BenchmarkRealFlush(b *testing.B) {
 // TestRealBenchZeroAlloc pins the zero-alloc claim as a plain test so it
 // holds on every `go test` run, not only when benchmarks are invoked:
 // every path that seals or opens chunks must not allocate in steady
-// state, under PMAC and HMAC alike.
+// state, under PMAC and HMAC alike. testing.AllocsPerRun runs at
+// GOMAXPROCS=1, where a stream's batches never split, so this test sees
+// only the inline path; TestSplitStreamZeroAlloc covers the split.
 func TestRealBenchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -192,5 +196,56 @@ func TestRealBenchZeroAlloc(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSplitStreamZeroAlloc is TestRealBenchZeroAlloc for the split path:
+// at two and four Ps, 1 MiB ReadStream and WriteStream ops split every
+// batch across workers, and testing.AllocsPerRun cannot see that (it runs
+// at one P). It counts runtime.MemStats.Mallocs over opsPerCheck ops
+// instead. Starting a worker reuses a dead goroutine, but the runtime
+// allocates a new one while the caller's P has none to hand, so a few
+// allocations in total are allowed while the pool of dead goroutines
+// settles. An allocation per split would cost at least four per op.
+func TestSplitStreamZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const opsPerCheck = 32
+	for _, procs := range []int{2, 4} {
+		for _, rm := range realMACs {
+			t.Run(fmt.Sprintf("%s/P%d", rm.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				sh, img := newStreamRigParams(t, realConfig(rm.mac, realBenchBytes), realBenchBytes, perf.Default())
+				buf := make([]byte, realBenchBytes)
+				for _, tc := range []struct {
+					name string
+					op   func() error
+				}{
+					{"ReadStream", func() error { _, err := sh.ReadStream(0, buf); return err }},
+					{"WriteStream", func() error { _, err := sh.WriteStream(0, img); return err }},
+				} {
+					for i := 0; i < opsPerCheck; i++ { // warm up
+						if err := tc.op(); err != nil {
+							t.Fatalf("%s: %v", tc.name, err)
+						}
+					}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					for i := 0; i < opsPerCheck; i++ {
+						if err := tc.op(); err != nil {
+							t.Fatalf("%s: %v", tc.name, err)
+						}
+					}
+					runtime.ReadMemStats(&after)
+					if n := after.Mallocs - before.Mallocs; n >= opsPerCheck {
+						t.Errorf("%s: %d allocations over %d ops at %d Ps, want fewer than one per op",
+							tc.name, n, opsPerCheck, procs)
+					} else {
+						t.Logf("%s: %d allocations over %d ops", tc.name, n, opsPerCheck)
+					}
+				}
+			})
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shef/internal/axi"
+	"shef/internal/parallel"
 )
 
 // This file is the Shield's streaming data path: ReadStream/WriteStream
@@ -13,8 +14,8 @@ import (
 //	stage 1  fetch ciphertext + tags for a window of chunks from DRAM in
 //	         one batched AXI transaction per contiguous run
 //	stage 2  decrypt/verify the window's chunks (the set's AESEngines
-//	         pool in the cycle model; one chunk after another on the
-//	         calling goroutine in this process)
+//	         pool in the cycle model; in this process, a batch of windows
+//	         split across Ps, see below)
 //	stage 3  merge into the caller's buffer (on-chip copy)
 //
 // Windows overlap in the performance model (perf.StreamWindowTime /
@@ -26,37 +27,205 @@ import (
 // because it holds a single outstanding burst and releases data only
 // after each MAC check (perf.Params.OverlapAlpha).
 //
-// Locking is window-granular: the engine-set mutex is taken per window,
+// In real time the windows move in batches of streamBatchBytes. Under the
+// set mutex the caller classifies and fetches every window of a batch,
+// in window order; only the chunk seals or opens are split across Ps
+// (parallel.Group, one contiguous range and one seal scratch per worker);
+// then the caller merges, stores and charges window by window, in order.
+// A read opens its slots in place in the staging, and the merge copies
+// out only the slots before the lowest-index failure, so the caller's
+// buffer receives exactly what a window-at-a-time read would: every
+// window before the failure, and in the failing window the chunks before
+// it plus its resident and virgin slots. The cycle model sees the same
+// fetchRun/storeRun/chargeWindow calls in the same order either way.
+//
+// Locking is batch-granular: the engine-set mutex is taken per batch,
 // not for the whole stream, so chunked accesses and other streams to the
-// same region interleave between windows. Resident buffer lines stay
+// same region interleave between batches. Resident buffer lines stay
 // authoritative — streamed reads serve them from on-chip memory, and
 // streamed full-chunk writes supersede them — so streams and cached
-// traffic never diverge. The per-chunk hot path allocates nothing: the
-// staging window and seal scratch are dedicated per engine set, and
-// buffer lines are pooled.
+// traffic never diverge. The per-chunk hot path allocates nothing in
+// steady state: the staging and seal scratch are dedicated per engine
+// set, buffer lines are pooled, and a split reuses the set's task slots.
 
 // streamWindowChunks is the pipeline window: how many chunks stage 1
 // fetches per batched transaction and stage 2 decrypts per window.
 const streamWindowChunks = 16
 
-// streamWindow is the preallocated staging state of one pipeline window,
-// dedicated per engine set so the hot path is allocation-free. chunks and
-// offs hold a stream window's slots (span), idx the slots a read fetches.
+// streamBatchBytes is how many bytes of windows one batch moves under
+// the set mutex, whatever the chunk size (at least one window), and
+// splitGrainBytes is the least chunk crypto a worker of the split gets.
+//
+// Measured on a 2-vCPU Xeon VM with Go 1.24: a split costs about 1 µs to
+// start and join while the other P is awake, and its second range starts
+// 50–70 µs late (median, back-to-back splits) when that P's thread must
+// first be woken. Opening or sealing 64 KiB of 512-byte chunks takes
+// 190–260 µs there at one P. Halving w µs of crypto pays once w/2 plus
+// the wake-up is less than w, from about 140 µs (40–50 KiB); a 64 KiB
+// grain keeps each share at three or more times the wake-up. One 8 KiB
+// window, about 30 µs, cannot pay for a wake-up, which is why the
+// per-window fan-out PR 13 deleted lost. A batch is four grains, so each of four Ps still
+// gets one, and it bounds the mutex hold to 256 KiB of crypto: 0.8–1 ms
+// at one P and about half that at two, against about 30 µs for a window.
+const (
+	streamBatchBytes = 256 << 10
+	splitGrainBytes  = 64 << 10
+	maxSplitWorkers  = streamBatchBytes / splitGrainBytes
+)
+
+// batchWindows is how many windows of chunkSize-byte chunks make a batch.
+func batchWindows(chunkSize int) int {
+	return max(1, streamBatchBytes/(streamWindowChunks*chunkSize))
+}
+
+// cryptoPass selects what a split does to its slots.
+type cryptoPass int
+
+const (
+	passOpen cryptoPass = iota // verify and decrypt staged slots in place
+	passSeal                   // seal the buffer into staged slots
+)
+
+// streamWindow is the preallocated staging of the set's windows in
+// flight: ciphertext and tags, each slot's chunk and buffer offset, the
+// fetched slots (idx), and per-window fetch results. It holds one window
+// until the set first moves a longer stream or gather, then grows to fit
+// the largest batch moved so far (at most one batch), so a set that only
+// serves chunked traffic keeps one window's staging. It is also the
+// split's parallel.Body: one seal scratch and failure record per worker,
+// and the pass in progress.
 type streamWindow struct {
 	ct     []byte
 	tags   []byte
-	idx    [streamWindowChunks]int
-	chunks [streamWindowChunks]int
-	offs   [streamWindowChunks]int
+	idx    []int
+	chunks []int
+	offs   []int
+	wins   []windowFetch
+
+	set     *engineSet
+	scratch [maxSplitWorkers]*sealScratch // [0] is the set's own scratch
+	bad     [maxSplitWorkers]int
+	errs    [maxSplitWorkers]error
+	group   parallel.Group
+	pass    cryptoPass
+	slots   []int  // passOpen: the fetched slots
+	buf     []byte // passSeal: the caller's buffer, during the pass only
 }
 
-// span lays out a contiguous window of n slots in the window's own slot
-// arrays: slot i carries chunk c0+i at buffer offset off+i*cs.
-func (w *streamWindow) span(c0, off, n, cs int) (chunks, offs []int) {
-	for i := 0; i < n; i++ {
-		w.chunks[i], w.offs[i] = c0+i, off+i*cs
+// windowFetch is what the caller's fetch loop records for one window of
+// a read batch: its end slot, the end of its slots in idx, and its DRAM
+// charges.
+type windowFetch struct {
+	end, fetchEnd     int
+	dramBusy, dramBus uint64
+}
+
+// newStreamWindow builds a set's staging, sized for slots slots.
+func newStreamWindow(s *engineSet, slots int) *streamWindow {
+	w := &streamWindow{set: s}
+	w.scratch[0] = s.scratch
+	w.grow(slots)
+	return w
+}
+
+// grow resizes the staging for slots slots, and gives every worker a
+// seal scratch once a batch can split.
+func (w *streamWindow) grow(slots int) {
+	s := w.set
+	w.ct = make([]byte, slots*s.cfg.ChunkSize)
+	w.tags = make([]byte, slots*s.tagSize)
+	w.idx = make([]int, 0, slots)
+	w.chunks = make([]int, slots)
+	w.offs = make([]int, slots)
+	w.wins = make([]windowFetch, 0, (slots+streamWindowChunks-1)/streamWindowChunks)
+	if s.seal != nil && slots*s.cfg.ChunkSize >= 2*splitGrainBytes {
+		for k := 1; k < maxSplitWorkers; k++ {
+			if w.scratch[k] == nil {
+				w.scratch[k] = s.seal.newScratch()
+			}
+		}
+	}
+}
+
+// batch returns the staging's first n slot arrays, growing it if it holds
+// fewer than n slots.
+func (w *streamWindow) batch(n int) (chunks, offs []int) {
+	if len(w.chunks) < n {
+		w.grow(n)
 	}
 	return w.chunks[:n], w.offs[:n]
+}
+
+// span lays out a contiguous batch of n slots in the staging's slot
+// arrays: slot i carries chunk c0+i at buffer offset off+i*cs.
+func (w *streamWindow) span(c0, off, n, cs int) (chunks, offs []int) {
+	chunks, offs = w.batch(n)
+	for i := range chunks {
+		chunks[i], offs[i] = c0+i, off+i*cs
+	}
+	return chunks, offs
+}
+
+// split runs pass over n units (slots of slots, or every slot for
+// passSeal) of the current batch, one contiguous range per worker. A set
+// without a sealer only copies, which never pays for a hand-off, so it
+// stays on the caller.
+func (w *streamWindow) split(pass cryptoPass, slots []int, n int, buf []byte) {
+	p := 1
+	if w.set.seal != nil {
+		p = min(parallel.Workers(n*w.set.cfg.ChunkSize, splitGrainBytes), maxSplitWorkers)
+	}
+	w.pass, w.slots, w.buf = pass, slots, buf
+	w.group.Run(p, n, w)
+	w.slots, w.buf = nil, nil
+}
+
+// Run implements parallel.Body: worker k runs the pass over units
+// [lo, hi) with its own seal scratch. An opening worker stops at its
+// first failure and records it.
+func (w *streamWindow) Run(k, lo, hi int) {
+	s, sc, cs := w.set, w.scratch[k], w.set.cfg.ChunkSize
+	switch w.pass {
+	case passOpen:
+		w.bad[k], w.errs[k] = hi, nil
+		for j := lo; j < hi; j++ {
+			i := w.slots[j]
+			if err := s.openSlot(sc, i, w.chunks[i], w.ct[i*cs:(i+1)*cs]); err != nil {
+				w.bad[k], w.errs[k] = j, err
+				return
+			}
+		}
+	case passSeal:
+		for i := lo; i < hi; i++ {
+			c := w.chunks[i]
+			epoch := s.counters[c]
+			if s.cfg.Freshness {
+				epoch++ // the epoch writeBatch bumps to before the store
+			}
+			s.sealSlot(sc, i, c, epoch, w.buf[w.offs[i]:w.offs[i]+cs])
+		}
+	}
+}
+
+// open verifies the staged slots slots and decrypts them in place. It
+// returns how many lead slots verified, up to the lowest-index failure,
+// and that failure (nil if there was none). A set without a sealer has
+// nothing to open: its staged slots already hold plaintext.
+func (w *streamWindow) open(slots []int) (int, error) {
+	if w.set.seal == nil {
+		return len(slots), nil
+	}
+	w.split(passOpen, slots, len(slots), nil)
+	// Worker ranges ascend with k, so the first failure found is the
+	// lowest-index one.
+	ok, err := len(slots), error(nil)
+	for k := range w.errs {
+		if w.errs[k] != nil && err == nil {
+			ok, err = w.bad[k], w.errs[k]
+		}
+		w.errs[k] = nil
+	}
+	return ok, err
 }
 
 // fetchRun is the shared stage-1 fetch accounting: one batched AXI
@@ -144,23 +313,23 @@ func (s *Shield) WriteStream(addr uint64, data []byte) (uint64, error) {
 
 // readStream implements the streamed read for one engine set.
 func (s *engineSet) readStream(addr uint64, buf []byte) (uint64, error) {
-	return s.stream(addr, buf, s.read, s.readWindowSlots)
+	return s.stream(addr, buf, s.read, s.readBatch)
 }
 
 // writeStream implements the streamed write for one engine set.
 func (s *engineSet) writeStream(addr uint64, data []byte) (uint64, error) {
-	return s.stream(addr, data, s.write, s.writeWindowSlots)
+	return s.stream(addr, data, s.write, s.writeBatch)
 }
 
 // stream splits [addr, addr+len(buf)) into unaligned head and tail bytes,
-// which take the chunked path, and chunk-aligned windows, each a run of
-// contiguous slots handed to move (the read or write window
+// which take the chunked path, and chunk-aligned batches of windows, each
+// a run of contiguous slots handed to move (the read or write batch
 // implementation) under the set lock.
 func (s *engineSet) stream(addr uint64, buf []byte, chunked func(uint64, []byte) (uint64, error),
 	move func(chunks, offs []int, buf []byte, first bool) (uint64, error)) (uint64, error) {
 
 	cs := s.cfg.ChunkSize
-	return axi.StreamWindows(s.cfg.Base, addr, len(buf), cs, streamWindowChunks,
+	return axi.StreamWindows(s.cfg.Base, addr, len(buf), cs, batchWindows(cs)*streamWindowChunks,
 		func(a uint64, lo, hi int) (uint64, error) { return chunked(a, buf[lo:hi]) },
 		func(a uint64, lo, hi int, first bool) (uint64, error) {
 			s.mu.Lock()
@@ -184,7 +353,7 @@ func (s *Shield) ReadGather(runs []axi.Burst, buf []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return set.gather(runs, buf, set.readWindowSlots)
+	return set.gather(runs, buf, set.readBatch)
 }
 
 // WriteGather implements axi.Gatherer for the write side: each window's
@@ -198,7 +367,7 @@ func (s *Shield) WriteGather(runs []axi.Burst, data []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return set.gather(runs, data, set.writeWindowSlots)
+	return set.gather(runs, data, set.writeBatch)
 }
 
 // gatherSet validates a gather against the region layout: one engine set,
@@ -236,158 +405,192 @@ func (s *Shield) gatherSet(runs []axi.Burst, n int) (*engineSet, error) {
 	return set, nil
 }
 
-// gather walks the runs, packing chunks into pipeline windows of up to
-// streamWindowChunks slots and handing each window to move (the read or
-// write window implementation) under the set lock. Only the very first
-// window pays fill/drain.
+// gather walks the runs, packing chunks into batches of pipeline
+// windows of streamWindowChunks slots and handing each batch to move (the
+// read or write batch implementation) under the set lock. Only the very
+// first window pays fill/drain.
 func (s *engineSet) gather(runs []axi.Burst,
 	buf []byte, move func(chunks, offs []int, buf []byte, first bool) (uint64, error)) (uint64, error) {
 
 	cs := s.cfg.ChunkSize
-	var chunks, offs [streamWindowChunks]int
+	batch := batchWindows(cs) * streamWindowChunks
 	var total uint64
-	n, off := 0, 0
-	first := true
-	flush := func() error {
-		if n == 0 {
-			return nil
-		}
+	// r is the next run to open; next and left are the open run's next
+	// chunk and how many of its chunks are left.
+	r, next, left := 0, 0, 0
+	for off, first := 0, true; off < len(buf); first = false {
+		n := min(batch, (len(buf)-off)/cs)
 		s.mu.Lock()
-		c, err := move(chunks[:n], offs[:n], buf, first)
+		chunks, offs := s.win.batch(n)
+		for i := range chunks {
+			for left == 0 {
+				next, left = int((runs[r].Addr-s.cfg.Base)/uint64(cs)), runs[r].Len/cs
+				r++
+			}
+			chunks[i], offs[i] = next, off
+			next, left, off = next+1, left-1, off+cs
+		}
+		c, err := move(chunks, offs, buf, first)
 		s.mu.Unlock()
 		total += c
-		first = false
-		n = 0
-		return err
-	}
-	for _, r := range runs {
-		c0 := int((r.Addr - s.cfg.Base) / uint64(cs))
-		for k := 0; k < r.Len/cs; k++ {
-			chunks[n] = c0 + k
-			offs[n] = off
-			n++
-			off += cs
-			if n == streamWindowChunks {
-				if err := flush(); err != nil {
-					return total, err
-				}
-			}
+		if err != nil {
+			return total, err
 		}
 	}
-	return total, flush()
+	return total, nil
 }
 
-// readWindowSlots moves one read window — classify, batch-fetch,
-// decrypt/verify, merge — for streams and gathers alike: slot i carries
-// absolute chunk chunks[i], delivered at buf[offs[i]]. Fetches batch per
-// contiguous chunk run among the missing slots. Callers hold s.mu.
-func (s *engineSet) readWindowSlots(chunks, offs []int, buf []byte, first bool) (uint64, error) {
+// readBatch moves one batch of read windows for streams and gathers
+// alike: slot i carries absolute chunk chunks[i], delivered at
+// buf[offs[i]]. The caller classifies and fetches every window, one
+// batched fetch per contiguous chunk run among its missing slots; the
+// fetched slots are verified and decrypted in place in one split; then
+// each window in order merges its verified slots into buf, serves its
+// resident and virgin slots and is charged. The window holding the
+// lowest-index integrity failure latches the set and is not charged, and
+// a fetch error ends the batch at its window. Callers hold s.mu.
+func (s *engineSet) readBatch(chunks, offs []int, buf []byte, first bool) (uint64, error) {
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
 	start := s.busyCycles
 	cs := s.cfg.ChunkSize
-	n := len(chunks)
-
 	win := s.win
-	fetch := win.idx[:0]
-	for i := 0; i < n; i++ {
-		chunk := chunks[i]
-		dst := buf[offs[i] : offs[i]+cs]
-		if ln, ok := s.lines[chunk]; ok {
-			// Resident lines (clean or dirty) are authoritative.
-			s.touchResident(ln)
-			copy(dst, ln.data)
-			s.hits++
-		} else if !s.initialized[chunk] {
-			clear(dst)
-		} else {
-			fetch = append(fetch, i)
+
+	// Stage 1, window by window: classify, then one batched fetch per
+	// contiguous run of missing chunks (adjacent slots carrying adjacent
+	// chunks), tags riding along.
+	fetch, wins := win.idx[:0], win.wins[:0]
+	var fetchErr error
+	for w0 := 0; w0 < len(chunks) && fetchErr == nil; w0 += streamWindowChunks {
+		wf := windowFetch{end: min(w0+streamWindowChunks, len(chunks))}
+		f0 := len(fetch)
+		for i := w0; i < wf.end; i++ {
+			if _, resident := s.lines[chunks[i]]; !resident && s.initialized[chunks[i]] {
+				fetch = append(fetch, i)
+			}
 		}
+		wf.fetchEnd = len(fetch)
+		for i := f0; i < len(fetch); {
+			j := i
+			for j+1 < len(fetch) && fetch[j+1] == fetch[j]+1 && chunks[fetch[j+1]] == chunks[fetch[j]]+1 {
+				j++
+			}
+			busy, bus, err := s.fetchRun(win, fetch[i], chunks[fetch[i]], j-i+1)
+			if err != nil {
+				fetchErr = err
+				break
+			}
+			wf.dramBusy += busy
+			wf.dramBus += bus
+			i = j + 1
+		}
+		wins = append(wins, wf)
 	}
 
-	// Stage 1: one batched fetch per contiguous run of missing chunks
-	// (adjacent slots carrying adjacent chunks), tags riding along.
-	var dramBusy, dramBus uint64
-	for i := 0; i < len(fetch); {
-		j := i
-		for j+1 < len(fetch) && fetch[j+1] == fetch[j]+1 && chunks[fetch[j+1]] == chunks[fetch[j]]+1 {
-			j++
-		}
-		i0, runChunks := fetch[i], j-i+1
-		busy, bus, err := s.fetchRun(win, i0, chunks[i0], runChunks)
-		if err != nil {
-			return s.busyCycles - start, err
-		}
-		dramBusy += busy
-		dramBus += bus
-		i = j + 1
+	// Stage 2, split: verify and decrypt in place the slots of every
+	// window that fetched in full.
+	full := fetch
+	if fetchErr != nil {
+		full = fetch[:fetchStart(wins, len(wins)-1)]
 	}
+	verified, integrityErr := win.open(full)
 
-	// Stage 2: decrypt/verify into the scattered destinations.
-	for _, i := range fetch {
-		if err := s.openSlot(i, chunks[i], buf[offs[i]:offs[i]+cs]); err != nil {
-			s.integrityErr = err
-			return s.busyCycles - start, err
+	// Stage 3, window by window: merge the verified slots into the
+	// caller's buffer, serve resident lines (clean or dirty, they are
+	// authoritative) and virgin chunks, then charge.
+	for k, wf := range wins {
+		w0, f0 := k*streamWindowChunks, fetchStart(wins, k)
+		for i, f := w0, f0; i < wf.end; i++ {
+			dst := buf[offs[i] : offs[i]+cs]
+			if f < wf.fetchEnd && fetch[f] == i {
+				if f < verified {
+					copy(dst, win.ct[i*cs:(i+1)*cs])
+				}
+				f++
+				continue
+			}
+			if ln, ok := s.lines[chunks[i]]; ok {
+				s.touchResident(ln)
+				copy(dst, ln.data)
+				s.hits++
+			} else {
+				clear(dst)
+			}
 		}
+		if integrityErr != nil && verified < wf.fetchEnd {
+			s.integrityErr = integrityErr
+			return s.busyCycles - start, integrityErr
+		}
+		if fetchErr != nil && k == len(wins)-1 {
+			return s.busyCycles - start, fetchErr
+		}
+		s.chargeWindow(wf.fetchEnd-f0, wf.end-w0, (wf.end-w0)*cs, wf.dramBusy, wf.dramBus, first && k == 0)
 	}
-
-	s.chargeWindow(len(fetch), n, n*cs, dramBusy, dramBus, first)
 	return s.busyCycles - start, nil
 }
 
-// writeWindowSlots moves one write window for streams and gathers alike:
-// seal every slot, then one batched store per contiguous chunk run.
-// Full-chunk stores supersede resident lines and never fetch. Callers
-// hold s.mu.
-func (s *engineSet) writeWindowSlots(chunks, offs []int, data []byte, first bool) (uint64, error) {
+// fetchStart is where window k's slots start in the fetched-slot list.
+func fetchStart(wins []windowFetch, k int) int {
+	if k == 0 {
+		return 0
+	}
+	return wins[k-1].fetchEnd
+}
+
+// writeBatch moves one batch of write windows for streams and gathers
+// alike: every slot is sealed in one split, at the write epoch its window
+// moves to; then each window in order bumps its chunks' counters to that
+// epoch and is stored, one batched store per contiguous chunk run, and
+// charged. A store error ends the batch at its window, as it would a
+// window-at-a-time write. Full-chunk stores supersede resident lines and
+// never fetch. Callers hold s.mu.
+func (s *engineSet) writeBatch(chunks, offs []int, data []byte, first bool) (uint64, error) {
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
 	start := s.busyCycles
 	cs := s.cfg.ChunkSize
-	n := len(chunks)
 
-	win := s.win
+	s.win.split(passSeal, nil, len(chunks), data)
 
-	// New write epoch for every chunk before sealing it.
-	if s.cfg.Freshness {
-		for _, chunk := range chunks {
-			s.counters[chunk]++
+	for w0 := 0; w0 < len(chunks); w0 += streamWindowChunks {
+		w1 := min(w0+streamWindowChunks, len(chunks))
+		n := w1 - w0
+		// New write epoch for every chunk of the window before it is
+		// stored: the epoch its slots were sealed at.
+		if s.cfg.Freshness {
+			for _, chunk := range chunks[w0:w1] {
+				s.counters[chunk]++
+			}
 		}
-	}
 
-	// Stage 1: seal each chunk into its window slot.
-	for i := 0; i < n; i++ {
-		s.sealSlot(i, chunks[i], data[offs[i]:offs[i]+cs])
-	}
-
-	// Stage 2: one batched store per contiguous chunk run.
-	var dramBusy, dramBus uint64
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && chunks[j+1] == chunks[j]+1 {
-			j++
+		var dramBusy, dramBus uint64
+		for i := w0; i < w1; {
+			j := i
+			for j+1 < w1 && chunks[j+1] == chunks[j]+1 {
+				j++
+			}
+			busy, bus, err := s.storeRun(s.win, i, chunks[i], j-i+1)
+			if err != nil {
+				return s.busyCycles - start, err
+			}
+			dramBusy += busy
+			dramBus += bus
+			i = j + 1
 		}
-		busy, bus, err := s.storeRun(win, i, chunks[i], j-i+1)
-		if err != nil {
-			return s.busyCycles - start, err
-		}
-		dramBusy += busy
-		dramBus += bus
-		i = j + 1
-	}
 
-	// The gather write supersedes any resident lines wholesale: DRAM now
-	// holds the authoritative ciphertext at the bumped epoch.
-	for _, chunk := range chunks {
-		if ln, ok := s.lines[chunk]; ok {
-			s.dropLine(ln)
+		// The write supersedes any resident lines wholesale: DRAM now
+		// holds the authoritative ciphertext at the bumped epoch.
+		for _, chunk := range chunks[w0:w1] {
+			if ln, ok := s.lines[chunk]; ok {
+				s.dropLine(ln)
+			}
+			s.initialized[chunk] = true
 		}
-		s.initialized[chunk] = true
-	}
 
-	s.chargeWindow(n, n, n*cs, dramBusy, dramBus, first)
+		s.chargeWindow(n, n, n*cs, dramBusy, dramBus, first && w0 == 0)
+	}
 	return s.busyCycles - start, nil
 }
 

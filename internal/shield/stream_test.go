@@ -251,37 +251,45 @@ func TestStreamCheaperThanChunked(t *testing.T) {
 	}
 }
 
+// TestStreamConcurrentWithChunkedTraffic runs streams, chunked reads and
+// a streamed writer at once over two 1 MiB regions. Every stream moves at
+// least one full batch (streamBatchBytes), so under -race the chunked
+// reads interleave with batches whose crypto is split across workers.
 func TestStreamConcurrentWithChunkedTraffic(t *testing.T) {
-	rig := newRig(t, simpleConfig())
-	img := make([]byte, 1<<16)
+	const size, span = 1 << 20, 1 << 19
+	cfg := simpleConfig()
+	cfg.Regions[0].Size = size
+	cfg.Regions[1].Base, cfg.Regions[1].Size = size, size
+	rig := newRig(t, cfg)
+	img := make([]byte, size)
 	rand.New(rand.NewSource(15)).Read(img)
 	fillRegion(t, rig, 0, img)
-	img2 := make([]byte, 1<<16)
+	img2 := make([]byte, size)
 	rand.New(rand.NewSource(16)).Read(img2)
-	fillRegion(t, rig, 1<<16, img2)
+	fillRegion(t, rig, size, img2)
 
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	wg.Add(4)
-	go func() { // streamed reads of region "data"
+	go func() { // streamed reads of region "data", two batches each
 		defer wg.Done()
-		buf := make([]byte, 1<<15)
-		for i := 0; i < 8; i++ {
+		buf := make([]byte, span)
+		for i := 0; i < 4; i++ {
 			if _, err := rig.shield.ReadStream(0, buf); err != nil {
 				errs[0] = err
 				return
 			}
-			if !bytes.Equal(buf, img[:1<<15]) {
+			if !bytes.Equal(buf, img[:span]) {
 				errs[0] = errors.New("stream saw torn data")
 				return
 			}
 		}
 	}()
-	go func() { // chunked reads of the same region interleave between windows
+	go func() { // chunked reads of the same region interleave between batches
 		defer wg.Done()
 		buf := make([]byte, 2048)
 		for i := 0; i < 32; i++ {
-			off := (i * 1536) % (1<<15 - 2048)
+			off := (i * 16896) % (span - 2048)
 			if _, err := rig.shield.ReadBurst(uint64(off), buf); err != nil {
 				errs[1] = err
 				return
@@ -292,24 +300,24 @@ func TestStreamConcurrentWithChunkedTraffic(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // streamed writes to the second region
+	go func() { // streamed writes to the second region, one batch each
 		defer wg.Done()
-		for i := 0; i < 8; i++ {
-			if _, err := rig.shield.WriteStream(1<<16, img2[:1<<14]); err != nil {
+		for i := 0; i < 4; i++ {
+			if _, err := rig.shield.WriteStream(size, img2[:streamBatchBytes]); err != nil {
 				errs[2] = err
 				return
 			}
 		}
 	}()
-	go func() { // streamed reads of the second region's tail
+	go func() { // streamed reads of the second region's second half
 		defer wg.Done()
-		buf := make([]byte, 1<<14)
-		for i := 0; i < 8; i++ {
-			if _, err := rig.shield.ReadStream(1<<16+1<<15, buf); err != nil {
+		buf := make([]byte, span)
+		for i := 0; i < 4; i++ {
+			if _, err := rig.shield.ReadStream(size+span, buf); err != nil {
 				errs[3] = err
 				return
 			}
-			if !bytes.Equal(buf, img2[1<<15:1<<15+1<<14]) {
+			if !bytes.Equal(buf, img2[span:]) {
 				errs[3] = errors.New("stream saw torn data in region 2")
 				return
 			}

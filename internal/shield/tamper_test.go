@@ -213,3 +213,36 @@ func TestGatherTamperMidGather(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamTamperTwoChunks adds a second bad chunk, 1000, to
+// TestStreamTamperMidStream's read. Chunks 600 and 1000 share a batch but
+// fall in different workers' ranges when the batch splits, so the lowest
+// failure, chunk 600, must still decide the error, the bytes and the
+// charges.
+func TestStreamTamperTwoChunks(t *testing.T) {
+	const bad, badWindow = 600, 600 / streamWindowChunks
+	resident := []int{10, 605, 900}
+	for _, rm := range realMACs {
+		for _, procs := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/P%d", rm.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+
+				ref, img := newTamperRig(t, rm.mac, resident)
+				refCyc, err := ref.shield.ReadStream(0, make([]byte, badWindow*streamWindowChunks*tamperChunk))
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				rig, _ := newTamperRig(t, rm.mac, resident)
+				tamperChunkAt(t, rig, bad)
+				tamperChunkAt(t, rig, 1000)
+				buf := sentinelBuf(tamperChunks)
+				want := sentinelBuf(tamperChunks)
+				copy(want, img[:bad*tamperChunk])
+				copy(want[605*tamperChunk:], img[605*tamperChunk:606*tamperChunk])
+				cyc, err := rig.shield.ReadStream(0, buf)
+				checkTamperOutcome(t, rig, bad, cyc, err, buf, want, refCyc, ref.shield.Report().Regions[0])
+			})
+		}
+	}
+}
