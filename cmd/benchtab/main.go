@@ -35,7 +35,7 @@ func main() {
 	tenantsFlag := flag.Bool("tenants", false, "run the multi-tenant region-lookup scaling sweep (zones vs lookup overhead)")
 	all := flag.Bool("all", false, "regenerate everything")
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or paper")
-	profileFlag := flag.Bool("profile", false, "run the cluster sweeps under the profiling harness and print the on/off-CPU attribution table")
+	profileFlag := flag.Bool("profile", false, "run the cluster sweeps under the profiling harness, write cpu/mutex/block profiles and a trace to -profiledir, and print the go tool pprof commands that read them")
 	profileDir := flag.String("profiledir", "profiles", "output directory for -profile (cpu/mutex/block pprof + trace)")
 	jsonFlag := flag.Bool("json", false, "parse `go test -bench` output on stdin into JSON on stdout")
 	checkFlag := flag.Bool("check", false, "compare -pr against -baseline and fail on regressions")
@@ -55,9 +55,11 @@ func main() {
 		os.Exit(runCheck(*baselinePath, *prPath, *threshold, *realThreshold, os.Stdout))
 	}
 
-	scale := experiments.Quick
-	if *scaleFlag == "paper" {
-		scale = experiments.Paper
+	scale, err := parseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	if *profileFlag {
@@ -105,6 +107,18 @@ func main() {
 	if !any {
 		flag.Usage()
 	}
+}
+
+// parseScale maps the -scale flag to an experiment scale, rejecting
+// anything but the two names so a typo cannot silently run quick.
+func parseScale(s string) (experiments.Scale, error) {
+	switch s {
+	case "quick":
+		return experiments.Quick, nil
+	case "paper":
+		return experiments.Paper, nil
+	}
+	return 0, fmt.Errorf("benchtab: -scale %q: want quick or paper", s)
 }
 
 func printTable1() {
@@ -226,20 +240,24 @@ func printCluster(scale experiments.Scale) {
 
 // runProfile wraps the cluster sweeps in the profiling harness: CPU,
 // mutex, and block profiles plus an execution trace land in dir, and the
-// merged on/off-CPU attribution table prints after the sweep output. This
-// is the CLI face of internal/profiling — the same files feed
-// `go tool pprof` / `go tool trace` for deeper digs.
+// `go tool pprof` commands that rank on-CPU time, split it by label, and
+// rank blocked time print after the sweep output.
 func runProfile(dir string, scale experiments.Scale) {
 	fmt.Printf("== cluster sweeps under the profiling harness (profiles in %s/) ==\n\n", dir)
-	tbl, err := profiling.Run(profiling.Config{Dir: dir, Trace: true, TopN: 12}, func() error {
-		printCluster(scale)
-		return nil
-	})
+	h, err := profiling.Start(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(tbl.String())
-	fmt.Printf("\nprofiles: %s/cpu.pprof %s/mutex.pprof %s/block.pprof %s/trace.out\n", dir, dir, dir, dir)
+	printCluster(scale)
+	if err := h.Stop(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("== read the profiles ==")
+	fmt.Printf("on-CPU, top functions:  go tool pprof -top -nodecount=12 %s\n", h.CPUPath())
+	fmt.Printf("on-CPU, by label:       go tool pprof -tags %s\n", h.CPUPath())
+	fmt.Printf("off-CPU, blocked time:  go tool pprof -top -nodecount=12 -hide='^(runtime|sync|internal)[./]' %s %s\n",
+		h.BlockPath(), h.MutexPath())
+	fmt.Printf("execution trace:        go tool trace %s\n", h.TracePath())
 }
 
 func printORAM(scale experiments.Scale) {

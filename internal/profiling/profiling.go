@@ -1,20 +1,19 @@
-// Package profiling is the repo's on/off-CPU attribution harness: it
-// wraps any benchmark or serving run with CPU, mutex, and block profiles
-// plus optional runtime/trace capture, labels the hot paths (shard,
-// session, engine set) through pprof.Do, and renders a merged attribution
-// table — top-N functions by CPU time and by blocked time, with the CPU
-// column broken down per label.
+// Package profiling is the repo's on/off-CPU profiling harness: it wraps
+// any benchmark or serving run with CPU, mutex, and block profiles plus a
+// runtime/trace, and labels the hot paths (operation, shard, session)
+// through pprof.Do. It writes the profiles and leaves reading them to
+// `go tool pprof` and `go tool trace`.
 //
 // The package is also the instrumentation switchboard: the serving-path
-// packages (sdp, hostapp, shield, attest) call Do/Region on their hot
-// paths, and those calls compile down to a single atomic load when no
-// harness is active, so the zero-alloc steady-state loops stay zero-alloc
-// and label plumbing costs nothing in production.
+// packages (sdp, hostapp, attest) call Do/Region on their hot paths, and
+// those calls compile down to a single atomic load when no harness is
+// active, so the zero-alloc steady-state loops stay zero-alloc and label
+// plumbing costs nothing in production.
 //
 // Operationally the harness surfaces in two places: `benchtab -profile`
-// runs it over the cluster sweeps and prints the table, and
-// `shefd -debug addr` serves the live net/http/pprof endpoints the same
-// profiles come from.
+// runs it over the cluster sweeps and prints the `go tool pprof` commands
+// that read its files, and `shefd -debug addr` serves the live
+// net/http/pprof endpoints the same profiles come from.
 package profiling
 
 import (
@@ -63,39 +62,19 @@ func Region(ctx context.Context, name string, f func()) {
 	trace.WithRegion(ctx, name, f)
 }
 
-// Config shapes a harness run.
-type Config struct {
-	// Dir receives the profile files (created if missing).
-	Dir string
-	// MutexFraction samples 1/MutexFraction of mutex contention events
-	// (default 5; runtime.SetMutexProfileFraction semantics).
-	MutexFraction int
-	// BlockRate samples blocking events lasting at least BlockRate
-	// nanoseconds (default 10µs; runtime.SetBlockProfileRate semantics —
-	// shorter events are sampled proportionally).
-	BlockRate int
-	// Trace additionally captures a runtime/trace to trace.out.
-	Trace bool
-	// TopN bounds each attribution table section (default 10).
-	TopN int
-}
-
-func (c *Config) fill() {
-	if c.MutexFraction == 0 {
-		c.MutexFraction = 5
-	}
-	if c.BlockRate == 0 {
-		c.BlockRate = 10_000
-	}
-	if c.TopN == 0 {
-		c.TopN = 10
-	}
-}
+// The harness's sampling rates: one in mutexFraction mutex contention
+// events (runtime.SetMutexProfileFraction semantics), and every blocking
+// event of at least blockRate nanoseconds, shorter ones proportionally
+// (runtime.SetBlockProfileRate semantics).
+const (
+	mutexFraction = 5
+	blockRate     = 10_000
+)
 
 // Harness is one active profiling window. Exactly one may run at a time
 // (CPU profiling is process-global).
 type Harness struct {
-	cfg       Config
+	dir       string
 	cpuF      *os.File
 	traceF    *os.File
 	prevMutex int
@@ -103,16 +82,16 @@ type Harness struct {
 }
 
 // Start opens a profiling window: mutex and block sampling on, CPU
-// profile streaming to Dir/cpu.pprof, optional trace to Dir/trace.out,
-// and every Do site in the process now labelling its samples.
-func Start(cfg Config) (*Harness, error) {
-	cfg.fill()
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+// profile streaming to dir/cpu.pprof, an execution trace to
+// dir/trace.out, and every Do site in the process now labelling its
+// samples. dir is created if missing.
+func Start(dir string) (*Harness, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	h := &Harness{cfg: cfg}
-	h.prevMutex = runtime.SetMutexProfileFraction(cfg.MutexFraction)
-	runtime.SetBlockProfileRate(cfg.BlockRate)
+	h := &Harness{dir: dir}
+	h.prevMutex = runtime.SetMutexProfileFraction(mutexFraction)
+	runtime.SetBlockProfileRate(blockRate)
 	var err error
 	if h.cpuF, err = os.Create(h.CPUPath()); err != nil {
 		h.restoreRates()
@@ -123,30 +102,27 @@ func Start(cfg Config) (*Harness, error) {
 		h.restoreRates()
 		return nil, fmt.Errorf("profiling: %w (another profile running?)", err)
 	}
-	if cfg.Trace {
-		if h.traceF, err = os.Create(h.TracePath()); err == nil {
-			if err = trace.Start(h.traceF); err != nil {
-				h.traceF.Close()
-				h.traceF = nil
-			}
+	if h.traceF, err = os.Create(h.TracePath()); err == nil {
+		if err = trace.Start(h.traceF); err != nil {
+			h.traceF.Close()
 		}
-		if err != nil {
-			pprof.StopCPUProfile()
-			h.cpuF.Close()
-			h.restoreRates()
-			return nil, err
-		}
+	}
+	if err != nil {
+		pprof.StopCPUProfile()
+		h.cpuF.Close()
+		h.restoreRates()
+		return nil, err
 	}
 	enabled.Store(true)
 	return h, nil
 }
 
 // CPUPath, MutexPath, BlockPath, and TracePath name the harness's output
-// files inside Config.Dir.
-func (h *Harness) CPUPath() string   { return filepath.Join(h.cfg.Dir, "cpu.pprof") }
-func (h *Harness) MutexPath() string { return filepath.Join(h.cfg.Dir, "mutex.pprof") }
-func (h *Harness) BlockPath() string { return filepath.Join(h.cfg.Dir, "block.pprof") }
-func (h *Harness) TracePath() string { return filepath.Join(h.cfg.Dir, "trace.out") }
+// files inside the directory passed to Start.
+func (h *Harness) CPUPath() string   { return filepath.Join(h.dir, "cpu.pprof") }
+func (h *Harness) MutexPath() string { return filepath.Join(h.dir, "mutex.pprof") }
+func (h *Harness) BlockPath() string { return filepath.Join(h.dir, "block.pprof") }
+func (h *Harness) TracePath() string { return filepath.Join(h.dir, "trace.out") }
 
 func (h *Harness) restoreRates() {
 	runtime.SetMutexProfileFraction(h.prevMutex)
@@ -155,7 +131,7 @@ func (h *Harness) restoreRates() {
 
 // Stop closes the window: CPU profile finalised, mutex/block profiles
 // snapshotted to their files, trace stopped, sampling rates restored,
-// labels off. Safe to call once; the profile files survive for Table.
+// labels off. Calls after the first do nothing.
 func (h *Harness) Stop() error {
 	if h.stopped {
 		return nil
@@ -164,11 +140,9 @@ func (h *Harness) Stop() error {
 	enabled.Store(false)
 	pprof.StopCPUProfile()
 	err := h.cpuF.Close()
-	if h.traceF != nil {
-		trace.Stop()
-		if e := h.traceF.Close(); err == nil {
-			err = e
-		}
+	trace.Stop()
+	if e := h.traceF.Close(); err == nil {
+		err = e
 	}
 	// The mutex/block snapshots are cumulative since Start set the rates
 	// (they were off before), so the files cover exactly this window.
@@ -189,49 +163,4 @@ func (h *Harness) Stop() error {
 	}
 	h.restoreRates()
 	return err
-}
-
-// Table parses the window's profile files and builds the merged on/off-CPU
-// attribution table. Call after Stop.
-func (h *Harness) Table() (*Table, error) {
-	if !h.stopped {
-		return nil, fmt.Errorf("profiling: Table before Stop")
-	}
-	load := func(path string) (*Profile, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return ParseProfile(data)
-	}
-	cpu, err := load(h.CPUPath())
-	if err != nil {
-		return nil, fmt.Errorf("profiling: cpu profile: %w", err)
-	}
-	block, err := load(h.BlockPath())
-	if err != nil {
-		return nil, fmt.Errorf("profiling: block profile: %w", err)
-	}
-	mutex, err := load(h.MutexPath())
-	if err != nil {
-		return nil, fmt.Errorf("profiling: mutex profile: %w", err)
-	}
-	return Attribution(cpu, block, mutex, h.cfg.TopN), nil
-}
-
-// Run wraps a workload in a complete harness window and returns its
-// attribution table — the one-call form benchmarks use.
-func Run(cfg Config, workload func() error) (*Table, error) {
-	h, err := Start(cfg)
-	if err != nil {
-		return nil, err
-	}
-	werr := workload()
-	if err := h.Stop(); err != nil && werr == nil {
-		werr = err
-	}
-	if werr != nil {
-		return nil, werr
-	}
-	return h.Table()
 }
