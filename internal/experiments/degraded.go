@@ -60,8 +60,10 @@ func degradedClusterConfig(shards int) sdp.ClusterConfig {
 }
 
 // runDegradedWindow drives the shared Put/Get mix (1:3, like the scaling
-// sweep) for one measured window and returns the real ops/sec.
-func runDegradedWindow(c *sdp.Cluster, files []*clusterFile, workers, opsPerWorker int) (float64, error) {
+// sweep) for one measured window, one Client per worker, and returns the
+// real ops/sec.
+func runDegradedWindow(clients []*sdp.Client, files []*clusterFile, opsPerWorker int) (float64, error) {
+	workers := len(clients)
 	errs := make([]error, workers)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -69,15 +71,18 @@ func runDegradedWindow(c *sdp.Cluster, files []*clusterFile, workers, opsPerWork
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			cl := clients[w]
 			phase := w * len(files) / workers
+			var dst []byte
 			for i := 0; i < opsPerWorker; i++ {
 				f := files[(phase+i)%len(files)]
+				var err error
 				if i%(clusterGetsPut+1) == 0 {
-					if err := c.Put("load", f.name, f.payload); err != nil {
-						errs[w] = err
-						return
-					}
-				} else if _, err := c.Get("load", f.name); err != nil {
+					err = cl.Put("load", f.name, f.payload)
+				} else {
+					dst, err = cl.Get("load", f.name, dst)
+				}
+				if err != nil {
 					errs[w] = err
 					return
 				}
@@ -114,6 +119,12 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 	if err := c.RegisterUser("load", []byte("load-key")); err != nil {
 		return DegradedRow{}, err
 	}
+	// A seeder Client provisions the working set and verifies it after
+	// recovery; each worker drives its own Client.
+	seeder, err := c.NewClient()
+	if err != nil {
+		return DegradedRow{}, err
+	}
 	files := make([]*clusterFile, clusterFiles)
 	for i, name := range clusterFileSet() {
 		payload := make([]byte, clusterPayload)
@@ -121,10 +132,16 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 			payload[j] = byte(j + i*41)
 		}
 		files[i] = &clusterFile{name: name, payload: payload}
-		if err := c.Put("load", name, payload); err != nil {
+		if err := seeder.Put("load", name, payload); err != nil {
 			return DegradedRow{}, err
 		}
-		if _, err := c.Get("load", name); err != nil {
+		if _, err := seeder.Get("load", name, nil); err != nil {
+			return DegradedRow{}, err
+		}
+	}
+	clients := make([]*sdp.Client, workers)
+	for w := range clients {
+		if clients[w], err = c.NewClient(); err != nil {
 			return DegradedRow{}, err
 		}
 	}
@@ -132,7 +149,7 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 	if tc != nil {
 		tc.StartTimer()
 	}
-	healthy, err := runDegradedWindow(c, files, workers, opsPerWorker)
+	healthy, err := runDegradedWindow(clients, files, opsPerWorker)
 	if tc != nil {
 		tc.StopTimer()
 	}
@@ -147,7 +164,7 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 	if tc != nil {
 		tc.StartTimer()
 	}
-	degraded, err := runDegradedWindow(c, files, workers, opsPerWorker)
+	degraded, err := runDegradedWindow(clients, files, opsPerWorker)
 	if tc != nil {
 		tc.StopTimer()
 	}
@@ -165,7 +182,7 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 		return DegradedRow{}, err
 	}
 	for _, f := range files {
-		got, err := c.Get("load", f.name)
+		got, err := seeder.Get("load", f.name, nil)
 		if err != nil {
 			return DegradedRow{}, err
 		}

@@ -254,9 +254,10 @@ func TestChaosCrashRestartPartition(t *testing.T) {
 	}
 
 	// No lost acknowledged write, and every replica set byte-identical.
+	reader := newClient(t, c)
 	for w := 0; w < workers; w++ {
 		for file, last := range acked[w] {
-			got, err := c.Get("alice", file)
+			got, err := reader.Get("alice", file, nil)
 			if err != nil {
 				t.Fatalf("acked file %s unreadable after recovery: %v", file, err)
 			}

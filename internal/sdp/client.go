@@ -25,21 +25,25 @@ type TLSSession struct {
 	plain []byte
 }
 
-// NewTLSSession opens a Data Owner endpoint for this node's tls region.
-// (In the full protocol the Data Owner holds the session DEK from
-// attestation; here it comes from the node handle, like the legacy
-// in-process path.)
-func (n *Node) NewTLSSession() (*TLSSession, error) {
-	rs, err := shield.NewRegionSealer(n.tlsCfg, n.tlsLayout.RegionID, n.dek)
+// newTLSSession opens a Data Owner endpoint onto a node's tls region. It
+// needs only what the Data Owner holds without reaching the node: the
+// session DEK from attestation, and the node geometry, which fixes the
+// tls region's configuration and its region ID (tls is the last static
+// region). So a session opens while its node is crashed, and survives the
+// node's restart under the same DEK.
+func newTLSSession(cfg NodeConfig, dek []byte) (*TLSSession, error) {
+	regions := cfg.ShieldConfig().Regions
+	tls := regions[len(regions)-1]
+	rs, err := shield.NewRegionSealer(tls, uint32(len(regions)), dek)
 	if err != nil {
 		return nil, err
 	}
-	size := int(n.tlsCfg.Size)
+	size := int(tls.Size)
 	return &TLSSession{
 		rs:    rs,
-		chunk: n.cfg.AuthBlock,
+		chunk: cfg.AuthBlock,
 		ct:    make([]byte, size),
-		tags:  make([]byte, size/n.cfg.AuthBlock*shield.TagSize),
+		tags:  make([]byte, size/cfg.AuthBlock*shield.TagSize),
 		plain: make([]byte, size),
 	}, nil
 }
@@ -84,9 +88,10 @@ func (t *TLSSession) Open(dst, ct, tags []byte, size int) ([]byte, error) {
 func (t *TLSSession) Buffers() (ct, tags []byte) { return t.ct, t.tags }
 
 // Client is a Data Owner endpoint onto the whole fleet: one TLSSession
-// per shard, with Put/Get routed like Cluster.Put/Cluster.Get but with
-// the client-side cryptography on the caller's goroutine. Not safe for
-// concurrent use; create one Client per worker.
+// per shard, with Put/Get routed to each file's replica set and the
+// client-side cryptography on the caller's goroutine. It is the cluster's
+// only request path. Not safe for concurrent use; create one Client per
+// worker.
 type Client struct {
 	c        *Cluster
 	sessions []*TLSSession
@@ -94,15 +99,11 @@ type Client struct {
 
 // NewClient opens a Data Owner endpoint with a TLS session to every
 // shard. Sessions are keyed by each shard's stable session DEK, so they
-// survive shard crashes and restarts.
+// open while a shard is crashed and survive its restart.
 func (c *Cluster) NewClient() (*Client, error) {
 	cl := &Client{c: c, sessions: make([]*TLSSession, len(c.slots))}
 	for i, slot := range c.slots {
-		n := slot.node.Load()
-		if n == nil {
-			return nil, &ShardError{Shard: i, Op: "session", Err: ErrShardDown}
-		}
-		t, err := n.NewTLSSession()
+		t, err := newTLSSession(c.cfg.Node, slot.dek)
 		if err != nil {
 			return nil, fmt.Errorf("sdp: shard %d session: %w", i, err)
 		}

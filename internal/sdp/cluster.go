@@ -1,7 +1,6 @@
 package sdp
 
 import (
-	"context"
 	"crypto/aes"
 	"crypto/rand"
 	"encoding/binary"
@@ -14,7 +13,6 @@ import (
 	"shef/internal/crypto/aesx"
 	"shef/internal/crypto/hmacx"
 	"shef/internal/crypto/kdf"
-	"shef/internal/faultinject"
 	"shef/internal/perf"
 )
 
@@ -239,10 +237,10 @@ type shardSlot struct {
 	health      healthFSM
 }
 
-// Cluster is a fleet of Storage Nodes behind one Controller Node. Put/Get
-// route by hashed file name; operations against different shards run in
-// parallel (each node serialises internally), which is where the
-// "millions of users" aggregate throughput comes from. With Replicas > 1
+// Cluster is a fleet of Storage Nodes behind one Controller Node. Clients
+// (NewClient) route Put/Get by hashed file name; operations against
+// different shards run in parallel (each node serialises internally),
+// which is where the "millions of users" aggregate throughput comes from. With Replicas > 1
 // the cluster is self-healing: reads fall back across a file's replica
 // set, writes acknowledge at a majority quorum, and Sync repairs
 // divergence.
@@ -464,37 +462,6 @@ func (c *Cluster) Shards() int { return len(c.slots) }
 // Node exposes one shard (tests, per-shard reports). A crashed shard is
 // nil until RestartShard brings it back.
 func (c *Cluster) Node(i int) *Node { return c.slots[i].node.Load() }
-
-// Put stores a file on its replica set (write-quorum acknowledged) —
-// the home shard alone in single-copy mode.
-func (c *Cluster) Put(user, name string, payload []byte) error {
-	return c.PutCtx(context.Background(), user, name, payload)
-}
-
-// PutCtx is Put with caller-controlled cancellation: the context is
-// checked between retries and replica attempts.
-func (c *Cluster) PutCtx(ctx context.Context, user, name string, payload []byte) error {
-	return c.writeReplicas(ctx, user, name, func(_ int, n *Node, _ faultinject.Result) error {
-		return n.Put(user, name, payload)
-	})
-}
-
-// Get fetches a file, falling back replica by replica when shards are
-// down — the home shard alone in single-copy mode.
-func (c *Cluster) Get(user, name string) ([]byte, error) {
-	return c.GetCtx(context.Background(), user, name)
-}
-
-// GetCtx is Get with caller-controlled cancellation.
-func (c *Cluster) GetCtx(ctx context.Context, user, name string) ([]byte, error) {
-	var data []byte
-	err := c.readReplicas(ctx, name, func(_ int, n *Node, _ faultinject.Result) error {
-		var err error
-		data, err = n.Get(user, name)
-		return err
-	})
-	return data, err
-}
 
 // ClusterStats aggregates fleet activity.
 type ClusterStats struct {

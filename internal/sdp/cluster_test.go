@@ -30,15 +30,27 @@ func newCluster(t *testing.T, shards int) *Cluster {
 	return c
 }
 
+// newClient opens a Data Owner endpoint onto c: the one request path
+// every cluster test drives.
+func newClient(t testing.TB, c *Cluster) *Client {
+	t.Helper()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 func TestClusterPutGetRoundTrip(t *testing.T) {
 	c := newCluster(t, 4)
+	cl := newClient(t, c)
 	for i := 0; i < 8; i++ {
 		name := fmt.Sprintf("file-%d", i)
 		payload := bytes.Repeat([]byte{byte(i + 1)}, 3000+i*100)
-		if err := c.Put("alice", name, payload); err != nil {
+		if err := cl.Put("alice", name, payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Get("alice", name)
+		got, err := cl.Get("alice", name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,13 +85,14 @@ func TestClusterShardingIsStableAndSpread(t *testing.T) {
 
 func TestClusterPolicyAcrossShards(t *testing.T) {
 	c := newCluster(t, 3)
-	if err := c.Put("alice", "secret", []byte("alice's record")); err != nil {
+	cl := newClient(t, c)
+	if err := cl.Put("alice", "secret", []byte("alice's record")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("bob", "secret"); err == nil {
+	if _, err := cl.Get("bob", "secret", nil); err == nil {
 		t.Fatal("bob read alice's file through the cluster")
 	}
-	if _, err := c.Get("mallory", "secret"); err == nil {
+	if _, err := cl.Get("mallory", "secret", nil); err == nil {
 		t.Fatal("unregistered user served")
 	}
 	if c.Stats().Errors != 2 {
@@ -93,9 +106,10 @@ func TestClusterLateRegistrationReachesAllShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Write one file per shard so every node must know carol.
+	cl := newClient(t, c)
 	for i := 0; i < 16; i++ {
 		name := fmt.Sprintf("carol-%d", i)
-		if err := c.Put("carol", name, []byte("data")); err != nil {
+		if err := cl.Put("carol", name, []byte("data")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,17 +144,18 @@ func TestClusterConcurrentPutGet(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers*filesPerWorker*2)
 	for w := 0; w < workers; w++ {
+		cl := newClient(t, c)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < filesPerWorker; i++ {
 				name := fmt.Sprintf("w%d-f%d", w, i)
 				payload := bytes.Repeat([]byte{byte(w*16 + i + 1)}, 2048)
-				if err := c.Put("alice", name, payload); err != nil {
+				if err := cl.Put("alice", name, payload); err != nil {
 					errCh <- err
 					return
 				}
-				got, err := c.Get("alice", name)
+				got, err := cl.Get("alice", name, nil)
 				if err != nil {
 					errCh <- err
 					return
@@ -173,6 +188,7 @@ func TestClusterConcurrentMixedUsers(t *testing.T) {
 	users := []string{"alice", "bob"}
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
+		cl := newClient(t, c)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -182,10 +198,10 @@ func TestClusterConcurrentMixedUsers(t *testing.T) {
 				payload := bytes.Repeat([]byte{byte(w + 1)}, 1024)
 				// Overwrites by the other user are policy-rejected; both
 				// outcomes are fine — the invariant is no race, no torn data.
-				if err := c.Put(u, name, payload); err != nil {
+				if err := cl.Put(u, name, payload); err != nil {
 					continue
 				}
-				if got, err := c.Get(u, name); err == nil && len(got) != 1024 {
+				if got, err := cl.Get(u, name, nil); err == nil && len(got) != 1024 {
 					panic("torn read")
 				}
 			}
@@ -210,14 +226,20 @@ func BenchmarkClusterPutGet(b *testing.B) {
 	c.ResetStats()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		cl, err := c.NewClient()
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		var dst []byte
 		i := 0
 		for pb.Next() {
 			name := fmt.Sprintf("bench-%d", i%32)
-			if err := c.Put("alice", name, payload); err != nil {
+			if err := cl.Put("alice", name, payload); err != nil {
 				b.Error(err)
 				return
 			}
-			if _, err := c.Get("alice", name); err != nil {
+			if dst, err = cl.Get("alice", name, dst); err != nil {
 				b.Error(err)
 				return
 			}

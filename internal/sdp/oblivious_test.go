@@ -114,17 +114,18 @@ func TestObliviousCluster(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
+		cl := newClient(t, c)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for f := 0; f < files; f++ {
 				name := fmt.Sprintf("w%d-f%d", w, f)
 				payload := bytes.Repeat([]byte{byte(w*16 + f)}, 5000)
-				if err := c.Put("u", name, payload); err != nil {
+				if err := cl.Put("u", name, payload); err != nil {
 					errs[w] = err
 					return
 				}
-				got, err := c.Get("u", name)
+				got, err := cl.Get("u", name, nil)
 				if err != nil {
 					errs[w] = err
 					return

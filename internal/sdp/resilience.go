@@ -143,8 +143,8 @@ func doOp(op string, shard int, f func() error) error {
 }
 
 // replicaOp is one replica attempt's body. The faultinject.Result carries
-// a pending corruption decision for paths that can apply it where a MAC
-// will catch it (the sealed client path); plaintext paths ignore it.
+// a pending corruption decision, which the Client applies to the sealed
+// image in transit, where a MAC will catch it.
 type replicaOp func(shard int, n *Node, fi faultinject.Result) error
 
 // attemptOnce runs one attempt against one shard: failure-detector gate,

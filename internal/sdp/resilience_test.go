@@ -45,7 +45,7 @@ func newReplicatedCluster(t *testing.T, shards, replicas int) *Cluster {
 func TestReplicatedPutLandsOnAllReplicas(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
 	payload := bytes.Repeat([]byte{0x5A}, 3000)
-	if err := c.Put("alice", "doc", payload); err != nil {
+	if err := newClient(t, c).Put("alice", "doc", payload); err != nil {
 		t.Fatal(err)
 	}
 	for _, shard := range c.replicaSet("doc") {
@@ -111,13 +111,14 @@ func TestSingleCopyReplicaPathZeroAlloc(t *testing.T) {
 // a successor replica and stats must show it.
 func TestDegradedReadAfterCrash(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
 	payload := bytes.Repeat([]byte{0x11}, 2048)
-	if err := c.Put("alice", "doc", payload); err != nil {
+	if err := cl.Put("alice", "doc", payload); err != nil {
 		t.Fatal(err)
 	}
 	primary := c.ShardFor("doc")
 	c.CrashShard(primary)
-	got, err := c.Get("alice", "doc")
+	got, err := cl.Get("alice", "doc", nil)
 	if err != nil {
 		t.Fatalf("degraded read failed: %v", err)
 	}
@@ -139,7 +140,7 @@ func TestDegradedWriteAtQuorum(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
 	reps := c.replicaSet("doc")
 	c.CrashShard(reps[1])
-	if err := c.Put("alice", "doc", []byte("quorum write")); err != nil {
+	if err := newClient(t, c).Put("alice", "doc", []byte("quorum write")); err != nil {
 		t.Fatalf("write with 2/3 replicas up failed: %v", err)
 	}
 	if st := c.Stats(); st.DegradedWrites == 0 {
@@ -160,7 +161,7 @@ func TestQuorumLost(t *testing.T) {
 	reps := c.replicaSet("doc")
 	c.CrashShard(reps[0])
 	c.PartitionShard(reps[1])
-	err := c.Put("alice", "doc", []byte("doomed"))
+	err := newClient(t, c).Put("alice", "doc", []byte("doomed"))
 	if !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("err = %v, want ErrQuorumLost", err)
 	}
@@ -176,15 +177,16 @@ func TestQuorumLost(t *testing.T) {
 // it, Sync — the restarted replica must converge to byte-identical state.
 func TestRestartAndAntiEntropyRepair(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
 	payloadA := bytes.Repeat([]byte{0xA1}, 4096)
-	if err := c.Put("alice", "doc", payloadA); err != nil {
+	if err := cl.Put("alice", "doc", payloadA); err != nil {
 		t.Fatal(err)
 	}
 	reps := c.replicaSet("doc")
 	c.CrashShard(reps[1])
 	// Overwrite while the replica is dead: the survivors advance.
 	payloadB := bytes.Repeat([]byte{0xB2}, 5000)
-	if err := c.Put("alice", "doc", payloadB); err != nil {
+	if err := cl.Put("alice", "doc", payloadB); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RestartShard(reps[1]); err != nil {
@@ -213,12 +215,13 @@ func TestRestartAndAntiEntropyRepair(t *testing.T) {
 // Sync it serves again and converges on writes it missed.
 func TestPartitionHeal(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
-	if err := c.Put("alice", "doc", []byte("v1")); err != nil {
+	cl := newClient(t, c)
+	if err := cl.Put("alice", "doc", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	reps := c.replicaSet("doc")
 	c.PartitionShard(reps[2])
-	if err := c.Put("alice", "doc", []byte("v2-longer")); err != nil {
+	if err := cl.Put("alice", "doc", []byte("v2-longer")); err != nil {
 		t.Fatal(err)
 	}
 	// Register a user while the shard is unreachable: it must learn the
@@ -300,14 +303,15 @@ func TestHealthFSMTransitions(t *testing.T) {
 // NOT using RestartShard's markRecovering.
 func TestHealthGateSkipsDownShard(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
-	if err := c.Put("alice", "doc", []byte("payload")); err != nil {
+	cl := newClient(t, c)
+	if err := cl.Put("alice", "doc", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	primary := c.ShardFor("doc")
 	c.CrashShard(primary)
 	// Drive the detector Down with a few reads.
 	for i := 0; i < downAfter+1; i++ {
-		if _, err := c.Get("alice", "doc"); err != nil {
+		if _, err := cl.Get("alice", "doc", nil); err != nil {
 			t.Fatalf("degraded read %d failed: %v", i, err)
 		}
 	}
@@ -316,7 +320,7 @@ func TestHealthGateSkipsDownShard(t *testing.T) {
 	}
 	retriesBefore := c.Stats().Retries
 	for i := 0; i < 8; i++ {
-		if _, err := c.Get("alice", "doc"); err != nil {
+		if _, err := cl.Get("alice", "doc", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,9 +339,10 @@ func TestInjectedTransientErrorsAreRetried(t *testing.T) {
 		{Target: FaultSitePut, Shard: faultinject.AnyShard, Kind: faultinject.KindError, Prob: 0.25},
 	}})
 	defer faultinject.Deactivate()
+	cl := newClient(t, c)
 	for i := 0; i < 24; i++ {
 		name := fmt.Sprintf("file-%d", i)
-		if err := c.Put("alice", name, []byte("flaky fabric")); err != nil {
+		if err := cl.Put("alice", name, []byte("flaky fabric")); err != nil {
 			t.Fatalf("put %d not absorbed: %v", i, err)
 		}
 	}
@@ -350,13 +355,14 @@ func TestInjectedTransientErrorsAreRetried(t *testing.T) {
 // immediately (no retry, no health penalty) even with replication on.
 func TestAppRejectionsAreNotRetried(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
-	if err := c.Put("alice", "secret", []byte("alice's")); err != nil {
+	cl := newClient(t, c)
+	if err := cl.Put("alice", "secret", []byte("alice's")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Get("mallory", "secret")
+	_, err := cl.Get("mallory", "secret", nil)
 	if err == nil {
 		t.Fatal("unregistered user served")
 	}
@@ -394,26 +400,19 @@ func TestShardErrorIdentity(t *testing.T) {
 	ops := []struct {
 		name string
 		want error
-		do   func(c *Cluster, cl *Client, ct, tags []byte) error
+		do   func(cl *Client, ct, tags []byte) error
 	}{
-		{"Cluster.Put", ErrQuorumLost, func(c *Cluster, _ *Client, _, _ []byte) error {
-			return c.Put("alice", "doc", payload)
-		}},
-		{"Cluster.Get", ErrDegraded, func(c *Cluster, _ *Client, _, _ []byte) error {
-			_, err := c.Get("alice", "doc")
-			return err
-		}},
-		{"Client.Put", ErrQuorumLost, func(_ *Cluster, cl *Client, _, _ []byte) error {
+		{"Client.Put", ErrQuorumLost, func(cl *Client, _, _ []byte) error {
 			return cl.Put("alice", "doc", payload)
 		}},
-		{"Client.Get", ErrDegraded, func(_ *Cluster, cl *Client, _, _ []byte) error {
+		{"Client.Get", ErrDegraded, func(cl *Client, _, _ []byte) error {
 			_, err := cl.Get("alice", "doc", nil)
 			return err
 		}},
-		{"Client.PutSealed", ErrQuorumLost, func(_ *Cluster, cl *Client, ct, tags []byte) error {
+		{"Client.PutSealed", ErrQuorumLost, func(cl *Client, ct, tags []byte) error {
 			return cl.PutSealed("alice", "doc", len(payload), ct, tags)
 		}},
-		{"Client.GetSealed", ErrDegraded, func(_ *Cluster, cl *Client, _, _ []byte) error {
+		{"Client.GetSealed", ErrDegraded, func(cl *Client, _, _ []byte) error {
 			_, _, err := cl.GetSealed("alice", "doc")
 			return err
 		}},
@@ -436,7 +435,7 @@ func TestShardErrorIdentity(t *testing.T) {
 				ct, tags = bytes.Clone(ct), bytes.Clone(tags)
 				home := c.ShardFor("doc")
 				f.apply(c, home)
-				err = op.do(c, cl, ct, tags)
+				err = op.do(cl, ct, tags)
 				if !errors.Is(err, ErrShardDown) || !errors.Is(err, op.want) {
 					t.Fatalf("err = %v, want %v wrapping %v", err, op.want, ErrShardDown)
 				}
@@ -465,10 +464,11 @@ func TestContextCancellation(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := c.PutCtx(ctx, "alice", "doc", []byte("x")); !errors.Is(err, context.Canceled) {
+	cl := newClient(t, c)
+	if err := cl.PutCtx(ctx, "alice", "doc", []byte("x")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := c.GetCtx(ctx, "alice", "doc"); !errors.Is(err, context.Canceled) {
+	if _, err := cl.GetCtx(ctx, "alice", "doc", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -659,5 +659,100 @@ func TestCorruptedReplicaReadFallsBack(t *testing.T) {
 	}
 	if st := c.Stats(); st.FallbackReads == 0 {
 		t.Fatalf("corruption did not force a fallback: %+v", st)
+	}
+}
+
+// TestEmptyPayloadRejected: an empty file is an application rejection on
+// every Put path — the node's own, the sealing Client's and the pre-sealed
+// Client's. It burns no retries, leaves the home shard healthy and
+// stores nothing, and a valid Put right after it acknowledges.
+func TestEmptyPayloadRejected(t *testing.T) {
+	paths := []struct {
+		name string
+		put  func(c *Cluster, cl *Client, home int) error
+	}{
+		{"Node.Put", func(c *Cluster, _ *Client, home int) error {
+			return c.Node(home).Put("alice", "doc", nil)
+		}},
+		{"Client.Put", func(_ *Cluster, cl *Client, _ int) error {
+			return cl.Put("alice", "doc", nil)
+		}},
+		{"Client.PutSealed", func(_ *Cluster, cl *Client, _ int) error {
+			return cl.PutSealed("alice", "doc", 0, nil, nil)
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			c := newReplicatedCluster(t, 2, 1)
+			cl := newClient(t, c)
+			home := c.ShardFor("doc")
+			retries := c.Stats().Retries
+			// Twice: two failures counted against the home shard would
+			// take it suspect, then down.
+			for i := 0; i < 2; i++ {
+				if err := p.put(c, cl, home); !errors.Is(err, ErrRejected) {
+					t.Fatalf("empty put %d: err = %v, want ErrRejected", i, err)
+				}
+			}
+			if _, err := cl.Get("alice", "doc", nil); !errors.Is(err, ErrRejected) {
+				t.Fatalf("get after empty puts: err = %v, want ErrRejected (not found)", err)
+			}
+			if got := c.Stats().Retries; got != retries {
+				t.Fatalf("empty puts consumed %d retries", got-retries)
+			}
+			if got := c.slots[home].health.State(); got != Healthy {
+				t.Fatalf("home shard health = %v after empty puts, want healthy", got)
+			}
+			payload := []byte("after the empty puts")
+			if err := cl.Put("alice", "doc", payload); err != nil {
+				t.Fatalf("valid put after empty puts: %v", err)
+			}
+			got, err := cl.Get("alice", "doc", nil)
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("round trip after empty puts: %q, %v", got, err)
+			}
+		})
+	}
+}
+
+// TestNewClientDuringOutage: a Client opens while a shard is crashed —
+// its session needs only the shard's stable DEK and the node geometry —
+// serves degraded traffic, and after the restart and Sync reads the
+// restarted shard through the session it opened while that shard was
+// down.
+func TestNewClientDuringOutage(t *testing.T) {
+	c := newReplicatedCluster(t, 4, 3)
+	reps := c.replicaSet("doc")
+	primary := reps[0]
+	c.CrashShard(primary)
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatalf("NewClient with shard %d crashed: %v", primary, err)
+	}
+	payload := bytes.Repeat([]byte{0x5D}, 3000)
+	if err := cl.Put("alice", "doc", payload); err != nil {
+		t.Fatalf("degraded put: %v", err)
+	}
+	if got, err := cl.Get("alice", "doc", nil); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("degraded get: %v", err)
+	}
+	if st := c.Stats(); st.DegradedWrites != 1 {
+		t.Fatalf("DegradedWrites = %d, want 1", st.DegradedWrites)
+	}
+	if err := c.RestartShard(primary); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Only the restarted shard is left to serve the read.
+	c.CrashShard(reps[1])
+	c.CrashShard(reps[2])
+	got, err := cl.Get("alice", "doc", nil)
+	if err != nil {
+		t.Fatalf("read through the restarted shard: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("restarted shard served the wrong bytes")
 	}
 }

@@ -142,7 +142,6 @@ type Node struct {
 	dek    []byte
 	oram   *oram.ORAM // non-nil in oblivious mode; fronts the store region
 
-	tlsCfg    shield.RegionConfig
 	tlsLayout shield.RegionLayout
 
 	mu        sync.Mutex
@@ -155,15 +154,15 @@ type Node struct {
 	zones     map[string]*tenantZone
 	freeZones []uint64
 
-	// Serving-path state, all under mu. tlsSeal is the node's own TLS
-	// endpoint (legacy Put/Get seal and open inline; the staged API
-	// moves that work to a client-held TLSSession). The staging buffers
-	// grow to the largest payload seen and are reused per operation, so
-	// the steady-state serving loop allocates only the bytes it returns.
-	tlsSeal                      *shield.RegionSealer
-	stageBuf, stageCT, stageTags []byte
-	userCiphers                  map[string]*userCipher
-	ctr                          aesx.CTRStream
+	// Serving-path state, all under mu. tls is the Data Owner endpoint
+	// Put and Get run in process: the same TLSSession a Client holds, so
+	// PutSealed and GetSealed are the only node bodies. stageBuf grows to
+	// the largest payload seen and is reused per operation, so the
+	// steady-state serving loop allocates only the bytes it returns.
+	tls         *TLSSession
+	stageBuf    []byte
+	userCiphers map[string]*userCipher
+	ctr         aesx.CTRStream
 
 	// Sealed-response cache (nil unless cfg.ResponseCacheBytes > 0),
 	// LRU-evicted to stay within its on-chip byte budget. respCycles is
@@ -352,9 +351,8 @@ func NewNode(cfg NodeConfig, dek []byte, params perf.Params) (*Node, error) {
 		userKeys:  make(map[string][]byte),
 		directory: make(map[string]fileEntry),
 	}
-	n.tlsCfg = scfg.Regions[len(scfg.Regions)-1] // tls is last (the only static region in tenant-zone mode)
 	n.tlsLayout, _ = sh.Layout("tls")
-	n.tlsSeal, err = shield.NewRegionSealer(n.tlsCfg, n.tlsLayout.RegionID, n.dek)
+	n.tls, err = newTLSSession(cfg, n.dek)
 	if err != nil {
 		return nil, err
 	}
@@ -421,6 +419,7 @@ func (n *Node) respInsert(name string, size int, ct, tags []byte) {
 	n.respInvalidate(name)
 	for n.respBytes+need > n.cfg.ResponseCacheBytes {
 		victim, oldest := "", ^uint64(0)
+		//shef:ignore every entry's LRU stamp is distinct, so the minimum is the same in any order
 		for k, r := range n.respCache {
 			if r.last < oldest {
 				victim, oldest = k, r.last
@@ -441,13 +440,11 @@ func (n *Node) respInsert(name string, size int, ct, tags []byte) {
 // respServe answers a Get from the sealed-response cache if the file's
 // image is resident, copying it into the caller's buffers. The simulated
 // cost is one on-chip copy (the cache sits next to the network port; no
-// engine set runs). Caller holds mu and has already authorised the user.
+// engine set runs). Caller holds mu, has already authorised the user,
+// and has checked that ct/tags hold the file's aligned extent.
 func (n *Node) respServe(name string, ct, tags []byte) (int, bool) {
 	r, ok := n.respCache[name]
 	if !ok {
-		return 0, false
-	}
-	if len(ct) < len(r.ct) || len(tags) < len(r.tags) {
 		return 0, false
 	}
 	copy(ct, r.ct)
@@ -468,13 +465,11 @@ func (n *Node) RespCacheStats() (hits, misses, cycles uint64) {
 	return n.respHits, n.respMiss, n.respCycles
 }
 
-// stage sizes the node's reusable staging buffers for an aligned payload
-// of nBytes and returns the plaintext buffer. Caller holds mu.
+// stage sizes the node's reusable plaintext staging buffer for an aligned
+// payload of nBytes and returns it. Caller holds mu.
 func (n *Node) stage(nBytes int) []byte {
 	if cap(n.stageBuf) < nBytes {
 		n.stageBuf = make([]byte, nBytes)
-		n.stageCT = make([]byte, nBytes)
-		n.stageTags = make([]byte, nBytes/n.cfg.AuthBlock*shield.TagSize)
 	}
 	return n.stageBuf[:nBytes]
 }
@@ -502,26 +497,9 @@ func (n *Node) dmaTLSIn(ct, tags []byte) error {
 	return n.sh.MarkPreloadedRange("tls", 0, uint64(len(ct)))
 }
 
-// stageTLSIn is the application→node half of a TLS session on the legacy
-// in-process path: the node's own endpoint seals the payload extent and
-// the untrusted host DMAs it into device memory. (The staged API's
-// TLSSession does the same sealing client-side instead.)
-func (n *Node) stageTLSIn(payload []byte) error {
-	aligned := alignUp(len(payload), n.cfg.AuthBlock)
-	buf := n.stage(aligned)
-	copy(buf, payload)
-	clear(buf[len(payload):])
-	k := aligned / n.cfg.AuthBlock
-	if err := n.tlsSeal.SealRange(0, 0, n.stageCT[:aligned], n.stageTags[:k*shield.TagSize], buf); err != nil {
-		return err
-	}
-	return n.dmaTLSIn(n.stageCT[:aligned], n.stageTags[:k*shield.TagSize])
-}
-
-// stageTLSOutSealed flushes the tls staging set and DMAs the sealed
-// payload extent out into ct/tags (which must hold the aligned extent).
-// Caller holds mu.
-func (n *Node) stageTLSOutSealed(aligned int, ct, tags []byte) error {
+// dmaTLSOut flushes the tls staging set and DMAs the sealed payload
+// extent out into ct/tags (exactly the aligned extent). Caller holds mu.
+func (n *Node) dmaTLSOut(ct, tags []byte) error {
 	// In oblivious mode the store region carries the ORAM's deferred path
 	// writes; they must land before the host observes the device (the
 	// ORAM's visibility schedule is part of its obliviousness argument).
@@ -539,22 +517,6 @@ func (n *Node) stageTLSOutSealed(aligned int, ct, tags []byte) error {
 	return n.dram.RawReadInto(n.tlsLayout.TagBase, tags)
 }
 
-// stageTLSOut is the node→application half on the legacy path: DMA the
-// sealed extent out and open it with the node's own endpoint.
-func (n *Node) stageTLSOut(size int) ([]byte, error) {
-	aligned := alignUp(size, n.cfg.AuthBlock)
-	k := aligned / n.cfg.AuthBlock
-	ct, tags := n.stageCT[:aligned], n.stageTags[:k*shield.TagSize]
-	if err := n.stageTLSOutSealed(aligned, ct, tags); err != nil {
-		return nil, err
-	}
-	out := make([]byte, aligned)
-	if err := n.tlsSeal.OpenRange(0, 0, out, ct, tags); err != nil {
-		return nil, err
-	}
-	return out[:size], nil
-}
-
 // reserve validates a Put and allocates the file's slot entry. Caller
 // holds mu and commits with n.directory[name] = entry on success.
 // Failures are application rejections (ErrRejected): authoritative
@@ -563,6 +525,9 @@ func (n *Node) stageTLSOut(size int) ([]byte, error) {
 func (n *Node) reserve(user, name string, size int) (fileEntry, error) {
 	if _, ok := n.userKeys[user]; !ok {
 		return fileEntry{}, rejectf("sdp: user %q has no provisioned key", user)
+	}
+	if size < 1 {
+		return fileEntry{}, rejectf("sdp: empty file (a file holds at least one byte)")
 	}
 	if size > n.cfg.SlotBytes {
 		return fileEntry{}, rejectf("sdp: file of %d bytes exceeds slot size %d", size, n.cfg.SlotBytes)
@@ -662,25 +627,6 @@ func (n *Node) EraseTenant(user string) error {
 	return nil
 }
 
-// putStaged is the node half of a Put once the sealed tls image has been
-// DMAed in: pull the extent through the tls engine set (decrypt+verify),
-// apply the per-user GDPR layer, push through the store engine set.
-// Caller holds mu.
-func (n *Node) putStaged(user, name string, entry fileEntry) error {
-	aligned := alignUp(entry.size, n.cfg.AuthBlock)
-	buf := n.stage(aligned)
-	if _, err := n.sh.ReadBurst(tlsBase, buf); err != nil {
-		return err
-	}
-	n.sealForUser(user, name, buf[:entry.size])
-	if err := n.storeWrite(entry.slot, buf); err != nil {
-		return err
-	}
-	n.directory[name] = entry
-	n.respInvalidate(name)
-	return n.flushStore(user)
-}
-
 // flushStore is Put's durability barrier: under the default
 // write-through policy every operation's store lines are sealed to DRAM
 // before it returns; under WriteBack they stay resident and dirty (the
@@ -713,19 +659,18 @@ func (n *Node) Sync() error {
 	return n.sh.FlushRegion("store")
 }
 
-// Put stores a file for a user: application → tls engine set → user-key
-// layer → store engine set.
+// Put stores a file for a user: the node's own TLS session seals the
+// payload, as the Data Owner's endpoint would, then the PutSealed body
+// runs. Table 2, anti-entropy repair and the examples drive a node
+// through Put/Get; the serving tier seals on client-held sessions.
 func (n *Node) Put(user, name string, payload []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	entry, err := n.reserve(user, name, len(payload))
+	ct, tags, err := n.tls.Seal(payload)
 	if err != nil {
 		return err
 	}
-	if err := n.stageTLSIn(payload); err != nil {
-		return err
-	}
-	return n.putStaged(user, name, entry)
+	return n.putSealed(user, name, len(payload), ct, tags)
 }
 
 // PutSealed stores a file whose tls image the Data Owner already sealed
@@ -736,6 +681,14 @@ func (n *Node) Put(user, name string, payload []byte) error {
 func (n *Node) PutSealed(user, name string, size int, ct, tags []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.putSealed(user, name, size, ct, tags)
+}
+
+// putSealed is the one node body of a Put: DMA the sealed image into the
+// tls region, pull the extent through the tls engine set
+// (decrypt+verify), apply the per-user GDPR layer, and push it through
+// the store engine set. Caller holds mu.
+func (n *Node) putSealed(user, name string, size int, ct, tags []byte) error {
 	entry, err := n.reserve(user, name, size)
 	if err != nil {
 		return err
@@ -748,7 +701,17 @@ func (n *Node) PutSealed(user, name string, size int, ct, tags []byte) error {
 	if err := n.dmaTLSIn(ct, tags); err != nil {
 		return err
 	}
-	return n.putStaged(user, name, entry)
+	buf := n.stage(aligned)
+	if _, err := n.sh.ReadBurst(tlsBase, buf); err != nil {
+		return err
+	}
+	n.sealForUser(user, name, buf[:size])
+	if err := n.storeWrite(entry.slot, buf); err != nil {
+		return err
+	}
+	n.directory[name] = entry
+	n.respInvalidate(name)
+	return n.flushStore(user)
 }
 
 // storeWrite places a slot image (whole auth blocks) in the store region:
@@ -787,10 +750,10 @@ func (n *Node) storeRead(slot int, buf []byte) error {
 	return nil
 }
 
-// getStaged is the node half of a Get: locate the file, pull it from the
-// store engine set, strip the GDPR layer, and push the plaintext into the
-// tls engine set ready for staging out. Caller holds mu.
-func (n *Node) getStaged(user, name string) (fileEntry, error) {
+// authorise is the GDPR access check every read passes before any data
+// moves, the response cache included: a provisioned user, an existing
+// file, and an owner match. Caller holds mu.
+func (n *Node) authorise(user, name string) (fileEntry, error) {
 	if _, ok := n.userKeys[user]; !ok {
 		return fileEntry{}, rejectf("sdp: user %q has no provisioned key", user)
 	}
@@ -801,27 +764,21 @@ func (n *Node) getStaged(user, name string) (fileEntry, error) {
 	if entry.user != user {
 		return fileEntry{}, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
 	}
-	buf := n.stage(alignUp(entry.size, n.cfg.AuthBlock))
-	if err := n.storeRead(entry.slot, buf); err != nil {
-		return fileEntry{}, err
-	}
-	n.sealForUser(user, name, buf[:entry.size]) // CTR layer is an involution
-	if _, err := n.sh.WriteBurst(tlsBase, buf); err != nil {
-		return fileEntry{}, err
-	}
 	return entry, nil
 }
 
-// Get retrieves a file for a user and returns the plaintext as the
-// application's TLS endpoint would see it.
+// Get retrieves a file for a user: the GetSealed body into the node's own
+// TLS session, which then opens the response as the application's
+// endpoint would. It returns the plaintext.
 func (n *Node) Get(user, name string) ([]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	entry, err := n.getStaged(user, name)
+	ct, tags := n.tls.Buffers()
+	size, err := n.getSealed(user, name, ct, tags)
 	if err != nil {
 		return nil, err
 	}
-	return n.stageTLSOut(entry.size)
+	return n.tls.Open(nil, ct, tags, size)
 }
 
 // GetSealed retrieves a file as its sealed tls image, DMAed into the
@@ -832,19 +789,16 @@ func (n *Node) Get(user, name string) ([]byte, error) {
 func (n *Node) GetSealed(user, name string, ct, tags []byte) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.respCache != nil {
-		// The cache is consulted only after the same authorisation the
-		// full path enforces: provisioned user, existing file, owner match.
-		if _, ok := n.userKeys[user]; ok {
-			if e, ok := n.directory[name]; ok && e.user == user {
-				if size, ok := n.respServe(name, ct, tags); ok {
-					return size, nil
-				}
-				n.respMiss++
-			}
-		}
-	}
-	entry, err := n.getStaged(user, name)
+	return n.getSealed(user, name, ct, tags)
+}
+
+// getSealed is the one node body of a Get: authorise, then serve the
+// sealed image from the response cache or run the full path — pull the
+// file from the store engine set, strip the GDPR layer, push the
+// plaintext through the tls engine set and DMA the sealed extent out.
+// Caller holds mu.
+func (n *Node) getSealed(user, name string, ct, tags []byte) (int, error) {
+	entry, err := n.authorise(user, name)
 	if err != nil {
 		return 0, err
 	}
@@ -854,10 +808,25 @@ func (n *Node) GetSealed(user, name string, ct, tags []byte) (int, error) {
 		return 0, rejectf("sdp: sealed-image buffers hold %d+%d bytes, need %d+%d",
 			len(ct), len(tags), aligned, k*shield.TagSize)
 	}
-	if err := n.stageTLSOutSealed(aligned, ct[:aligned], tags[:k*shield.TagSize]); err != nil {
+	ct, tags = ct[:aligned], tags[:k*shield.TagSize]
+	if n.respCache != nil {
+		if size, ok := n.respServe(name, ct, tags); ok {
+			return size, nil
+		}
+		n.respMiss++
+	}
+	buf := n.stage(aligned)
+	if err := n.storeRead(entry.slot, buf); err != nil {
 		return 0, err
 	}
-	n.respInsert(name, entry.size, ct[:aligned], tags[:k*shield.TagSize])
+	n.sealForUser(user, name, buf[:entry.size]) // CTR layer is an involution
+	if _, err := n.sh.WriteBurst(tlsBase, buf); err != nil {
+		return 0, err
+	}
+	if err := n.dmaTLSOut(ct, tags); err != nil {
+		return 0, err
+	}
+	n.respInsert(name, entry.size, ct, tags)
 	return entry.size, nil
 }
 
