@@ -22,6 +22,7 @@ import (
 	"shef/internal/accel"
 	"shef/internal/boot"
 	"shef/internal/hostapp"
+	"shef/internal/perf"
 )
 
 func main() {
@@ -33,13 +34,13 @@ func main() {
 	serial := flag.String("serial", "", "device serial (empty = unique per invocation, so concurrent owners against one shefd don't collide in the CA)")
 	flag.Parse()
 
-	v, err := parseVariant(*variant)
+	v, err := accel.ParseVariant(*variant)
 	if err != nil {
 		log.Fatal(err)
 	}
 	opts := hostapp.Options{
 		Design:  *design,
-		Params:  parseParams(*params),
+		Params:  accel.ParseParams(*params),
 		Variant: v,
 		Serial:  *serial,
 	}
@@ -92,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("shefctl: run failed: %v", err)
 	}
-	pp := *p.Options.Perf
+	pp := perf.Default()
 	fmt.Printf("    simulated time    %d cycles (%.3f ms at %.0f MHz)\n",
 		res.Cycles, 1000*res.Seconds(pp), pp.ClockHz/1e6)
 
@@ -109,47 +110,4 @@ func main() {
 	} else {
 		fmt.Printf("\n[4] runtime port monitoring: TAMPER %v\n", ev)
 	}
-}
-
-func parseParams(s string) map[string]string {
-	out := map[string]string{}
-	for _, kv := range splitComma(s) {
-		for i := 0; i < len(kv); i++ {
-			if kv[i] == '=' {
-				out[kv[:i]] = kv[i+1:]
-				break
-			}
-		}
-	}
-	return out
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func parseVariant(s string) (accel.Variant, error) {
-	switch s {
-	case "128/4x":
-		return accel.V128x4, nil
-	case "128/16x":
-		return accel.V128x16, nil
-	case "256/4x":
-		return accel.V256x4, nil
-	case "256/16x":
-		return accel.V256x16, nil
-	case "128/16x+pmac":
-		return accel.V128x16PMAC, nil
-	}
-	return accel.Variant{}, fmt.Errorf("unknown variant %q", s)
 }

@@ -46,13 +46,13 @@ func main() {
 	tenantFair := flag.Bool("tenant-fair", false, "multi-tenant: fair-share admission under overload")
 	flag.Parse()
 
-	v, err := parseVariant(*variant)
+	v, err := accel.ParseVariant(*variant)
 	if err != nil {
 		log.Fatal(err)
 	}
 	opts := hostapp.Options{
 		Design:  *design,
-		Params:  parseParams(*params),
+		Params:  accel.ParseParams(*params),
 		Variant: v,
 	}
 	vendor, product, err := hostapp.BuildVendor(opts)
@@ -144,50 +144,4 @@ func startDebug(addr string, srv *hostapp.VendorServer) (*hostapp.DebugServer, e
 		}
 		return stats
 	})
-}
-
-func parseParams(s string) map[string]string {
-	out := map[string]string{}
-	if s == "" {
-		return out
-	}
-	for _, kv := range splitComma(s) {
-		for i := 0; i < len(kv); i++ {
-			if kv[i] == '=' {
-				out[kv[:i]] = kv[i+1:]
-				break
-			}
-		}
-	}
-	return out
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func parseVariant(s string) (accel.Variant, error) {
-	switch s {
-	case "128/4x":
-		return accel.V128x4, nil
-	case "128/16x":
-		return accel.V128x16, nil
-	case "256/4x":
-		return accel.V256x4, nil
-	case "256/16x":
-		return accel.V256x16, nil
-	case "128/16x+pmac":
-		return accel.V128x16PMAC, nil
-	}
-	return accel.Variant{}, fmt.Errorf("unknown variant %q", s)
 }

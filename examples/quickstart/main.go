@@ -16,6 +16,7 @@ import (
 
 	"shef/internal/accel"
 	"shef/internal/hostapp"
+	"shef/internal/perf"
 )
 
 func main() {
@@ -41,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("run failed: %v", err)
 	}
-	pp := *platform.Options.Perf
+	pp := perf.Default()
 	fmt.Printf("shielded run: %d cycles (%.2f ms at %.0f MHz)\n",
 		res.Cycles, 1000*res.Seconds(pp), pp.ClockHz/1e6)
 	var streamed, windows, batchedWB, prefetched, prefetchHits uint64

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"shef/internal/axi"
 	"shef/internal/crypto/aesx"
@@ -106,6 +107,36 @@ var (
 
 // Figure6Variants lists the AES engine configurations of Figure 6.
 var Figure6Variants = []Variant{V128x16, V256x16, V128x4, V256x4}
+
+// ParseVariant reads a variant as the command-line tools spell it:
+// 128/4x, 128/16x, 256/4x, 256/16x or 128/16x+pmac.
+func ParseVariant(s string) (Variant, error) {
+	switch s {
+	case "128/4x":
+		return V128x4, nil
+	case "128/16x":
+		return V128x16, nil
+	case "256/4x":
+		return V256x4, nil
+	case "256/16x":
+		return V256x16, nil
+	case "128/16x+pmac":
+		return V128x16PMAC, nil
+	}
+	return Variant{}, fmt.Errorf("unknown variant %q", s)
+}
+
+// ParseParams reads design parameters spelled k=v[,k=v...]. Entries
+// without an '=' are skipped; a value keeps any later '='.
+func ParseParams(s string) map[string]string {
+	out := map[string]string{}
+	for _, kv := range strings.Split(s, ",") {
+		if k, v, ok := strings.Cut(kv, "="); ok {
+			out[k] = v
+		}
+	}
+	return out
+}
 
 // Workload is one benchmark accelerator.
 type Workload interface {

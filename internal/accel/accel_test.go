@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -144,5 +145,41 @@ func TestComputeOverlap(t *testing.T) {
 func TestOverheadZeroBase(t *testing.T) {
 	if Overhead(RunResult{Cycles: 5}, RunResult{}) != 0 {
 		t.Fatal("zero-base overhead should be 0")
+	}
+}
+
+func TestParseVariant(t *testing.T) {
+	for s, want := range map[string]Variant{
+		"128/4x": V128x4, "128/16x": V128x16, "256/4x": V256x4,
+		"256/16x": V256x16, "128/16x+pmac": V128x16PMAC,
+	} {
+		if got, err := ParseVariant(s); err != nil || got != want {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"", "128/8x", "256/16x+pmac", "128/16X"} {
+		if _, err := ParseVariant(s); err == nil {
+			t.Errorf("ParseVariant(%q) accepted", s)
+		}
+	}
+}
+
+func TestParseParams(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want map[string]string
+	}{
+		{"", map[string]string{}},
+		{"difficulty=8", map[string]string{"difficulty": "8"}},
+		{"bytes=16384,lanes=4", map[string]string{"bytes": "16384", "lanes": "4"}},
+		{"a=1,,b=2,", map[string]string{"a": "1", "b": "2"}},
+		{"flag,a=1", map[string]string{"a": "1"}},
+		{"a=b=c", map[string]string{"a": "b=c"}},
+		{"a=", map[string]string{"a": ""}},
+		{"a=1,a=2", map[string]string{"a": "2"}},
+	} {
+		if got := ParseParams(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseParams(%q) = %v, want %v", c.in, got, c.want)
+		}
 	}
 }

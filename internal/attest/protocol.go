@@ -3,7 +3,6 @@ package attest
 import (
 	"bytes"
 	"context"
-	"crypto/aes"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
@@ -13,8 +12,7 @@ import (
 
 	"shef/internal/bitstream"
 	"shef/internal/boot"
-	"shef/internal/crypto/aesx"
-	"shef/internal/crypto/hmacx"
+	"shef/internal/crypto/aead"
 	"shef/internal/crypto/kdf"
 	"shef/internal/crypto/rsax"
 	"shef/internal/crypto/schnorr"
@@ -112,34 +110,6 @@ func sessionBinding(sessionKey, nonce []byte) []byte {
 	return append(msg, sessionKey...)
 }
 
-// sealSession encrypts-then-MACs a payload under the session key.
-func sealSession(sessionKey, payload []byte) (keyDelivery, error) {
-	c, err := aes.NewCipher(sessionKey)
-	if err != nil {
-		return keyDelivery{}, err
-	}
-	ct := make([]byte, len(payload))
-	var iv [aesx.IVSize]byte
-	iv[0] = 0xA7 // session-channel domain
-	aesx.CTR(c, iv, ct, payload)
-	return keyDelivery{Ciphertext: ct, Tag: hmacx.Tag(sessionKey, ct)}, nil
-}
-
-func openSession(sessionKey []byte, d keyDelivery) ([]byte, error) {
-	if !hmacx.Verify(sessionKey, d.Ciphertext, d.Tag) {
-		return nil, errors.New("attest: session payload authentication failed")
-	}
-	c, err := aes.NewCipher(sessionKey)
-	if err != nil {
-		return nil, err
-	}
-	pt := make([]byte, len(d.Ciphertext))
-	var iv [aesx.IVSize]byte
-	iv[0] = 0xA7
-	aesx.CTR(c, iv, pt, d.Ciphertext)
-	return pt, nil
-}
-
 // Result is what the IP Vendor learns from a successful attestation.
 type Result struct {
 	Report     Report
@@ -221,14 +191,14 @@ func (v *Vendor) RunVendor(conn io.ReadWriter, product string) (*Result, error) 
 		return fail("attest: session key certificate invalid (man-in-the-middle?)")
 	}
 	// Step 6: deliver the Bitstream Encryption Key under the session key.
-	delivery, err := sealSession(sessionKey, p.BitstreamKey)
+	sealed, err := aead.Seal(sessionKey, p.BitstreamKey)
 	if err != nil {
 		return nil, err
 	}
 	if err := writeMsg(conn, vendorError{OK: true}); err != nil {
 		return nil, err
 	}
-	if err := writeMsg(conn, delivery); err != nil {
+	if err := writeMsg(conn, keyDelivery{Sealed: sealed}); err != nil {
 		return nil, err
 	}
 	return &Result{Report: rep, SessionKey: sessionKey}, nil
@@ -304,5 +274,9 @@ func answerChallenge(conn io.ReadWriter, k *boot.SecurityKernel, enc *bitstream.
 	if err := readMsg(conn, &delivery); err != nil {
 		return nil, err
 	}
-	return openSession(sessionKey, delivery)
+	bitKey, err := aead.Open(sessionKey, delivery.Sealed)
+	if err != nil {
+		return nil, fmt.Errorf("attest: session payload authentication failed: %w", err)
+	}
+	return bitKey, nil
 }

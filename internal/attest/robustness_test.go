@@ -2,10 +2,13 @@ package attest
 
 import (
 	"bytes"
+	"io"
 	"math/big"
 	"net"
 	"testing"
 	"time"
+
+	"shef/internal/crypto/aead"
 )
 
 // These tests exercise the protocol endpoints against malformed and
@@ -127,28 +130,65 @@ func TestVendorRejectsGarbageReport(t *testing.T) {
 	vc.Close()
 }
 
-// TestSessionSealTamper: the session-channel AEAD rejects flipped bits.
+// TestSessionSealTamper: the host relays the step-6 key delivery, and the
+// kernel rejects it after any change on the way: a flipped bit in the body
+// or the tag, a truncated blob, or a blob sealed under another key.
 func TestSessionSealTamper(t *testing.T) {
-	key := bytes.Repeat([]byte{7}, 32)
-	d, err := sealSession(key, []byte("bitstream key material"))
-	if err != nil {
-		t.Fatal(err)
+	w := getWorld(t)
+	relay := func(tamper func(sealed []byte) []byte) ([]byte, error) {
+		vc, hv := net.Pipe() // vendor ↔ host
+		hk, kc := net.Pipe() // host ↔ kernel
+		// Kernel → vendor passes untouched.
+		go func() {
+			io.Copy(hv, hk)
+			hv.Close()
+		}()
+		// Vendor → kernel: challenge, verdict, then the key delivery.
+		go func() {
+			var ch challenge
+			var verdict vendorError
+			var d keyDelivery
+			if readMsg(hv, &ch) != nil || writeMsg(hk, ch) != nil ||
+				readMsg(hv, &verdict) != nil || writeMsg(hk, verdict) != nil ||
+				readMsg(hv, &d) != nil {
+				hk.Close()
+				return
+			}
+			d.Sealed = tamper(d.Sealed)
+			writeMsg(hk, d)
+		}()
+		done := make(chan struct{})
+		var key []byte
+		var kerr error
+		go func() {
+			defer close(done)
+			key, kerr = ServeKernel(kc, w.kernel, w.enc)
+			kc.Close()
+		}()
+		if _, err := w.vendor.RunVendor(vc, "vecadd"); err != nil {
+			t.Fatalf("vendor: %v", err)
+		}
+		vc.Close()
+		<-done
+		return key, kerr
 	}
-	if _, err := openSession(key, d); err != nil {
+	if key, err := relay(func(b []byte) []byte { return b }); err != nil || !bytes.Equal(key, w.bitKey) {
 		t.Fatalf("clean payload rejected: %v", err)
 	}
-	d.Ciphertext[0] ^= 1
-	if _, err := openSession(key, d); err == nil {
+	if _, err := relay(func(b []byte) []byte { b[len(b)/2] ^= 1; return b }); err == nil {
 		t.Fatal("tampered session payload accepted")
 	}
-	d.Ciphertext[0] ^= 1
-	d.Tag[0] ^= 1
-	if _, err := openSession(key, d); err == nil {
+	if _, err := relay(func(b []byte) []byte { b[len(b)-1] ^= 1; return b }); err == nil {
 		t.Fatal("tampered session tag accepted")
 	}
+	if _, err := relay(func(b []byte) []byte { return b[:len(b)-1] }); err == nil {
+		t.Fatal("truncated session payload accepted")
+	}
 	other := bytes.Repeat([]byte{8}, 32)
-	d.Tag[0] ^= 1
-	if _, err := openSession(other, d); err == nil {
+	if _, err := relay(func([]byte) []byte {
+		forged, _ := aead.Seal(other, w.bitKey)
+		return forged
+	}); err == nil {
 		t.Fatal("session payload opened under wrong key")
 	}
 }

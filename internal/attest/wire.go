@@ -103,10 +103,9 @@ func (r Report) canonical() []byte {
 }
 
 // keyDelivery is IP Vendor → Security Kernel (step 6): the Bitstream
-// Encryption Key sealed under the session key.
+// Encryption Key sealed with aead.Seal under the session key.
 type keyDelivery struct {
-	Ciphertext []byte   `json:"ciphertext"`
-	Tag        [16]byte `json:"tag"`
+	Sealed []byte `json:"sealed"`
 }
 
 // vendorError carries a protocol rejection to the peer before closing.

@@ -238,74 +238,3 @@ type Burst struct {
 }
 
 func (b Burst) String() string { return fmt.Sprintf("[%#x +%d]", b.Addr, b.Len) }
-
-// CheckedPort wraps a MemoryPort with address-range enforcement; the Shell
-// uses it to fence accelerators into their allocated region, and tests use
-// it to assert the Shield never touches memory outside its partitions.
-type CheckedPort struct {
-	Inner MemoryPort
-	Base  uint64
-	Limit uint64 // exclusive
-}
-
-// ReadBurst implements MemoryPort.
-func (c *CheckedPort) ReadBurst(addr uint64, buf []byte) (uint64, error) {
-	if err := c.check(addr, len(buf)); err != nil {
-		return 0, err
-	}
-	return c.Inner.ReadBurst(addr, buf)
-}
-
-// WriteBurst implements MemoryPort.
-func (c *CheckedPort) WriteBurst(addr uint64, data []byte) (uint64, error) {
-	if err := c.check(addr, len(data)); err != nil {
-		return 0, err
-	}
-	return c.Inner.WriteBurst(addr, data)
-}
-
-// ReadStream implements Streamer by delegating to the inner port's
-// streaming path when it has one, so fencing a Shield behind a CheckedPort
-// does not silently degrade ReadAuto/WriteAuto to the chunked path.
-func (c *CheckedPort) ReadStream(addr uint64, buf []byte) (uint64, error) {
-	if err := c.check(addr, len(buf)); err != nil {
-		return 0, err
-	}
-	return ReadAuto(c.Inner, addr, buf)
-}
-
-// WriteStream implements Streamer (see ReadStream).
-func (c *CheckedPort) WriteStream(addr uint64, data []byte) (uint64, error) {
-	if err := c.check(addr, len(data)); err != nil {
-		return 0, err
-	}
-	return WriteAuto(c.Inner, addr, data)
-}
-
-// ReadGather implements Gatherer by delegating to the inner port (see
-// ReadStream): every run is fenced individually.
-func (c *CheckedPort) ReadGather(runs []Burst, buf []byte) (uint64, error) {
-	for _, r := range runs {
-		if err := c.check(r.Addr, r.Len); err != nil {
-			return 0, err
-		}
-	}
-	return ReadGatherAuto(c.Inner, runs, buf)
-}
-
-// WriteGather implements Gatherer (see ReadGather).
-func (c *CheckedPort) WriteGather(runs []Burst, data []byte) (uint64, error) {
-	for _, r := range runs {
-		if err := c.check(r.Addr, r.Len); err != nil {
-			return 0, err
-		}
-	}
-	return WriteGatherAuto(c.Inner, runs, data)
-}
-
-func (c *CheckedPort) check(addr uint64, n int) error {
-	if addr < c.Base || addr+uint64(n) > c.Limit {
-		return fmt.Errorf("axi: access [%#x,+%d) outside window [%#x,%#x)", addr, n, c.Base, c.Limit)
-	}
-	return nil
-}

@@ -7,23 +7,6 @@ import (
 	"shef/internal/perf"
 )
 
-func TestCheckedPort(t *testing.T) {
-	d := mem.NewDRAM(1<<20, perf.Default())
-	p := &CheckedPort{Inner: d, Base: 0x1000, Limit: 0x2000}
-	if _, err := p.WriteBurst(0x1000, make([]byte, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.WriteBurst(0x0FF0, make([]byte, 16)); err == nil {
-		t.Fatal("write below window accepted")
-	}
-	if _, err := p.ReadBurst(0x1FF8, make([]byte, 16)); err == nil {
-		t.Fatal("read straddling limit accepted")
-	}
-	if _, err := p.ReadBurst(0x1FF0, make([]byte, 16)); err != nil {
-		t.Fatal("in-window read rejected")
-	}
-}
-
 // streamSpy wraps a MemoryPort and records whether the streaming path ran.
 type streamSpy struct {
 	MemoryPort
@@ -165,38 +148,6 @@ func TestGatherAutoDispatch(t *testing.T) {
 	}
 	if !spy.gathered {
 		t.Fatal("ReadGatherAuto ignored the gather path")
-	}
-}
-
-// TestCheckedPortStreamAndGather: fencing a streaming/gathering port keeps
-// the fast paths (no silent degradation to chunked bursts) while every run
-// is still bounds-checked.
-func TestCheckedPortStreamAndGather(t *testing.T) {
-	d := mem.NewDRAM(1<<20, perf.Default())
-	spy := &gatherSpy{MemoryPort: d}
-	cp := &CheckedPort{Inner: spy, Base: 0, Limit: 1 << 12}
-	runs := []Burst{{Addr: 0, Len: 8}, {Addr: 128, Len: 8}}
-	if _, err := cp.WriteGather(runs, make([]byte, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if !spy.gathered {
-		t.Fatal("CheckedPort dropped the inner gather path")
-	}
-	bad := []Burst{{Addr: 0, Len: 8}, {Addr: 1 << 12, Len: 8}}
-	if _, err := cp.ReadGather(bad, make([]byte, 16)); err == nil {
-		t.Fatal("out-of-window gather run accepted")
-	}
-	// Streamer passthrough (ReadAuto sees a Streamer and must not lose it).
-	sspy := &streamSpy{MemoryPort: d}
-	scp := &CheckedPort{Inner: sspy, Base: 0, Limit: 1 << 12}
-	if _, err := ReadAuto(scp, 0, make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if !sspy.streamed {
-		t.Fatal("CheckedPort dropped the inner streaming path")
-	}
-	if _, err := scp.WriteStream(1<<12, make([]byte, 8)); err == nil {
-		t.Fatal("out-of-window stream accepted")
 	}
 }
 

@@ -13,15 +13,13 @@
 package bitstream
 
 import (
-	"crypto/aes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/big"
 
-	"shef/internal/crypto/aesx"
-	"shef/internal/crypto/hmacx"
+	"shef/internal/crypto/aead"
 	"shef/internal/crypto/modp"
 	"shef/internal/crypto/rsax"
 	"shef/internal/crypto/schnorr"
@@ -66,8 +64,8 @@ func (m *Manifest) ShieldKey() (*schnorr.PrivateKey, error) {
 type Encrypted struct {
 	// Name identifies the bitstream (marketplace listing, AFI id, ...).
 	Name string `json:"name"`
-	// Blob is AES-CTR ciphertext followed by a 16-byte HMAC tag, sealed
-	// under the Bitstream Encryption Key.
+	// Blob is the manifest sealed with aead.Seal under the Bitstream
+	// Encryption Key.
 	Blob []byte `json:"blob"`
 	// Signature is the IP Vendor's RSA signature over SHA-256(Blob),
 	// so marketplaces and Data Owners can check provenance.
@@ -93,9 +91,9 @@ func Compile(name string, m *Manifest, bitstreamKey []byte, vendor *rsax.Private
 	if err != nil {
 		return nil, fmt.Errorf("bitstream: encoding manifest: %w", err)
 	}
-	blob, err := seal(bitstreamKey, plain)
+	blob, err := aead.Seal(bitstreamKey, plain)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bitstream: sealing manifest: %w", err)
 	}
 	e := &Encrypted{Name: name, Blob: blob}
 	if vendor != nil {
@@ -113,9 +111,9 @@ func Compile(name string, m *Manifest, bitstreamKey []byte, vendor *rsax.Private
 // Bitstream Encryption Key. This runs inside the Security Kernel, in
 // on-chip memory, after attestation delivered the key (paper §4).
 func Decrypt(e *Encrypted, bitstreamKey []byte) (*Manifest, error) {
-	plain, err := open(bitstreamKey, e.Blob)
+	plain, err := aead.Open(bitstreamKey, e.Blob)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bitstream: authentication failed (wrong key or tampered image): %w", err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(plain, &m); err != nil {
@@ -134,36 +132,4 @@ func VerifySignature(e *Encrypted, vendorPub *rsax.PublicKey) bool {
 	}
 	sum := e.Hash()
 	return rsax.Verify(vendorPub, sum[:], e.Signature)
-}
-
-func seal(key, plain []byte) ([]byte, error) {
-	c, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("bitstream: bad bitstream key: %w", err)
-	}
-	ct := make([]byte, len(plain))
-	var iv [aesx.IVSize]byte
-	aesx.CTR(c, iv, ct, plain)
-	tag := hmacx.Tag(key, ct)
-	return append(ct, tag[:]...), nil
-}
-
-func open(key, blob []byte) ([]byte, error) {
-	if len(blob) < hmacx.TagSize {
-		return nil, errors.New("bitstream: blob too short")
-	}
-	ct := blob[:len(blob)-hmacx.TagSize]
-	var tag [hmacx.TagSize]byte
-	copy(tag[:], blob[len(blob)-hmacx.TagSize:])
-	if !hmacx.Verify(key, ct, tag) {
-		return nil, errors.New("bitstream: authentication failed (wrong key or tampered image)")
-	}
-	c, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	plain := make([]byte, len(ct))
-	var iv [aesx.IVSize]byte
-	aesx.CTR(c, iv, plain, ct)
-	return plain, nil
 }

@@ -100,9 +100,17 @@ func TestBlobHidesDesign(t *testing.T) {
 
 func TestTamperedBlobRejected(t *testing.T) {
 	enc, _ := Compile("x", testManifest(t), key32(), nil)
-	enc.Blob[10] ^= 1
+	blob := enc.Blob
+	for _, i := range []int{len(blob) / 2, len(blob) - 1} { // body, tag
+		enc.Blob = append([]byte(nil), blob...)
+		enc.Blob[i] ^= 1
+		if _, err := Decrypt(enc, key32()); err == nil {
+			t.Fatal("tampered bitstream accepted")
+		}
+	}
+	enc.Blob = blob[:len(blob)-1]
 	if _, err := Decrypt(enc, key32()); err == nil {
-		t.Fatal("tampered bitstream accepted")
+		t.Fatal("truncated bitstream accepted")
 	}
 }
 

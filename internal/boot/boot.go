@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"shef/internal/crypto/aead"
 	"shef/internal/crypto/modp"
 	"shef/internal/crypto/rsax"
 	"shef/internal/crypto/schnorr"
@@ -40,8 +41,8 @@ type Manufacturer struct {
 }
 
 // firmwareImage is the plaintext content of the SPB firmware: the private
-// device key, serialised. It exists only inside SealBlob ciphertext and
-// SPB-internal memory.
+// device key, serialised. It exists only inside the sealed firmware blob
+// and SPB-internal memory.
 type firmwareImage struct {
 	N *big.Int `json:"n"`
 	E int      `json:"e"`
@@ -74,7 +75,10 @@ func (m *Manufacturer) Provision(dev *fpga.Device) (*ProvisionedDevice, error) {
 	if err != nil {
 		return nil, fmt.Errorf("boot: generating device key pair: %w", err)
 	}
-	wrapped := fpga.WrapKeyForEFuse(dev.PUF(), aesKey)
+	wrapped, err := fpga.WrapKeyForEFuse(dev.PUF(), aesKey)
+	if err != nil {
+		return nil, err
+	}
 	if err := dev.BurnEFuse(wrapped, true); err != nil {
 		return nil, err
 	}
@@ -84,7 +88,7 @@ func (m *Manufacturer) Provision(dev *fpga.Device) (*ProvisionedDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	blob, err := fpga.SealBlob(aesKey, fw)
+	blob, err := aead.Seal(aesKey, fw)
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func TestBootFailsOnCorruptFirmware(t *testing.T) {
 		FirmwareBlob: append([]byte(nil), pd.FirmwareBlob...),
 		DevicePublic: pd.DevicePublic,
 	}
-	bad.FirmwareBlob[5] ^= 1
+	bad.FirmwareBlob[len(bad.FirmwareBlob)/2] ^= 1
 	if _, err := Boot(bad, ReferenceKernel, modp.TestGroup); err == nil {
 		t.Fatal("boot succeeded with corrupted firmware")
 	}

@@ -4,28 +4,25 @@
 // bitstream can recover it (paper §3, steps 10-11).
 //
 // Construction: ephemeral-static Diffie-Hellman to the recipient's public
-// element, HKDF to split encryption and MAC keys, AES-256-CTR for
-// confidentiality, HMAC-SHA256 (16-byte tag) for integrity in
-// encrypt-then-MAC order.
+// element, HKDF to one 32-byte key, and aead (AES-256-GCM) over the
+// payload.
 package keywrap
 
 import (
-	"crypto/aes"
 	"errors"
+	"fmt"
 	"io"
 	"math/big"
 
-	"shef/internal/crypto/aesx"
-	"shef/internal/crypto/hmacx"
+	"shef/internal/crypto/aead"
 	"shef/internal/crypto/kdf"
 	"shef/internal/crypto/schnorr"
 )
 
 // Wrapped is a sealed payload addressed to one Shield key pair.
 type Wrapped struct {
-	Ephemeral  []byte // sender's ephemeral public element g^r
-	Ciphertext []byte
-	Tag        [hmacx.TagSize]byte
+	Ephemeral []byte // sender's ephemeral public element g^r
+	Sealed    []byte // payload sealed with aead.Seal
 }
 
 // Wrap seals payload to the recipient public key. rng may be nil for
@@ -42,23 +39,15 @@ func Wrap(recipient *schnorr.PublicKey, payload []byte, rng io.Reader) (*Wrapped
 	if err != nil {
 		return nil, err
 	}
-	encKey, macKey := splitKeys(shared, eph.Y, recipient.Y)
-	ct := make([]byte, len(payload))
-	cipher, err := aes.NewCipher(encKey)
+	sealed, err := aead.Seal(wrapKey(shared, eph.Y, recipient.Y), payload)
 	if err != nil {
 		return nil, err
 	}
-	var iv [aesx.IVSize]byte // fresh key per wrap, zero IV is safe
-	aesx.CTR(cipher, iv, ct, payload)
-	return &Wrapped{
-		Ephemeral:  eph.PublicKey.Bytes(),
-		Ciphertext: ct,
-		Tag:        hmacx.Tag(macKey, ct),
-	}, nil
+	return &Wrapped{Ephemeral: eph.PublicKey.Bytes(), Sealed: sealed}, nil
 }
 
 // Unwrap opens a sealed payload with the recipient's private key. It fails
-// if the tag does not verify.
+// if the payload does not authenticate.
 func Unwrap(recipient *schnorr.PrivateKey, w *Wrapped) ([]byte, error) {
 	if w == nil {
 		return nil, errors.New("keywrap: nil payload")
@@ -71,22 +60,14 @@ func Unwrap(recipient *schnorr.PrivateKey, w *Wrapped) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	encKey, macKey := splitKeys(shared, ephPub.Y, recipient.Y)
-	if !hmacx.Verify(macKey, w.Ciphertext, w.Tag) {
-		return nil, errors.New("keywrap: authentication failed")
-	}
-	pt := make([]byte, len(w.Ciphertext))
-	cipher, err := aes.NewCipher(encKey)
+	pt, err := aead.Open(wrapKey(shared, ephPub.Y, recipient.Y), w.Sealed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("keywrap: authentication failed: %w", err)
 	}
-	var iv [aesx.IVSize]byte
-	aesx.CTR(cipher, iv, pt, w.Ciphertext)
 	return pt, nil
 }
 
-func splitKeys(shared *big.Int, ephY, recipientY *big.Int) (encKey, macKey []byte) {
+func wrapKey(shared *big.Int, ephY, recipientY *big.Int) []byte {
 	info := append(ephY.Bytes(), recipientY.Bytes()...)
-	okm := kdf.Derive([]byte("shef/keywrap"), shared.Bytes(), info, 64)
-	return okm[:32], okm[32:]
+	return kdf.Derive([]byte("shef/keywrap"), shared.Bytes(), info, 32)
 }

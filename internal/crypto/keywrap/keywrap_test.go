@@ -42,16 +42,23 @@ func TestUnwrapDetectsTamper(t *testing.T) {
 	w, _ := Wrap(&k.PublicKey, []byte("secret data encryption key"), nil)
 
 	ctTampered := *w
-	ctTampered.Ciphertext = append([]byte(nil), w.Ciphertext...)
-	ctTampered.Ciphertext[0] ^= 1
+	ctTampered.Sealed = append([]byte(nil), w.Sealed...)
+	ctTampered.Sealed[len(w.Sealed)/2] ^= 1
 	if _, err := Unwrap(k, &ctTampered); err == nil {
 		t.Fatal("ciphertext tamper not detected")
 	}
 
 	tagTampered := *w
-	tagTampered.Tag[3] ^= 1
+	tagTampered.Sealed = append([]byte(nil), w.Sealed...)
+	tagTampered.Sealed[len(w.Sealed)-1] ^= 1
 	if _, err := Unwrap(k, &tagTampered); err == nil {
 		t.Fatal("tag tamper not detected")
+	}
+
+	truncated := *w
+	truncated.Sealed = w.Sealed[:len(w.Sealed)-1]
+	if _, err := Unwrap(k, &truncated); err == nil {
+		t.Fatal("truncated payload not detected")
 	}
 
 	ephTampered := *w
@@ -69,7 +76,7 @@ func TestWrapFreshEphemeral(t *testing.T) {
 	if bytes.Equal(w1.Ephemeral, w2.Ephemeral) {
 		t.Fatal("ephemeral key reused across wraps")
 	}
-	if bytes.Equal(w1.Ciphertext, w2.Ciphertext) {
+	if bytes.Equal(w1.Sealed, w2.Sealed) {
 		t.Fatal("ciphertext identical across wraps (keystream reuse)")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"shef/internal/crypto/aead"
 	"shef/internal/perf"
 )
 
@@ -35,7 +36,10 @@ func TestSPBDeviceKeyRaw(t *testing.T) {
 func TestSPBDeviceKeyPUFWrapped(t *testing.T) {
 	d := newDev()
 	key := bytes.Repeat([]byte{0x22}, 32)
-	wrapped := WrapKeyForEFuse(d.PUF(), key)
+	wrapped, err := WrapKeyForEFuse(d.PUF(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if bytes.Contains(wrapped, key) {
 		t.Fatal("wrapped payload contains the key in the clear")
 	}
@@ -53,7 +57,10 @@ func TestPUFWrappedKeyUnusableOnOtherDevice(t *testing.T) {
 	d1 := New(VU9P, "device-A", perf.Default(), 1<<20)
 	d2 := New(VU9P, "device-B", perf.Default(), 1<<20)
 	key := bytes.Repeat([]byte{0x33}, 32)
-	wrapped := WrapKeyForEFuse(d1.PUF(), key)
+	wrapped, err := WrapKeyForEFuse(d1.PUF(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d2.BurnEFuse(wrapped, true)
 	if _, err := NewSPB(d2).DeviceAESKey(); err == nil {
 		t.Fatal("PUF-wrapped key from device A unwrapped on device B")
@@ -62,23 +69,32 @@ func TestPUFWrappedKeyUnusableOnOtherDevice(t *testing.T) {
 
 func TestSealOpenBlob(t *testing.T) {
 	key := bytes.Repeat([]byte{0x44}, 32)
+	d := newDev()
+	d.BurnEFuse(key, false)
+	spb := NewSPB(d)
 	fw := []byte("firmware image with embedded private device key")
-	blob, err := SealBlob(key, fw)
+	blob, err := aead.Seal(key, fw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := OpenBlob(key, blob)
+	got, err := spb.DecryptBlob(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, fw) {
 		t.Fatal("blob round trip failed")
 	}
-	blob[3] ^= 1
-	if _, err := OpenBlob(key, blob); err == nil {
-		t.Fatal("tampered blob accepted")
+	for _, i := range []int{len(blob) / 2, len(blob) - 1} { // body, tag
+		blob[i] ^= 1
+		if _, err := spb.DecryptBlob(blob); err == nil {
+			t.Fatal("tampered blob accepted")
+		}
+		blob[i] ^= 1
 	}
-	if _, err := OpenBlob(key, blob[:4]); err == nil {
+	if _, err := spb.DecryptBlob(blob[:len(blob)-1]); err == nil {
+		t.Fatal("truncated blob accepted")
+	}
+	if _, err := spb.DecryptBlob(blob[:4]); err == nil {
 		t.Fatal("truncated blob accepted")
 	}
 }

@@ -29,50 +29,32 @@ import (
 	"shef/internal/shield"
 )
 
-// Options configure a platform build.
+// Options configure a platform build. Every platform is an fpga.VU9P
+// with the model's DRAM and perf.Default cycle costs, attesting in
+// modp.TestGroup with a 1024-bit RSA device key: simulation sizes, where
+// production deployments use modp.Group14 and 2048 bits.
 type Options struct {
-	// Model is the FPGA device (default fpga.VU9P).
-	Model fpga.Model
 	// Serial is the device serial (defaults to a fixed demo serial).
 	Serial string
-	// Group is the attestation group (default modp.TestGroup for speed;
-	// production deployments use modp.Group14).
-	Group *modp.Group
-	// DeviceKeyBits sizes the RSA device key (default 1024 in simulation).
-	DeviceKeyBits int
 	// Design and Params pick the accelerator from the registry.
 	Design string
 	Params map[string]string
 	// Variant selects the Shield engine configuration.
 	Variant accel.Variant
-	// Perf are the cycle-model parameters (default perf.Default).
-	Perf *perf.Params
-	// DRAMSize overrides the device memory size (0 = model default).
-	DRAMSize uint64
 }
 
+// deviceKeyBits sizes the RSA device key of every simulated platform.
+const deviceKeyBits = 1024
+
 func (o *Options) fill() error {
-	if o.Model.Name == "" {
-		o.Model = fpga.VU9P
-	}
 	if o.Serial == "" {
 		o.Serial = "f1-sim-0001"
-	}
-	if o.Group == nil {
-		o.Group = modp.TestGroup
-	}
-	if o.DeviceKeyBits == 0 {
-		o.DeviceKeyBits = 1024
 	}
 	if o.Design == "" {
 		return fmt.Errorf("hostapp: no design selected")
 	}
 	if o.Variant == (accel.Variant{}) {
 		o.Variant = accel.V128x16
-	}
-	if o.Perf == nil {
-		p := perf.Default()
-		o.Perf = &p
 	}
 	return nil
 }
@@ -103,7 +85,7 @@ func BuildVendor(opts Options) (*attest.Vendor, string, error) {
 		return nil, "", err
 	}
 	cfg := w.ShieldConfig(opts.Variant)
-	shieldKey, err := schnorr.GenerateKey(opts.Group, nil)
+	shieldKey, err := schnorr.GenerateKey(modp.TestGroup, nil)
 	if err != nil {
 		return nil, "", err
 	}
@@ -117,7 +99,7 @@ func BuildVendor(opts Options) (*attest.Vendor, string, error) {
 		Params:        opts.Params,
 		Shield:        cfg,
 		ShieldPrivKey: shieldKey.X.Bytes(),
-		Group:         opts.Group.Name,
+		Group:         modp.TestGroup.Name,
 		// Accelerator logic on top of the Shield area.
 		Resources: shield.Area(cfg).Add(fpga.Resources{LUT: 20_000, REG: 15_000, BRAM: 8}),
 	}
@@ -174,8 +156,8 @@ func BuildAgainstVendor(opts Options, product string, dial DialFunc, registerWit
 		return nil, err
 	}
 	// Manufacturer: provision the device; publish its key via the CA.
-	dev := fpga.New(opts.Model, opts.Serial, *opts.Perf, opts.DRAMSize)
-	m := &boot.Manufacturer{Group: opts.Group, KeyBits: opts.DeviceKeyBits}
+	dev := fpga.New(fpga.VU9P, opts.Serial, perf.Default(), 0)
+	m := &boot.Manufacturer{Group: modp.TestGroup, KeyBits: deviceKeyBits}
 	pd, err := m.Provision(dev)
 	if err != nil {
 		return nil, err
@@ -195,7 +177,7 @@ func BuildAgainstVendor(opts Options, product string, dial DialFunc, registerWit
 	}
 
 	// Secure boot and Shell load (paper §3 steps 6-9).
-	kernel, err := boot.Boot(pd, boot.ReferenceKernel, opts.Group)
+	kernel, err := boot.Boot(pd, boot.ReferenceKernel, modp.TestGroup)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +202,7 @@ func BuildAgainstVendor(opts Options, product string, dial DialFunc, registerWit
 	if err != nil {
 		return nil, err
 	}
-	resp, shieldPub, bitKey, err := attest.ProvisionViaHost(conn, product, opts.Group, kernel, enc)
+	resp, shieldPub, bitKey, err := attest.ProvisionViaHost(conn, product, modp.TestGroup, kernel, enc)
 	conn.Close()
 	if err != nil {
 		return nil, err
@@ -250,7 +232,7 @@ func BuildAgainstVendor(opts Options, product string, dial DialFunc, registerWit
 	if shieldPriv.Y.Cmp(shieldPub.Y) != 0 {
 		return nil, fmt.Errorf("hostapp: vendor's shield key does not match the bitstream")
 	}
-	sd, err := shield.New(man.Shield, shieldPriv, sh.MemPort(), dev.OCM, *opts.Perf)
+	sd, err := shield.New(man.Shield, shieldPriv, sh.MemPort(), dev.OCM, perf.Default())
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +260,7 @@ func BuildAgainstVendor(opts Options, product string, dial DialFunc, registerWit
 // Run executes the platform's workload through the provisioned Shield,
 // including the sealed input/output host paths.
 func (p *Platform) Run(seed int64) (accel.RunResult, error) {
-	return accel.RunOnShield(p.Workload, p.Shield, p.Shell.Device().DRAM, p.DEK, *p.Options.Perf, seed)
+	return accel.RunOnShield(p.Workload, p.Shield, p.Shell.Device().DRAM, p.DEK, perf.Default(), seed)
 }
 
 // MonitorOnce performs one Security Kernel port scan (paper §3 step 9).

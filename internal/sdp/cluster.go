@@ -1,7 +1,6 @@
 package sdp
 
 import (
-	"crypto/aes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -10,10 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"shef/internal/crypto/aesx"
-	"shef/internal/crypto/hmacx"
+	"shef/internal/crypto/aead"
 	"shef/internal/crypto/kdf"
-	"shef/internal/perf"
 )
 
 // ClusterConfig sizes an SDP cluster: the paper's single Storage Node case
@@ -25,8 +22,6 @@ type ClusterConfig struct {
 	// Node configures every Storage Node identically (the homogeneous-rack
 	// deployment the paper's SDP sketch assumes).
 	Node NodeConfig
-	// Params is the per-node cycle model (zero value: LineRateParams).
-	Params perf.Params
 	// Replicas places each file on this many successor shards (home shard
 	// plus Replicas-1 followers). Writes need a majority write quorum
 	// (Replicas/2+1) to acknowledge; reads fall back replica by replica;
@@ -102,27 +97,12 @@ func (c *Controller) snapshotKeys() map[string][]byte {
 	return out
 }
 
-// SealedKeyDB is the user-key database in transit from CN to SN:
-// AES-CTR ciphertext plus an HMAC tag, both under keys derived from the
-// shard's session DEK. The cloud operator relaying it learns nothing and
-// cannot splice databases between shards (the shard index is folded into
-// the key derivation). Nonce keeps repeated provisionings of the same
-// shard (user registrations rotate the database) from reusing a keystream.
+// SealedKeyDB is the user-key database in transit from CN to SN, sealed
+// with aead.Seal under a key derived from the shard's session DEK. The
+// cloud operator relaying it learns nothing and cannot splice databases
+// between shards (the shard index is folded into the key derivation).
 type SealedKeyDB struct {
-	Nonce      [aesx.IVSize]byte
-	Ciphertext []byte
-	Tag        [hmacx.TagSize]byte
-}
-
-// ctrXor runs the AES-CTR involution under key/iv.
-func ctrXor(key []byte, iv [aesx.IVSize]byte, data []byte) ([]byte, error) {
-	cipher, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(data))
-	aesx.CTR(cipher, iv, out, data)
-	return out, nil
+	Sealed []byte
 }
 
 // sealKeyDB serialises and seals the full database for one shard.
@@ -150,20 +130,13 @@ func sealKeys(shard int, dek []byte, keys map[string][]byte) (SealedKeyDB, error
 		appendBlob([]byte(u))
 		appendBlob(k)
 	}
-	info := fmt.Sprintf("sdp/keydb-shard-%d", shard)
-	encKey := kdf.Derive([]byte(info+"/enc"), dek, nil, 16)
-	macKey := kdf.Derive([]byte(info+"/mac"), dek, nil, 32)
-	var db SealedKeyDB
-	if _, err := rand.Read(db.Nonce[:]); err != nil {
-		return SealedKeyDB{}, err
-	}
-	ct, err := ctrXor(encKey, db.Nonce, plain)
-	if err != nil {
-		return SealedKeyDB{}, err
-	}
-	db.Ciphertext = ct
-	db.Tag = hmacx.Tag(macKey, append(db.Nonce[:], ct...))
-	return db, nil
+	sealed, err := aead.Seal(keyDBKey(shard, dek), plain)
+	return SealedKeyDB{Sealed: sealed}, err
+}
+
+// keyDBKey is the key one shard's database travels under.
+func keyDBKey(shard int, dek []byte) []byte {
+	return kdf.Derive([]byte(fmt.Sprintf("sdp/keydb-shard-%d", shard)), dek, nil, 16)
 }
 
 // InstallSealedUserKeys verifies and opens a CN key-database delivery
@@ -171,15 +144,9 @@ func sealKeys(shard int, dek []byte, keys map[string][]byte) (SealedKeyDB, error
 // index the CN sealed for — a relayed database for another shard fails
 // authentication.
 func (n *Node) InstallSealedUserKeys(shard int, db SealedKeyDB) error {
-	info := fmt.Sprintf("sdp/keydb-shard-%d", shard)
-	encKey := kdf.Derive([]byte(info+"/enc"), n.dek, nil, 16)
-	macKey := kdf.Derive([]byte(info+"/mac"), n.dek, nil, 32)
-	if !hmacx.Verify(macKey, append(db.Nonce[:], db.Ciphertext...), db.Tag) {
-		return rejectf("sdp: sealed key database failed authentication")
-	}
-	plain, err := ctrXor(encKey, db.Nonce, db.Ciphertext)
+	plain, err := aead.Open(keyDBKey(shard, n.dek), db.Sealed)
 	if err != nil {
-		return err
+		return rejectf("sdp: sealed key database failed authentication: %w", err)
 	}
 	keys, err := parseKeyDB(plain)
 	if err != nil {
@@ -288,9 +255,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("sdp: cluster needs at least one shard: %w", ErrConfig)
 	}
-	if cfg.Params == (perf.Params{}) {
-		cfg.Params = LineRateParams()
-	}
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 1
 	}
@@ -330,7 +294,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				errs[i] = &ShardError{Shard: i, Op: "boot", Err: err}
 				return
 			}
-			n, err := NewNode(cfg.Node, dek, cfg.Params)
+			n, err := NewNode(cfg.Node, dek, LineRateParams())
 			if err != nil {
 				errs[i] = &ShardError{Shard: i, Op: "boot", Err: err}
 				return

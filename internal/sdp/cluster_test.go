@@ -128,9 +128,16 @@ func TestSealedKeyDBRejectsSplice(t *testing.T) {
 	}
 	// Bit flips are caught.
 	db2, _ := c.ctrl.sealKeyDB(0, c.slots[0].dek)
-	db2.Ciphertext[0] ^= 1
+	for _, i := range []int{len(db2.Sealed) / 2, len(db2.Sealed) - 1} { // body, tag
+		db2.Sealed[i] ^= 1
+		if err := c.Node(0).InstallSealedUserKeys(0, db2); err == nil {
+			t.Fatal("tampered key database installed")
+		}
+		db2.Sealed[i] ^= 1
+	}
+	db2.Sealed = db2.Sealed[:len(db2.Sealed)-1]
 	if err := c.Node(0).InstallSealedUserKeys(0, db2); err == nil {
-		t.Fatal("tampered key database installed")
+		t.Fatal("truncated key database installed")
 	}
 }
 

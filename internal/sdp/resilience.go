@@ -357,7 +357,7 @@ func (c *Cluster) CrashShard(i int) {
 // the next Sync.
 func (c *Cluster) RestartShard(i int) error {
 	slot := c.slots[i]
-	n, err := NewNode(c.cfg.Node, slot.dek, c.cfg.Params)
+	n, err := NewNode(c.cfg.Node, slot.dek, LineRateParams())
 	if err != nil {
 		return &ShardError{Shard: i, Op: "restart", Err: err}
 	}

@@ -143,8 +143,9 @@ func (rf *RegisterFile) macMsg(dir byte, index uint32, seq uint64, payload []byt
 	return msg
 }
 
-// Seal builds a sealed message for the given direction. Exported through
-// hostapp.RegClient; kept here so the sealing rules live in one place.
+// seal builds a sealed message for the given direction. The host-side
+// SealWrite and SealReadRequest and the Shield-side HostRead all call it,
+// so the sealing rules live in one place.
 func (rf *RegisterFile) seal(dir byte, index uint32, seq uint64, plain []byte) SealedReg {
 	wireIndex := index
 	payload := plain
