@@ -18,6 +18,7 @@ import (
 	"shef/internal/accel"
 	"shef/internal/experiments"
 	"shef/internal/perf"
+	"shef/internal/sdp"
 )
 
 func scale(b *testing.B) experiments.Scale {
@@ -72,7 +73,7 @@ func BenchmarkFigure5MatMul(b *testing.B) {
 	var ov float64
 	var err error
 	for i := 0; i < b.N; i++ {
-		ov, err = experiments.MatMulOverhead(scale(b))
+		ov, err = experiments.MatMulOverhead()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func BenchmarkTable2SDP(b *testing.B) {
 		Overhead float64
 	}
 	for i := 0; i < b.N; i++ {
-		rs, err := experiments.Table2()
+		rs, err := sdp.Table2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func BenchmarkTable3Area(b *testing.B) {
 	var rows []experiments.Table3Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table3(scale(b))
+		rows, err = experiments.Table3()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -24,6 +24,7 @@ import (
 
 	"shef/internal/experiments"
 	"shef/internal/profiling"
+	"shef/internal/sdp"
 )
 
 func main() {
@@ -86,7 +87,7 @@ func main() {
 	}
 	if *all || *table == 3 {
 		any = true
-		printTable3(scale)
+		printTable3()
 	}
 	if *all || *bootFlag {
 		any = true
@@ -143,7 +144,7 @@ func printFigure5(scale experiments.Scale) {
 	for _, r := range rows {
 		fmt.Printf("%9dKB  %-14s %.2fx\n", r.InputKB, r.Variant, r.Overhead)
 	}
-	mm, err := experiments.MatMulOverhead(scale)
+	mm, err := experiments.MatMulOverhead()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func printFigure5(scale experiments.Scale) {
 
 func printTable2() {
 	fmt.Println("== Table 2: SDP Shield configuration sweep (1MB file, 4KB auth blocks) ==")
-	rows, err := experiments.Table2()
+	rows, err := sdp.Table2()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -190,9 +191,9 @@ func printFigure6(scale experiments.Scale) {
 	fmt.Println()
 }
 
-func printTable3(scale experiments.Scale) {
+func printTable3() {
 	fmt.Println("== Table 3: inclusive Shield utilization (largest config per accelerator) ==")
-	rows, err := experiments.Table3(scale)
+	rows, err := experiments.Table3()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,15 +4,10 @@
 // flush/eviction/ORAM ordering, guarded instrumentation sites, and
 // typed-error boundaries.
 //
-// Two modes share one binary:
+//	shefvet [./...]
 //
-//	shefvet [./...]             standalone: load packages via the go
-//	                            command, run every analyzer, print
-//	                            findings, exit 2 if there are any
-//	go vet -vettool=$(which shefvet) ./...
-//	                            unitchecker: the go command drives the
-//	                            per-package loading and hands the tool a
-//	                            vet.cfg describing each compilation unit
+// loads the packages via the go command, runs every analyzer, prints the
+// findings and exits 2 if there are any.
 //
 // Flags: -list prints the suite, -json emits machine-readable findings
 // (the same shape benchtab embeds in its run header).
@@ -23,33 +18,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"shef/internal/analysis"
 )
 
 func main() {
-	// The go command probes `shefvet -V=full` to fold the tool's
-	// identity into its build-cache key; the reply must be
-	// "<name> version <fingerprint>". Answer before flag parsing so the
-	// probe never trips over the rest of the command line.
-	for _, arg := range os.Args[1:] {
-		if arg == "-V=full" || arg == "--V=full" {
-			fmt.Printf("shefvet version %s\n", analysis.Version)
-			return
-		}
-		// `go vet` also probes `shefvet -flags` for the analyzer flags it
-		// may forward; the suite exposes none to vet.
-		if arg == "-flags" || arg == "--flags" {
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	listFlag := flag.Bool("list", false, "print the analyzer suite and exit")
 	jsonFlag := flag.Bool("json", false, "emit machine-readable findings on stdout")
 	flag.Parse()
-	args := flag.Args()
 
 	if *listFlag {
 		fmt.Printf("shefvet %s\n", analysis.Version)
@@ -58,12 +34,7 @@ func main() {
 		}
 		return
 	}
-
-	// A single *.cfg argument is the go command's unitchecker handoff.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-	os.Exit(standalone(args, *jsonFlag))
+	os.Exit(standalone(flag.Args(), *jsonFlag))
 }
 
 func standalone(patterns []string, asJSON bool) int {
@@ -102,67 +73,6 @@ func standalone(patterns []string, asJSON bool) int {
 		for _, d := range diags {
 			fmt.Printf("%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
 		}
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// vetConfig is the subset of the go command's vet.cfg the tool needs
-// (cmd/go/internal/work's vetConfig, by JSON field name).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "shefvet:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "shefvet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	// The suite keeps no cross-package facts, but the go command expects
-	// the declared output file to exist before it will cache the unit.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("shefvet\n"), 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "shefvet:", err)
-			return 1
-		}
-	}
-	// Fact-only units (dependencies) and the standard library have
-	// nothing to analyze under repo-specific invariants.
-	if cfg.VetxOnly || cfg.Standard[cfg.ImportPath] {
-		return 0
-	}
-
-	lp, err := analysis.TypeCheckVetPackage(cfg.ImportPath, cfg.Dir, cfg.GoFiles,
-		cfg.ImportMap, cfg.PackageFile)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "shefvet:", err)
-		return 1
-	}
-	diags := analysis.RunAnalyzers(lp.Fset, lp.Files, lp.Types, lp.Info, analysis.All())
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		return 2

@@ -17,12 +17,12 @@ import (
 
 // callRecorder stands between a kernel and its bare ports and hashes
 // every call it makes as one "kind addr len cycles" line. It forwards the
-// streaming interface, so axi.ReadAuto/WriteAuto take the same path they
-// take on the unwrapped port. Compute only adds to ctx's counter, so it is
+// streaming and gather interfaces, so axi.ReadAuto/WriteAuto and the
+// gather helpers take the same path they take on the unwrapped port. Compute only adds to ctx's counter, so it is
 // recorded as the datapath cycles accumulated since the previous port
 // call: that total is all the cycle model reads of it.
 type callRecorder struct {
-	mem   *shield.BarePort
+	mem   *shield.Shield
 	regs  axi.RegisterPort
 	ctx   *Ctx
 	seen  uint64 // ctx.computeCycles at the last recorded line
@@ -69,6 +69,19 @@ func (r *callRecorder) WriteStream(addr uint64, data []byte) (uint64, error) {
 	return c, err
 }
 
+// A gather is one line whose kind names its runs.
+func (r *callRecorder) ReadGather(runs []axi.Burst, buf []byte) (uint64, error) {
+	c, err := r.mem.ReadGather(runs, buf)
+	r.record(fmt.Sprint("read_gather", runs), 0, len(buf), c)
+	return c, err
+}
+
+func (r *callRecorder) WriteGather(runs []axi.Burst, data []byte) (uint64, error) {
+	c, err := r.mem.WriteGather(runs, data)
+	r.record(fmt.Sprint("write_gather", runs), 0, len(data), c)
+	return c, err
+}
+
 func (r *callRecorder) ReadReg(i int) (uint64, uint64, error) {
 	v, c, err := r.regs.ReadReg(i)
 	r.record("read_reg", uint64(i), 8, c)
@@ -94,14 +107,9 @@ func callSequence(t *testing.T, w Workload, seed int64) (string, int) {
 		}
 	}
 	dram.ResetStats()
-	port, err := shield.NewBarePort(cfg, dram, params)
+	port, err := shield.NewBare(cfg, dram, params)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// The recorder forwards only the interfaces the bare port has; a port
-	// that gained gather would need the recorder to forward it too.
-	if _, ok := any(port).(axi.Gatherer); ok {
-		t.Fatal("shield.BarePort implements axi.Gatherer, which callRecorder does not forward")
 	}
 	rec := &callRecorder{mem: port, regs: &bareRegs{regs: make([]uint64, 32)}, sum: sha256.New()}
 	ctx := &Ctx{Mem: rec, Regs: rec}

@@ -16,7 +16,7 @@ import (
 type RunResult struct {
 	// Cycles is the total simulated execution time.
 	Cycles uint64
-	// MemCycles is the memory-path component (Shield or bare DRAM).
+	// MemCycles is the memory-path component (shielded or bare Shield).
 	MemCycles uint64
 	// ComputeCycles is the accelerator datapath component.
 	ComputeCycles uint64
@@ -55,11 +55,12 @@ func (b *bareRegs) WriteReg(i int, v uint64) (uint64, error) {
 	return 1, nil
 }
 
-// RunBare executes w without a Shield: inputs land in DRAM as plaintext,
-// the accelerator talks straight to the Shell port. This is the
-// "unsecured version" baseline of Figures 5-6.
+// RunBare executes w without security: inputs land in DRAM as plaintext,
+// and the accelerator talks to a keyless Shield (shield.NewBare) in front
+// of the Shell port. This is the "unsecured version" baseline of Figures
+// 5-6.
 func RunBare(w Workload, params perf.Params, seed int64) (RunResult, error) {
-	cfg := w.ShieldConfig(V128x16) // layout only; no shield is built
+	cfg := w.ShieldConfig(V128x16) // layout only; the bare Shield has no crypto
 	dram := mem.NewDRAM(dramSizeFor(cfg), params)
 	rng := rand.New(rand.NewSource(seed))
 	inputs := w.Inputs(rng)
@@ -74,18 +75,18 @@ func RunBare(w Workload, params perf.Params, seed int64) (RunResult, error) {
 	}
 	dram.ResetStats()
 	// The baseline is the Shield configuration's own engine sets without a
-	// sealer — the same buffers, prefetcher and windows over the same
-	// regions — so the comparison isolates the cost of security rather
-	// than of caching.
-	cache, err := shield.NewBarePort(cfg, dram, params)
+	// sealer — the same routing, buffers, prefetcher and windows over the
+	// same regions — so the comparison isolates the cost of security
+	// rather than of caching.
+	bare, err := shield.NewBare(cfg, dram, params)
 	if err != nil {
 		return RunResult{}, err
 	}
-	ctx := &Ctx{Mem: cache, Regs: &bareRegs{regs: make([]uint64, 32)}}
+	ctx := &Ctx{Mem: bare, Regs: &bareRegs{regs: make([]uint64, 32)}}
 	if err := w.Run(ctx); err != nil {
 		return RunResult{}, err
 	}
-	if err := cache.Flush(); err != nil {
+	if err := bare.Flush(); err != nil {
 		return RunResult{}, err
 	}
 	outputs := make(map[string][]byte)
@@ -100,7 +101,7 @@ func RunBare(w Workload, params perf.Params, seed int64) (RunResult, error) {
 	if err := w.Check(inputs, outputs); err != nil {
 		return RunResult{}, fmt.Errorf("accel: %s bare run produced wrong output: %w", w.Name(), err)
 	}
-	mem := cache.MemCycles()
+	mem := bare.Report().MemoryCycles()
 	res := RunResult{
 		MemCycles:     mem,
 		ComputeCycles: ctx.ComputeCycles(),

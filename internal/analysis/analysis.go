@@ -19,8 +19,8 @@
 //	//shef:guarded        every caller gates this helper on Enabled()
 //	//shef:ignore reason  suppress findings on this (or the next) line
 //
-// The driver is cmd/shefvet, runnable standalone (`shefvet ./...`) and as
-// a `go vet -vettool` backend; CI runs it as a blocking lint job.
+// Its command is cmd/shefvet (`shefvet ./...`); CI runs it as a blocking
+// lint job.
 package analysis
 
 import (
@@ -34,8 +34,7 @@ import (
 
 // Version identifies the invariant suite; it is recorded in benchtab's
 // JSON header so bench artifacts say which suite validated the run, and
-// printed by the -V=full build-ID handshake with the go command. Bump it
-// whenever an analyzer's verdict on unchanged source can change.
+// printed by `shefvet -list`. Bump it whenever an analyzer's verdict on unchanged source can change.
 const Version = "shefvet-1.0.0"
 
 // An Analyzer is one named invariant check over a type-checked package.

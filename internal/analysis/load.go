@@ -117,10 +117,7 @@ func typecheckPackage(fset *token.FileSet, gc types.Importer, p *listPackage,
 
 	var files []*ast.File
 	for _, name := range p.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(p.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %v", err)
 		}
@@ -136,27 +133,6 @@ func typecheckPackage(fset *token.FileSet, gc types.Importer, p *listPackage,
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", p.ImportPath, err)
 	}
 	return &LoadedPackage{Fset: fset, Files: files, Types: pkg, Info: info}, nil
-}
-
-// TypeCheckVetPackage type-checks one compilation unit as described by
-// the go command's vet.cfg: sources from goFiles (resolved against dir
-// when relative), dependencies through the build's own export files
-// (packageFile, keyed by canonical import path), and import paths
-// canonicalized through importMap. It backs cmd/shefvet's -vettool
-// mode, where the go command — not `go list` — owns package loading.
-func TypeCheckVetPackage(importPath, dir string, goFiles []string,
-	importMap, packageFile map[string]string) (*LoadedPackage, error) {
-
-	fset := token.NewFileSet()
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := packageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("analysis: no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	p := &listPackage{ImportPath: importPath, Dir: dir, GoFiles: goFiles}
-	return typecheckPackage(fset, gc, p, importMap)
 }
 
 // NewInfo allocates the full types.Info every analyzer relies on.

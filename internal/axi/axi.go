@@ -35,58 +35,6 @@ type Streamer interface {
 	WriteStream(addr uint64, data []byte) (cycles uint64, err error)
 }
 
-// StreamWindows drives one streamed transfer of n bytes at addr inside a
-// region whose chunks are chunkSize bytes and start chunk-aligned at
-// base: an unaligned head and tail go through fallback (the chunked
-// path), and the chunk-aligned middle is processed in windows of up to
-// windowChunks chunks. fallback and window receive the absolute address
-// plus the [lo, hi) byte range of the caller's buffer; window's first
-// flag marks the first window of the stream (pipeline fill accounting).
-// Returns the summed cycle counts.
-func StreamWindows(base, addr uint64, n, chunkSize, windowChunks int,
-	fallback func(addr uint64, lo, hi int) (uint64, error),
-	window func(addr uint64, lo, hi int, first bool) (uint64, error)) (uint64, error) {
-
-	head := 0
-	if r := int((addr - base) % uint64(chunkSize)); r != 0 {
-		head = chunkSize - r
-		if head > n {
-			head = n
-		}
-	}
-	mid := (n - head) / chunkSize * chunkSize
-	var total uint64
-	if head > 0 {
-		c, err := fallback(addr, 0, head)
-		total += c
-		if err != nil {
-			return total, err
-		}
-	}
-	windowBytes := windowChunks * chunkSize
-	done := head
-	for first := true; done < head+mid; first = false {
-		w := head + mid - done
-		if w > windowBytes {
-			w = windowBytes
-		}
-		c, err := window(addr+uint64(done), done, done+w, first)
-		total += c
-		if err != nil {
-			return total, err
-		}
-		done += w
-	}
-	if done < n {
-		c, err := fallback(addr+uint64(done), done, n)
-		total += c
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
 // Gatherer is an optional MemoryPort extension for scatter-gather bulk
 // transfers: the runs — disjoint, ascending, chunk-aligned where the port
 // requires it — travel as ONE pipelined stream, so the pipeline fill/drain

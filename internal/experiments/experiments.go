@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§6) from the simulated ShEF stack. Each experiment returns
+// evaluation (§6) from the simulated ShEF stack, except Table 2, which
+// package sdp regenerates (sdp.Table2). Each experiment returns
 // structured rows; cmd/benchtab renders them as text and bench_test.go
-// wraps them in testing.B benchmarks. EXPERIMENTS.md records paper-vs-
-// measured values.
+// wraps them in testing.B benchmarks.
 package experiments
 
 import (
@@ -12,7 +12,6 @@ import (
 	"shef/internal/boot"
 	"shef/internal/fpga"
 	"shef/internal/perf"
-	"shef/internal/sdp"
 	"shef/internal/shield"
 )
 
@@ -113,12 +112,11 @@ func Figure5(scale Scale) ([]Fig5Row, error) {
 
 // MatMulOverhead reproduces the §6.2.2 remark: matrix multiply peaks at
 // 1.26x for AES/4x because it computes more per byte.
-func MatMulOverhead(scale Scale) (float64, error) {
+func MatMulOverhead() (float64, error) {
 	params := perf.Default()
 	// n=256 with a 32-lane MAC array puts the compute/memory balance in
 	// the regime the paper describes (more computation per byte than
 	// vecadd); size is scale-independent.
-	_ = scale
 	p := map[string]string{"n": "256"}
 	w, err := accel.New("matmul", p)
 	if err != nil {
@@ -135,12 +133,6 @@ func MatMulOverhead(scale Scale) (float64, error) {
 	}
 	return accel.Overhead(sec, bare), nil
 }
-
-// ---------------------------------------------------------------------
-// Table 2: SDP Shield configuration sweep (delegated to package sdp).
-
-// Table2 regenerates the SDP overhead sweep.
-func Table2() ([]sdp.Table2Row, error) { return sdp.Table2() }
 
 // ---------------------------------------------------------------------
 // Figure 6: five workloads across Shield engine configurations.
@@ -244,8 +236,9 @@ type Table3Row struct {
 	Util     shield.Utilization
 }
 
-// Table3 computes the area of each workload's largest (AES/16x) Shield.
-func Table3(scale Scale) ([]Table3Row, error) {
+// Table3 computes the area of each workload's largest (AES/16x) Shield at
+// the paper's workload sizes.
+func Table3() ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, name := range Figure6Workloads {
 		w, err := accel.New(name, figure6Params(name, Paper))

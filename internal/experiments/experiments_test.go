@@ -75,7 +75,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestMatMulLessPronounced(t *testing.T) {
-	mm, err := MatMulOverhead(Quick)
+	mm, err := MatMulOverhead()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestTable3MatchesPaperShape(t *testing.T) {
-	rows, err := Table3(Quick)
+	rows, err := Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,18 +207,5 @@ func TestBootTimelineExperiment(t *testing.T) {
 	}
 	if f1 <= 0 {
 		t.Error("missing F1 reference")
-	}
-}
-
-func TestTable2ViaExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1MB sweep in -short mode")
-	}
-	rows, err := Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("Table 2 has %d rows", len(rows))
 	}
 }

@@ -157,7 +157,7 @@ func TestPMACStageScalesWithEngines(t *testing.T) {
 	}
 }
 
-// TestBareSetHasNoCryptoStage: the unsecured baseline (NewBarePort) is an
+// TestBareSetHasNoCryptoStage: the unsecured baseline (NewBare) is an
 // engine set without a sealer, so Figures 5-6 charge it no crypto time.
 func TestBareSetHasNoCryptoStage(t *testing.T) {
 	cfg := RegionConfig{Name: "bare", Size: 4096, ChunkSize: 512, AESEngines: 1,

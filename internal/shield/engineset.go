@@ -19,7 +19,7 @@ import (
 // operate concurrently — in this reproduction as real goroutines — and the
 // performance model takes the maximum busy time across sets (paper §5.2.2).
 //
-// A set without a sealer is the unsecured baseline (NewBarePort): the same
+// A set without a sealer is the unsecured baseline (NewBare): the same
 // buffer, LRU, write combining, prefetcher and windows, with no tags and
 // no crypto stages, so Figures 5-6 isolate the cost of security.
 //
@@ -147,13 +147,16 @@ type bufLine struct {
 // newEngineSet builds the Shield runtime for a region: the common set
 // plus the sealer and the on-chip memory charges. Keys are derived from
 // the Data Encryption Key per region so that regions are cryptographically
-// isolated from one another.
+// isolated from one another; a nil dek (a bare Shield) gives no sealer.
 func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 	port axi.MemoryPort, ocm *mem.OCM, params perf.Params) (*engineSet, error) {
 
-	seal, err := newSealer(cfg, regionID, dek)
-	if err != nil {
-		return nil, err
+	var seal *sealer
+	if dek != nil {
+		var err error
+		if seal, err = newSealer(cfg, regionID, dek); err != nil {
+			return nil, err
+		}
 	}
 	s := newSet(cfg, seal, tagBase, port, params)
 	// Charge on-chip memory: the buffer, counters, and valid bits.

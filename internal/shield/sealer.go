@@ -180,22 +180,25 @@ type RegionLayout struct {
 	TagSize  uint64
 }
 
-// Layout reports the DRAM layout of a configured region.
+// Layout reports the DRAM layout of one of the session tenant's regions,
+// as its region-table row holds it.
 func (s *Shield) Layout(region string) (RegionLayout, error) {
-	tagOff := s.tagBase
-	for i, rc := range s.cfg.Regions {
-		if rc.Name == region {
-			return RegionLayout{
-				RegionID: uint32(i + 1),
-				DataBase: rc.Base,
-				DataSize: rc.Size,
-				TagBase:  tagOff,
-				TagSize:  uint64(rc.Chunks() * TagSize),
-			}, nil
-		}
-		tagOff += uint64(rc.Chunks() * TagSize)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var r *vRegion
+	if s.table != nil {
+		r = s.table.named(s.cfg.Tenant, region)
 	}
-	return RegionLayout{}, fmt.Errorf("shield: unknown region %q", region)
+	if r == nil {
+		return RegionLayout{}, fmt.Errorf("shield: unknown region %q", region)
+	}
+	return RegionLayout{
+		RegionID: r.id,
+		DataBase: r.cfg.Base,
+		DataSize: r.cfg.Size,
+		TagBase:  r.tagOff,
+		TagSize:  uint64(r.cfg.Chunks() * TagSize),
+	}, nil
 }
 
 // SealRegionData encrypts a full region image in the Shield's chunk format

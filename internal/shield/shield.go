@@ -3,6 +3,7 @@ package shield
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"shef/internal/axi"
@@ -74,11 +75,49 @@ func tenantLabel(tenant string) string {
 // The Shield is inert until ProvisionLoadKey delivers the Data Encryption
 // Key: before that, all accelerator traffic is refused.
 func New(cfg Config, priv *schnorr.PrivateKey, port axi.MemoryPort, ocm *mem.OCM, params perf.Params) (*Shield, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newShield(cfg, port, ocm, params)
+	if err != nil {
 		return nil, err
 	}
 	if priv == nil {
 		return nil, errors.New("shield: missing Shield Encryption Key")
+	}
+	s.priv = priv
+	return s, nil
+}
+
+// NewBare builds the unsecured baseline of Figures 5-6 over port, whose
+// region bytes the host has already written as plaintext: a Shield with
+// no key, whose static regions are built as ProvisionLoadKey builds them
+// but without a sealer (no tags, no crypto stages), so shielded over bare
+// time isolates the cost of security rather than crediting the Shield for
+// its caches. A bare Shield has no register file and refuses
+// ProvisionLoadKey.
+func NewBare(cfg Config, port axi.MemoryPort, params perf.Params) (*Shield, error) {
+	// ChunkIssueCycles prices the Shield's per-chunk IV/counter fetch and
+	// tag handling; the unsecured port has none of that work.
+	params.ChunkIssueCycles = 0
+	// The baseline models no on-chip memory pressure.
+	s, err := newShield(cfg, port, mem.NewOCM(math.MaxUint64), params)
+	if err != nil {
+		return nil, err
+	}
+	table, err := s.staticTable(nil)
+	if err != nil {
+		return nil, err
+	}
+	// The host wrote the plaintext inputs: every chunk is valid.
+	for _, r := range table.snapshot() {
+		r.set.Load().markPreloaded()
+	}
+	s.table, s.provisioned = table, true
+	return s, nil
+}
+
+// newShield builds the keyless Shield state New and NewBare share.
+func newShield(cfg Config, port axi.MemoryPort, ocm *mem.OCM, params perf.Params) (*Shield, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	maxEnd := cfg.ArenaEnd
 	for _, r := range cfg.Regions {
@@ -87,21 +126,25 @@ func New(cfg Config, priv *schnorr.PrivateKey, port axi.MemoryPort, ocm *mem.OCM
 		}
 	}
 	const tagAlign = 4096
-	s := &Shield{
+	return &Shield{
 		cfg:     cfg,
 		params:  params,
-		priv:    priv,
 		port:    port,
 		ocm:     ocm,
 		acct:    mem.NewAccountant(cfg.DefaultTenantQuota),
 		tagBase: (maxEnd + tagAlign - 1) / tagAlign * tagAlign,
-	}
-	return s, nil
+	}, nil
 }
 
 // PublicKey returns the public Shield Encryption Key, which the IP Vendor
 // publishes to Data Owners during attestation (paper Figure 3, step 7).
-func (s *Shield) PublicKey() *schnorr.PublicKey { return &s.priv.PublicKey }
+// A bare Shield has none and returns nil.
+func (s *Shield) PublicKey() *schnorr.PublicKey {
+	if s.priv == nil {
+		return nil
+	}
+	return &s.priv.PublicKey
+}
 
 // ProvisionLoadKey decrypts the Load Key into the Data Encryption Key and
 // arms the Shield: engine sets and the register file come alive with keys
@@ -112,6 +155,9 @@ func (s *Shield) PublicKey() *schnorr.PublicKey { return &s.priv.PublicKey }
 // midway leaves the Shield unprovisioned (the fabric was already
 // cleared), refusing service until a successful provisioning.
 func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
+	if s.priv == nil {
+		return errors.New("shield: a bare Shield takes no Load Key")
+	}
 	s.provMu.Lock()
 	defer s.provMu.Unlock()
 	dek, err := keywrap.Unwrap(s.priv, lk)
@@ -134,29 +180,14 @@ func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
 		old.releaseAll(s.ocm)
 	}
 
-	// The static Config.Regions are a compatibility shim over the virtual
-	// layer: each becomes a session-tenant zone, inserted in config order
-	// (preserving the fixed-array design's region IDs and tag layout) and
-	// materialised eagerly so provisioning fails up front, DRAM shares
-	// match the static counts, and the first burst pays no build cost.
-	table := newRegionTable(s.tagBase, s.acct)
-	fail := func(err error) error {
-		table.releaseAll(s.ocm)
+	table, err := s.staticTable(dek)
+	if err != nil {
 		return err
-	}
-	for _, rc := range s.cfg.Regions {
-		rc.Tenant = s.cfg.Tenant
-		r, err := table.create(rc, s.tagBase)
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := table.materialize(r, dek, s.port, s.ocm, s.params); err != nil {
-			return fail(err)
-		}
 	}
 	regs, err := newRegisterFile(s.cfg, dek)
 	if err != nil {
-		return fail(err)
+		table.releaseAll(s.ocm)
+		return err
 	}
 	s.mu.Lock()
 	s.table = table
@@ -166,6 +197,28 @@ func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
 	s.initExtra = s.params.ShieldInitCycles
 	s.mu.Unlock()
 	return nil
+}
+
+// staticTable builds a region table holding the static Config.Regions, a
+// compatibility shim over the virtual layer: each becomes a session-tenant
+// zone, inserted in config order (preserving the fixed-array design's
+// region IDs and tag layout) and materialised eagerly so the build fails
+// up front, DRAM shares match the static counts, and the first burst pays
+// no build cost. A nil dek gives sealer-less engine sets.
+func (s *Shield) staticTable(dek []byte) (*RegionTable, error) {
+	table := newRegionTable(s.tagBase, s.acct)
+	for _, rc := range s.cfg.Regions {
+		rc.Tenant = s.cfg.Tenant
+		r, err := table.create(rc, s.tagBase)
+		if err == nil {
+			_, err = table.materialize(r, dek, s.port, s.ocm, s.params)
+		}
+		if err != nil {
+			table.releaseAll(s.ocm)
+			return nil, err
+		}
+	}
+	return table, nil
 }
 
 // CreateRegion carves a new protection zone at runtime, owned by
@@ -250,7 +303,8 @@ func (s *Shield) Provisioned() bool {
 	return s.provisioned
 }
 
-// Registers exposes the secured register file (nil before provisioning).
+// Registers exposes the secured register file (nil before provisioning
+// and on a bare Shield).
 func (s *Shield) Registers() *RegisterFile {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -156,16 +156,6 @@ func (w *streamWindow) batch(n int) (chunks, offs []int) {
 	return w.chunks[:n], w.offs[:n]
 }
 
-// span lays out a contiguous batch of n slots in the staging's slot
-// arrays: slot i carries chunk c0+i at buffer offset off+i*cs.
-func (w *streamWindow) span(c0, off, n, cs int) (chunks, offs []int) {
-	chunks, offs = w.batch(n)
-	for i := range chunks {
-		chunks[i], offs[i] = c0+i, off+i*cs
-	}
-	return chunks, offs
-}
-
 // split runs pass over n units (slots of slots, or every slot for
 // passSeal) of the current batch, one contiguous range per worker. A set
 // without a sealer only copies, which never pays for a hand-off, so it
@@ -322,21 +312,35 @@ func (s *engineSet) writeStream(addr uint64, data []byte) (uint64, error) {
 }
 
 // stream splits [addr, addr+len(buf)) into unaligned head and tail bytes,
-// which take the chunked path, and chunk-aligned batches of windows, each
-// a run of contiguous slots handed to move (the read or write batch
-// implementation) under the set lock.
+// which take the chunked path, and the chunk-aligned middle, which moves
+// as a one-run gather through move (the read or write batch
+// implementation).
 func (s *engineSet) stream(addr uint64, buf []byte, chunked func(uint64, []byte) (uint64, error),
 	move func(chunks, offs []int, buf []byte, first bool) (uint64, error)) (uint64, error) {
 
-	cs := s.cfg.ChunkSize
-	return axi.StreamWindows(s.cfg.Base, addr, len(buf), cs, batchWindows(cs)*streamWindowChunks,
-		func(a uint64, lo, hi int) (uint64, error) { return chunked(a, buf[lo:hi]) },
-		func(a uint64, lo, hi int, first bool) (uint64, error) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			chunks, offs := s.win.span(int((a-s.cfg.Base)/uint64(cs)), lo, (hi-lo)/cs, cs)
-			return move(chunks, offs, buf, first)
-		})
+	cs, n := uint64(s.cfg.ChunkSize), uint64(len(buf))
+	head := min((cs-(addr-s.cfg.Base)%cs)%cs, n)
+	tail := head + (n-head)/cs*cs
+	var total uint64
+	if head > 0 {
+		c, err := chunked(addr, buf[:head])
+		total += c
+		if err != nil {
+			return total, err
+		}
+	}
+	run := [1]axi.Burst{{Addr: addr + head, Len: int(tail - head)}}
+	c, err := s.gather(run[:], buf[head:tail], move)
+	total += c
+	if err != nil {
+		return total, err
+	}
+	if tail < n {
+		c, err := chunked(addr+tail, buf[tail:])
+		total += c
+		return total, err
+	}
+	return total, nil
 }
 
 // ReadGather implements axi.Gatherer: the runs — disjoint ascending
