@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,14 +72,10 @@ func f() {
 }
 
 func TestSuiteShape(t *testing.T) {
-	if len(All()) < 6 {
-		t.Fatalf("suite has %d analyzers, want at least 6", len(All()))
-	}
 	names := Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names() not sorted/unique: %v", names)
-		}
+	want := []string{"detorder", "errwrapcheck", "guardedsite", "hotpathalloc", "lockorder"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("suite is %v, want %v", names, want)
 	}
 	if !strings.HasPrefix(Version, "shefvet-") {
 		t.Fatalf("Version %q does not identify the tool", Version)

@@ -36,7 +36,6 @@ import (
 )
 
 func TestHotpathAllocFixture(t *testing.T) { runFixture(t, HotpathAlloc) }
-func TestAtomicFieldFixture(t *testing.T)  { runFixture(t, AtomicField) }
 func TestDetOrderFixture(t *testing.T)     { runFixture(t, DetOrder) }
 func TestLockOrderFixture(t *testing.T)    { runFixture(t, LockOrder) }
 func TestGuardedSiteFixture(t *testing.T)  { runFixture(t, GuardedSite) }

@@ -171,3 +171,18 @@ func isMapType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Map)
 	return ok
 }
+
+// selectedField resolves a selector to the struct field it names, or nil
+// for methods, package selectors, and locals.
+func selectedField(pass *Pass, sel *ast.SelectorExpr) *types.Var {
+	if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		if v, ok := s.Obj().(*types.Var); ok {
+			return v
+		}
+		return nil
+	}
+	if v, ok := pass.Info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+		return v
+	}
+	return nil
+}

@@ -48,11 +48,11 @@ type Params struct {
 	ShieldInitCycles uint64
 
 	// WritebackBatchChunks is the write-side pipeline window: how many
-	// contiguous dirty chunks a flush or bulk eviction seals and stores
-	// per batched AXI transaction. Windows of two or more chunks are
-	// charged with the overlapped StreamWindowTime accounting; a value of
-	// 1 disables batching, so every write-back pays the chunked
-	// ChunkTime — which is also what singleton runs always pay.
+	// contiguous dirty chunks one write-back window of a flush or an
+	// eviction carries (at most 16, the staging window), stored in one
+	// batched AXI transaction. Windows of two or more chunks are charged
+	// with the overlapped StreamWindowTime accounting; a lone chunk pays
+	// the chunked ChunkTime, so a value of 1 disables batching.
 	WritebackBatchChunks int
 
 	// RegionLookupHitCycles is the burst-decode cost of resolving an

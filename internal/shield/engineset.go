@@ -93,11 +93,12 @@ type engineSet struct {
 	// nothing in steady state.
 	linePool sync.Pool
 
-	// win is the set's single staging (ciphertext + tags for the windows
-	// in flight: one window, or one batch of windows for a stream or
-	// gather). Exactly one batch is ever in flight per set — every
-	// windowed path runs under mu and eviction write-backs complete before
-	// the staging is (re)used — so a dedicated buffer replaces the old
+	// win is the set's single staging: ciphertext and tags for the one
+	// batch of windows in flight, whichever path moves it (a miss or
+	// prefetch, a write-back, a stream or a gather). Exactly one batch is
+	// ever in flight per set — every batch moves under mu, and an
+	// eviction's write-back completes before the miss that forced it
+	// reuses the staging — so a dedicated buffer replaces the old
 	// sync.Pool: unlike a pool, it cannot be drained by a GC pass
 	// mid-stream, which is what makes the steady-state window loop
 	// measurably zero-alloc. It also holds the split's per-worker seal
@@ -106,17 +107,17 @@ type engineSet struct {
 
 	// scratch is the set's chunk-crypto working state (dedicated, not
 	// pooled, for the same GC-drain reason as win; nil without a sealer).
-	// The chunked paths (load, prefetchRun, writebackChunks) seal and open
-	// with it on the calling goroutine under mu, one chunk after another;
-	// it is also worker 0's scratch when a stream or gather batch splits
-	// its crypto across Ps. That split is real-time only: the AES engine
-	// pool's parallelism is a hardware property that the cycle model
-	// charges analytically (cryptoStages, poolCycles), whatever the host
-	// does.
+	// It is worker 0's scratch in every batch, and the only one unless a
+	// batch is large enough to split its crypto across Ps. That split is
+	// real-time only: the AES engine pool's parallelism is a hardware
+	// property that the cycle model charges analytically (cryptoStages,
+	// poolCycles), whatever the host does.
 	scratch *sealScratch
 
-	// flushScratch is the reusable dirty-chunk list of flush.
-	flushScratch []int
+	// dirty is the reusable sorted dirty-chunk list of a flush or an
+	// eviction's write-back. Every entry is a resident line, so it never
+	// outgrows the buffer's capacity.
+	dirty []int
 
 	// Performance accounting.
 	busyCycles                          uint64 // accumulated engine-set busy time (chunk pipeline)
@@ -204,6 +205,7 @@ func newSet(cfg RegionConfig, seal *sealer, tagBase uint64,
 		counters:    make([]uint32, cfg.Chunks()),
 		initialized: make([]bool, cfg.Chunks()),
 	}
+	s.dirty = make([]int, 0, s.capacity)
 	if seal != nil {
 		s.tagSize = TagSize
 		s.scratch = seal.newScratch()
@@ -398,8 +400,7 @@ func (s *engineSet) batchChunks() int {
 
 // prefetchMinMisses is the sequential-stride detector's trigger: after
 // this many consecutive ascending chunk misses in a region with
-// SeqPrefetch enabled, the engine set services the run through stream
-// windows transparently.
+// SeqPrefetch enabled, a miss fetches a window of chunks ahead of demand.
 const prefetchMinMisses = 4
 
 // prefetchDegree is how many chunks one prefetch window may move: a full
@@ -446,8 +447,12 @@ func (s *engineSet) sealSlot(sc *sealScratch, slot, chunk int, epoch uint32, src
 	s.seal.sealChunkWith(sc, ct, s.win.tags[slot*TagSize:(slot+1)*TagSize], chunk, epoch, src)
 }
 
-// load makes a chunk resident, fetching/decrypting/verifying on miss.
-// fill == false skips the DRAM fetch (full-chunk overwrite).
+// load makes a chunk resident. fill == false skips the DRAM fetch
+// (full-chunk overwrite), as do virgin chunks, which serve zeros. A
+// fetch miss moves through readBatch as one window: the demand chunk
+// alone, or, once the sequential-stride detector fires, the demand chunk
+// plus up to prefetchDegree-1 chunks ahead, charged as an overlapped
+// window (the first window of a streak also pays fill/drain).
 //
 //shef:hotpath
 func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
@@ -458,119 +463,68 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 		s.touchResident(ln)
 		return ln, nil
 	}
-	if fill && !s.initialized[chunk] {
-		fill = false // virgin chunk: serve zeros from on-chip valid bits
-	}
-	if fill {
-		// Feed the sequential-stride detector: a fetch miss extends the
-		// ascending run or starts a new one.
-		if chunk == s.seqNext {
-			s.seqRun++
-		} else {
-			s.seqRun, s.seqStreak = 1, false
-		}
-		s.seqNext = chunk + 1
-		if s.prefetchArmed() && s.seqRun >= prefetchMinMisses {
-			// The detector fired: service the run through a pipelined
-			// stream window instead of a chunk-at-a-time fetch.
-			if err := s.prefetchRun(chunk); err != nil {
-				return nil, err
-			}
-			ln := s.lines[chunk]
-			s.lruTouch(ln)
-			return ln, nil
-		}
-	}
-	if err := s.evictFor(1); err != nil {
-		return nil, err
-	}
-	ln := s.linePool.Get().(*bufLine)
-	ln.dirty, ln.prefetched = false, false
-	if fill {
-		dramBusy, dramBus, err := s.fetchRun(s.win, 0, chunk, 1)
-		if err != nil {
-			s.linePool.Put(ln)
-			return nil, err
-		}
-		if err := s.openSlot(s.scratch, 0, chunk, ln.data); err != nil {
-			s.linePool.Put(ln)
-			s.integrityErr = err
-			return nil, err
-		}
-		s.chargeRun(1, dramBusy, dramBus, false)
-		s.misses++
-	} else {
+	if !fill || !s.initialized[chunk] {
 		// Zero-filled line: no DRAM traffic, only issue cost.
+		if err := s.evictFor(1); err != nil {
+			return nil, err
+		}
+		ln := s.linePool.Get().(*bufLine)
+		ln.dirty, ln.prefetched = false, false
 		clear(ln.data)
 		s.busyCycles += s.params.ChunkIssueCycles
 		s.misses++
+		s.insertLine(chunk, ln)
+		return ln, nil
 	}
-	s.insertLine(chunk, ln)
-	return ln, nil
-}
-
-// prefetchRun services a detected sequential run: the demand chunk plus up
-// to prefetchDegree-1 chunks ahead move through one batched fetch and a
-// decrypt/verify pass straight into buffer lines, charged with the
-// overlapped stream-window accounting (the first window of a streak also
-// pays pipeline fill/drain). The demand chunk is resident on return.
-//
-//shef:hotpath
-func (s *engineSet) prefetchRun(c0 int) error {
+	// Feed the sequential-stride detector: a fetch miss extends the
+	// ascending run or starts a new one.
+	if chunk == s.seqNext {
+		s.seqRun++
+	} else {
+		s.seqRun, s.seqStreak = 1, false
+	}
+	s.seqNext = chunk + 1
 	n := 1
-	for max := s.prefetchDegree(); n < max; n++ {
-		c := c0 + n
-		if c >= s.cfg.Chunks() || !s.initialized[c] {
-			break // a virgin or out-of-range chunk ends the run
-		}
-		if _, resident := s.lines[c]; resident {
-			break // the fetch run must stay contiguous in DRAM
+	if s.prefetchArmed() && s.seqRun >= prefetchMinMisses {
+		for max := s.prefetchDegree(); n < max; n++ {
+			c := chunk + n
+			if c >= s.cfg.Chunks() || !s.initialized[c] {
+				break // a virgin or out-of-range chunk ends the run
+			}
+			if _, resident := s.lines[c]; resident {
+				break // the fetch run must stay contiguous in DRAM
+			}
 		}
 	}
 	if err := s.evictFor(n); err != nil {
-		return err
+		return nil, err
 	}
-
-	dramBusy, dramBus, err := s.fetchRun(s.win, 0, c0, n)
-	if err != nil {
-		return err
+	chunks, _, wins := s.win.batch(n)
+	for i := range chunks {
+		chunks[i] = chunk + i
 	}
-
-	var lines [streamWindowChunks]*bufLine
-	for i := 0; i < n; i++ {
-		lines[i] = s.linePool.Get().(*bufLine)
+	if _, err := s.readBatch(chunks, nil, nil, append(wins, window{end: n, first: !s.seqStreak})); err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if err := s.openSlot(s.scratch, i, c0+i, lines[i].data); err != nil {
-			for j := 0; j < n; j++ {
-				s.linePool.Put(lines[j])
-			}
-			s.integrityErr = err
-			return err
-		}
-	}
-	for i := 0; i < n; i++ {
-		ln := lines[i]
-		ln.dirty = false
-		ln.prefetched = i > 0 // the demand chunk is a plain miss
-		s.insertLine(c0+i, ln)
-	}
-
-	s.misses++
-	s.prefetched += uint64(n - 1)
-	s.chargeRun(n, dramBusy, dramBus, !s.seqStreak)
 	if n > 1 {
 		s.seqStreak = true
 	}
-	s.seqNext = c0 + n // a miss at the window's end continues the streak
-	return nil
+	s.seqNext = chunk + n // a miss at the window's end continues the streak
+	ln := s.lines[chunk]
+	ln.prefetched = false // the demand chunk is a plain miss
+	s.lruTouch(ln)
+	return ln, nil
 }
 
 // evictFor makes room for n incoming lines, writing dirty victims back.
-// Victims come off the LRU tail in strict recency order; their write-backs
-// — extended with any resident dirty lines chunk-contiguous with a dirty
-// victim, so one pipelined store covers the whole run (write combining) —
-// go through writebackChunks in sorted chunk order.
+// The victims are the lines at the LRU tail, in strict recency order.
+// Every dirty victim seeds a write-back run that write combining extends
+// across resident dirty neighbours, so one pipelined store covers the
+// whole run; the neighbours stay resident, but leave clean. The runs go
+// through writeBack in sorted chunk order, with no fill/drain charge:
+// eviction write-backs interleave with the demand traffic that forced
+// them, so the write pipeline is already primed (contrast flush, which
+// drains it).
 //
 //shef:deterministic
 func (s *engineSet) evictFor(n int) error {
@@ -578,103 +532,86 @@ func (s *engineSet) evictFor(n int) error {
 	if need <= 0 {
 		return nil
 	}
-	// Fast path: the steady-state chunked miss evicts one clean line —
-	// O(1) off the list tail, no allocation (the common case the
-	// intrusive LRU exists for).
-	if need == 1 {
-		if ln := s.lruVictim(); ln != nil && !ln.dirty {
-			s.dropLine(ln)
-			s.evictions++
-			return nil
-		}
-	}
-	victims := make([]*bufLine, 0, need)
-	for ln := s.lruRoot.prev; ln != &s.lruRoot && len(victims) < need; ln = ln.prev {
-		victims = append(victims, ln)
-	}
-	// Gather the dirty chunks to store: every dirty victim seeds a run
-	// that write combining extends across resident dirty neighbours (the
-	// neighbours stay resident, but leave clean).
-	dirtySet := make(map[int]bool)
-	limit := s.batchChunks()
-	extend := func(from, step int) {
-		for c, span := from, 1; span < limit; c, span = c+step, span+1 {
-			if nb, ok := s.lines[c]; !ok || !nb.dirty || dirtySet[c] {
-				return
-			}
-			dirtySet[c] = true
-		}
-	}
-	for _, ln := range victims {
+	dirty, limit := s.dirty[:0], s.batchChunks()
+	ln := s.lruRoot.prev
+	for k := 0; k < need && ln != &s.lruRoot; k, ln = k+1, ln.prev {
 		if !ln.dirty {
 			continue
 		}
-		dirtySet[ln.chunk] = true
-		extend(ln.chunk-1, -1)
-		extend(ln.chunk+1, +1)
-	}
-	if len(dirtySet) > 0 {
-		dirty := make([]int, 0, len(dirtySet))
-		//shef:ignore membership set collected into a slice and sorted before use
-		for c := range dirtySet {
-			dirty = append(dirty, c)
+		if !slices.Contains(dirty, ln.chunk) {
+			dirty = append(dirty, ln.chunk)
 		}
+		dirty = s.combine(dirty, ln.chunk-1, -1, limit)
+		dirty = s.combine(dirty, ln.chunk+1, +1, limit)
+	}
+	if len(dirty) > 0 {
 		slices.Sort(dirty)
-		// No fill/drain charge: eviction write-backs interleave with the
-		// demand traffic that forced them, so the write pipeline is
-		// already primed (contrast flush, which drains it).
-		if err := s.writebackChunks(dirty, false); err != nil {
+		if err := s.writeBack(dirty, false); err != nil {
 			return err
 		}
 	}
-	for _, ln := range victims {
+	// The write-back leaves the LRU order as it was: the tail still holds
+	// the victims.
+	for k := 0; k < need; k++ {
+		ln := s.lruVictim()
+		if ln == nil {
+			break
+		}
 		s.dropLine(ln)
 		s.evictions++
 	}
 	return nil
 }
 
-// writebackChunks seals and stores the given resident dirty chunks, which
-// must be sorted ascending. Maximal contiguous runs move through pipelined
-// windows of up to batchChunks: each chunk sealed into the set's staging
-// window, then one AXI store transaction for the run's ciphertext and one
-// for its tags, charged with the overlapped window accounting. Runs of a
-// single chunk keep the chunked ChunkTime charge — batching cannot help
-// them. Freshness counters bump exactly once per chunk before sealing,
-// and valid bits are set exactly as the serial path would.
-// fillDrain charges the one-time pipeline fill/drain on the first batched
-// window (a flush drains the pipeline; eviction write-backs do not).
-func (s *engineSet) writebackChunks(chunks []int, fillDrain bool) error {
+// combine extends a write-back run from chunk from in direction step
+// across resident dirty lines not yet in dirty, until the run would span
+// limit chunks, and returns dirty with them appended.
+func (s *engineSet) combine(dirty []int, from, step, limit int) []int {
+	for c, span := from, 1; span < limit; c, span = c+step, span+1 {
+		if nb, ok := s.lines[c]; !ok || !nb.dirty || slices.Contains(dirty, c) {
+			break
+		}
+		dirty = append(dirty, c)
+	}
+	return dirty
+}
+
+// writeBack seals and stores the resident dirty chunks dirty, sorted
+// ascending, through writeBatch. Each maximal contiguous run, capped at
+// batchChunks, is one window; whole windows fill batches of up to
+// batchSlots, so a large flush splits its seals across Ps as a stream
+// does. The chunks' freshness counters bump once, their valid bits set,
+// and their lines stay resident and leave clean. When first is set the
+// first multi-chunk window pays pipeline fill/drain (a flush drains the
+// pipeline; eviction write-backs do not). A store error ends the
+// write-back at its window.
+func (s *engineSet) writeBack(dirty []int, first bool) error {
 	if s.integrityErr != nil {
 		return s.integrityErr
 	}
-	first := fillDrain
-	return axi.ForEachRunCapped(chunks, s.batchChunks(), func(c0, n int) error {
-		if s.cfg.Freshness {
-			for i := 0; i < n; i++ {
-				s.counters[c0+i]++ // bump before sealing the new epoch
+	limit := s.batchChunks()
+	for len(dirty) > 0 {
+		chunks, _, wins := s.win.batch(min(len(dirty), batchSlots(s.cfg.ChunkSize)))
+		n := 0
+		for n < len(chunks) {
+			end := n + 1
+			for end < len(dirty) && end-n < limit && dirty[end] == dirty[end-1]+1 {
+				end++
 			}
+			if end > len(chunks) {
+				break // the run opens the next batch
+			}
+			wins = append(wins, window{end: end, first: first})
+			first = first && end-n == 1
+			n = end
 		}
-		for i := 0; i < n; i++ {
-			s.sealSlot(s.scratch, i, c0+i, s.counters[c0+i], s.lines[c0+i].data)
-		}
-		dramBusy, dramBus, err := s.storeRun(s.win, 0, c0, n)
-		if err != nil {
+		copy(chunks, dirty[:n])
+		if _, err := s.writeBatch(chunks[:n], nil, nil, wins); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			chunk := c0 + i
-			s.initialized[chunk] = true
-			s.lines[chunk].dirty = false
-		}
-		s.writebacks += uint64(n)
-		s.chargeRun(n, dramBusy, dramBus, first)
-		if n > 1 {
-			first = false
-			s.batchedWritebacks += uint64(n)
-		}
-		return nil
-	})
+		dirty = dirty[n:]
+	}
+	return nil
 }
 
 // cryptoStages returns the engine-pool occupancy and serial-HMAC stage
@@ -693,38 +630,41 @@ func (s *engineSet) cryptoStages(n int) (poolStage, hmacStage uint64) {
 	return s.poolCycles(pool), hmacStage
 }
 
-// chargeRun accounts one fetch or store of n chunks priced by
-// fetchRun/storeRun; it is the one charge of every miss, prefetch and
-// write-back. dramBusy is the burst as the set experiences it, at its
-// bandwidth share; dramBus counts the bytes once at full channel rate
-// (Report.MemoryCycles). A single chunk (a chunked miss or a lone
-// write-back) pays the chunked charge — the burst partially overlapped
-// with the crypto stage (ChunkTime), plus the per-chunk issue cost —
-// because batching cannot help it. Longer runs pay the overlapped window
-// charge, plus fill/drain when first.
+// chargeWindow accounts one window of chunks chunks, fetched of which
+// crossed the crypto pipeline (a read served from resident lines or
+// valid bits skips it). dramBusy is the window's bursts as the set
+// experiences them, at its bandwidth share; dramBus counts the bytes once
+// at full channel rate (Report.MemoryCycles). It is the one charge of
+// every window a batch moves.
+//
+// A window is paced by its slowest stage (DRAM, the AES pool, the serial
+// HMAC core, or the on-chip copy), the first window of a pipeline
+// additionally pays fill/drain, and the per-window issue cost replaces
+// the chunked path's per-chunk issue cost. The AES pool stage bundles CTR
+// keystream work with PMAC block work: for reads the keystream
+// precomputes during the fetch of earlier windows, but the pool must
+// still serve every block, so pool occupancy — not the per-chunk wave
+// latency — is what paces a saturated stream.
+//
+// A lone chunk — a one-chunk window between DRAM and the buffer, that
+// is, a chunked miss or a lone write-back — is the one exception: it pays
+// the chunked charge, the burst partially overlapped with the crypto
+// stage (ChunkTime) plus the per-chunk issue cost, because pipelining
+// cannot help it.
 //
 //shef:hotpath
-func (s *engineSet) chargeRun(n int, dramBusy, dramBus uint64, first bool) {
-	if n == 1 {
+func (s *engineSet) chargeWindow(fetched, chunks int, dramBusy, dramBus uint64, first, lone bool) {
+	s.dramCycles += dramBus
+	if lone {
 		s.busyCycles += s.params.ChunkTime(dramBusy, s.cryptoCycles()) + s.params.ChunkIssueCycles
-		s.dramCycles += dramBus
 		return
 	}
-	pool, hmac := s.cryptoStages(n)
-	s.chargeOverlapped(dramBusy, dramBus, pool, hmac, uint64(n*s.cfg.ChunkSize)/64, first)
-}
-
-// chargeOverlapped accounts one pipeline window under the overlapped
-// model: the window is paced by its slowest stage (DRAM, the AES pool, the
-// serial HMAC core, or the on-chip copy), the first window of a pipeline
-// additionally pays fill/drain, and the per-window issue cost replaces the
-// chunked path's per-chunk issue cost.
-func (s *engineSet) chargeOverlapped(dramBusy, dramBus, poolStage, hmacStage, copyStage uint64, first bool) {
-	s.busyCycles += s.params.StreamWindowTime(dramBusy, poolStage, hmacStage, copyStage) + s.params.ChunkIssueCycles
+	pool, hmac := s.cryptoStages(fetched)
+	copyStage := uint64(chunks*s.cfg.ChunkSize) / 64
+	s.busyCycles += s.params.StreamWindowTime(dramBusy, pool, hmac, copyStage) + s.params.ChunkIssueCycles
 	if first {
-		s.busyCycles += s.params.StreamFillDrain(dramBusy, poolStage, hmacStage, copyStage)
+		s.busyCycles += s.params.StreamFillDrain(dramBusy, pool, hmac, copyStage)
 	}
-	s.dramCycles += dramBus
 }
 
 // read copies region bytes [addr, addr+len(buf)) into buf and returns the
@@ -788,10 +728,7 @@ func (s *engineSet) write(addr uint64, data []byte) (uint64, error) {
 func (s *engineSet) flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.flushScratch == nil {
-		s.flushScratch = make([]int, 0, s.capacity)
-	}
-	dirty := s.flushScratch[:0]
+	dirty := s.dirty[:0]
 	//shef:ignore dirty indices collected then sorted; write order is the sorted slice
 	for idx, ln := range s.lines {
 		if ln.dirty {
@@ -799,8 +736,7 @@ func (s *engineSet) flush() error {
 		}
 	}
 	slices.Sort(dirty)
-	s.flushScratch = dirty[:0]
-	return s.writebackChunks(dirty, true)
+	return s.writeBack(dirty, true)
 }
 
 // invalidateClean drops clean buffer lines.

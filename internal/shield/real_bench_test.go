@@ -49,7 +49,7 @@ func reportRealMBps(b *testing.B, unit string, bytesPerOp int) {
 
 // BenchmarkRealReadStream is the headline number: MB/s of authenticated
 // decryption through ReadStream. The region's buffer holds only four
-// lines and readWindowSlots never inserts lines, so every op re-fetches
+// lines and a stream read never inserts lines, so every op re-fetches
 // and re-verifies the full image — pure fetch/open pipeline.
 func BenchmarkRealReadStream(b *testing.B) {
 	for _, rm := range realMACs {
@@ -96,8 +96,9 @@ func BenchmarkRealWriteStream(b *testing.B) {
 }
 
 // BenchmarkRealFlush measures the batched write-back: dirty the whole
-// region through resident lines, then seal and store it in one flush. A
-// single region takes Shield.Flush's direct path (no per-set goroutine or
+// region through resident lines, then seal and store it in one flush,
+// whose batches split their seals across Ps as a stream's do. A single
+// region takes Shield.Flush's direct path (no per-set goroutine or
 // error-slice setup), and a buffer sized to the region keeps every line
 // resident across ops, so the loop is re-dirty + flush only.
 func BenchmarkRealFlush(b *testing.B) {
@@ -167,8 +168,16 @@ func TestRealBenchZeroAlloc(t *testing.T) {
 					_, err := stream.ReadBurst(uint64(next*len(chunk)), chunk)
 					return err
 				}},
+				// A partial write two chunks along: a fetch miss whose
+				// eviction writes back a dirty victim with no dirty
+				// neighbour to combine with.
+				{"dirty eviction, no write combining", func() error {
+					next = (next + 2) % (size / len(chunk))
+					_, err := stream.WriteBurst(uint64(next*len(chunk)), chunk[:100])
+					return err
+				}},
 				// Re-dirty every resident line, then write them all back
-				// through writebackChunks.
+				// through writeBack.
 				{"re-dirty + Flush", func() error {
 					if _, err := resident.WriteBurst(0, img); err != nil {
 						return err
@@ -200,9 +209,9 @@ func TestRealBenchZeroAlloc(t *testing.T) {
 }
 
 // TestSplitStreamZeroAlloc is TestRealBenchZeroAlloc for the split path:
-// at two and four Ps, 1 MiB ReadStream and WriteStream ops split every
-// batch across workers, and testing.AllocsPerRun cannot see that (it runs
-// at one P). It counts runtime.MemStats.Mallocs over opsPerCheck ops
+// at two and four Ps, 1 MiB ReadStream, WriteStream and Flush ops split
+// every batch across workers, and testing.AllocsPerRun cannot see that
+// (it runs at one P). It counts runtime.MemStats.Mallocs over opsPerCheck ops
 // instead. Starting a worker reuses a dead goroutine, but the runtime
 // allocates a new one while the caller's P has none to hand, so a few
 // allocations in total are allowed while the pool of dead goroutines
@@ -217,6 +226,11 @@ func TestSplitStreamZeroAlloc(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/P%d", rm.name, procs), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				sh, img := newStreamRigParams(t, realConfig(rm.mac, realBenchBytes), realBenchBytes, perf.Default())
+				// resident's buffer holds the whole region, as in
+				// BenchmarkRealFlush.
+				cfg := realConfig(rm.mac, realBenchBytes)
+				cfg.Regions[0].BufferBytes = realBenchBytes
+				resident, _ := newStreamRigParams(t, cfg, realBenchBytes, perf.Default())
 				buf := make([]byte, realBenchBytes)
 				for _, tc := range []struct {
 					name string
@@ -224,6 +238,12 @@ func TestSplitStreamZeroAlloc(t *testing.T) {
 				}{
 					{"ReadStream", func() error { _, err := sh.ReadStream(0, buf); return err }},
 					{"WriteStream", func() error { _, err := sh.WriteStream(0, img); return err }},
+					{"re-dirty + Flush", func() error {
+						if _, err := resident.WriteBurst(0, img); err != nil {
+							return err
+						}
+						return resident.Flush()
+					}},
 				} {
 					for i := 0; i < opsPerCheck; i++ { // warm up
 						if err := tc.op(); err != nil {

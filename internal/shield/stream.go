@@ -7,23 +7,32 @@ import (
 	"shef/internal/parallel"
 )
 
-// This file is the Shield's streaming data path: ReadStream/WriteStream
-// move multi-chunk bursts through a three-stage pipeline instead of the
-// chunk-at-a-time load/decrypt/verify/copy loop of ReadBurst/WriteBurst.
+// This file is the Shield's window engine: every chunk that moves between
+// DRAM and the engine set travels in a batch of pipeline windows through
+// readBatch or writeBatch. ReadStream/WriteStream and the gathers move
+// the caller's buffer; a chunked miss or a prefetch (load) moves one
+// window into buffer lines, and a flush or an eviction (writeBack) moves
+// dirty buffer lines out. The read side is a three-stage pipeline:
 //
 //	stage 1  fetch ciphertext + tags for a window of chunks from DRAM in
 //	         one batched AXI transaction per contiguous run
 //	stage 2  decrypt/verify the window's chunks (the set's AESEngines
 //	         pool in the cycle model; in this process, a batch of windows
 //	         split across Ps, see below)
-//	stage 3  merge into the caller's buffer (on-chip copy)
+//	stage 3  merge into the caller's buffer or the buffer lines (on-chip
+//	         copy)
+//
+// The write side seals the batch (stage 2), then stores and charges it
+// window by window. Whoever builds a batch decides where its windows end:
+// a stream or gather every streamWindowChunks slots, a write-back at each
+// contiguous dirty run, a miss after its prefetch run.
 //
 // Windows overlap in the performance model (perf.StreamWindowTime /
 // StreamFillDrain): while window k is being verified, window k+1's fetch
 // and CTR keystream precomputation are already in flight — CTR keystream
 // depends only on the IV, never on the data, so the AES pool generates it
 // during the DRAM round trip. The paper claims exactly this overlap for
-// the engine set pipeline (§5.2.2); the chunked path cannot exploit it
+// the engine set pipeline (§5.2.2); a lone chunk cannot exploit it
 // because it holds a single outstanding burst and releases data only
 // after each MAC check (perf.Params.OverlapAlpha).
 //
@@ -31,13 +40,15 @@ import (
 // set mutex the caller classifies and fetches every window of a batch,
 // in window order; only the chunk seals or opens are split across Ps
 // (parallel.Group, one contiguous range and one seal scratch per worker);
-// then the caller merges, stores and charges window by window, in order.
+// then the batch merges, stores and charges window by window, in order.
 // A read opens its slots in place in the staging, and the merge copies
 // out only the slots before the lowest-index failure, so the caller's
 // buffer receives exactly what a window-at-a-time read would: every
 // window before the failure, and in the failing window the chunks before
 // it plus its resident and virgin slots. The cycle model sees the same
 // fetchRun/storeRun/chargeWindow calls in the same order either way.
+// A flush splits the same way once its batch of dirty lines is large
+// enough; a miss window is far below the grain and never splits.
 //
 // Locking is batch-granular: the engine-set mutex is taken per batch,
 // not for the whole stream, so chunked accesses and other streams to the
@@ -73,9 +84,10 @@ const (
 	maxSplitWorkers  = streamBatchBytes / splitGrainBytes
 )
 
-// batchWindows is how many windows of chunkSize-byte chunks make a batch.
-func batchWindows(chunkSize int) int {
-	return max(1, streamBatchBytes/(streamWindowChunks*chunkSize))
+// batchSlots is how many chunkSize-byte slots make a batch: whole
+// windows, at least one.
+func batchSlots(chunkSize int) int {
+	return max(1, streamBatchBytes/(streamWindowChunks*chunkSize)) * streamWindowChunks
 }
 
 // cryptoPass selects what a split does to its slots.
@@ -88,9 +100,9 @@ const (
 
 // streamWindow is the preallocated staging of the set's windows in
 // flight: ciphertext and tags, each slot's chunk and buffer offset, the
-// fetched slots (idx), and per-window fetch results. It holds one window
-// until the set first moves a longer stream or gather, then grows to fit
-// the largest batch moved so far (at most one batch), so a set that only
+// fetched slots (idx), and the batch's windows. It holds one window
+// until the set first moves a longer batch, then grows to fit the
+// largest batch moved so far (at most batchSlots), so a set that only
 // serves chunked traffic keeps one window's staging. It is also the
 // split's parallel.Body: one seal scratch and failure record per worker,
 // and the pass in progress.
@@ -100,7 +112,7 @@ type streamWindow struct {
 	idx    []int
 	chunks []int
 	offs   []int
-	wins   []windowFetch
+	wins   []window
 
 	set     *engineSet
 	scratch [maxSplitWorkers]*sealScratch // [0] is the set's own scratch
@@ -109,14 +121,17 @@ type streamWindow struct {
 	group   parallel.Group
 	pass    cryptoPass
 	slots   []int  // passOpen: the fetched slots
-	buf     []byte // passSeal: the caller's buffer, during the pass only
+	buf     []byte // passSeal: the caller's buffer (nil: the buffer lines), during the pass only
 }
 
-// windowFetch is what the caller's fetch loop records for one window of
-// a read batch: its end slot, the end of its slots in idx, and its DRAM
-// charges.
-type windowFetch struct {
-	end, fetchEnd     int
+// window is one pipeline window of a batch. Whoever builds the batch sets
+// where the window ends and whether it is the first of its pipeline;
+// readBatch records the window's fetched slots and DRAM charges.
+type window struct {
+	end   int  // one past the window's last slot
+	first bool // pays pipeline fill/drain
+
+	fetchEnd          int // end of the window's fetched slots in idx
 	dramBusy, dramBus uint64
 }
 
@@ -137,7 +152,7 @@ func (w *streamWindow) grow(slots int) {
 	w.idx = make([]int, 0, slots)
 	w.chunks = make([]int, slots)
 	w.offs = make([]int, slots)
-	w.wins = make([]windowFetch, 0, (slots+streamWindowChunks-1)/streamWindowChunks)
+	w.wins = make([]window, 0, slots) // a write-back may cut every slot
 	if s.seal != nil && slots*s.cfg.ChunkSize >= 2*splitGrainBytes {
 		for k := 1; k < maxSplitWorkers; k++ {
 			if w.scratch[k] == nil {
@@ -147,17 +162,18 @@ func (w *streamWindow) grow(slots int) {
 	}
 }
 
-// batch returns the staging's first n slot arrays, growing it if it holds
-// fewer than n slots.
-func (w *streamWindow) batch(n int) (chunks, offs []int) {
+// batch returns the staging's first n slot arrays and its empty window
+// list, growing it if it holds fewer than n slots.
+func (w *streamWindow) batch(n int) (chunks, offs []int, wins []window) {
 	if len(w.chunks) < n {
 		w.grow(n)
 	}
-	return w.chunks[:n], w.offs[:n]
+	return w.chunks[:n], w.offs[:n], w.wins[:0]
 }
 
 // split runs pass over n units (slots of slots, or every slot for
-// passSeal) of the current batch, one contiguous range per worker. A set
+// passSeal, sealing buf or, if buf is nil, the slots' resident lines) of
+// the current batch, one contiguous range per worker. A set
 // without a sealer only copies, which never pays for a hand-off, so it
 // stays on the caller.
 func (w *streamWindow) split(pass cryptoPass, slots []int, n int, buf []byte) {
@@ -192,7 +208,13 @@ func (w *streamWindow) Run(k, lo, hi int) {
 			if s.cfg.Freshness {
 				epoch++ // the epoch writeBatch bumps to before the store
 			}
-			s.sealSlot(sc, i, c, epoch, w.buf[w.offs[i]:w.offs[i]+cs])
+			var src []byte
+			if w.buf == nil {
+				src = s.lines[c].data
+			} else {
+				src = w.buf[w.offs[i] : w.offs[i]+cs]
+			}
+			s.sealSlot(sc, i, c, epoch, src)
 		}
 	}
 }
@@ -218,12 +240,10 @@ func (w *streamWindow) open(slots []int) (int, error) {
 	return ok, err
 }
 
-// fetchRun is the shared stage-1 fetch accounting: one batched AXI
-// transaction for runChunks chunks starting at chunk0, ciphertext and
-// tags landing in the window's staging at slot0, returning the busy-side
-// and bus-side DRAM charges. Every path that moves chunks from DRAM
-// (chunked load, prefetch, stream, gather) uses it so the burst and charge
-// model lives in one place. A set without tags issues no tag burst.
+// fetchRun is the stage-1 fetch: one batched AXI transaction for
+// runChunks chunks starting at chunk0, ciphertext and tags landing in the
+// window's staging at slot0, returning the busy-side and bus-side DRAM
+// charges. A set without tags issues no tag burst.
 func (s *engineSet) fetchRun(win *streamWindow, slot0, chunk0, runChunks int) (dramBusy, dramBus uint64, err error) {
 	cs, ts := s.cfg.ChunkSize, s.tagSize
 	dataAddr, tagAddr := s.dramAddrs(chunk0)
@@ -240,7 +260,7 @@ func (s *engineSet) fetchRun(win *streamWindow, slot0, chunk0, runChunks int) (d
 }
 
 // storeRun is fetchRun's write-side twin: one batched store for the
-// window's sealed ciphertext and tags at slot0 (write-back, stream, gather).
+// window's sealed ciphertext and tags at slot0.
 func (s *engineSet) storeRun(win *streamWindow, slot0, chunk0, runChunks int) (dramBusy, dramBus uint64, err error) {
 	cs, ts := s.cfg.ChunkSize, s.tagSize
 	dataAddr, tagAddr := s.dramAddrs(chunk0)
@@ -316,7 +336,7 @@ func (s *engineSet) writeStream(addr uint64, data []byte) (uint64, error) {
 // as a one-run gather through move (the read or write batch
 // implementation).
 func (s *engineSet) stream(addr uint64, buf []byte, chunked func(uint64, []byte) (uint64, error),
-	move func(chunks, offs []int, buf []byte, first bool) (uint64, error)) (uint64, error) {
+	move func(chunks, offs []int, buf []byte, wins []window) (uint64, error)) (uint64, error) {
 
 	cs, n := uint64(s.cfg.ChunkSize), uint64(len(buf))
 	head := min((cs-(addr-s.cfg.Base)%cs)%cs, n)
@@ -414,10 +434,10 @@ func (s *Shield) gatherSet(runs []axi.Burst, n int) (*engineSet, error) {
 // read or write batch implementation) under the set lock. Only the very
 // first window pays fill/drain.
 func (s *engineSet) gather(runs []axi.Burst,
-	buf []byte, move func(chunks, offs []int, buf []byte, first bool) (uint64, error)) (uint64, error) {
+	buf []byte, move func(chunks, offs []int, buf []byte, wins []window) (uint64, error)) (uint64, error) {
 
 	cs := s.cfg.ChunkSize
-	batch := batchWindows(cs) * streamWindowChunks
+	batch := batchSlots(cs)
 	var total uint64
 	// r is the next run to open; next and left are the open run's next
 	// chunk and how many of its chunks are left.
@@ -425,7 +445,7 @@ func (s *engineSet) gather(runs []axi.Burst,
 	for off, first := 0, true; off < len(buf); first = false {
 		n := min(batch, (len(buf)-off)/cs)
 		s.mu.Lock()
-		chunks, offs := s.win.batch(n)
+		chunks, offs, wins := s.win.batch(n)
 		for i := range chunks {
 			for left == 0 {
 				next, left = int((runs[r].Addr-s.cfg.Base)/uint64(cs)), runs[r].Len/cs
@@ -434,7 +454,10 @@ func (s *engineSet) gather(runs []axi.Burst,
 			chunks[i], offs[i] = next, off
 			next, left, off = next+1, left-1, off+cs
 		}
-		c, err := move(chunks, offs, buf, first)
+		for w0 := 0; w0 < n; w0 += streamWindowChunks {
+			wins = append(wins, window{end: min(w0+streamWindowChunks, n), first: first && w0 == 0})
+		}
+		c, err := move(chunks, offs, buf, wins)
 		s.mu.Unlock()
 		total += c
 		if err != nil {
@@ -444,16 +467,19 @@ func (s *engineSet) gather(runs []axi.Burst,
 	return total, nil
 }
 
-// readBatch moves one batch of read windows for streams and gathers
-// alike: slot i carries absolute chunk chunks[i], delivered at
-// buf[offs[i]]. The caller classifies and fetches every window, one
-// batched fetch per contiguous chunk run among its missing slots; the
-// fetched slots are verified and decrypted in place in one split; then
-// each window in order merges its verified slots into buf, serves its
-// resident and virgin slots and is charged. The window holding the
-// lowest-index integrity failure latches the set and is not charged, and
-// a fetch error ends the batch at its window. Callers hold s.mu.
-func (s *engineSet) readBatch(chunks, offs []int, buf []byte, first bool) (uint64, error) {
+// readBatch moves one batch of read windows: slot i carries absolute
+// chunk chunks[i], delivered at buf[offs[i]], or, when buf is nil, into a
+// new buffer line (a miss or prefetch, whose chunks the caller has made
+// room for and which must all be absent and valid). It classifies and
+// fetches every window, one batched fetch per contiguous chunk run among
+// its missing slots; the fetched slots are verified and decrypted in
+// place in one split; then each window in order merges its verified
+// slots, serves its resident and virgin slots and is charged. Lines a
+// miss brings in are marked prefetched until a demand access touches
+// them. The window holding the lowest-index integrity failure latches
+// the set and is not charged, and a fetch error ends the batch at its
+// window. Callers hold s.mu.
+func (s *engineSet) readBatch(chunks, offs []int, buf []byte, wins []window) (uint64, error) {
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
@@ -463,11 +489,13 @@ func (s *engineSet) readBatch(chunks, offs []int, buf []byte, first bool) (uint6
 
 	// Stage 1, window by window: classify, then one batched fetch per
 	// contiguous run of missing chunks (adjacent slots carrying adjacent
-	// chunks), tags riding along.
-	fetch, wins := win.idx[:0], win.wins[:0]
+	// chunks), tags riding along. opened is how many fetched slots belong
+	// to windows that fetched in full.
+	fetch := win.idx[:0]
+	var opened int
 	var fetchErr error
-	for w0 := 0; w0 < len(chunks) && fetchErr == nil; w0 += streamWindowChunks {
-		wf := windowFetch{end: min(w0+streamWindowChunks, len(chunks))}
+	for k, w0 := 0, 0; k < len(wins) && fetchErr == nil; k++ {
+		wf := &wins[k]
 		f0 := len(fetch)
 		for i := w0; i < wf.end; i++ {
 			if _, resident := s.lines[chunks[i]]; !resident && s.initialized[chunks[i]] {
@@ -482,38 +510,37 @@ func (s *engineSet) readBatch(chunks, offs []int, buf []byte, first bool) (uint6
 			}
 			busy, bus, err := s.fetchRun(win, fetch[i], chunks[fetch[i]], j-i+1)
 			if err != nil {
-				fetchErr = err
+				fetchErr, opened, wins = err, f0, wins[:k+1]
 				break
 			}
 			wf.dramBusy += busy
 			wf.dramBus += bus
 			i = j + 1
 		}
-		wins = append(wins, wf)
+		w0 = wf.end
+	}
+	if fetchErr == nil {
+		opened = len(fetch)
 	}
 
 	// Stage 2, split: verify and decrypt in place the slots of every
 	// window that fetched in full.
-	full := fetch
-	if fetchErr != nil {
-		full = fetch[:fetchStart(wins, len(wins)-1)]
-	}
-	verified, integrityErr := win.open(full)
+	verified, integrityErr := win.open(fetch[:opened])
 
-	// Stage 3, window by window: merge the verified slots into the
-	// caller's buffer, serve resident lines (clean or dirty, they are
-	// authoritative) and virgin chunks, then charge.
+	// Stage 3, window by window: merge the verified slots, serve resident
+	// lines (clean or dirty, they are authoritative) and virgin chunks,
+	// then charge.
+	w0, f0 := 0, 0
 	for k, wf := range wins {
-		w0, f0 := k*streamWindowChunks, fetchStart(wins, k)
 		for i, f := w0, f0; i < wf.end; i++ {
-			dst := buf[offs[i] : offs[i]+cs]
 			if f < wf.fetchEnd && fetch[f] == i {
 				if f < verified {
-					copy(dst, win.ct[i*cs:(i+1)*cs])
+					s.merge(chunks, offs, buf, i)
 				}
 				f++
 				continue
 			}
+			dst := buf[offs[i] : offs[i]+cs]
 			if ln, ok := s.lines[chunks[i]]; ok {
 				s.touchResident(ln)
 				copy(dst, ln.data)
@@ -529,50 +556,66 @@ func (s *engineSet) readBatch(chunks, offs []int, buf []byte, first bool) (uint6
 		if fetchErr != nil && k == len(wins)-1 {
 			return s.busyCycles - start, fetchErr
 		}
-		s.chargeWindow(wf.fetchEnd-f0, wf.end-w0, (wf.end-w0)*cs, wf.dramBusy, wf.dramBus, first && k == 0)
+		n := wf.end - w0
+		s.chargeWindow(wf.fetchEnd-f0, n, wf.dramBusy, wf.dramBus, wf.first, buf == nil && n == 1)
+		if buf == nil {
+			s.misses++
+			s.prefetched += uint64(n - 1)
+		} else {
+			s.streamed += uint64(n)
+			s.streamWindows++
+		}
+		w0, f0 = wf.end, wf.fetchEnd
 	}
 	return s.busyCycles - start, nil
 }
 
-// fetchStart is where window k's slots start in the fetched-slot list.
-func fetchStart(wins []windowFetch, k int) int {
-	if k == 0 {
-		return 0
+// merge delivers the verified plaintext staged in slot i to buf[offs[i]],
+// or, when buf is nil, into a new buffer line for chunks[i].
+func (s *engineSet) merge(chunks, offs []int, buf []byte, i int) {
+	cs := s.cfg.ChunkSize
+	pt := s.win.ct[i*cs : (i+1)*cs]
+	if buf != nil {
+		copy(buf[offs[i]:offs[i]+cs], pt)
+		return
 	}
-	return wins[k-1].fetchEnd
+	ln := s.linePool.Get().(*bufLine)
+	ln.dirty, ln.prefetched = false, true
+	copy(ln.data, pt)
+	s.insertLine(chunks[i], ln)
 }
 
-// writeBatch moves one batch of write windows for streams and gathers
-// alike: every slot is sealed in one split, at the write epoch its window
-// moves to; then each window in order bumps its chunks' counters to that
-// epoch and is stored, one batched store per contiguous chunk run, and
-// charged. A store error ends the batch at its window, as it would a
-// window-at-a-time write. Full-chunk stores supersede resident lines and
-// never fetch. Callers hold s.mu.
-func (s *engineSet) writeBatch(chunks, offs []int, data []byte, first bool) (uint64, error) {
+// writeBatch moves one batch of write windows: slot i seals chunk
+// chunks[i] from data[offs[i]], or, when data is nil, from the chunk's
+// resident line (a write-back). Every slot is sealed in one split, at
+// the write epoch its window moves to; then each window in order bumps
+// its chunks' counters to that epoch and is stored, one batched store per
+// contiguous chunk run, and charged. A store error ends the batch at its
+// window. A full-chunk write never fetches and supersedes the chunk's
+// resident line; a write-back leaves its line resident and clean.
+// Callers hold s.mu.
+func (s *engineSet) writeBatch(chunks, offs []int, data []byte, wins []window) (uint64, error) {
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
 	start := s.busyCycles
-	cs := s.cfg.ChunkSize
 
 	s.win.split(passSeal, nil, len(chunks), data)
 
-	for w0 := 0; w0 < len(chunks); w0 += streamWindowChunks {
-		w1 := min(w0+streamWindowChunks, len(chunks))
-		n := w1 - w0
+	w0 := 0
+	for _, wf := range wins {
 		// New write epoch for every chunk of the window before it is
 		// stored: the epoch its slots were sealed at.
 		if s.cfg.Freshness {
-			for _, chunk := range chunks[w0:w1] {
+			for _, chunk := range chunks[w0:wf.end] {
 				s.counters[chunk]++
 			}
 		}
 
 		var dramBusy, dramBus uint64
-		for i := w0; i < w1; {
+		for i := w0; i < wf.end; {
 			j := i
-			for j+1 < w1 && chunks[j+1] == chunks[j]+1 {
+			for j+1 < wf.end && chunks[j+1] == chunks[j]+1 {
 				j++
 			}
 			busy, bus, err := s.storeRun(s.win, i, chunks[i], j-i+1)
@@ -584,37 +627,30 @@ func (s *engineSet) writeBatch(chunks, offs []int, data []byte, first bool) (uin
 			i = j + 1
 		}
 
-		// The write supersedes any resident lines wholesale: DRAM now
-		// holds the authoritative ciphertext at the bumped epoch.
-		for _, chunk := range chunks[w0:w1] {
+		// DRAM now holds the authoritative ciphertext at the bumped epoch.
+		for _, chunk := range chunks[w0:wf.end] {
 			if ln, ok := s.lines[chunk]; ok {
-				s.dropLine(ln)
+				if data == nil {
+					ln.dirty = false
+				} else {
+					s.dropLine(ln)
+				}
 			}
 			s.initialized[chunk] = true
 		}
 
-		s.chargeWindow(n, n, n*cs, dramBusy, dramBus, first && w0 == 0)
+		n := wf.end - w0
+		s.chargeWindow(n, n, dramBusy, dramBus, wf.first, data == nil && n == 1)
+		if data == nil {
+			s.writebacks += uint64(n)
+			if n > 1 {
+				s.batchedWritebacks += uint64(n)
+			}
+		} else {
+			s.streamed += uint64(n)
+			s.streamWindows++
+		}
+		w0 = wf.end
 	}
 	return s.busyCycles - start, nil
-}
-
-// chargeWindow accounts one pipeline window under the overlapped model:
-// the window is paced by its slowest stage (DRAM, the AES pool, the
-// serial HMAC core, or the on-chip merge), the first window additionally
-// pays pipeline fill/drain, and the per-window issue cost replaces the
-// chunked path's per-chunk issue cost.
-//
-// The AES pool stage bundles CTR keystream work with PMAC block work: for
-// reads the keystream precomputes during the fetch of earlier windows,
-// but the pool must still serve every block, so pool occupancy — not the
-// per-chunk wave latency — is what paces a saturated stream.
-//
-// fetched is the number of chunks that actually crossed the crypto
-// pipeline (reads served from resident lines or valid bits skip it);
-// chunks is everything the window moved, which is what Streamed reports.
-func (s *engineSet) chargeWindow(fetched, chunks, bytes int, dramBusy, dramBus uint64, first bool) {
-	poolStage, hmacStage := s.cryptoStages(fetched)
-	s.chargeOverlapped(dramBusy, dramBus, poolStage, hmacStage, uint64(bytes)/64, first)
-	s.streamed += uint64(chunks)
-	s.streamWindows++
 }
