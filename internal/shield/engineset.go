@@ -403,18 +403,6 @@ func (s *engineSet) batchChunks() int {
 // SeqPrefetch enabled, a miss fetches a window of chunks ahead of demand.
 const prefetchMinMisses = 4
 
-// prefetchDegree is how many chunks one prefetch window may move: a full
-// staging window, bounded by the on-chip buffer capacity.
-func (s *engineSet) prefetchDegree() int {
-	return min(streamWindowChunks, s.capacity)
-}
-
-// prefetchArmed reports whether the adaptive sequential prefetcher is
-// configured for this set.
-func (s *engineSet) prefetchArmed() bool {
-	return s.cfg.SeqPrefetch && s.capacity > 1
-}
-
 // openSlot verifies the ciphertext and tag staged in slot slot as chunk,
 // at its current write epoch, and decrypts it into dst with scratch sc;
 // without a sealer it copies the slot. dst may be the slot itself, and it
@@ -450,9 +438,9 @@ func (s *engineSet) sealSlot(sc *sealScratch, slot, chunk int, epoch uint32, src
 // load makes a chunk resident. fill == false skips the DRAM fetch
 // (full-chunk overwrite), as do virgin chunks, which serve zeros. A
 // fetch miss moves through readBatch as one window: the demand chunk
-// alone, or, once the sequential-stride detector fires, the demand chunk
-// plus up to prefetchDegree-1 chunks ahead, charged as an overlapped
-// window (the first window of a streak also pays fill/drain).
+// alone, or, once the sequential-stride detector fires, a window of the
+// demand chunk and the chunks after it, charged as an overlapped window
+// (the first window of a streak also pays fill/drain).
 //
 //shef:hotpath
 func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
@@ -485,8 +473,10 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 	}
 	s.seqNext = chunk + 1
 	n := 1
-	if s.prefetchArmed() && s.seqRun >= prefetchMinMisses {
-		for max := s.prefetchDegree(); n < max; n++ {
+	if s.cfg.SeqPrefetch && s.seqRun >= prefetchMinMisses {
+		// The detector fired: fetch up to a full staging window, bounded
+		// by the buffer capacity.
+		for max := min(streamWindowChunks, s.capacity); n < max; n++ {
 			c := chunk + n
 			if c >= s.cfg.Chunks() || !s.initialized[c] {
 				break // a virgin or out-of-range chunk ends the run

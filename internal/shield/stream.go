@@ -300,7 +300,7 @@ func (s *Shield) ReadStream(addr uint64, buf []byte) (uint64, error) {
 	if addr+uint64(len(buf)) > set.cfg.Base+set.cfg.Size {
 		return 0, fmt.Errorf("shield: stream [%#x,+%d) crosses region %q boundary", addr, len(buf), set.cfg.Name)
 	}
-	return set.readStream(addr, buf)
+	return set.stream(addr, buf, set.read, set.readBatch)
 }
 
 // WriteStream writes like WriteBurst but seals and stores full chunks
@@ -318,17 +318,7 @@ func (s *Shield) WriteStream(addr uint64, data []byte) (uint64, error) {
 	if addr+uint64(len(data)) > set.cfg.Base+set.cfg.Size {
 		return 0, fmt.Errorf("shield: stream [%#x,+%d) crosses region %q boundary", addr, len(data), set.cfg.Name)
 	}
-	return set.writeStream(addr, data)
-}
-
-// readStream implements the streamed read for one engine set.
-func (s *engineSet) readStream(addr uint64, buf []byte) (uint64, error) {
-	return s.stream(addr, buf, s.read, s.readBatch)
-}
-
-// writeStream implements the streamed write for one engine set.
-func (s *engineSet) writeStream(addr uint64, data []byte) (uint64, error) {
-	return s.stream(addr, data, s.write, s.writeBatch)
+	return set.stream(addr, data, set.write, set.writeBatch)
 }
 
 // stream splits [addr, addr+len(buf)) into unaligned head and tail bytes,
