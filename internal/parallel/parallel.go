@@ -30,9 +30,13 @@ func (f Func) Run(_, lo, hi int) { f(lo, hi) }
 
 // Workers returns how many workers a split of work units should use when
 // each worker must get at least grain units to pay for its hand-off: one
-// per P, no more than work/grain, and at least one.
+// per P, no more than work/grain, and at least one. Work below two grains
+// gets one worker without reading GOMAXPROCS, which takes a runtime lock.
 func Workers(work, grain int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), work/max(grain, 1)))
+	if n := work / max(grain, 1); n > 1 {
+		return min(runtime.GOMAXPROCS(0), n)
+	}
+	return 1
 }
 
 // task is one worker's share of a split.

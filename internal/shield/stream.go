@@ -18,9 +18,9 @@ import (
 //	         one batched AXI transaction per contiguous run
 //	stage 2  decrypt/verify the window's chunks (the set's AESEngines
 //	         pool in the cycle model; in this process, a batch of windows
-//	         split across Ps, see below)
-//	stage 3  merge into the caller's buffer or the buffer lines (on-chip
-//	         copy)
+//	         split across Ps, see below); a miss decrypts straight into
+//	         new buffer lines
+//	stage 3  merge into the caller's buffer (on-chip copy)
 //
 // The write side seals the batch (stage 2), then stores and charges it
 // window by window. Whoever builds a batch decides where its windows end:
@@ -41,9 +41,9 @@ import (
 // in window order; only the chunk seals or opens are split across Ps
 // (parallel.Group, one contiguous range and one seal scratch per worker);
 // then the batch merges, stores and charges window by window, in order.
-// A read opens its slots in place in the staging, and the merge copies
-// out only the slots before the lowest-index failure, so the caller's
-// buffer receives exactly what a window-at-a-time read would: every
+// A stream read opens its slots in place in the staging, and the merge
+// copies out only the slots before the lowest-index failure, so the
+// caller's buffer receives exactly what a window-at-a-time read would: every
 // window before the failure, and in the failing window the chunks before
 // it plus its resident and virgin slots. The cycle model sees the same
 // fetchRun/storeRun/chargeWindow calls in the same order either way.
@@ -120,8 +120,9 @@ type streamWindow struct {
 	errs    [maxSplitWorkers]error
 	group   parallel.Group
 	pass    cryptoPass
-	slots   []int  // passOpen: the fetched slots
-	buf     []byte // passSeal: the caller's buffer (nil: the buffer lines), during the pass only
+	slots   []int      // passOpen: the fetched slots
+	lines   []*bufLine // passOpen: the buffer line slot i opens into (nil: in place)
+	buf     []byte     // passSeal: the caller's buffer (nil: the buffer lines), during the pass only
 }
 
 // window is one pipeline window of a batch. Whoever builds the batch sets
@@ -152,6 +153,7 @@ func (w *streamWindow) grow(slots int) {
 	w.idx = make([]int, 0, slots)
 	w.chunks = make([]int, slots)
 	w.offs = make([]int, slots)
+	w.lines = make([]*bufLine, slots)
 	w.wins = make([]window, 0, slots) // a write-back may cut every slot
 	if s.seal != nil && slots*s.cfg.ChunkSize >= 2*splitGrainBytes {
 		for k := 1; k < maxSplitWorkers; k++ {
@@ -196,7 +198,11 @@ func (w *streamWindow) Run(k, lo, hi int) {
 		w.bad[k], w.errs[k] = hi, nil
 		for j := lo; j < hi; j++ {
 			i := w.slots[j]
-			if err := s.openSlot(sc, i, w.chunks[i], w.ct[i*cs:(i+1)*cs]); err != nil {
+			dst := w.ct[i*cs : (i+1)*cs]
+			if ln := w.lines[i]; ln != nil {
+				dst = ln.data
+			}
+			if err := s.openSlot(sc, i, w.chunks[i], dst); err != nil {
 				w.bad[k], w.errs[k] = j, err
 				return
 			}
@@ -219,14 +225,11 @@ func (w *streamWindow) Run(k, lo, hi int) {
 	}
 }
 
-// open verifies the staged slots slots and decrypts them in place. It
+// open verifies the staged slots slots and decrypts each in place or
+// into its buffer line; without a sealer it only copies to the lines. It
 // returns how many lead slots verified, up to the lowest-index failure,
-// and that failure (nil if there was none). A set without a sealer has
-// nothing to open: its staged slots already hold plaintext.
+// and that failure (nil if there was none).
 func (w *streamWindow) open(slots []int) (int, error) {
-	if w.set.seal == nil {
-		return len(slots), nil
-	}
 	w.split(passOpen, slots, len(slots), nil)
 	// Worker ranges ascend with k, so the first failure found is the
 	// lowest-index one.
@@ -463,10 +466,10 @@ func (s *engineSet) gather(runs []axi.Burst,
 // room for and which must all be absent and valid). It classifies and
 // fetches every window, one batched fetch per contiguous chunk run among
 // its missing slots; the fetched slots are verified and decrypted in
-// place in one split; then each window in order merges its verified
-// slots, serves its resident and virgin slots and is charged. Lines a
-// miss brings in are marked prefetched until a demand access touches
-// them. The window holding the lowest-index integrity failure latches
+// place, or for a miss straight into new buffer lines, in one split;
+// then each window in order merges its verified slots, serves its
+// resident and virgin slots and is charged. Lines a miss brings in are
+// marked prefetched until a demand access touches them. The window holding the lowest-index integrity failure latches
 // the set and is not charged, and a fetch error ends the batch at its
 // window. Callers hold s.mu.
 func (s *engineSet) readBatch(chunks, offs []int, buf []byte, wins []window) (uint64, error) {
@@ -513,19 +516,38 @@ func (s *engineSet) readBatch(chunks, offs []int, buf []byte, wins []window) (ui
 		opened = len(fetch)
 	}
 
-	// Stage 2, split: verify and decrypt in place the slots of every
-	// window that fetched in full.
-	verified, integrityErr := win.open(fetch[:opened])
+	// Stage 2, split: verify and decrypt the slots of every window that
+	// fetched in full, in place or, for a miss, straight into new buffer
+	// lines, which join the buffer if they verify.
+	opening := fetch[:opened]
+	if buf == nil {
+		for _, i := range opening {
+			win.lines[i] = s.linePool.Get().(*bufLine)
+		}
+	}
+	verified, integrityErr := win.open(opening)
+	if buf == nil {
+		for f, i := range opening {
+			ln := win.lines[i]
+			win.lines[i] = nil
+			if f < verified {
+				ln.prefetched = true
+				s.insertLine(chunks[i], ln)
+			} else {
+				s.linePool.Put(ln)
+			}
+		}
+	}
 
-	// Stage 3, window by window: merge the verified slots, serve resident
-	// lines (clean or dirty, they are authoritative) and virgin chunks,
-	// then charge.
+	// Stage 3, window by window: merge the verified slots into buf,
+	// serve resident lines (clean or dirty, they are authoritative) and
+	// virgin chunks, then charge.
 	w0, f0 := 0, 0
 	for k, wf := range wins {
 		for i, f := w0, f0; i < wf.end; i++ {
 			if f < wf.fetchEnd && fetch[f] == i {
-				if f < verified {
-					s.merge(chunks, offs, buf, i)
+				if f < verified && buf != nil {
+					copy(buf[offs[i]:offs[i]+cs], win.ct[i*cs:(i+1)*cs])
 				}
 				f++
 				continue
@@ -558,21 +580,6 @@ func (s *engineSet) readBatch(chunks, offs []int, buf []byte, wins []window) (ui
 		w0, f0 = wf.end, wf.fetchEnd
 	}
 	return s.busyCycles - start, nil
-}
-
-// merge delivers the verified plaintext staged in slot i to buf[offs[i]],
-// or, when buf is nil, into a new buffer line for chunks[i].
-func (s *engineSet) merge(chunks, offs []int, buf []byte, i int) {
-	cs := s.cfg.ChunkSize
-	pt := s.win.ct[i*cs : (i+1)*cs]
-	if buf != nil {
-		copy(buf[offs[i]:offs[i]+cs], pt)
-		return
-	}
-	ln := s.linePool.Get().(*bufLine)
-	ln.dirty, ln.prefetched = false, true
-	copy(ln.data, pt)
-	s.insertLine(chunks[i], ln)
 }
 
 // writeBatch moves one batch of write windows: slot i seals chunk
