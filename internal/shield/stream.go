@@ -469,9 +469,10 @@ func (s *engineSet) gather(runs []axi.Burst,
 // place, or for a miss straight into new buffer lines, in one split;
 // then each window in order merges its verified slots, serves its
 // resident and virgin slots and is charged. Lines a miss brings in are
-// marked prefetched until a demand access touches them. The window holding the lowest-index integrity failure latches
-// the set and is not charged, and a fetch error ends the batch at its
-// window. Callers hold s.mu.
+// marked prefetched until a demand access touches them. The window
+// holding the lowest-index integrity failure latches the set and is not
+// charged, and a fetch error ends the batch at its window. Callers hold
+// s.mu.
 func (s *engineSet) readBatch(chunks, offs []int, buf []byte, wins []window) (uint64, error) {
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
