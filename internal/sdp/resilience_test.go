@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -208,6 +209,44 @@ func TestRestartAndAntiEntropyRepair(t *testing.T) {
 	}
 	if st := c.Stats(); st.Repairs == 0 {
 		t.Fatalf("repair not counted: %+v", st)
+	}
+}
+
+// TestAntiEntropyRepairsInNameOrder: anti-entropy repairs files in
+// sorted name order, so a chaos run's fault schedule hits the same file
+// seed for seed. A restarted node comes back empty and reserve hands out
+// its slots in the order the repairs arrive, so the node's slot order is
+// the repair order.
+func TestAntiEntropyRepairsInNameOrder(t *testing.T) {
+	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
+	const shard, files = 1, 12
+	var names []string
+	for i := 0; len(names) < files; i++ {
+		name := fmt.Sprintf("file-%03d", 997*i%1000)
+		if !slices.Contains(c.replicaSet(name), shard) {
+			continue
+		}
+		if err := cl.Put("alice", name, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	c.CrashShard(shard)
+	if err := c.RestartShard(shard); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dir := c.Node(shard).directory
+	bySlot := slices.Clone(names)
+	slices.SortFunc(bySlot, func(a, b string) int { return dir[a].slot - dir[b].slot })
+	if want := slices.Sorted(slices.Values(names)); !slices.Equal(bySlot, want) {
+		t.Fatalf("restarted shard's slots hold %v, want repair in name order %v", bySlot, want)
+	}
+	if got := len(dir); got != files {
+		t.Fatalf("restarted shard holds %d files after Sync, want %d", got, files)
 	}
 }
 

@@ -2,9 +2,11 @@ package shield
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"shef/internal/mem"
 	"shef/internal/perf"
 )
 
@@ -132,61 +134,118 @@ func BenchmarkRealFlush(b *testing.B) {
 	}
 }
 
+// newBareRealRig is newStreamRigParams for the unsecured baseline: a
+// keyless NewBare Shield over cfg whose region holds a random plaintext
+// image of size bytes.
+func newBareRealRig(tb testing.TB, cfg Config, size uint64) (*Shield, []byte) {
+	tb.Helper()
+	dram := mem.NewDRAM(2*size+1<<20, perf.Default())
+	img := make([]byte, size)
+	rand.New(rand.NewSource(17)).Read(img)
+	if err := dram.RawWrite(cfg.Regions[0].Base, img); err != nil {
+		tb.Fatal(err)
+	}
+	sh, err := NewBare(cfg, dram, perf.Default())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sh, img
+}
+
 // TestRealBenchZeroAlloc pins the zero-alloc claim as a plain test so it
 // holds on every `go test` run, not only when benchmarks are invoked:
 // every path that seals or opens chunks must not allocate in steady
-// state, under PMAC and HMAC alike. testing.AllocsPerRun runs at
-// GOMAXPROCS=1, where a stream's batches never split, so this test sees
-// only the inline path; TestSplitStreamZeroAlloc covers the split.
+// state, under PMAC and HMAC alike, and neither may the keyless copies
+// that stand in for sealing on the unsecured baseline (NewBare).
+// testing.AllocsPerRun runs at GOMAXPROCS=1, where a stream's batches
+// never split, so this test sees only the inline path;
+// TestSplitStreamZeroAlloc covers the split.
 func TestRealBenchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	const size = 1 << 18
-	for _, rm := range realMACs {
-		t.Run(rm.name, func(t *testing.T) {
+	rigs := []struct {
+		name string
+		mac  MACKind
+		bare bool
+	}{
+		{"pmac", PMAC, false},
+		{"hmac", HMAC, false},
+		{"bare", PMAC, true},
+	}
+	for _, rk := range rigs {
+		t.Run(rk.name, func(t *testing.T) {
+			rig := func(cfg Config) (*Shield, []byte) {
+				if rk.bare {
+					return newBareRealRig(t, cfg, size)
+				}
+				return newStreamRigParams(t, cfg, size, perf.Default())
+			}
 			// stream has the four-line buffer of the Real benchmarks;
 			// resident's buffer holds the whole region, as in
-			// BenchmarkRealFlush.
-			stream, img := newStreamRigParams(t, realConfig(rm.mac, size), size, perf.Default())
-			cfg := realConfig(rm.mac, size)
+			// BenchmarkRealFlush; prefetch arms the sequential
+			// prefetcher with room for full prefetch windows.
+			stream, img := rig(realConfig(rk.mac, size))
+			cfg := realConfig(rk.mac, size)
 			cfg.Regions[0].BufferBytes = size
-			resident, _ := newStreamRigParams(t, cfg, size, perf.Default())
+			resident, _ := rig(cfg)
+			cfg = realConfig(rk.mac, size)
+			cfg.Regions[0].SeqPrefetch = true
+			cfg.Regions[0].BufferBytes = 2 * streamWindowChunks * cfg.Regions[0].ChunkSize
+			prefetch, _ := rig(cfg)
 			buf := make([]byte, size)
 			chunk := make([]byte, cfg.Regions[0].ChunkSize)
-			next := 0
+			chunks := size / len(chunk)
+			next, seq := 0, 0
+			// An op that walks the region primes for one full pass
+			// (prime ops): the region-lookup cache installs an entry on
+			// each page's first touch.
 			for _, tc := range []struct {
-				name string
-				op   func() error
+				name  string
+				prime int
+				op    func() error
 			}{
-				{"ReadStream", func() error { _, err := stream.ReadStream(0, buf); return err }},
-				{"WriteStream", func() error { _, err := stream.WriteStream(0, img); return err }},
+				{"ReadStream", 8, func() error { _, err := stream.ReadStream(0, buf); return err }},
+				{"WriteStream", 8, func() error { _, err := stream.WriteStream(0, img); return err }},
 				// A one-chunk read of the next chunk along: always a buffer
 				// miss, so load fetches and opens it.
-				{"ReadBurst miss", func() error {
-					next = (next + 1) % (size / len(chunk))
+				{"ReadBurst miss", chunks, func() error {
+					next = (next + 1) % chunks
 					_, err := stream.ReadBurst(uint64(next*len(chunk)), chunk)
 					return err
 				}},
 				// A partial write two chunks along: a fetch miss whose
 				// eviction writes back a dirty victim with no dirty
 				// neighbour to combine with.
-				{"dirty eviction, no write combining", func() error {
-					next = (next + 2) % (size / len(chunk))
+				{"dirty eviction, no write combining", chunks / 2, func() error {
+					next = (next + 2) % chunks
 					_, err := stream.WriteBurst(uint64(next*len(chunk)), chunk[:100])
 					return err
 				}},
 				// Re-dirty every resident line, then write them all back
 				// through writeBack.
-				{"re-dirty + Flush", func() error {
+				{"re-dirty + Flush", 8, func() error {
 					if _, err := resident.WriteBurst(0, img); err != nil {
 						return err
 					}
 					return resident.Flush()
 				}},
+				// A prefetch window's worth of one-chunk reads, ascending
+				// from where the last op stopped: the detector stays armed,
+				// so every op takes at least one prefetching miss.
+				{"sequential chunked reads, SeqPrefetch", chunks / streamWindowChunks, func() error {
+					for i := 0; i < streamWindowChunks; i++ {
+						if _, err := prefetch.ReadBurst(uint64(seq*len(chunk)), chunk); err != nil {
+							return err
+						}
+						seq = (seq + 1) % chunks
+					}
+					return nil
+				}},
 			} {
 				// Prime: fill the buffer and the line pool.
-				for i := 0; i < 8; i++ {
+				for i := 0; i < tc.prime; i++ {
 					if err := tc.op(); err != nil {
 						t.Fatalf("%s: %v", tc.name, err)
 					}
@@ -201,8 +260,11 @@ func TestRealBenchZeroAlloc(t *testing.T) {
 					t.Fatalf("%s: %v", tc.name, opErr)
 				}
 				if allocs != 0 {
-					t.Errorf("%s %s: %v allocs/op, want 0", tc.name, rm.name, allocs)
+					t.Errorf("%s %s: %v allocs/op, want 0", tc.name, rk.name, allocs)
 				}
+			}
+			if st := prefetch.Report().Regions[0]; st.Prefetched == 0 {
+				t.Errorf("prefetch rig fetched nothing ahead: %+v", st)
 			}
 		})
 	}
