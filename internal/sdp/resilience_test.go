@@ -390,35 +390,80 @@ func TestInjectedTransientErrorsAreRetried(t *testing.T) {
 	}
 }
 
-// TestAppRejectionsAreNotRetried: policy violations must surface
-// immediately (no retry, no health penalty) even with replication on.
+// TestAppRejectionsAreNotRetried: every rejection a Client can reach is
+// classed ErrRejected and surfaces at once, with replication on: no
+// retry, no health penalty.
 func TestAppRejectionsAreNotRetried(t *testing.T) {
-	c := newReplicatedCluster(t, 4, 3)
-	cl := newClient(t, c)
-	if err := cl.Put("alice", "secret", []byte("alice's")); err != nil {
-		t.Fatal(err)
+	payload := bytes.Repeat([]byte{0x4E}, 5000) // two 4 KiB auth blocks
+	put := func(user, name string) func(*Client) error {
+		return func(cl *Client) error { return cl.Put(user, name, payload) }
 	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
+	get := func(user, name string) func(*Client) error {
+		return func(cl *Client) error { _, err := cl.Get(user, name, nil); return err }
 	}
-	_, err := cl.Get("mallory", "secret", nil)
-	if err == nil {
-		t.Fatal("unregistered user served")
-	}
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("policy rejection not classed ErrRejected: %v", err)
-	}
-	if Retryable(err) {
-		t.Fatal("policy rejection classed retryable")
-	}
-	st := c.Stats()
-	if st.Retries != 0 {
-		t.Fatalf("policy rejection consumed retries: %+v", st)
-	}
-	for i, slot := range c.slots {
-		if got := slot.health.State(); got != Healthy {
-			t.Fatalf("shard %d health = %v after pure policy traffic", i, got)
+	// putSealed sends a one-block image of doc, sealed on its home
+	// session, claiming size bytes.
+	putSealed := func(size int) func(*Client) error {
+		return func(cl *Client) error {
+			ct, tags, err := cl.Session("doc").Seal(payload[:100])
+			if err != nil {
+				return err
+			}
+			return cl.PutSealed("alice", "doc", size, ct, tags)
 		}
+	}
+	flat := func(*NodeConfig) {}
+	for _, tc := range []struct {
+		name  string
+		node  func(*NodeConfig)
+		setup func(*Client) error // runs before the stats reset
+		op    func(*Client) error
+	}{
+		{"unprovisioned user, Put", flat, nil, put("mallory", "doc")},
+		{"unprovisioned user, Get", flat, put("alice", "doc"), get("mallory", "doc")},
+		{"node full", func(c *NodeConfig) { c.Slots = 1 }, put("alice", "a"), put("alice", "b")},
+		{"owner mismatch, Get", flat, put("alice", "doc"), get("bob", "doc")},
+		{"owner mismatch, Put", flat, put("alice", "doc"), put("bob", "doc")},
+		{"file not found", flat, nil, get("alice", "doc")},
+		{"tenant zone full", func(c *NodeConfig) { c.TenantZones, c.TenantSlots = true, 1 },
+			put("alice", "a"), put("alice", "b")},
+		{"no free tenant zone", func(c *NodeConfig) { c.Slots, c.TenantZones, c.TenantSlots = 1, true, 1 },
+			put("alice", "a"), put("bob", "b")},
+		{"oversized image, PutSealed", flat, nil, putSealed(clusterConfig(1).Node.SlotBytes + 1)},
+		{"wrong-size image, PutSealed", flat, nil, putSealed(len(payload))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := replicatedConfig(4, 3)
+			tc.node(&cfg.Node)
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range []string{"alice", "bob"} {
+				if err := c.RegisterUser(u, []byte(u+"-key")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl := newClient(t, c)
+			if tc.setup != nil {
+				if err := tc.setup(cl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.ResetStats()
+			err = tc.op(cl)
+			if !errors.Is(err, ErrRejected) {
+				t.Fatalf("err = %v, want ErrRejected", err)
+			}
+			if st := c.Stats(); st.Retries != 0 {
+				t.Fatalf("rejection consumed retries: %+v", st)
+			}
+			for i, slot := range c.slots {
+				if got := slot.health.State(); got != Healthy {
+					t.Fatalf("shard %d health = %v after a rejection", i, got)
+				}
+			}
+		})
 	}
 }
 

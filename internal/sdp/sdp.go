@@ -517,11 +517,15 @@ func (n *Node) dmaTLSOut(ct, tags []byte) error {
 	return n.dram.RawReadInto(n.tlsLayout.TagBase, tags)
 }
 
-// reserve validates a Put and allocates the file's slot entry. Caller
-// holds mu and commits with n.directory[name] = entry on success.
-// Failures are application rejections (ErrRejected): authoritative
-// verdicts the cluster's resilience layer must not retry or hold against
-// the node's health.
+// reserve validates a Put and allocates the file's slot entry. An
+// existing file keeps its slot if the user owns it. A new file takes the
+// store's next slot or, with tenant zones, the next slot inside the
+// user's own protection zone, created on first use; slots stay global
+// indices (the arena's address math is unchanged), and the zone boundary
+// is what the Shield's region table enforces. Caller holds mu and commits
+// with n.directory[name] = entry on success. Failures are application
+// rejections (ErrRejected): authoritative verdicts the cluster's
+// resilience layer must not retry or hold against the node's health.
 func (n *Node) reserve(user, name string, size int) (fileEntry, error) {
 	if _, ok := n.userKeys[user]; !ok {
 		return fileEntry{}, rejectf("sdp: user %q has no provisioned key", user)
@@ -532,41 +536,26 @@ func (n *Node) reserve(user, name string, size int) (fileEntry, error) {
 	if size > n.cfg.SlotBytes {
 		return fileEntry{}, rejectf("sdp: file of %d bytes exceeds slot size %d", size, n.cfg.SlotBytes)
 	}
-	if n.cfg.TenantZones {
-		return n.reserveInZone(user, name, size)
-	}
 	entry, ok := n.directory[name]
-	if !ok {
+	switch {
+	case ok && entry.user != user:
+		return fileEntry{}, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
+	case ok:
+	case !n.cfg.TenantZones:
 		if n.nextSlot >= n.cfg.Slots {
 			return fileEntry{}, reject(errors.New("sdp: node full"))
 		}
-		entry = fileEntry{slot: n.nextSlot}
+		entry.slot = n.nextSlot
 		n.nextSlot++
-	}
-	entry.size = size
-	entry.user = user
-	return entry, nil
-}
-
-// reserveInZone allocates a file slot inside the user's own protection
-// zone, creating the zone on first use. Slots stay global indices (the
-// arena's address math is unchanged); the zone boundary is what the
-// Shield's region table enforces. Caller holds mu.
-func (n *Node) reserveInZone(user, name string, size int) (fileEntry, error) {
-	z, err := n.zoneFor(user)
-	if err != nil {
-		return fileEntry{}, err
-	}
-	entry, ok := n.directory[name]
-	if ok {
-		if entry.user != user {
-			return fileEntry{}, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
+	default:
+		z, err := n.zoneFor(user)
+		if err != nil {
+			return fileEntry{}, err
 		}
-	} else {
 		if z.nextSlot >= n.cfg.TenantSlots {
 			return fileEntry{}, rejectf("sdp: user %q's zone is full (%d slots)", user, n.cfg.TenantSlots)
 		}
-		entry = fileEntry{slot: int((z.base-storeBase)/uint64(n.cfg.SlotBytes)) + z.nextSlot}
+		entry.slot = int((z.base-storeBase)/uint64(n.cfg.SlotBytes)) + z.nextSlot
 		z.nextSlot++
 	}
 	entry.size = size

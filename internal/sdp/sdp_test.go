@@ -2,6 +2,7 @@ package sdp
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -75,19 +76,47 @@ func TestMultipleFilesAndOverwrite(t *testing.T) {
 	}
 }
 
-// TestGDPRAccessPolicy: a user cannot read another user's file, and
-// unprovisioned users get nothing.
+// TestGDPRAccessPolicy: a user can neither read nor overwrite another
+// user's file, and unprovisioned users get nothing, in every store
+// layout.
 func TestGDPRAccessPolicy(t *testing.T) {
-	n := newNode(t)
-	n.Put("alice", "secret", []byte("alice's medical records"))
-	if _, err := n.Get("bob", "secret"); err == nil {
-		t.Fatal("bob read alice's file")
-	}
-	if _, err := n.Get("mallory", "secret"); err == nil {
-		t.Fatal("unprovisioned user served")
-	}
-	if err := n.Put("mallory", "x", []byte("data")); err == nil {
-		t.Fatal("unprovisioned user stored a file")
+	for _, layout := range []struct {
+		name string
+		cfg  NodeConfig
+	}{
+		{"flat", smallConfig()},
+		{"oblivious", obliviousNodeConfig()},
+		{"tenant zones", tenantZoneConfig()},
+	} {
+		t.Run(layout.name, func(t *testing.T) {
+			n, err := NewNode(layout.cfg, bytes.Repeat([]byte{0x21}, 32), LineRateParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.ProvisionUserKeys(map[string][]byte{
+				"alice": []byte("alice-key"),
+				"bob":   []byte("bob-key"),
+			})
+			secret := []byte("alice's medical records")
+			if err := n.Put("alice", "secret", secret); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Get("bob", "secret"); !errors.Is(err, ErrRejected) {
+				t.Fatalf("bob read alice's file: %v", err)
+			}
+			if err := n.Put("bob", "secret", []byte("bob's bytes")); !errors.Is(err, ErrRejected) {
+				t.Fatalf("bob overwrote alice's file: %v", err)
+			}
+			if got, err := n.Get("alice", "secret"); err != nil || !bytes.Equal(got, secret) {
+				t.Fatalf("alice reads %q, %v after bob's Put; want her own bytes", got, err)
+			}
+			if _, err := n.Get("mallory", "secret"); !errors.Is(err, ErrRejected) {
+				t.Fatalf("unprovisioned user served: %v", err)
+			}
+			if err := n.Put("mallory", "x", []byte("data")); !errors.Is(err, ErrRejected) {
+				t.Fatalf("unprovisioned user stored a file: %v", err)
+			}
+		})
 	}
 }
 
