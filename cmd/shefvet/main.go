@@ -1,8 +1,6 @@
 // Command shefvet runs the repo's invariant suite (internal/analysis):
-// the custom analyzers that mechanically enforce DESIGN.md's zero-alloc
-// hot paths, lock ordering, atomics discipline, deterministic
-// flush/eviction/ORAM ordering, guarded instrumentation sites, and
-// typed-error boundaries.
+// the custom analyzers that mechanically enforce DESIGN.md's lock
+// ordering, guarded instrumentation sites and typed-error boundaries.
 //
 //	shefvet [./...]
 //

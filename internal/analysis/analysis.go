@@ -1,9 +1,12 @@
-// Package analysis is the repo's invariant-enforcement suite: a set of
-// custom static analyzers that mechanically check the load-bearing rules
-// DESIGN.md states in prose — zero-alloc hot paths (§6), the lock/atomics
-// concurrency model (§5), deterministic flush/eviction/ORAM ordering
-// (§4), typed-error discipline at the sdp/oram boundaries, and guarded
-// profiling/faultinject instrumentation sites.
+// Package analysis is the repo's invariant-enforcement suite: custom
+// static analyzers for the rules DESIGN.md states in prose that no test
+// can hold for code not yet written — the lock order of the concurrency
+// model (§5), typed-error discipline at the sdp/oram boundaries, and
+// guarded profiling/faultinject instrumentation sites (§7). Each checks
+// every site in its scope without anyone opting in; invariants a test
+// can run, such as the zero-alloc data path (§6) and deterministic
+// flush, eviction, ORAM and repair order (§4), are held by tests
+// (DESIGN.md §10).
 //
 // The suite is deliberately built on the standard library alone (go/ast,
 // go/types, go/importer) rather than golang.org/x/tools, so the module
@@ -11,13 +14,9 @@
 // mirrors x/tools/go/analysis closely enough that porting onto it later
 // is mechanical.
 //
-// Analyzers communicate with the source through a tiny annotation
-// vocabulary (DESIGN.md §10):
-//
-//	//shef:hotpath        this function is a zero-alloc hot path
-//	//shef:deterministic  this function is a determinism root
-//	//shef:guarded        every caller gates this helper on Enabled()
-//	//shef:ignore reason  suppress findings on this (or the next) line
+// One annotation reaches the analyzers from the source: a
+// //shef:guarded helper may call instrumentation directly, and
+// guardedsite checks its callers instead (DESIGN.md §10).
 //
 // Its command is cmd/shefvet (`shefvet ./...`); CI runs it as a blocking
 // lint job.
@@ -35,7 +34,7 @@ import (
 // Version identifies the invariant suite; it is recorded in benchtab's
 // JSON header so bench artifacts say which suite validated the run, and
 // printed by `shefvet -list`. Bump it whenever an analyzer's verdict on unchanged source can change.
-const Version = "shefvet-1.1.0"
+const Version = "shefvet-1.2.0"
 
 // An Analyzer is one named invariant check over a type-checked package.
 type Analyzer struct {
@@ -58,11 +57,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// report receives the analyzer's findings (already filtered through
-	// the //shef:ignore suppression map by Reportf).
+	// report receives the analyzer's findings.
 	report func(Diagnostic)
-	// ignored maps "file:line" to the suppression state for the package.
-	ignored map[string]bool
 }
 
 // Diagnostic is one finding, positioned and attributed to its analyzer.
@@ -76,69 +72,18 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Reportf records a finding at pos unless the line (or the line above
-// it) carries a //shef:ignore suppression.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.ignored[ignoreKey(position.Filename, position.Line)] {
-		return
-	}
 	p.report(Diagnostic{
-		Pos:      position,
+		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-func ignoreKey(file string, line int) string {
-	return fmt.Sprintf("%s:%d", file, line)
-}
-
-// The annotation vocabulary. Annotations live in a function's doc
-// comment (hotpath, deterministic, guarded) or on/above an offending
-// line (ignore).
-const (
-	MarkHotpath       = "//shef:hotpath"
-	MarkDeterministic = "//shef:deterministic"
-	MarkGuarded       = "//shef:guarded"
-	MarkIgnore        = "//shef:ignore"
-)
-
-// buildIgnoreMap scans every comment in the files for //shef:ignore
-// markers. A marker suppresses findings on its own line and on the line
-// directly below it (so both trailing comments and standalone
-// comment-above style work). A marker with no reason is itself a
-// finding: the vocabulary requires saying why.
-func buildIgnoreMap(fset *token.FileSet, files []*ast.File, report func(Diagnostic)) map[string]bool {
-	ignored := make(map[string]bool)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, strings.TrimPrefix(MarkIgnore, "//")) &&
-					!strings.HasPrefix(text, MarkIgnore) {
-					continue
-				}
-				rest := strings.TrimPrefix(text, MarkIgnore)
-				if rest == text {
-					continue // some other comment mentioning the marker
-				}
-				pos := fset.Position(c.Pos())
-				if strings.TrimSpace(rest) == "" {
-					report(Diagnostic{
-						Pos:      pos,
-						Analyzer: "shefvet",
-						Message:  "//shef:ignore needs a reason (\"//shef:ignore why this is safe\")",
-					})
-					continue
-				}
-				ignored[ignoreKey(pos.Filename, pos.Line)] = true
-				ignored[ignoreKey(pos.Filename, pos.Line+1)] = true
-			}
-		}
-	}
-	return ignored
-}
+// MarkGuarded is the annotation, in a function's doc comment, that makes
+// the function a guarded instrumentation helper.
+const MarkGuarded = "//shef:guarded"
 
 // funcHasMark reports whether a function declaration's doc comment
 // carries the given //shef: marker.
@@ -158,8 +103,6 @@ func funcHasMark(fn *ast.FuncDecl, mark string) bool {
 // records the names in its JSON header; cmd/shefvet runs them.
 func All() []*Analyzer {
 	return []*Analyzer{
-		HotpathAlloc,
-		DetOrder,
 		LockOrder,
 		GuardedSite,
 		ErrWrapCheck,
@@ -183,7 +126,6 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
-	ignored := buildIgnoreMap(fset, files, report)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -192,7 +134,6 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 			Pkg:      pkg,
 			Info:     info,
 			report:   report,
-			ignored:  ignored,
 		}
 		a.Run(pass)
 	}

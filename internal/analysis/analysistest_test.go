@@ -35,8 +35,6 @@ import (
 	"testing"
 )
 
-func TestHotpathAllocFixture(t *testing.T) { runFixture(t, HotpathAlloc) }
-func TestDetOrderFixture(t *testing.T)     { runFixture(t, DetOrder) }
 func TestLockOrderFixture(t *testing.T)    { runFixture(t, LockOrder) }
 func TestGuardedSiteFixture(t *testing.T)  { runFixture(t, GuardedSite) }
 func TestErrWrapCheckFixture(t *testing.T) { runFixture(t, ErrWrapCheck) }
@@ -44,7 +42,7 @@ func TestErrWrapCheckFixture(t *testing.T) { runFixture(t, ErrWrapCheck) }
 // stdFixtureImports are the standard-library packages fixtures may
 // import; their (transitive) export data is located once per test run.
 var stdFixtureImports = []string{
-	"context", "errors", "fmt", "sort", "strings", "sync", "sync/atomic",
+	"context", "errors", "fmt", "sync",
 }
 
 var stdExports = sync.OnceValues(func() (map[string]string, error) {

@@ -9,13 +9,10 @@ import (
 // TestTreeIsClean runs the full analyzer suite over every package in
 // the module and asserts zero findings. This is the same gate CI
 // enforces via cmd/shefvet: if an invariant regresses — an unguarded
-// instrumentation site, a map walk on a deterministic path, a lock
-// inversion, an unclassified error crossing the sdp/oram boundary —
-// this test names the exact file:line, so the failure is actionable
-// without rerunning anything.
-//
-// Suppressions are part of the contract: a site silenced with a
-// reasoned //shef:ignore passes; a bare marker is itself a finding.
+// instrumentation site, a lock inversion, an unclassified error crossing
+// the sdp/oram boundary — this test names the exact file:line, so the
+// failure is actionable without rerunning anything. There is no
+// suppression: a finding is fixed at its site.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module; skipped in -short")
@@ -37,7 +34,7 @@ func TestTreeIsClean(t *testing.T) {
 		total += len(diags)
 	}
 	if total > 0 {
-		t.Logf("%d finding(s); fix the site or add a reasoned //shef:ignore (see DESIGN.md §10)", total)
+		t.Logf("%d finding(s); fix each site (see DESIGN.md §10)", total)
 	}
 }
 

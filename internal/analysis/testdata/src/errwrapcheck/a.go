@@ -41,7 +41,3 @@ func wrapOK(name string) error {
 func ctorOK(name string) error {
 	return reject("open", errors.New("no quorum for "+name))
 }
-
-func suppressedOK(name string) error {
-	return errors.New("scratch diagnostics for " + name) //shef:ignore debug-only helper, never crosses the API boundary
-}

@@ -7,9 +7,9 @@ import (
 )
 
 // prodFiles returns the pass's non-test files. The invariants shefvet
-// enforces are production-path properties; test files range over maps,
-// build ad-hoc errors, and call instrumentation directly on purpose, so
-// every analyzer scopes itself to the shipped code.
+// enforces are production-path properties; test files build ad-hoc
+// errors and call instrumentation directly on purpose, so every analyzer
+// scopes itself to the shipped code.
 func (p *Pass) prodFiles() []*ast.File {
 	var out []*ast.File
 	for _, f := range p.Files {
@@ -104,8 +104,7 @@ func (p *Pass) packageFuncs() map[string]*ast.FuncDecl {
 // callGraph builds the static intra-package call graph over funcs:
 // edges[caller] lists the declKeys of same-package functions the caller
 // invokes directly (calls through interfaces and function values are
-// invisible, which is why determinism roots annotate the concrete
-// entry points).
+// invisible).
 func (p *Pass) callGraph(funcs map[string]*ast.FuncDecl) map[string][]string {
 	edges := make(map[string][]string)
 	for key, fn := range funcs {
@@ -161,15 +160,6 @@ func withAncestors(root ast.Node, fn func(n ast.Node, ancestors []ast.Node) bool
 		}
 		return true
 	})
-}
-
-// isMapType reports whether t (after unaliasing) is a map.
-func isMapType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
 }
 
 // selectedField resolves a selector to the struct field it names, or nil

@@ -143,8 +143,6 @@ var active atomic.Pointer[Plan]
 // Enabled reports whether a plan is installed. Instrumented sites check
 // it before doing anything else, so the disabled hot path performs one
 // atomic load and a predicted branch — no allocation, no map lookup.
-//
-//shef:hotpath
 func Enabled() bool { return active.Load() != nil }
 
 // Activate installs the plan process-wide. Exactly one plan is active at

@@ -416,8 +416,6 @@ func (o *ORAM) remap(block int) (oldLeaf, newLeaf uint32, err error) {
 // Access performs one oblivious operation. If write is true, data replaces
 // the block's contents; the previous contents are returned either way.
 // Reads must pass nil data. Safe for concurrent use.
-//
-//shef:deterministic
 func (o *ORAM) Access(block int, write bool, data []byte) ([]byte, error) {
 	op := "read"
 	if write {
@@ -606,7 +604,6 @@ func (o *ORAM) getEntry() *stashEntry {
 // run in one WriteAuto; serial mode writes leaf→root per bucket.
 func (o *ORAM) evictPath(op string, path []int) error {
 	keys := o.stashKeys[:0]
-	//shef:ignore stash ids collected into stashKeys and sorted before eviction
 	for id := range o.stash {
 		keys = append(keys, id)
 	}

@@ -34,8 +34,6 @@ var enabled atomic.Bool
 // Enabled reports whether a harness is active. Instrumented hot paths
 // check it before building labels so the disabled cost is one atomic
 // load and a predicted branch.
-//
-//shef:hotpath
 func Enabled() bool { return enabled.Load() }
 
 // Do runs f under the given pprof label pairs (key, value, key, value...)

@@ -401,13 +401,10 @@ func (c *Cluster) HealShard(i int) error {
 // Repair order is sorted by file name: chaos runs replay fault schedules
 // seed-for-seed, and walking the registry in map order would make which
 // file hits an injected fault differ run to run.
-//
-//shef:deterministic
 func (c *Cluster) antiEntropy() error {
 	c.regMu.RLock()
 	names := make([]string, 0, len(c.registry))
 	metas := make(map[string]fileMeta, len(c.registry))
-	//shef:ignore snapshot collection; the walk below runs in sorted order
 	for name, meta := range c.registry {
 		names = append(names, name)
 		metas[name] = meta

@@ -419,7 +419,8 @@ func (n *Node) respInsert(name string, size int, ct, tags []byte) {
 	n.respInvalidate(name)
 	for n.respBytes+need > n.cfg.ResponseCacheBytes {
 		victim, oldest := "", ^uint64(0)
-		//shef:ignore every entry's LRU stamp is distinct, so the minimum is the same in any order
+		// Every entry's LRU stamp is distinct, so the minimum is the same
+		// in any walk order.
 		for k, r := range n.respCache {
 			if r.last < oldest {
 				victim, oldest = k, r.last

@@ -271,16 +271,12 @@ func (s *engineSet) lruRemove(ln *bufLine) {
 }
 
 // lruTouch moves ln to the most-recently-used end.
-//
-//shef:hotpath
 func (s *engineSet) lruTouch(ln *bufLine) {
 	s.lruRemove(ln)
 	s.lruPush(ln)
 }
 
 // lruVictim returns the least-recently-used line (nil when empty).
-//
-//shef:hotpath
 func (s *engineSet) lruVictim() *bufLine {
 	if s.lruRoot.prev == &s.lruRoot {
 		return nil
@@ -291,8 +287,6 @@ func (s *engineSet) lruVictim() *bufLine {
 // touchResident marks a demand access to a resident line: LRU update plus
 // prefetch-hit accounting (a prefetched line proved useful; it is counted
 // once, on its first demand access).
-//
-//shef:hotpath
 func (s *engineSet) touchResident(ln *bufLine) {
 	s.lruTouch(ln)
 	if ln.prefetched {
@@ -359,8 +353,6 @@ const hmacEngineCyclesPerBlock = 54
 
 // shareNow reads the channel's live materialised-set count for the
 // bandwidth-share charge; an unwired set charges as the sole occupant.
-//
-//shef:hotpath
 func (s *engineSet) shareNow() int {
 	if s.share == nil {
 		return 1
@@ -372,8 +364,6 @@ func (s *engineSet) shareNow() int {
 }
 
 // chargeHit accounts a buffer hit: on-chip access only.
-//
-//shef:hotpath
 func (s *engineSet) chargeHit(nBytes int) {
 	s.busyCycles += 1 + uint64(nBytes)/64
 }
@@ -407,8 +397,6 @@ const prefetchMinMisses = 4
 // at its current write epoch, and decrypts it into dst with scratch sc;
 // without a sealer it copies the slot. dst may be the slot itself, and it
 // is untouched if the slot fails to verify.
-//
-//shef:hotpath
 func (s *engineSet) openSlot(sc *sealScratch, slot, chunk int, dst []byte) error {
 	cs := s.cfg.ChunkSize
 	ct := s.win.ct[slot*cs : (slot+1)*cs]
@@ -423,8 +411,6 @@ func (s *engineSet) openSlot(sc *sealScratch, slot, chunk int, dst []byte) error
 // sealSlot encrypts src as chunk at write epoch epoch into slot slot and
 // writes the slot's tag, with scratch sc; without a sealer it copies src
 // into the slot.
-//
-//shef:hotpath
 func (s *engineSet) sealSlot(sc *sealScratch, slot, chunk int, epoch uint32, src []byte) {
 	cs := s.cfg.ChunkSize
 	ct := s.win.ct[slot*cs : (slot+1)*cs]
@@ -441,8 +427,6 @@ func (s *engineSet) sealSlot(sc *sealScratch, slot, chunk int, epoch uint32, src
 // alone, or, once the sequential-stride detector fires, a window of the
 // demand chunk and the chunks after it, charged as an overlapped window
 // (the first window of a streak also pays fill/drain).
-//
-//shef:hotpath
 func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 	if s.integrityErr != nil {
 		return nil, s.integrityErr
@@ -515,8 +499,6 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 // eviction write-backs interleave with the demand traffic that forced
 // them, so the write pipeline is already primed (contrast flush, which
 // drains it).
-//
-//shef:deterministic
 func (s *engineSet) evictFor(n int) error {
 	need := len(s.lines) + n - s.capacity
 	if need <= 0 {
@@ -641,8 +623,6 @@ func (s *engineSet) cryptoStages(n int) (poolStage, hmacStage uint64) {
 // the chunked charge, the burst partially overlapped with the crypto
 // stage (ChunkTime) plus the per-chunk issue cost, because pipelining
 // cannot help it.
-//
-//shef:hotpath
 func (s *engineSet) chargeWindow(fetched, chunks int, dramBusy, dramBus uint64, first, lone bool) {
 	s.dramCycles += dramBus
 	if lone {
@@ -713,13 +693,10 @@ func (s *engineSet) write(addr uint64, data []byte) (uint64, error) {
 // flush writes back every dirty line (end of kernel / result publication)
 // in ascending chunk order — deterministic DRAM write order and cycle
 // accounting — with contiguous runs batched through pipelined windows.
-//
-//shef:deterministic
 func (s *engineSet) flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dirty := s.dirty[:0]
-	//shef:ignore dirty indices collected then sorted; write order is the sorted slice
 	for idx, ln := range s.lines {
 		if ln.dirty {
 			dirty = append(dirty, idx)

@@ -127,8 +127,6 @@ func be32(b []byte, v uint32) {
 // TagSize-byte tag into tagOut (typically a slice of the window's staging
 // buffer), allocating nothing. The caller owns sc exclusively for the
 // duration of the call.
-//
-//shef:hotpath
 func (s *sealer) sealChunkWith(sc *sealScratch, ct, tagOut []byte, chunk int, counter uint32, plain []byte) {
 	sc.ctr.XORKeyStream(s.block, s.iv(chunk, counter), ct, plain)
 	msg := s.macInputInto(sc.msg[:0], chunk, counter, ct)
@@ -146,8 +144,6 @@ func (s *sealer) sealChunkWith(sc *sealScratch, ct, tagOut []byte, chunk int, co
 // (typically a slice of the window's staging buffer) and decrypts it into
 // dst (same length), allocating nothing. The caller owns sc exclusively
 // for the duration of the call.
-//
-//shef:hotpath
 func (s *sealer) openChunkWith(sc *sealScratch, dst []byte, chunk int, counter uint32, ct, tag []byte) error {
 	msg := s.macInputInto(sc.msg[:0], chunk, counter, ct)
 	var t [TagSize]byte
@@ -162,7 +158,6 @@ func (s *sealer) openChunkWith(sc *sealScratch, dst []byte, chunk int, counter u
 	}
 	sc.msg = msg[:0]
 	if !ok {
-		//shef:ignore tamper path: the latch trips and the op fails, allocation cost is irrelevant
 		return &IntegrityError{Region: s.cfg.Name, Chunk: chunk}
 	}
 	sc.ctr.XORKeyStream(s.block, s.iv(chunk, counter), dst, ct)
