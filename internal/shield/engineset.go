@@ -119,13 +119,8 @@ type engineSet struct {
 	// outgrows the buffer's capacity.
 	dirty []int
 
-	// Performance accounting.
-	busyCycles                          uint64 // accumulated engine-set busy time (chunk pipeline)
-	dramCycles                          uint64 // this set's share of DRAM bus time
-	hits, misses, evictions, writebacks uint64
-	batchedWritebacks                   uint64 // chunks written back via multi-chunk pipelined windows
-	streamed, streamWindows             uint64 // chunks moved / windows issued by the stream path
-	prefetched, prefetchHits            uint64 // chunks fetched ahead / prefetched lines later demanded
+	// acct is the set's performance accounting, named for its region.
+	acct RegionStats
 
 	// integrityErr latches the first authentication failure; the Shield
 	// refuses further service afterwards, modelling the hardware fault
@@ -204,6 +199,7 @@ func newSet(cfg RegionConfig, seal *sealer, tagBase uint64,
 		seqNext:     -1,
 		counters:    make([]uint32, cfg.Chunks()),
 		initialized: make([]bool, cfg.Chunks()),
+		acct:        RegionStats{Name: cfg.Name, Channel: cfg.Channel},
 	}
 	s.dirty = make([]int, 0, s.capacity)
 	if seal != nil {
@@ -291,7 +287,7 @@ func (s *engineSet) touchResident(ln *bufLine) {
 	s.lruTouch(ln)
 	if ln.prefetched {
 		ln.prefetched = false
-		s.prefetchHits++
+		s.acct.PrefetchHits++
 	}
 }
 
@@ -365,7 +361,7 @@ func (s *engineSet) shareNow() int {
 
 // chargeHit accounts a buffer hit: on-chip access only.
 func (s *engineSet) chargeHit(nBytes int) {
-	s.busyCycles += 1 + uint64(nBytes)/64
+	s.acct.BusyCycles += 1 + uint64(nBytes)/64
 }
 
 // dramAddrs returns the ciphertext and tag addresses of a chunk.
@@ -443,8 +439,8 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 		ln := s.linePool.Get().(*bufLine)
 		ln.dirty, ln.prefetched = false, false
 		clear(ln.data)
-		s.busyCycles += s.params.ChunkIssueCycles
-		s.misses++
+		s.acct.BusyCycles += s.params.ChunkIssueCycles
+		s.acct.Misses++
 		s.insertLine(chunk, ln)
 		return ln, nil
 	}
@@ -530,7 +526,7 @@ func (s *engineSet) evictFor(n int) error {
 			break
 		}
 		s.dropLine(ln)
-		s.evictions++
+		s.acct.Evictions++
 	}
 	return nil
 }
@@ -624,16 +620,16 @@ func (s *engineSet) cryptoStages(n int) (poolStage, hmacStage uint64) {
 // stage (ChunkTime) plus the per-chunk issue cost, because pipelining
 // cannot help it.
 func (s *engineSet) chargeWindow(fetched, chunks int, dramBusy, dramBus uint64, first, lone bool) {
-	s.dramCycles += dramBus
+	s.acct.DRAMCycles += dramBus
 	if lone {
-		s.busyCycles += s.params.ChunkTime(dramBusy, s.cryptoCycles()) + s.params.ChunkIssueCycles
+		s.acct.BusyCycles += s.params.ChunkTime(dramBusy, s.cryptoCycles()) + s.params.ChunkIssueCycles
 		return
 	}
 	pool, hmac := s.cryptoStages(fetched)
 	copyStage := uint64(chunks*s.cfg.ChunkSize) / 64
-	s.busyCycles += s.params.StreamWindowTime(dramBusy, pool, hmac, copyStage) + s.params.ChunkIssueCycles
+	s.acct.BusyCycles += s.params.StreamWindowTime(dramBusy, pool, hmac, copyStage) + s.params.ChunkIssueCycles
 	if first {
-		s.busyCycles += s.params.StreamFillDrain(dramBusy, pool, hmac, copyStage)
+		s.acct.BusyCycles += s.params.StreamFillDrain(dramBusy, pool, hmac, copyStage)
 	}
 }
 
@@ -642,28 +638,28 @@ func (s *engineSet) chargeWindow(fetched, chunks int, dramBusy, dramBus uint64, 
 func (s *engineSet) read(addr uint64, buf []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := s.busyCycles
+	start := s.acct.BusyCycles
 	off := addr - s.cfg.Base
 	for done := 0; done < len(buf); {
 		chunk := int((off + uint64(done)) / uint64(s.cfg.ChunkSize))
 		inOff := int((off + uint64(done)) % uint64(s.cfg.ChunkSize))
 		ln, err := s.load(chunk, true)
 		if err != nil {
-			return s.busyCycles - start, err
+			return s.acct.BusyCycles - start, err
 		}
 		n := copy(buf[done:], ln.data[inOff:])
 		s.chargeHit(n)
-		s.hits++
+		s.acct.Hits++
 		done += n
 	}
-	return s.busyCycles - start, nil
+	return s.acct.BusyCycles - start, nil
 }
 
 // write stores data at addr and returns the busy cycles the access cost.
 func (s *engineSet) write(addr uint64, data []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := s.busyCycles
+	start := s.acct.BusyCycles
 	off := addr - s.cfg.Base
 	for done := 0; done < len(data); {
 		chunk := int((off + uint64(done)) / uint64(s.cfg.ChunkSize))
@@ -679,15 +675,15 @@ func (s *engineSet) write(addr uint64, data []byte) (uint64, error) {
 		fullOverwrite := inOff == 0 && n == s.cfg.ChunkSize
 		ln, err := s.load(chunk, !fullOverwrite)
 		if err != nil {
-			return s.busyCycles - start, err
+			return s.acct.BusyCycles - start, err
 		}
 		copy(ln.data[inOff:], data[done:done+n])
 		ln.dirty = true
 		s.chargeHit(n)
-		s.hits++
+		s.acct.Hits++
 		done += n
 	}
-	return s.busyCycles - start, nil
+	return s.acct.BusyCycles - start, nil
 }
 
 // flush writes back every dirty line (end of kernel / result publication)
@@ -721,32 +717,15 @@ func (s *engineSet) invalidateClean() {
 func (s *engineSet) stats() RegionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return RegionStats{
-		Name:              s.cfg.Name,
-		Channel:           s.cfg.Channel,
-		Hits:              s.hits,
-		Misses:            s.misses,
-		Evictions:         s.evictions,
-		Writebacks:        s.writebacks,
-		BatchedWritebacks: s.batchedWritebacks,
-		Streamed:          s.streamed,
-		StreamWindows:     s.streamWindows,
-		Prefetched:        s.prefetched,
-		PrefetchHits:      s.prefetchHits,
-		BusyCycles:        s.busyCycles,
-		DRAMCycles:        s.dramCycles,
-	}
+	return s.acct
 }
 
-// resetStats zeroes the set's counters.
+// resetStats zeroes the set's counters, keeping its region's name and
+// channel.
 func (s *engineSet) resetStats() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.busyCycles, s.dramCycles = 0, 0
-	s.hits, s.misses, s.evictions, s.writebacks = 0, 0, 0, 0
-	s.batchedWritebacks = 0
-	s.streamed, s.streamWindows = 0, 0
-	s.prefetched, s.prefetchHits = 0, 0
+	s.acct = RegionStats{Name: s.cfg.Name, Channel: s.cfg.Channel}
 }
 
 // markPreloaded sets every valid bit (host DMAed sealed data into DRAM).

@@ -477,7 +477,7 @@ func (s *engineSet) readBatch(chunks, offs []int, buf []byte, wins []window) (ui
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
-	start := s.busyCycles
+	start := s.acct.BusyCycles
 	cs := s.cfg.ChunkSize
 	win := s.win
 
@@ -557,30 +557,30 @@ func (s *engineSet) readBatch(chunks, offs []int, buf []byte, wins []window) (ui
 			if ln, ok := s.lines[chunks[i]]; ok {
 				s.touchResident(ln)
 				copy(dst, ln.data)
-				s.hits++
+				s.acct.Hits++
 			} else {
 				clear(dst)
 			}
 		}
 		if integrityErr != nil && verified < wf.fetchEnd {
 			s.integrityErr = integrityErr
-			return s.busyCycles - start, integrityErr
+			return s.acct.BusyCycles - start, integrityErr
 		}
 		if fetchErr != nil && k == len(wins)-1 {
-			return s.busyCycles - start, fetchErr
+			return s.acct.BusyCycles - start, fetchErr
 		}
 		n := wf.end - w0
 		s.chargeWindow(wf.fetchEnd-f0, n, wf.dramBusy, wf.dramBus, wf.first, buf == nil && n == 1)
 		if buf == nil {
-			s.misses++
-			s.prefetched += uint64(n - 1)
+			s.acct.Misses++
+			s.acct.Prefetched += uint64(n - 1)
 		} else {
-			s.streamed += uint64(n)
-			s.streamWindows++
+			s.acct.Streamed += uint64(n)
+			s.acct.StreamWindows++
 		}
 		w0, f0 = wf.end, wf.fetchEnd
 	}
-	return s.busyCycles - start, nil
+	return s.acct.BusyCycles - start, nil
 }
 
 // writeBatch moves one batch of write windows: slot i seals chunk
@@ -596,7 +596,7 @@ func (s *engineSet) writeBatch(chunks, offs []int, data []byte, wins []window) (
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
-	start := s.busyCycles
+	start := s.acct.BusyCycles
 
 	s.win.split(passSeal, nil, len(chunks), data)
 
@@ -618,7 +618,7 @@ func (s *engineSet) writeBatch(chunks, offs []int, data []byte, wins []window) (
 			}
 			busy, bus, err := s.storeRun(s.win, i, chunks[i], j-i+1)
 			if err != nil {
-				return s.busyCycles - start, err
+				return s.acct.BusyCycles - start, err
 			}
 			dramBusy += busy
 			dramBus += bus
@@ -640,15 +640,15 @@ func (s *engineSet) writeBatch(chunks, offs []int, data []byte, wins []window) (
 		n := wf.end - w0
 		s.chargeWindow(n, n, dramBusy, dramBus, wf.first, data == nil && n == 1)
 		if data == nil {
-			s.writebacks += uint64(n)
+			s.acct.Writebacks += uint64(n)
 			if n > 1 {
-				s.batchedWritebacks += uint64(n)
+				s.acct.BatchedWritebacks += uint64(n)
 			}
 		} else {
-			s.streamed += uint64(n)
-			s.streamWindows++
+			s.acct.Streamed += uint64(n)
+			s.acct.StreamWindows++
 		}
 		w0 = wf.end
 	}
-	return s.busyCycles - start, nil
+	return s.acct.BusyCycles - start, nil
 }
