@@ -124,12 +124,12 @@ func (b *Bitcoin) Run(ctx *Ctx) error {
 // OutputRegions implements Workload (none: result is a register).
 func (b *Bitcoin) OutputRegions() []string { return nil }
 
-// Check re-verifies the found nonce from the header state.
+// Check re-grinds the header from nonce 0 and passes once some nonce
+// within MaxNonce meets the difficulty. It never reads the accelerator's
+// nonce: that lives in the register file, which the harness does not
+// export (the shield register tests cover the register path), so Check
+// asserts only that the mining predicate admits a nonce for this header.
 func (b *Bitcoin) Check(inputs, outputs map[string][]byte) error {
-	// The nonce lives in the register file, which the harness does not
-	// export; re-grind the first candidate to confirm the search space is
-	// sound. Correctness of the register path is covered by the shield
-	// register tests; here we assert the mining predicate itself.
 	var full [80]byte
 	copy(full[:76], b.Header[:])
 	for n := uint32(0); n < b.MaxNonce; n++ {
@@ -139,13 +139,6 @@ func (b *Bitcoin) Check(inputs, outputs map[string][]byte) error {
 		}
 	}
 	return fmt.Errorf("accel: header admits no nonce within bound")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // doubleSHA is SHA-256(SHA-256(b)), the Bitcoin block-header hash.

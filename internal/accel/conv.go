@@ -178,9 +178,14 @@ func (c *Conv) Run(ctx *Ctx) error {
 }
 
 // pixel sets acc to output pixel (y, x) of the image whose decoded input
-// rows are rows, over the decoded weights w32.
+// rows are rows, over the decoded weights w32. Each pass over the Cout
+// accumulators adds four input channels, so acc is loaded and stored once
+// per four weight rows; uint32 arithmetic wraps, so the sums equal the
+// channel-at-a-time ones bit for bit.
 func (c *Conv) pixel(acc []uint32, rows [][]uint32, w32 []uint32, y, x int) {
 	pad := c.K / 2
+	n := c.Cout
+	acc = acc[:n]
 	clear(acc)
 	for kh := 0; kh < c.K; kh++ {
 		yy := y + kh - pad
@@ -193,14 +198,24 @@ func (c *Conv) pixel(acc []uint32, rows [][]uint32, w32 []uint32, y, x int) {
 				continue
 			}
 			px := rows[yy][xx*c.Cin : (xx+1)*c.Cin]
-			base := (kh*c.K + kw) * c.Cin * c.Cout
-			for ci, a := range px {
-				if a == 0 {
-					continue
+			w := w32[(kh*c.K+kw)*c.Cin*n:][:c.Cin*n]
+			ci := 0
+			for ; ci+4 <= len(px); ci += 4 {
+				a0, a1, a2, a3 := px[ci], px[ci+1], px[ci+2], px[ci+3]
+				w0 := w[ci*n : (ci+1)*n]
+				w1 := w[(ci+1)*n : (ci+2)*n][:len(w0)]
+				w2 := w[(ci+2)*n : (ci+3)*n][:len(w0)]
+				w3 := w[(ci+3)*n : (ci+4)*n][:len(w0)]
+				acc := acc[:len(w0)]
+				for co, wv := range w0 {
+					acc[co] += a0*wv + a1*w1[co] + a2*w2[co] + a3*w3[co]
 				}
-				w := w32[base+ci*c.Cout : base+(ci+1)*c.Cout]
-				acc := acc[:len(w)]
-				for co, wv := range w {
+			}
+			for ; ci < len(px); ci++ {
+				a := px[ci]
+				wr := w[ci*n : (ci+1)*n]
+				acc := acc[:len(wr)]
+				for co, wv := range wr {
 					acc[co] += a * wv
 				}
 			}

@@ -227,44 +227,58 @@ func dot(act []uint32, wb []byte) uint32 {
 // OutputRegions implements Workload.
 func (d *DNNWeaver) OutputRegions() []string { return []string{"out"} }
 
-// Check re-runs inference for a sample of images on the host.
+// Check re-runs inference for a sample of images on the host. The sampled
+// images are checked across Ps, each by checkImage, and Check reports the
+// lowest-index image that disagrees.
 func (d *DNNWeaver) Check(inputs, outputs map[string][]byte) error {
-	weights := inputs["weights"]
-	fmaps := inputs["fmaps"]
-	out := outputs["out"]
-	per := d.perImageActs()
-	outPer := alignUp(d.Dims[len(d.Dims)-1]*4, dwFChunk)
-	wOff := 0
-	wOffs := make([]int, len(d.Dims))
-	for l := 0; l+1 < len(d.Dims); l++ {
-		wOffs[l] = wOff
-		wOff += d.Dims[l] * d.Dims[l+1] * 4
+	var sample []int
+	for b, step := 0, d.Batch/6+1; b < d.Batch; b += step {
+		sample = append(sample, b)
 	}
-	step := d.Batch/6 + 1
-	for b := 0; b < d.Batch; b += step {
-		act := make([]uint32, d.Dims[0])
-		for i := range act {
-			act[i] = binary.LittleEndian.Uint32(fmaps[b*per+i*4:])
+	weights, fmaps, out := inputs["weights"], inputs["fmaps"], outputs["out"]
+	errs := make([]error, len(sample))
+	parallel.For(len(sample), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			errs[i] = d.checkImage(sample[i], weights, fmaps, out)
 		}
-		for l := 0; l+1 < len(d.Dims); l++ {
-			nin, nout := d.Dims[l], d.Dims[l+1]
-			next := make([]uint32, nout)
-			for j := 0; j < nout; j++ {
-				var acc uint32
-				for i := 0; i < nin; i++ {
-					acc += act[i] * binary.LittleEndian.Uint32(weights[wOffs[l]+(j*nin+i)*4:])
-				}
-				if acc&0x8000_0000 != 0 {
-					acc = 0
-				}
-				next[j] = acc
-			}
-			act = next
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		for j, v := range act {
-			if got := binary.LittleEndian.Uint32(out[b*outPer+j*4:]); got != v {
-				return fmt.Errorf("image %d logit %d = %d, want %d", b, j, got, v)
+	}
+	return nil
+}
+
+// checkImage recomputes image b's logits from its input activations and
+// the weights, one serial dot product per neuron, and compares them with
+// the image's slot of out.
+func (d *DNNWeaver) checkImage(b int, weights, fmaps, out []byte) error {
+	outPer := alignUp(d.Dims[len(d.Dims)-1]*4, dwFChunk)
+	act := make([]uint32, d.Dims[0])
+	for i := range act {
+		act[i] = binary.LittleEndian.Uint32(fmaps[b*d.perImageActs()+i*4:])
+	}
+	wOff := 0
+	for l := 0; l+1 < len(d.Dims); l++ {
+		nin, nout := d.Dims[l], d.Dims[l+1]
+		next := make([]uint32, nout)
+		for j := 0; j < nout; j++ {
+			var acc uint32
+			for i := 0; i < nin; i++ {
+				acc += act[i] * binary.LittleEndian.Uint32(weights[wOff+(j*nin+i)*4:])
 			}
+			if acc&0x8000_0000 != 0 {
+				acc = 0
+			}
+			next[j] = acc
+		}
+		act = next
+		wOff += nin * nout * 4
+	}
+	for j, v := range act {
+		if got := binary.LittleEndian.Uint32(out[b*outPer+j*4:]); got != v {
+			return fmt.Errorf("image %d logit %d = %d, want %d", b, j, got, v)
 		}
 	}
 	return nil

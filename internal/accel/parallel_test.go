@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"shef/internal/perf"
@@ -159,5 +160,42 @@ func TestSplitKernelsMatchReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDNNWeaverCheckNamesLowestImage: Check accepts a correct output
+// region and, with several sampled images corrupted, names the
+// lowest-index one at every worker count. A batch of 24 samples images
+// 0, 5, 10, 15 and 20; image 3 is corrupted too but never sampled.
+func TestDNNWeaverCheckNamesLowestImage(t *testing.T) {
+	d := &DNNWeaver{Dims: []int{13, 7, 5}, Batch: 24, Lanes: 80}
+	inputs := d.Inputs(rand.New(rand.NewSource(3)))
+	good := naiveDNNWeaver(d, inputs["weights"], inputs["fmaps"])
+	outPer := alignUp(d.Dims[len(d.Dims)-1]*4, dwFChunk)
+	for _, tc := range []struct {
+		images []int
+		want   string
+	}{
+		{nil, ""},
+		{[]int{20, 15, 5, 3}, "image 5 "},
+		{[]int{20, 10}, "image 10 "},
+		{[]int{20}, "image 20 "},
+		{[]int{3}, ""},
+	} {
+		out := bytes.Clone(good)
+		for _, b := range tc.images {
+			out[b*outPer+4] ^= 1 // logit 1
+		}
+		for _, procs := range []int{1, 2, 4} {
+			withProcs(procs, func() {
+				err := d.Check(inputs, map[string][]byte{"out": out})
+				switch {
+				case tc.want == "" && err != nil:
+					t.Errorf("GOMAXPROCS=%d corrupted %v: %v, want nil", procs, tc.images, err)
+				case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)):
+					t.Errorf("GOMAXPROCS=%d corrupted %v: %v, want an error naming %q", procs, tc.images, err, tc.want)
+				}
+			})
+		}
 	}
 }

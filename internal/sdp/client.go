@@ -150,7 +150,13 @@ func (cl *Client) sealPut(shard int, n *Node, fi faultinject.Result, user, name 
 // re-sealed per follower session. The caller's buffers are only ever
 // read — they may alias the home session's staging buffers — so an
 // injected corruption fault on the home shard mangles a private copy.
+// An image whose extent disagrees with size is rejected before any
+// replica sees it, so no follower can store a prefix the home shard
+// refuses.
 func (cl *Client) PutSealed(user, name string, size int, ct, tags []byte) error {
+	if err := checkSealedShape(size, cl.c.cfg.Node.AuthBlock, ct, tags); err != nil {
+		return err
+	}
 	home := cl.c.ShardFor(name)
 	var plain []byte
 	return cl.c.writeReplicas(context.Background(), user, name, func(shard int, n *Node, fi faultinject.Result) error {

@@ -392,7 +392,7 @@ func TestInjectedTransientErrorsAreRetried(t *testing.T) {
 
 // TestAppRejectionsAreNotRetried: every rejection a Client can reach is
 // classed ErrRejected and surfaces at once, with replication on: no
-// retry, no health penalty.
+// retry, no degraded write, no health penalty.
 func TestAppRejectionsAreNotRetried(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x4E}, 5000) // two 4 KiB auth blocks
 	put := func(user, name string) func(*Client) error {
@@ -401,11 +401,11 @@ func TestAppRejectionsAreNotRetried(t *testing.T) {
 	get := func(user, name string) func(*Client) error {
 		return func(cl *Client) error { _, err := cl.Get(user, name, nil); return err }
 	}
-	// putSealed sends a one-block image of doc, sealed on its home
-	// session, claiming size bytes.
-	putSealed := func(size int) func(*Client) error {
+	// putSealed sends an image of the first n payload bytes of doc,
+	// sealed on its home session, claiming size bytes.
+	putSealed := func(n, size int) func(*Client) error {
 		return func(cl *Client) error {
-			ct, tags, err := cl.Session("doc").Seal(payload[:100])
+			ct, tags, err := cl.Session("doc").Seal(payload[:n])
 			if err != nil {
 				return err
 			}
@@ -429,8 +429,9 @@ func TestAppRejectionsAreNotRetried(t *testing.T) {
 			put("alice", "a"), put("alice", "b")},
 		{"no free tenant zone", func(c *NodeConfig) { c.Slots, c.TenantZones, c.TenantSlots = 1, true, 1 },
 			put("alice", "a"), put("bob", "b")},
-		{"oversized image, PutSealed", flat, nil, putSealed(clusterConfig(1).Node.SlotBytes + 1)},
-		{"wrong-size image, PutSealed", flat, nil, putSealed(len(payload))},
+		{"oversized image, PutSealed", flat, nil, putSealed(100, clusterConfig(1).Node.SlotBytes+1)},
+		{"wrong-size image, PutSealed", flat, nil, putSealed(100, len(payload))},
+		{"image longer than its size, PutSealed", flat, nil, putSealed(len(payload), 100)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := replicatedConfig(4, 3)
@@ -455,8 +456,8 @@ func TestAppRejectionsAreNotRetried(t *testing.T) {
 			if !errors.Is(err, ErrRejected) {
 				t.Fatalf("err = %v, want ErrRejected", err)
 			}
-			if st := c.Stats(); st.Retries != 0 {
-				t.Fatalf("rejection consumed retries: %+v", st)
+			if st := c.Stats(); st.Retries != 0 || st.DegradedWrites != 0 {
+				t.Fatalf("rejection consumed retries or degraded a write: %+v", st)
 			}
 			for i, slot := range c.slots {
 				if got := slot.health.State(); got != Healthy {

@@ -518,15 +518,17 @@ func (n *Node) dmaTLSOut(ct, tags []byte) error {
 	return n.dram.RawReadInto(n.tlsLayout.TagBase, tags)
 }
 
-// reserve validates a Put and allocates the file's slot entry. An
-// existing file keeps its slot if the user owns it. A new file takes the
-// store's next slot or, with tenant zones, the next slot inside the
-// user's own protection zone, created on first use; slots stay global
-// indices (the arena's address math is unchanged), and the zone boundary
-// is what the Shield's region table enforces. Caller holds mu and commits
-// with n.directory[name] = entry on success. Failures are application
-// rejections (ErrRejected): authoritative verdicts the cluster's
-// resilience layer must not retry or hold against the node's health.
+// reserve validates a Put and picks the file's slot entry. An existing
+// file keeps its slot if the user owns it. A new file takes the store's
+// next slot or, with tenant zones, the next slot inside the user's own
+// protection zone, created on first use; slots stay global indices (the
+// arena's address math is unchanged), and the zone boundary is what the
+// Shield's region table enforces. reserve claims nothing: the slot
+// counter advances only when the Put commits (commit), so a Put that
+// fails after reserve leaves the next slot free. Caller holds mu.
+// Failures are application rejections (ErrRejected): authoritative
+// verdicts the cluster's resilience layer must not retry or hold against
+// the node's health.
 func (n *Node) reserve(user, name string, size int) (fileEntry, error) {
 	if _, ok := n.userKeys[user]; !ok {
 		return fileEntry{}, rejectf("sdp: user %q has no provisioned key", user)
@@ -547,7 +549,6 @@ func (n *Node) reserve(user, name string, size int) (fileEntry, error) {
 			return fileEntry{}, reject(errors.New("sdp: node full"))
 		}
 		entry.slot = n.nextSlot
-		n.nextSlot++
 	default:
 		z, err := n.zoneFor(user)
 		if err != nil {
@@ -557,11 +558,37 @@ func (n *Node) reserve(user, name string, size int) (fileEntry, error) {
 			return fileEntry{}, rejectf("sdp: user %q's zone is full (%d slots)", user, n.cfg.TenantSlots)
 		}
 		entry.slot = int((z.base-storeBase)/uint64(n.cfg.SlotBytes)) + z.nextSlot
-		z.nextSlot++
 	}
 	entry.size = size
 	entry.user = user
 	return entry, nil
+}
+
+// commit records a stored file in the directory; a new file's slot,
+// which reserve picked from the store's (or the zone's) next free one,
+// is claimed here. Caller holds mu.
+func (n *Node) commit(name string, entry fileEntry) {
+	if _, ok := n.directory[name]; !ok {
+		if n.cfg.TenantZones {
+			n.zones[entry.user].nextSlot++
+		} else {
+			n.nextSlot++
+		}
+	}
+	n.directory[name] = entry
+}
+
+// checkSealedShape rejects a sealed image whose ciphertext or tags are not
+// exactly the extent of a size-byte payload: alignUp(size, authBlock)
+// ciphertext bytes and one tag per auth block. It is the node's rule, and
+// a replicated Client applies it before fan-out too.
+func checkSealedShape(size, authBlock int, ct, tags []byte) error {
+	aligned := alignUp(size, authBlock)
+	if len(ct) != aligned || len(tags) != aligned/authBlock*shield.TagSize {
+		return rejectf("sdp: sealed image is %d+%d bytes, want %d+%d", len(ct), len(tags),
+			aligned, aligned/authBlock*shield.TagSize)
+	}
+	return nil
 }
 
 // zoneFor returns (lazily creating) the user's protection zone. A new
@@ -679,15 +706,14 @@ func (n *Node) PutSealed(user, name string, size int, ct, tags []byte) error {
 // (decrypt+verify), apply the per-user GDPR layer, and push it through
 // the store engine set. Caller holds mu.
 func (n *Node) putSealed(user, name string, size int, ct, tags []byte) error {
+	if err := checkSealedShape(size, n.cfg.AuthBlock, ct, tags); err != nil {
+		return err
+	}
 	entry, err := n.reserve(user, name, size)
 	if err != nil {
 		return err
 	}
-	aligned := alignUp(size, n.cfg.AuthBlock)
-	if len(ct) != aligned || len(tags) != aligned/n.cfg.AuthBlock*shield.TagSize {
-		return rejectf("sdp: sealed image is %d+%d bytes, want %d+%d", len(ct), len(tags),
-			aligned, aligned/n.cfg.AuthBlock*shield.TagSize)
-	}
+	aligned := len(ct)
 	if err := n.dmaTLSIn(ct, tags); err != nil {
 		return err
 	}
@@ -699,7 +725,7 @@ func (n *Node) putSealed(user, name string, size int, ct, tags []byte) error {
 	if err := n.storeWrite(entry.slot, buf); err != nil {
 		return err
 	}
-	n.directory[name] = entry
+	n.commit(name, entry)
 	n.respInvalidate(name)
 	return n.flushStore(user)
 }

@@ -262,3 +262,34 @@ func TestStorageRollbackDetected(t *testing.T) {
 		t.Fatal("rolled-back file served to the application")
 	}
 }
+
+// TestRejectedPutKeepsSlot: a rejected Put claims no slot, in the flat
+// layout and with tenant zones. Four wrong-size PutSealed calls of new
+// names on a 4-slot node leave room for a valid Put.
+func TestRejectedPutKeepsSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		node func(*testing.T) *Node
+	}{
+		{"flat", newNode},
+		{"tenant zones", newTenantNode},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.node(t)
+			for i := 0; i < 4; i++ {
+				name := string(rune('a' + i))
+				err := n.PutSealed("alice", name, 5000, make([]byte, 4096), make([]byte, shield.TagSize))
+				if !errors.Is(err, ErrRejected) {
+					t.Fatalf("wrong-size image for %q: err = %v, want ErrRejected", name, err)
+				}
+			}
+			payload := []byte("after the rejections")
+			if err := n.Put("alice", "ok", payload); err != nil {
+				t.Fatalf("valid Put after failed ones: %v", err)
+			}
+			if got, err := n.Get("alice", "ok"); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("Get = %q, %v", got, err)
+			}
+		})
+	}
+}

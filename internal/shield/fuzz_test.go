@@ -2,6 +2,7 @@ package shield
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -91,4 +92,72 @@ func FuzzSealOpenRoundtrip(f *testing.F) {
 func isIntegrity(err error) bool {
 	var ie *IntegrityError
 	return errors.As(err, &ie)
+}
+
+// FuzzOpenRegionData flips bytes of a sealed region image two split grains
+// long (so the open splits across Ps wherever there are two) and checks
+// the whole-image oracle: OpenRegionData returns the exact plaintext if
+// no byte changed, and otherwise no plaintext and an IntegrityError for
+// the lowest chunk whose ciphertext or tag changed. flips is read as
+// 5-byte records: a big-endian offset into the ciphertext followed by the
+// tags, and the byte to XOR there.
+func FuzzOpenRegionData(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 0, 0x80})
+	f.Add([]byte{0, 1, 0xF0, 0, 1, 0, 0, 2, 0, 4})
+	f.Add([]byte{0, 2, 0, 7, 1, 0, 2, 0, 7, 1})
+	type image struct {
+		cfg             RegionConfig
+		plain, ct, tags []byte
+	}
+	dek := bytes.Repeat([]byte{0x42}, 32)
+	var imgs []image
+	for _, mac := range []MACKind{HMAC, PMAC} {
+		cfg := RegionConfig{
+			Name: "fuzz-open", Size: 2 * splitGrainBytes, ChunkSize: 512,
+			AESEngines: 1, SBox: aesx.SBox16x, KeySize: aesx.AES128, MAC: mac,
+		}
+		plain := make([]byte, cfg.Size)
+		for i := range plain {
+			plain[i] = byte(i * 131)
+		}
+		ct, tags, err := SealRegionData(cfg, 5, dek, plain)
+		if err != nil {
+			f.Fatal(err)
+		}
+		imgs = append(imgs, image{cfg, plain, ct, tags})
+	}
+	f.Fuzz(func(t *testing.T, flips []byte) {
+		for _, img := range imgs {
+			ct := append([]byte(nil), img.ct...)
+			tags := append([]byte(nil), img.tags...)
+			for r := flips; len(r) >= 5; r = r[5:] {
+				off := int(binary.BigEndian.Uint32(r) % uint32(len(ct)+len(tags)))
+				if off < len(ct) {
+					ct[off] ^= r[4]
+				} else {
+					tags[off-len(ct)] ^= r[4]
+				}
+			}
+			want := -1
+			cs := img.cfg.ChunkSize
+			for c := 0; c < img.cfg.Chunks() && want < 0; c++ {
+				if !bytes.Equal(ct[c*cs:(c+1)*cs], img.ct[c*cs:(c+1)*cs]) ||
+					!bytes.Equal(tags[c*TagSize:(c+1)*TagSize], img.tags[c*TagSize:(c+1)*TagSize]) {
+					want = c
+				}
+			}
+			got, err := OpenRegionData(img.cfg, 5, dek, ct, tags, nil)
+			if want < 0 {
+				if err != nil || !bytes.Equal(got, img.plain) {
+					t.Fatalf("%v: untouched image: err = %v, plaintext equal = %t", img.cfg.MAC, err, bytes.Equal(got, img.plain))
+				}
+				continue
+			}
+			var ie *IntegrityError
+			if !errors.As(err, &ie) || ie.Chunk != want || got != nil {
+				t.Fatalf("%v: first changed chunk %d: err = %v, plaintext nil = %t", img.cfg.MAC, want, err, got == nil)
+			}
+		}
+	})
 }

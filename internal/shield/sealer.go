@@ -14,6 +14,7 @@ import (
 	"shef/internal/crypto/hmacx"
 	"shef/internal/crypto/kdf"
 	"shef/internal/crypto/pmacx"
+	"shef/internal/parallel"
 )
 
 // sealer is the chunk cryptography of one region: key derivation, IVs, and
@@ -209,18 +210,20 @@ func SealRegionData(cfg RegionConfig, regionID uint32, dek, data []byte) (ct, ta
 	}
 	ct = make([]byte, len(data))
 	tags = make([]byte, cfg.Chunks()*TagSize)
-	sc := s.newScratch()
 	cs := cfg.ChunkSize
-	for c := 0; c < cfg.Chunks(); c++ {
+	s.eachChunk(func(sc *sealScratch, c int) error {
 		s.sealChunkWith(sc, ct[c*cs:(c+1)*cs], tags[c*TagSize:(c+1)*TagSize], c, 0, data[c*cs:(c+1)*cs])
-	}
+		return nil
+	})
 	return ct, tags, nil
 }
 
 // OpenRegionData verifies and decrypts a full region image DMAed out of
 // device DRAM. counters supplies the per-chunk write epochs for
 // freshness-protected regions (from Shield.CounterSnapshot, relayed over
-// an authenticated channel); nil means epoch zero everywhere.
+// an authenticated channel); nil means epoch zero everywhere. A tampered
+// image returns the lowest-index failing chunk's *IntegrityError and no
+// plaintext.
 func OpenRegionData(cfg RegionConfig, regionID uint32, dek, ct, tags []byte, counters []uint32) ([]byte, error) {
 	if uint64(len(ct)) != cfg.Size {
 		return nil, fmt.Errorf("shield: ciphertext is %d bytes, want %d", len(ct), cfg.Size)
@@ -236,19 +239,53 @@ func OpenRegionData(cfg RegionConfig, regionID uint32, dek, ct, tags []byte, cou
 		return nil, err
 	}
 	out := make([]byte, len(ct))
-	sc := s.newScratch()
 	cs := cfg.ChunkSize
-	for c := 0; c < cfg.Chunks(); c++ {
+	err = s.eachChunk(func(sc *sealScratch, c int) error {
 		ctr := uint32(0)
 		if counters != nil {
 			ctr = counters[c]
 		}
-		if err := s.openChunkWith(sc, out[c*cs:(c+1)*cs], c, ctr, ct[c*cs:(c+1)*cs], tags[c*TagSize:(c+1)*TagSize]); err != nil {
-			return nil, err
-		}
+		return s.openChunkWith(sc, out[c*cs:(c+1)*cs], c, ctr, ct[c*cs:(c+1)*cs], tags[c*TagSize:(c+1)*TagSize])
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
+
+// eachChunk runs f on every chunk of the region, split across Ps by the
+// rule a stream batch's split uses: parallel.Workers over the region's
+// bytes at splitGrainBytes, so a region under two grains stays on the
+// caller. Each worker takes one contiguous chunk range and its own seal
+// scratch, and stops at its first failure. Ranges ascend with the worker
+// index, so the first failure among the workers is the lowest-index one,
+// which eachChunk returns.
+func (s *sealer) eachChunk(f func(sc *sealScratch, c int) error) error {
+	p := parallel.Workers(int(s.cfg.Size), splitGrainBytes)
+	errs := make([]error, p)
+	var g parallel.Group
+	g.Run(p, s.cfg.Chunks(), chunkRanges(func(w, lo, hi int) {
+		sc := s.newScratch()
+		for c := lo; c < hi; c++ {
+			if err := f(sc, c); err != nil {
+				errs[w] = err
+				return
+			}
+		}
+	}))
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// chunkRanges adapts a worker's range function to parallel.Body.
+type chunkRanges func(w, lo, hi int)
+
+// Run calls f(w, lo, hi).
+func (f chunkRanges) Run(w, lo, hi int) { f(w, lo, hi) }
 
 // MarkPreloaded tells the Shield that the host has DMAed sealed data into
 // a region (at epoch zero): the valid bits are set so reads fetch and

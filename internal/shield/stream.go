@@ -66,6 +66,7 @@ const streamWindowChunks = 16
 // streamBatchBytes is how many bytes of windows one batch moves under
 // the set mutex, whatever the chunk size (at least one window), and
 // splitGrainBytes is the least chunk crypto a worker of the split gets.
+// The Data Owner's whole-image seal and open split by the same grain.
 //
 // Measured on a 2-vCPU Xeon VM with Go 1.24: a split costs about 1 µs to
 // start and join while the other P is awake, and its second range starts
