@@ -68,7 +68,7 @@ func main() {
 
 	// The regions above came from the design's static manifest, but the
 	// Shield's region model is dynamic underneath: tenants can carve
-	// quota'd protection zones at runtime with
+	// protection zones at runtime with
 	// platform.Shield.CreateRegion / DestroyRegion (destroy is erasure),
 	// and `shefd -max-tenants/-tenant-quota/-tenant-fair` serves the same
 	// lifecycle over the wire. See DESIGN.md §11 and

@@ -26,6 +26,11 @@ type Bitcoin struct {
 	Header [76]byte
 	// MaxNonce bounds the search (guards tests against unlucky headers).
 	MaxNonce uint32
+
+	// nonce is what the last Run read back from the nonce register, and
+	// posted whether that Run got that far; Check verifies it.
+	nonce  uint32
+	posted bool
 }
 
 // Register map of the miner.
@@ -84,6 +89,7 @@ func meetsDifficulty(digest [32]byte, d int) bool {
 // Run loads the header through the register file, grinds nonces with real
 // double-SHA-256, and posts the winning nonce back to a register.
 func (b *Bitcoin) Run(ctx *Ctx) error {
+	b.posted = false
 	// Host → accelerator: header words via the (secured) register file.
 	for i := 0; i < btcHdrRegs; i++ {
 		var w [8]byte
@@ -118,27 +124,33 @@ func (b *Bitcoin) Run(ctx *Ctx) error {
 	if _, err := ctx.Regs.WriteReg(btcRegStatus, 1); err != nil {
 		return err
 	}
+	// Accelerator → host: the result travels back through the register
+	// file, and that is the nonce Check verifies.
+	posted, _, err := ctx.Regs.ReadReg(btcRegNonce)
+	if err != nil {
+		return err
+	}
+	b.nonce, b.posted = uint32(posted), true
 	return nil
 }
 
 // OutputRegions implements Workload (none: result is a register).
 func (b *Bitcoin) OutputRegions() []string { return nil }
 
-// Check re-grinds the header from nonce 0 and passes once some nonce
-// within MaxNonce meets the difficulty. It never reads the accelerator's
-// nonce: that lives in the register file, which the harness does not
-// export (the shield register tests cover the register path), so Check
-// asserts only that the mining predicate admits a nonce for this header.
+// Check hashes the header with the nonce the last Run read back from the
+// accelerator's register and fails unless that nonce meets the
+// difficulty.
 func (b *Bitcoin) Check(inputs, outputs map[string][]byte) error {
+	if !b.posted {
+		return fmt.Errorf("accel: bitcoin run posted no nonce")
+	}
 	var full [80]byte
 	copy(full[:76], b.Header[:])
-	for n := uint32(0); n < b.MaxNonce; n++ {
-		binary.LittleEndian.PutUint32(full[76:], n)
-		if meetsDifficulty(doubleSHA(full[:]), b.Difficulty) {
-			return nil
-		}
+	binary.LittleEndian.PutUint32(full[76:], b.nonce)
+	if !meetsDifficulty(doubleSHA(full[:]), b.Difficulty) {
+		return fmt.Errorf("accel: posted nonce %#x misses difficulty %d", b.nonce, b.Difficulty)
 	}
-	return fmt.Errorf("accel: header admits no nonce within bound")
+	return nil
 }
 
 // doubleSHA is SHA-256(SHA-256(b)), the Bitcoin block-header hash.

@@ -130,7 +130,7 @@ func callSequence(t *testing.T, w Workload, seed int64) (string, int) {
 func TestKernelCallSequence(t *testing.T) {
 	want := map[string]string{
 		"affine map[] seed 1":                                 "4219af9d484046b5665312c94042062c8d9897d92bc702da5aae7410d95e099e",
-		"bitcoin map[] seed 1":                                "a4794010fe178d4f59504fe38bd9a3ed104cde324d105beddcaa28c6147ed19d",
+		"bitcoin map[] seed 1":                                "fa0e1e02b3a7b3816872ae88bd371e7bdcccc2e54848c515a2d7fde6558f5acc",
 		"conv map[] seed 1":                                   "aee8784673d437f7f8a08c9b8972e49f3d434cc17e063381c2e16206c10ab05b",
 		"digitrec map[] seed 1":                               "f4e296b00ec82ee315cf4583343268f296bca9864caaef8abf0137df601a7426",
 		"dnnweaver map[] seed 1":                              "4c5050c095f864c9f9b64b1dca1e5c1be718495a4e1fcfce5feb2724df0a69ac",
@@ -140,7 +140,7 @@ func TestKernelCallSequence(t *testing.T) {
 		"digitrec map[tests:64 train:8192] seed 21":           "7adf2e2147669447871dba2c36e1213092ce11b27182bbb274da901b5ef773c5",
 		"affine map[dim:256] seed 21":                         "4219af9d484046b5665312c94042062c8d9897d92bc702da5aae7410d95e099e",
 		"dnnweaver map[batch:24] seed 21":                     "9964614ab8d34d0ff046340620989fabed69db8595349b170f4e6776802b29c7",
-		"bitcoin map[difficulty:15] seed 21":                  "111757cf2925688983cc4fc1f4094f232197caf734e9ad621b8acf1a2948ccc4",
+		"bitcoin map[difficulty:15] seed 21":                  "933be981ef45c4ab7627eadc9973b4b98eb8780b898cf2f3476ef11463947e66",
 		"matmul map[n:256] seed 12":                           "b1a80df28eb0621b49d343503e6b9598287d11ac0f1ae62c3623fa1765107e83",
 		"vecadd map[bytes:8192] seed 11":                      "6d28a63f04b39d12fb02ba1f01e64df8a794583d0113113cf2503c87502ed44a",
 		"vecadd map[bytes:81920] seed 11":                     "95fe47285be5f39539ba80a0abfe337eea21e8126d139470b06d8c6852ce8d3c",

@@ -207,6 +207,9 @@ func TestBitcoinPostsNonceToRegister(t *testing.T) {
 	b := w.(*Bitcoin)
 	rng := rand.New(rand.NewSource(6))
 	b.Inputs(rng)
+	if err := b.Check(nil, nil); err == nil {
+		t.Fatal("Check passed before any nonce was posted")
+	}
 	regs := &bareRegs{regs: make([]uint64, 32)}
 	ctx := &Ctx{Regs: regs}
 	if err := b.Run(ctx); err != nil {
@@ -224,6 +227,20 @@ func TestBitcoinPostsNonceToRegister(t *testing.T) {
 	}
 	if ctx.ComputeCycles() == 0 {
 		t.Fatal("no mining compute accounted")
+	}
+	// Check verifies the nonce read back from the register: the posted
+	// one passes, and a recorded nonce that misses the difficulty fails.
+	if err := b.Check(nil, nil); err != nil {
+		t.Fatalf("Check rejected the posted nonce: %v", err)
+	}
+	for b.nonce++; ; b.nonce++ {
+		binary.LittleEndian.PutUint32(full[76:], b.nonce)
+		if !meetsDifficulty(doubleSHA(full[:]), b.Difficulty) {
+			break
+		}
+	}
+	if err := b.Check(nil, nil); err == nil {
+		t.Fatalf("Check passed nonce %#x, which misses difficulty %d", b.nonce, b.Difficulty)
 	}
 }
 

@@ -39,9 +39,6 @@ var lockRanks = map[string]int{
 	"shield.RegionTable.mu":  24,
 	"shield.engineSet.mu":    30,
 	"shield.RegisterFile.mu": 40,
-	// mem: the quota accountant is a leaf — the shield region table holds
-	// its own mu while charging it, and it calls out to nothing.
-	"mem.Accountant.mu": 50,
 	// sdp: controller key DB and the cluster's striped per-file write
 	// locks are outermost; then the witness registry, then node state,
 	// with the per-shard health FSM as the leaf.

@@ -719,6 +719,16 @@ func (n *Node) putSealed(user, name string, size int, ct, tags []byte) error {
 	}
 	buf := n.stage(aligned)
 	if _, err := n.sh.ReadBurst(tlsBase, buf); err != nil {
+		// A forged image latches the tls engine set's integrity fault.
+		// The staging region holds nothing but this request's image, so
+		// retire the set rather than refuse every later Put and Get; the
+		// store region's latch is what guards data at rest.
+		var ie *shield.IntegrityError
+		if errors.As(err, &ie) {
+			if rerr := n.sh.RetireRegion("tls"); rerr != nil {
+				return errors.Join(err, rerr)
+			}
+		}
 		return err
 	}
 	n.sealForUser(user, name, buf[:size])

@@ -293,3 +293,61 @@ func TestRejectedPutKeepsSlot(t *testing.T) {
 		})
 	}
 }
+
+// TestTamperedPutSealedRecovers: a sealed image forged in flight is
+// rejected without parking the node. The tls engine set that caught it
+// is retired, so later Puts and Gets of earlier files still succeed, in
+// the flat layout and with tenant zones.
+func TestTamperedPutSealedRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		node func(*testing.T) *Node
+	}{
+		{"flat", newNode},
+		{"tenant zones", newTenantNode},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.node(t)
+			earlier := bytes.Repeat([]byte("stored before the forgery "), 400)
+			if err := n.Put("alice", "earlier", earlier); err != nil {
+				t.Fatal(err)
+			}
+			sess, err := newTLSSession(n.cfg, n.dek)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forged := []byte("forged in flight")
+			for _, target := range []string{"ciphertext", "tag"} {
+				ct, tags, err := sess.Seal(forged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if target == "ciphertext" {
+					ct[7] ^= 0x01
+				} else {
+					tags[0] ^= 0x01
+				}
+				var ie *shield.IntegrityError
+				if err := n.PutSealed("alice", "forged", len(forged), ct, tags); !errors.As(err, &ie) {
+					t.Fatalf("Put with a tampered %s: err = %v, want an IntegrityError", target, err)
+				}
+			}
+			if _, err := n.Get("alice", "forged"); err == nil {
+				t.Fatal("a rejected Put stored its file")
+			}
+			valid := []byte("well-formed after the forgeries")
+			ct, tags, err := sess.Seal(valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.PutSealed("alice", "valid", len(valid), ct, tags); err != nil {
+				t.Fatalf("valid Put after the forgeries: %v", err)
+			}
+			for name, want := range map[string][]byte{"earlier": earlier, "valid": valid} {
+				if got, err := n.Get("alice", name); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("Get %q after the forgeries: %v, equal = %t", name, err, bytes.Equal(got, want))
+				}
+			}
+		})
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"shef/internal/crypto/aesx"
-	"shef/internal/mem"
 )
 
 // MACKind selects the authentication engine of an engine set.
@@ -56,8 +55,8 @@ type RegionConfig struct {
 	// Tenant is the protection zone's owner. Static Config.Regions leave
 	// it empty and inherit the session tenant (Config.Tenant); zones
 	// created at runtime through Shield.CreateRegion name their owner
-	// here, and all lifecycle operations (flush, destroy, reclaim) are
-	// keyed by the (tenant, name) pair.
+	// here, and all lifecycle operations (flush, destroy) are keyed by
+	// the (tenant, name) pair.
 	Tenant string
 	// Base and Size delimit the region. Base must be ChunkSize-aligned and
 	// Size a multiple of ChunkSize.
@@ -133,10 +132,6 @@ type Config struct {
 	// static regions' end and ArenaEnd. Zero leaves only the static
 	// footprint (no headroom for dynamic zones beyond it).
 	ArenaEnd uint64
-	// DefaultTenantQuota bounds each tenant's DRAM and on-chip metadata
-	// footprint (zero fields are unlimited); Shield.SetTenantQuota
-	// overrides it per tenant.
-	DefaultTenantQuota mem.Quota
 }
 
 // Validate checks structural soundness: aligned, non-overlapping regions,

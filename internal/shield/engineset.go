@@ -44,7 +44,7 @@ type engineSet struct {
 	// this set's off-chip channel: each live set sees 1/share of the
 	// channel bandwidth. The pointer is read atomically on every charge,
 	// so contention tracks who is actually live — an idle tenant's
-	// reclaimed zone stops costing its neighbours bandwidth.
+	// unmaterialised zone costs its neighbours no bandwidth.
 	share *atomic.Int64
 
 	// DRAM layout: ciphertext is identity-mapped at cfg.Base; tags live in
@@ -82,12 +82,8 @@ type engineSet struct {
 	initialized []bool
 
 	// ocmBytes is the on-chip budget this set holds, returned to the pool
-	// when a re-provisioning replaces the set. metaOCMBytes is the
-	// durable-metadata slice of it (freshness counters and valid bits) —
-	// an idle-zone reclaim keeps that slice resident so the zone's data
-	// survives the engine set.
-	ocmBytes     int
-	metaOCMBytes int
+	// when the set is retired.
+	ocmBytes int
 
 	// linePool recycles buffer lines so the chunked hot path allocates
 	// nothing in steady state.
@@ -172,13 +168,11 @@ func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 			s.releaseOCM(ocm)
 			return nil, err
 		}
-		s.metaOCMBytes += cfg.Chunks() * CounterSize
 	}
 	if err := alloc((cfg.Chunks()+7)/8, "valid bits"); err != nil {
 		s.releaseOCM(ocm)
 		return nil, err
 	}
-	s.metaOCMBytes += (cfg.Chunks() + 7) / 8
 	return s, nil
 }
 
@@ -213,31 +207,6 @@ func newSet(cfg RegionConfig, seal *sealer, tagBase uint64,
 	}
 	s.win = newStreamWindow(s, streamWindowChunks)
 	return s
-}
-
-// adoptMeta restores durable metadata a reclaim preserved (the zone's
-// freshness counters and valid bits). Called before the set is published,
-// so no lock is needed.
-func (s *engineSet) adoptMeta(counters []uint32, initialized []bool) {
-	if counters != nil {
-		s.counters = counters
-	}
-	if initialized != nil {
-		s.initialized = initialized
-	}
-}
-
-// detachMeta retires the set but keeps its durable metadata resident:
-// the buffer and window budget returns to the pool, the counters and
-// valid bits (still charged on-chip) transfer to the caller for the next
-// materialisation.
-func (s *engineSet) detachMeta(ocm *mem.OCM) (counters []uint32, initialized []bool, metaBytes int) {
-	metaBytes = s.metaOCMBytes
-	if s.ocmBytes > metaBytes {
-		ocm.Free(s.ocmBytes - metaBytes)
-	}
-	s.ocmBytes, s.metaOCMBytes = 0, 0
-	return s.counters, s.initialized, metaBytes
 }
 
 // releaseOCM returns the set's on-chip budget to the pool (the partial

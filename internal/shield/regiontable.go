@@ -14,18 +14,17 @@ import (
 
 // This file is the virtual region layer: the Shield's regions are no
 // longer a fixed array stamped out at provisioning time but rows in a
-// RegionTable that tenants create and destroy at runtime. Three pieces
+// RegionTable that tenants create and destroy at runtime. Two pieces
 // make thousands of zones affordable on one device:
 //
 //   - a direct-mapped lookup cache on the burst-decode path (the TLB of
 //     this address space), so per-access resolution is O(1) no matter how
 //     many zones exist;
 //   - lazy engine sets: a zone holds no buffer lines, staging window, or
-//     seal scratch until its first access materialises them, and
-//     reclamation hands them back, so idle tenants cost only a descriptor;
-//   - per-tenant quota accounting (mem.Accountant) charged at creation
-//     for the zone's DRAM footprint and worst-case OCM metadata, so one
-//     tenant cannot squat on the device.
+//     seal scratch until its first access materialises them, so idle
+//     tenants cost only a descriptor. The set then lives until the zone
+//     is destroyed or the session re-provisioned, so its freshness
+//     counters never leave it.
 //
 // The static Config.Regions path is a thin shim over this layer: a
 // provisioning resets the table and inserts each configured region as an
@@ -40,23 +39,8 @@ type vRegion struct {
 	cfg    RegionConfig
 	id     uint32
 	tagOff uint64
-	// dramBytes/ocmBytes are the quota charges held from CreateRegion to
-	// DestroyRegion: data plus tag shadow, and worst-case on-chip
-	// metadata (buffer, counters, valid bits). The charge is a
-	// reservation — reclaiming the engine set returns real OCM to the
-	// device pool but keeps the tenant's budget held, so a reclaimed
-	// zone can always re-materialise.
-	dramBytes uint64
-	ocmBytes  uint64
 	// set is the lazily-materialised engine set (nil while idle).
 	set atomic.Pointer[engineSet]
-	// Durable metadata preserved across an idle reclaim: the freshness
-	// counters and valid bits stay resident on-chip (metaOCM bytes still
-	// charged to the device pool) so the zone's flushed data survives the
-	// engine set and the next materialisation can verify it.
-	savedCounters []uint32
-	savedInit     []bool
-	metaOCM       int
 	// share is the channel's materialised-set counter; the engine set
 	// reads it on every charge so DRAM contention follows who is actually
 	// live on the channel, not who merely holds a descriptor.
@@ -123,7 +107,6 @@ type RegionTable struct {
 	// channels counts materialised engine sets per off-chip channel;
 	// vRegion.share points into this map.
 	channels map[int]*atomic.Int64
-	acct     *mem.Accountant
 	nextID   uint32
 	// Tag-shadow allocator: static regions occupy the shadow from its
 	// base (the Shield's tagBase) to tagCursor exactly as the fixed-array
@@ -141,11 +124,10 @@ type RegionTable struct {
 	hits, misses atomic.Uint64
 }
 
-func newRegionTable(tagBase uint64, acct *mem.Accountant) *RegionTable {
+func newRegionTable(tagBase uint64) *RegionTable {
 	return &RegionTable{
 		byKey:     make(map[string]*vRegion),
 		channels:  make(map[int]*atomic.Int64),
-		acct:      acct,
 		tagCursor: tagBase,
 		tagFree:   make(map[uint64][]uint64),
 		cache:     newLookupCache(),
@@ -222,21 +204,6 @@ func (t *RegionTable) resetLookupStats() {
 	t.misses.Store(0)
 }
 
-// regionQuotaFootprint computes the quota charges of a zone: DRAM is the
-// data plus its tag shadow; OCM is the worst-case metadata an engine set
-// will pin on-chip (buffer lines, freshness counters, valid bits) —
-// mirroring newEngineSet's charges exactly so a zone that passed
-// admission cannot fail materialisation on quota.
-func regionQuotaFootprint(rc RegionConfig) (dram, ocm uint64) {
-	chunks := uint64(rc.Chunks())
-	dram = rc.Size + chunks*TagSize
-	ocm = uint64(rc.bufferLines()*rc.ChunkSize) + (chunks+7)/8
-	if rc.Freshness {
-		ocm += chunks * CounterSize
-	}
-	return dram, ocm
-}
-
 // tagAlloc carves a tag-shadow span, reusing an exact-fit freed span
 // when one exists.
 func (t *RegionTable) tagAlloc(size uint64) uint64 {
@@ -258,7 +225,7 @@ func (t *RegionTable) tagRelease(off, size uint64) {
 }
 
 // insert validates rc against the live table and adds it as an idle
-// zone, charging the tenant's quota. Callers hold t.mu.
+// zone. Callers hold t.mu.
 func (t *RegionTable) insertLocked(rc RegionConfig, arenaEnd uint64) (*vRegion, error) {
 	if rc.Name == "" {
 		return nil, fmt.Errorf("shield: tenant %q: region needs a name", rc.Tenant)
@@ -288,18 +255,12 @@ func (t *RegionTable) insertLocked(rc RegionConfig, arenaEnd uint64) (*vRegion, 
 				rc.Tenant, rc.Name, next.cfg.Name, next.cfg.Tenant)
 		}
 	}
-	dram, ocm := regionQuotaFootprint(rc)
-	if err := t.acct.Charge(rc.Tenant, dram, ocm); err != nil {
-		return nil, fmt.Errorf("shield: tenant %q: region %q rejected: %w", rc.Tenant, rc.Name, err)
-	}
 	t.nextID++
 	r := &vRegion{
-		cfg:       rc,
-		id:        t.nextID,
-		tagOff:    t.tagAlloc(uint64(rc.Chunks() * TagSize)),
-		dramBytes: dram,
-		ocmBytes:  ocm,
-		share:     t.channelCounter(rc.Channel),
+		cfg:    rc,
+		id:     t.nextID,
+		tagOff: t.tagAlloc(uint64(rc.Chunks() * TagSize)),
+		share:  t.channelCounter(rc.Channel),
 	}
 	t.byKey[key] = r
 	// Copy-on-write: publish a fresh sorted slice so snapshot() can hand
@@ -320,9 +281,9 @@ func (t *RegionTable) create(rc RegionConfig, arenaEnd uint64) (*vRegion, error)
 }
 
 // destroy tears down a zone: the engine set is retired with dirty lines
-// discarded (destruction is erasure), the quota charge returns to the
-// tenant, and the lookup cache is shot down. Callers must have quiesced
-// the data path (Shield.mu write side).
+// discarded (destruction is erasure), the descriptor and tag-shadow span
+// are unlinked, and the lookup cache is shot down. Callers must have
+// quiesced the data path (Shield.mu write side).
 func (t *RegionTable) destroy(tenant, name string, ocm *mem.OCM) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -330,28 +291,32 @@ func (t *RegionTable) destroy(tenant, name string, ocm *mem.OCM) error {
 	if r == nil {
 		return fmt.Errorf("shield: tenant %q: unknown region %q", tenantLabel(tenant), name)
 	}
-	_ = t.reclaimLocked(r, ocm, false)
+	retireLocked(r, ocm)
 	t.removeLocked(r)
 	return nil
 }
 
-// reclaim retires an idle zone's engine set after writing back its dirty
-// lines, keeping the descriptor and quota reservation. Callers must have
-// quiesced the data path.
-func (t *RegionTable) reclaim(r *vRegion, ocm *mem.OCM) error {
+// retire discards a zone's engine set as destroy does but keeps the
+// descriptor, so the zone's ID, key and tag span stay and its next access
+// materialises a fresh set. Callers must have quiesced the data path.
+func (t *RegionTable) retire(tenant, name string, ocm *mem.OCM) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.reclaimLocked(r, ocm, true)
+	r := t.byKey[tenant+"\x00"+name]
+	if r == nil {
+		return fmt.Errorf("shield: tenant %q: unknown region %q", tenantLabel(tenant), name)
+	}
+	retireLocked(r, ocm)
+	return nil
 }
 
 // releaseAll retires every zone without flushing — the session handover
-// of a re-provisioning — returning all on-chip memory and quota charges.
+// of a re-provisioning — returning all on-chip memory.
 func (t *RegionTable) releaseAll(ocm *mem.OCM) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, r := range t.sorted {
-		_ = t.reclaimLocked(r, ocm, false)
-		t.acct.Release(r.cfg.Tenant, r.dramBytes, r.ocmBytes)
+		retireLocked(r, ocm)
 	}
 	t.byKey = make(map[string]*vRegion)
 	t.sorted = nil
@@ -372,52 +337,27 @@ func (t *RegionTable) materialize(r *vRegion, dek []byte, port axi.MemoryPort,
 	if err != nil {
 		return nil, fmt.Errorf("shield: tenant %q: region %q: %w", r.cfg.Tenant, r.cfg.Name, err)
 	}
-	if r.metaOCM > 0 {
-		// A reclaim kept the durable metadata resident (and charged);
-		// newEngineSet just charged it again, so return the stashed share
-		// and hand the preserved state back to the set.
-		ocm.Free(r.metaOCM)
-		set.adoptMeta(r.savedCounters, r.savedInit)
-		r.savedCounters, r.savedInit, r.metaOCM = nil, nil, 0
-	}
 	set.share = r.share
 	r.share.Add(1)
 	r.set.Store(set)
 	return set, nil
 }
 
-// reclaimLocked retires a zone's engine set. An idle reclaim (flush
-// true) writes dirty lines back and keeps the durable metadata resident
-// so the zone's data survives; a destroy (flush false) discards
-// everything — teardown is erasure. Callers hold t.mu and must have
-// quiesced the data path.
-func (t *RegionTable) reclaimLocked(r *vRegion, ocm *mem.OCM, flush bool) error {
+// retireLocked discards a zone's engine set — dirty lines, freshness
+// counters and valid bits alike — and returns its on-chip memory to the
+// device pool. Callers hold t.mu and must have quiesced the data path.
+func retireLocked(r *vRegion, ocm *mem.OCM) {
 	set := r.set.Load()
 	if set == nil {
-		if !flush && r.metaOCM > 0 {
-			// Destroying a zone reclaimed earlier: drop its resident
-			// metadata too.
-			ocm.Free(r.metaOCM)
-			r.savedCounters, r.savedInit, r.metaOCM = nil, nil, 0
-		}
-		return nil
-	}
-	var err error
-	if flush {
-		err = set.flush()
+		return
 	}
 	r.set.Store(nil)
 	r.share.Add(-1)
-	if flush {
-		r.savedCounters, r.savedInit, r.metaOCM = set.detachMeta(ocm)
-	} else {
-		set.releaseOCM(ocm)
-	}
-	return err
+	set.releaseOCM(ocm)
 }
 
-// removeLocked unlinks a zone and returns its charges. Callers hold t.mu
-// and have already reclaimed the engine set.
+// removeLocked unlinks a zone and frees its tag-shadow span. Callers
+// hold t.mu and have already retired the engine set.
 func (t *RegionTable) removeLocked(r *vRegion) {
 	delete(t.byKey, r.key())
 	for i, s := range t.sorted {
@@ -430,7 +370,6 @@ func (t *RegionTable) removeLocked(r *vRegion) {
 		}
 	}
 	t.tagRelease(r.tagOff, uint64(r.cfg.Chunks()*TagSize))
-	t.acct.Release(r.cfg.Tenant, r.dramBytes, r.ocmBytes)
 	t.epoch.Add(1) // shootdown: every cached translation is now stale
 }
 

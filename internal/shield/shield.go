@@ -51,10 +51,6 @@ type Shield struct {
 	// provisioning.
 	dek []byte
 
-	// acct meters per-tenant DRAM and OCM charges; it outlives
-	// provisionings so quota overrides survive key rotation.
-	acct *mem.Accountant
-
 	tagBase uint64
 }
 
@@ -131,7 +127,6 @@ func newShield(cfg Config, port axi.MemoryPort, ocm *mem.OCM, params perf.Params
 		params:  params,
 		port:    port,
 		ocm:     ocm,
-		acct:    mem.NewAccountant(cfg.DefaultTenantQuota),
 		tagBase: (maxEnd + tagAlign - 1) / tagAlign * tagAlign,
 	}, nil
 }
@@ -206,7 +201,7 @@ func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
 // up front, DRAM shares match the static counts, and the first burst pays
 // no build cost. A nil dek gives sealer-less engine sets.
 func (s *Shield) staticTable(dek []byte) (*RegionTable, error) {
-	table := newRegionTable(s.tagBase, s.acct)
+	table := newRegionTable(s.tagBase)
 	for _, rc := range s.cfg.Regions {
 		rc.Tenant = s.cfg.Tenant
 		r, err := table.create(rc, s.tagBase)
@@ -222,9 +217,7 @@ func (s *Shield) staticTable(dek []byte) (*RegionTable, error) {
 }
 
 // CreateRegion carves a new protection zone at runtime, owned by
-// rc.Tenant and charged against that tenant's quota (a *mem.QuotaError —
-// errors.Is(err, mem.ErrQuotaExceeded) — reports an over-budget tenant).
-// The zone must fit below the tag shadow: static regions plus
+// rc.Tenant. The zone must fit below the tag shadow: static regions plus
 // Config.ArenaEnd bound the usable address space. The zone starts idle —
 // no engine set, buffer, or on-chip memory — and materialises on
 // first access.
@@ -241,7 +234,7 @@ func (s *Shield) CreateRegion(rc RegionConfig) error {
 // DestroyRegion tears down a tenant's zone: traffic quiesces, the engine
 // set (if materialised) is retired with its dirty lines discarded — zone
 // destruction is erasure, the ciphertext keys die with the descriptor —
-// and the tenant's quota charge is returned. Cached translations for the
+// and the zone's tag-shadow span is freed. Cached translations for the
 // zone are shot down.
 func (s *Shield) DestroyRegion(tenant, region string) error {
 	s.mu.Lock()
@@ -252,38 +245,21 @@ func (s *Shield) DestroyRegion(tenant, region string) error {
 	return s.table.destroy(tenant, region, s.ocm)
 }
 
-// ReclaimRegion retires an idle zone's engine set — dirty lines are
-// written back, then the buffer, staging window, and counters return to the
-// device's on-chip pool — while the zone descriptor and its quota
-// reservation stay, so the next access re-materialises transparently.
-// Only tests call it: a reclaimed zone keeps its freshness counters and
-// valid bits on-chip, so its data survives and stays replay-protected
-// (paper §5.2.2).
-func (s *Shield) ReclaimRegion(tenant, region string) error {
+// RetireRegion discards the engine set of one of the session's regions
+// as DestroyRegion does — buffered lines, counters, valid bits and a
+// latched integrity failure alike — but keeps the region: its ID, key and
+// tag span stay, so data sealed for it by the Data Owner stays valid, and
+// the next access builds a fresh set. A serving path whose staging region
+// took a forged image uses it to recover that region without parking the
+// device.
+func (s *Shield) RetireRegion(region string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.provisioned {
 		return errors.New("shield: not provisioned")
 	}
-	r := s.table.named(tenant, region)
-	if r == nil {
-		return fmt.Errorf("shield: tenant %q: unknown region %q", tenantLabel(tenant), region)
-	}
-	return s.table.reclaim(r, s.ocm)
+	return s.table.retire(s.cfg.Tenant, region, s.ocm)
 }
-
-// SetTenantQuota, TenantUsage and Tenants expose the per-tenant quota
-// accounting. Only tests call them: a tenant cannot exceed its quota, and
-// destroying a zone releases its charge, so churn leaks nothing.
-
-// SetTenantQuota overrides the default per-tenant quota for one tenant.
-func (s *Shield) SetTenantQuota(tenant string, q mem.Quota) { s.acct.SetQuota(tenant, q) }
-
-// TenantUsage reports a tenant's current quota charges.
-func (s *Shield) TenantUsage(tenant string) mem.Usage { return s.acct.UsageFor(tenant) }
-
-// Tenants lists tenants holding live zones, sorted.
-func (s *Shield) Tenants() []string { return s.acct.Tenants() }
 
 // Zones lists all protection zones in base order, flagging which
 // currently hold a materialised engine set.

@@ -2,7 +2,6 @@ package shield
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -89,44 +88,6 @@ func TestCreateDestroyRegion(t *testing.T) {
 	}
 }
 
-func TestTenantQuotaTypedError(t *testing.T) {
-	cfg := Config{
-		Registers:          4,
-		ArenaEnd:           1 << 20,
-		DefaultTenantQuota: mem.Quota{DRAMBytes: 20 << 10},
-	}
-	rig := tenantRig(t, cfg, 1<<22, perf.Default())
-	sh := rig.shield
-	if err := sh.CreateRegion(zoneConfig("mallory", 0, 1<<14)); err != nil {
-		t.Fatal(err)
-	}
-	err := sh.CreateRegion(RegionConfig{
-		Name: "zone2", Tenant: "mallory", Base: 1 << 14, Size: 1 << 14, ChunkSize: 512,
-		AESEngines: 1, SBox: aesx.SBox16x, KeySize: aesx.AES128, MAC: HMAC,
-	})
-	if !errors.Is(err, mem.ErrQuotaExceeded) {
-		t.Fatalf("over-quota create = %v, want ErrQuotaExceeded", err)
-	}
-	var qe *mem.QuotaError
-	if !errors.As(err, &qe) || qe.Tenant != "mallory" || qe.Resource != "dram" {
-		t.Fatalf("quota error %+v not attributable", err)
-	}
-	// A different tenant still has budget, and a raised quota unblocks.
-	if err := sh.CreateRegion(zoneConfig("honest", 1<<15, 1<<14)); err != nil {
-		t.Fatal(err)
-	}
-	sh.SetTenantQuota("mallory", mem.Quota{DRAMBytes: 1 << 20})
-	if err := sh.CreateRegion(RegionConfig{
-		Name: "zone2", Tenant: "mallory", Base: 1 << 14, Size: 1 << 14, ChunkSize: 512,
-		AESEngines: 1, SBox: aesx.SBox16x, KeySize: aesx.AES128, MAC: HMAC,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.TenantUsage("mallory").Regions; got != 2 {
-		t.Fatalf("mallory holds %d regions, want 2", got)
-	}
-}
-
 func TestTenantErrorTextAttributable(t *testing.T) {
 	rig := newRig(t, simpleConfig())
 	err := rig.shield.FlushRegion("nope")
@@ -143,7 +104,7 @@ func TestTenantErrorTextAttributable(t *testing.T) {
 	}
 }
 
-func TestLazyMaterializationAndReclaim(t *testing.T) {
+func TestLazyMaterialization(t *testing.T) {
 	rig := tenantRig(t, Config{Registers: 4, ArenaEnd: 1 << 20}, 1<<22, perf.Default())
 	sh := rig.shield
 	ocmBefore := sh.ocm.UsedBits()
@@ -156,42 +117,14 @@ func TestLazyMaterializationAndReclaim(t *testing.T) {
 	if z := sh.Zones(); len(z) != 1 || z[0].Live {
 		t.Fatalf("idle zone reported live: %+v", z)
 	}
-	msg := []byte("survives reclaim")
-	if _, err := sh.WriteBurst(0, msg); err != nil {
+	if _, err := sh.WriteBurst(0, []byte("first touch")); err != nil {
 		t.Fatal(err)
 	}
 	if z := sh.Zones(); !z[0].Live {
 		t.Fatal("touched zone not materialised")
 	}
-	ocmLive := sh.ocm.UsedBits()
-	if ocmLive == ocmBefore {
+	if sh.ocm.UsedBits() == ocmBefore {
 		t.Fatal("materialised zone holds no on-chip memory")
-	}
-	if err := sh.ReclaimRegion("idle", "zone"); err != nil {
-		t.Fatal(err)
-	}
-	// Reclaim returns the buffer and window budget; only the durable
-	// metadata (valid bits — no freshness here) stays resident.
-	chunks := (1 << 14) / 512
-	metaBits := uint64((chunks+7)/8) * 8
-	if got := sh.ocm.UsedBits(); got != ocmBefore+metaBits {
-		t.Fatalf("reclaim kept %d bits on-chip, want %d (was %d live)",
-			got-ocmBefore, metaBits, ocmLive-ocmBefore)
-	}
-	if z := sh.Zones(); z[0].Live {
-		t.Fatal("reclaimed zone still live")
-	}
-	// The quota reservation survives reclaim, so re-materialisation can
-	// never fail admission — and the flushed data comes back intact.
-	if got := sh.TenantUsage("idle").Regions; got != 1 {
-		t.Fatalf("reclaim dropped the quota reservation (%d regions)", got)
-	}
-	buf := make([]byte, len(msg))
-	if _, err := sh.ReadBurst(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, msg) {
-		t.Fatalf("reclaimed zone lost data: %q", buf)
 	}
 }
 
@@ -253,6 +186,7 @@ func TestTenantChurn1k(t *testing.T) {
 	arena := uint64(workers * tenantsPerWorker * zoneSize)
 	rig := tenantRig(t, Config{Registers: 4, ArenaEnd: arena}, arena+(4<<20), perf.Default())
 	sh := rig.shield
+	ocmBefore := sh.ocm.UsedBits()
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
@@ -296,12 +230,35 @@ func TestTenantChurn1k(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Half the zones survive; every destroyed tenant released its quota.
+	// Half the zones survive, all live; the destroyed half returned every
+	// on-chip byte, so the device holds exactly the survivors' buffers
+	// and valid bits.
 	zones := sh.Zones()
 	if want := workers * tenantsPerWorker / 2; len(zones) != want {
 		t.Fatalf("%d zones survive churn, want %d", len(zones), want)
 	}
-	if got := len(sh.Tenants()); got != workers*tenantsPerWorker/2 {
-		t.Fatalf("%d tenants hold charges, want %d", got, workers*tenantsPerWorker/2)
+	rc := zoneConfig("", 0, zoneSize)
+	perZone := uint64(rc.bufferLines()*rc.ChunkSize + (rc.Chunks()+7)/8)
+	if got, want := sh.ocm.UsedBits()-ocmBefore, uint64(len(zones))*perZone*8; got != want {
+		t.Fatalf("churn left %d bits on-chip, want %d for %d live zones", got, want, len(zones))
+	}
+	// Every tag-shadow span carved is held by a survivor or free for reuse.
+	span := uint64(rc.Chunks() * TagSize)
+	carved := (sh.table.tagCursor - sh.tagBase) / span
+	if free := uint64(len(sh.table.tagFree[span])); carved != uint64(len(zones))+free {
+		t.Fatalf("%d tag spans carved, want %d live + %d free", carved, len(zones), free)
+	}
+	// A zone created at a destroyed zone's base reuses its tag span.
+	victim := sh.table.named("tenant-0-1", "zone")
+	if err := sh.DestroyRegion("tenant-0-1", "zone"); err != nil {
+		t.Fatal(err)
+	}
+	cursor := sh.table.tagCursor
+	if err := sh.CreateRegion(zoneConfig("newcomer", victim.cfg.Base, zoneSize)); err != nil {
+		t.Fatal(err)
+	}
+	if off := sh.table.named("newcomer", "zone").tagOff; off != victim.tagOff || sh.table.tagCursor != cursor {
+		t.Fatalf("new zone took tag span %#x (cursor %#x -> %#x), want the destroyed zone's %#x",
+			off, cursor, sh.table.tagCursor, victim.tagOff)
 	}
 }
