@@ -351,3 +351,55 @@ func TestTamperedPutSealedRecovers(t *testing.T) {
 		})
 	}
 }
+
+// tlsBusy returns the node's tls region BusyCycles from Node.Report.
+func tlsBusy(t *testing.T, n *Node) uint64 {
+	t.Helper()
+	for _, rs := range n.Report().Regions {
+		if rs.Name == "tls" {
+			return rs.BusyCycles
+		}
+	}
+	t.Fatalf("Node.Report has no tls row: %+v", n.Report().Regions)
+	return 0
+}
+
+// TestForgedPutKeepsTLSStats: retiring the tls engine set after a forged
+// Put keeps its accounting, so the tls row stays in Node.Report with at
+// least the busy time it had, and a later valid Put adds to it.
+func TestForgedPutKeepsTLSStats(t *testing.T) {
+	n := newNode(t)
+	sess, err := newTLSSession(n.cfg, n.dek)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(name string, forge bool) error {
+		payload := bytes.Repeat([]byte(name), 500)
+		ct, tags, err := sess.Seal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forge {
+			ct[7] ^= 0x01
+		}
+		return n.PutSealed("alice", name, len(payload), ct, tags)
+	}
+	if err := put("first", false); err != nil {
+		t.Fatal(err)
+	}
+	before := tlsBusy(t, n)
+	var ie *shield.IntegrityError
+	if err := put("forged", true); !errors.As(err, &ie) {
+		t.Fatalf("forged Put: err = %v, want an IntegrityError", err)
+	}
+	afterForgery := tlsBusy(t, n)
+	if afterForgery < before {
+		t.Fatalf("tls busy %d cycles after the forged Put, %d before", afterForgery, before)
+	}
+	if err := put("second", false); err != nil {
+		t.Fatal(err)
+	}
+	if after := tlsBusy(t, n); after <= afterForgery {
+		t.Fatalf("tls busy %d cycles after a valid Put, %d before it", after, afterForgery)
+	}
+}

@@ -110,22 +110,31 @@ func TestBurstCyclesMeaningful(t *testing.T) {
 }
 
 // TestConcurrentReportAndTraffic reads stats while the data path is busy:
-// Report/ResetStats must be safe against in-flight bursts.
+// Report must be safe against in-flight bursts and against a region's
+// retirement, which hands its stats to the next set.
 func TestConcurrentReportAndTraffic(t *testing.T) {
 	rig := newRig(t, simpleConfig())
 	done := make(chan struct{})
 	var wg wgWrap
 	wg.Go(func() {
+		defer close(done)
 		buf := make([]byte, 2048)
 		for i := 0; i < 64; i++ {
+			if i%8 == 7 {
+				if err := rig.shield.RetireRegion("data"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
 			if _, err := rig.shield.WriteBurst(0, buf); err != nil {
+				t.Error(err)
 				return
 			}
 			if _, err := rig.shield.ReadBurst(0, buf); err != nil {
+				t.Error(err)
 				return
 			}
 		}
-		close(done)
 	})
 	wg.Go(func() {
 		for {

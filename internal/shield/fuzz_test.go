@@ -7,6 +7,11 @@ import (
 	"testing"
 
 	"shef/internal/crypto/aesx"
+	"shef/internal/crypto/keywrap"
+	"shef/internal/crypto/modp"
+	"shef/internal/crypto/schnorr"
+	"shef/internal/mem"
+	"shef/internal/perf"
 )
 
 // fuzzSealers builds an HMAC and a PMAC sealer over a fixed region shape;
@@ -158,6 +163,84 @@ func FuzzOpenRegionData(f *testing.F) {
 			if !errors.As(err, &ie) || ie.Chunk != want || got != nil {
 				t.Fatalf("%v: first changed chunk %d: err = %v, plaintext nil = %t", img.cfg.MAC, want, err, got == nil)
 			}
+		}
+	})
+}
+
+// fuzzLoadKeyPriv is FuzzProvisionLoadKey's Shield Encryption Key, fixed
+// so the wraps in its seed corpus stay valid Load Keys, and
+// fuzzLoadKeyDEK is the genuine Data Encryption Key they carry.
+var (
+	fuzzLoadKeyPriv = schnorr.KeyFromSeed(modp.TestGroup, []byte("shef/fuzz-provision-load-key"))
+	fuzzLoadKeyDEK  = bytes.Repeat([]byte{0x6B}, 32)
+)
+
+// FuzzProvisionLoadKey hands a provisioned Shield arbitrary host-relayed
+// Load Keys, the (Ephemeral, Sealed) pair of a keywrap.Wrapped. The
+// Shield's one region holds an image the Data Owner sealed under the
+// genuine DEK. The oracle: either the Load Key is rejected and the session
+// it found survives, so the image still reads back through it, or the Load
+// Key carried the genuine DEK, so the image reads back through the new
+// session. Nothing panics. The seed corpus holds a genuine wrap, flipped
+// and truncated ones, the ephemeral values 0, 1 and P-1 and a wrapped
+// 8-byte DEK, which the Shield refuses as too short.
+func FuzzProvisionLoadKey(f *testing.F) {
+	genuine, err := keywrap.Wrap(&fuzzLoadKeyPriv.PublicKey, fuzzLoadKeyDEK, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(genuine.Ephemeral, genuine.Sealed)
+
+	rc := RegionConfig{
+		Name: "fuzz-key", Size: 16 * 512, ChunkSize: 512,
+		AESEngines: 1, SBox: aesx.SBox16x, KeySize: aesx.AES128,
+		MAC: HMAC, BufferBytes: 2 * 512, Freshness: true,
+	}
+	dram := mem.NewDRAM(1<<20, perf.Default())
+	sh, err := New(Config{Regions: []RegionConfig{rc}, Registers: 4}, fuzzLoadKeyPriv, dram, mem.NewOCM(1<<24), perf.Default())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := sh.ProvisionLoadKey(genuine); err != nil {
+		f.Fatal(err)
+	}
+	img := make([]byte, rc.Size)
+	for i := range img {
+		img[i] = byte(i * 7)
+	}
+	ct, tags, err := SealRegionData(rc, 1, fuzzLoadKeyDEK, img)
+	if err != nil {
+		f.Fatal(err)
+	}
+	layout, err := sh.Layout(rc.Name)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := dram.RawWrite(layout.DataBase, ct); err != nil {
+		f.Fatal(err)
+	}
+	if err := dram.RawWrite(layout.TagBase, tags); err != nil {
+		f.Fatal(err)
+	}
+	if err := sh.MarkPreloaded(rc.Name); err != nil {
+		f.Fatal(err)
+	}
+	buf := make([]byte, rc.Size)
+
+	f.Fuzz(func(t *testing.T, ephemeral, sealed []byte) {
+		loadErr := sh.ProvisionLoadKey(&keywrap.Wrapped{Ephemeral: ephemeral, Sealed: sealed})
+		if loadErr == nil {
+			// A new session starts with no valid bits: the owner's image
+			// opens only if the new session runs under the genuine DEK.
+			if err := sh.MarkPreloaded(rc.Name); err != nil {
+				t.Fatalf("accepted Load Key left no %q region: %v", rc.Name, err)
+			}
+		}
+		sh.InvalidateClean()
+		clear(buf)
+		if _, err := sh.ReadStream(0, buf); err != nil || !bytes.Equal(buf, img) {
+			t.Fatalf("Load Key (ephemeral %d bytes, sealed %d bytes; load error %v): the image does not read back: %v, equal = %t",
+				len(ephemeral), len(sealed), loadErr, err, bytes.Equal(buf, img))
 		}
 	})
 }

@@ -271,13 +271,14 @@ func TestRealBenchZeroAlloc(t *testing.T) {
 }
 
 // TestSplitStreamZeroAlloc is TestRealBenchZeroAlloc for the split path:
-// at two and four Ps, 1 MiB ReadStream, WriteStream and Flush ops split
-// every batch across workers, and testing.AllocsPerRun cannot see that
-// (it runs at one P). It counts runtime.MemStats.Mallocs over opsPerCheck ops
-// instead. Starting a worker reuses a dead goroutine, but the runtime
-// allocates a new one while the caller's P has none to hand, so a few
-// allocations in total are allowed while the pool of dead goroutines
-// settles. An allocation per split would cost at least four per op.
+// at two and four Ps, 1 MiB ReadStream, WriteStream and Flush ops each
+// move one batch, split once across workers, and testing.AllocsPerRun
+// cannot see that (it runs at one P). It counts runtime.MemStats.Mallocs
+// over opsPerCheck ops instead. Starting a worker reuses a dead goroutine,
+// but the runtime allocates a new one while the caller's P has none to
+// hand, so a few allocations in total are allowed while the pool of dead
+// goroutines settles. An allocation per split would cost one per op,
+// which the bound of fewer than one per op still catches.
 func TestSplitStreamZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

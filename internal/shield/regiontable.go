@@ -41,6 +41,9 @@ type vRegion struct {
 	tagOff uint64
 	// set is the lazily-materialised engine set (nil while idle).
 	set atomic.Pointer[engineSet]
+	// kept is the accounting of a set RetireRegion discarded, until the
+	// next set takes it over (nil otherwise). Report lists it meanwhile.
+	kept atomic.Pointer[RegionStats]
 	// share is the channel's materialised-set counter; the engine set
 	// reads it on every charge so DRAM contention follows who is actually
 	// live on the channel, not who merely holds a descriptor.
@@ -298,13 +301,18 @@ func (t *RegionTable) destroy(tenant, name string, ocm *mem.OCM) error {
 
 // retire discards a zone's engine set as destroy does but keeps the
 // descriptor, so the zone's ID, key and tag span stay and its next access
-// materialises a fresh set. Callers must have quiesced the data path.
+// materialises a fresh set. The set's accounting stays too: the next set
+// counts on from it. Callers must have quiesced the data path.
 func (t *RegionTable) retire(tenant, name string, ocm *mem.OCM) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.byKey[tenant+"\x00"+name]
 	if r == nil {
 		return fmt.Errorf("shield: tenant %q: unknown region %q", tenantLabel(tenant), name)
+	}
+	if set := r.set.Load(); set != nil {
+		st := set.stats()
+		r.kept.Store(&st)
 	}
 	retireLocked(r, ocm)
 	return nil
@@ -323,8 +331,8 @@ func (t *RegionTable) releaseAll(ocm *mem.OCM) {
 	t.epoch.Add(1)
 }
 
-// materialize builds the zone's engine set on first use. Callers do NOT
-// hold t.mu.
+// materialize builds the zone's engine set on first use, taking over the
+// accounting a retired set kept. Callers do NOT hold t.mu.
 func (t *RegionTable) materialize(r *vRegion, dek []byte, port axi.MemoryPort,
 	ocm *mem.OCM, params perf.Params) (*engineSet, error) {
 
@@ -337,9 +345,13 @@ func (t *RegionTable) materialize(r *vRegion, dek []byte, port axi.MemoryPort,
 	if err != nil {
 		return nil, fmt.Errorf("shield: tenant %q: region %q: %w", r.cfg.Tenant, r.cfg.Name, err)
 	}
+	if kept := r.kept.Load(); kept != nil {
+		set.acct = *kept
+	}
 	set.share = r.share
 	r.share.Add(1)
 	r.set.Store(set)
+	r.kept.Store(nil)
 	return set, nil
 }
 

@@ -249,9 +249,10 @@ func (s *Shield) DestroyRegion(tenant, region string) error {
 // as DestroyRegion does — buffered lines, counters, valid bits and a
 // latched integrity failure alike — but keeps the region: its ID, key and
 // tag span stay, so data sealed for it by the Data Owner stays valid, and
-// the next access builds a fresh set. A serving path whose staging region
-// took a forged image uses it to recover that region without parking the
-// device.
+// the next access builds a fresh set. The set's RegionStats stay: Report
+// lists them while the region is idle, and the next set counts on from
+// them. A serving path whose staging region took a forged image uses it
+// to recover that region without parking the device.
 func (s *Shield) RetireRegion(region string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -521,7 +522,8 @@ func (r Report) TotalCycles() uint64 {
 	return r.MemoryCycles() + r.RegisterCycles + r.InitCycles + r.Lookup.Cycles
 }
 
-// Report captures current counters.
+// Report captures current counters: one row per region with a live
+// engine set, or with the accounting of a set RetireRegion discarded.
 func (s *Shield) Report() Report {
 	s.mu.RLock()
 	table, regs, initExtra := s.table, s.regs, s.initExtra
@@ -531,6 +533,8 @@ func (s *Shield) Report() Report {
 		for _, r := range table.snapshot() {
 			if set := r.set.Load(); set != nil {
 				rep.Regions = append(rep.Regions, set.stats())
+			} else if kept := r.kept.Load(); kept != nil {
+				rep.Regions = append(rep.Regions, *kept)
 			}
 		}
 		hits, misses := table.lookupStats()
@@ -556,6 +560,8 @@ func (s *Shield) ResetStats() {
 		for _, r := range table.snapshot() {
 			if set := r.set.Load(); set != nil {
 				set.resetStats()
+			} else if kept := r.kept.Load(); kept != nil {
+				r.kept.CompareAndSwap(kept, &RegionStats{Name: kept.Name, Channel: kept.Channel})
 			}
 		}
 		table.resetLookupStats()

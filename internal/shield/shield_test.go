@@ -40,7 +40,8 @@ func simpleConfig() Config {
 
 func newRig(t *testing.T, cfg Config) *testRig {
 	t.Helper()
-	dram := mem.NewDRAM(1<<22, perf.Default())
+	// mem.DRAM allocates only the pages a test touches.
+	dram := mem.NewDRAM(1<<24, perf.Default())
 	ocm := mem.NewOCM(64 * 1000 * 1000)
 	priv, err := schnorr.GenerateKey(modp.TestGroup, nil)
 	if err != nil {

@@ -48,7 +48,8 @@ import (
 // it plus its resident and virgin slots. The cycle model sees the same
 // fetchRun/storeRun/chargeWindow calls in the same order either way.
 // A flush splits the same way once its batch of dirty lines is large
-// enough; a miss window is far below the grain and never splits.
+// enough; a miss window is far below the grain and never splits. A
+// batch holds up to 1 MiB, so a 1 MiB op pays one split.
 //
 // Locking is batch-granular: the engine-set mutex is taken per batch,
 // not for the whole stream, so chunked accesses and other streams to the
@@ -64,25 +65,36 @@ import (
 const streamWindowChunks = 16
 
 // streamBatchBytes is how many bytes of windows one batch moves under
-// the set mutex, whatever the chunk size (at least one window), and
-// splitGrainBytes is the least chunk crypto a worker of the split gets.
-// The Data Owner's whole-image seal and open split by the same grain.
+// the set mutex, whatever the chunk size (at least one window),
+// splitGrainBytes is the least chunk crypto a worker of the split gets,
+// and maxSplitWorkers caps the workers of one split, and so the seal
+// scratches a set keeps. The Data Owner's whole-image seal and open split
+// by the same grain.
 //
 // Measured on a 2-vCPU Xeon VM with Go 1.24: a split costs about 1 µs to
 // start and join while the other P is awake, and its second range starts
 // 50–70 µs late (median, back-to-back splits) when that P's thread must
-// first be woken. Opening or sealing 64 KiB of 512-byte chunks takes
-// 190–260 µs there at one P. Halving w µs of crypto pays once w/2 plus
-// the wake-up is less than w, from about 140 µs (40–50 KiB); a 64 KiB
-// grain keeps each share at three or more times the wake-up. One 8 KiB
-// window, about 30 µs, cannot pay for a wake-up, which is why the
-// per-window fan-out PR 13 deleted lost. A batch is four grains, so each of four Ps still
-// gets one, and it bounds the mutex hold to 256 KiB of crypto: 0.8–1 ms
-// at one P and about half that at two, against about 30 µs for a window.
+// first be woken, as it usually must between ops. Opening or sealing
+// 64 KiB of 512-byte chunks takes 190–260 µs there at one P. Halving w µs
+// of crypto pays once w/2 plus the wake-up is less than w, from about
+// 140 µs (40–50 KiB); a 64 KiB grain keeps each share at three or more
+// times the wake-up. One 8 KiB window, about 30 µs, cannot pay for a
+// wake-up, which is why a per-window fan-out lost.
+//
+// Every split pays the wake-up once, so a batch is sized to make a 1 MiB
+// stream, gather or flush one split, and each of four Ps then gets at
+// least 256 KiB. Against 256 KiB batches, four splits per MiB, that took
+// a 1 MiB HMAC ReadStream at two Ps from 2.11 to 1.99 ms and a
+// WriteStream from 2.13 to 1.87 ms on that host (medians of six
+// alternating runs). The cost is the mutex hold, up to one 1 MiB batch
+// of crypto: 3.2–4.2 ms at one P and about 2 ms at two, against about
+// 30 µs for a window. A chunked access to the same region queues behind
+// it; no workload queues one there (kv's sets see 8 KiB bursts, and an
+// accelerator drives its Shield from one goroutine).
 const (
-	streamBatchBytes = 256 << 10
+	streamBatchBytes = 1 << 20
 	splitGrainBytes  = 64 << 10
-	maxSplitWorkers  = streamBatchBytes / splitGrainBytes
+	maxSplitWorkers  = 4
 )
 
 // batchSlots is how many chunkSize-byte slots make a batch: whole

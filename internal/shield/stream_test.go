@@ -252,11 +252,13 @@ func TestStreamCheaperThanChunked(t *testing.T) {
 }
 
 // TestStreamConcurrentWithChunkedTraffic runs streams, chunked reads and
-// a streamed writer at once over two 1 MiB regions. Every stream moves at
-// least one full batch (streamBatchBytes), so under -race the chunked
-// reads interleave with batches whose crypto is split across workers.
+// a streamed writer at once over two regions of four batches each. Every
+// stream moves at least one full batch (streamBatchBytes) and every read
+// two, so under -race the chunked reads interleave between batches whose
+// crypto is split across workers.
 func TestStreamConcurrentWithChunkedTraffic(t *testing.T) {
-	const size, span = 1 << 20, 1 << 19
+	const span = 2 * streamBatchBytes
+	const size = 2 * span
 	cfg := simpleConfig()
 	cfg.Regions[0].Size = size
 	cfg.Regions[1].Base, cfg.Regions[1].Size = size, size

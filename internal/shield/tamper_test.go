@@ -26,17 +26,23 @@ import (
 // may fetch windows past the bad one before it verifies them, and those
 // fetches reach DRAM although nothing they carry is delivered or charged.
 
-const (
-	tamperChunk  = 512
-	tamperChunks = 2048 // a 1 MiB region
+const tamperChunk = 512
+
+// tamperBatch is how many slots one stream batch moves in a tamper
+// region, and tamperChunks sizes the region at two batches, so a read of
+// the whole region merges and charges a first batch before the batch that
+// holds a bad chunk.
+var (
+	tamperBatch  = batchSlots(tamperChunk)
+	tamperChunks = 2 * tamperBatch
 )
 
-// tamperConfig is a 1 MiB region of 512-byte chunks with mac and a
+// tamperConfig is a two-batch region of 512-byte chunks with mac and a
 // four-line buffer, as in the Real benchmarks.
 func tamperConfig(mac MACKind) Config {
 	return Config{
 		Regions: []RegionConfig{{
-			Name: "bulk", Base: 0, Size: tamperChunks * tamperChunk, ChunkSize: tamperChunk,
+			Name: "bulk", Base: 0, Size: uint64(tamperChunks * tamperChunk), ChunkSize: tamperChunk,
 			AESEngines: 16, SBox: aesx.SBox16x, KeySize: aesx.AES128,
 			MAC: mac, BufferBytes: 4 * tamperChunk, Freshness: true,
 		}},
@@ -132,13 +138,32 @@ func checkTamperOutcome(t *testing.T, rig *testRig, badChunk int, cyc uint64, er
 	}
 }
 
-// TestStreamTamperMidStream reads a 1 MiB region whose chunk 600 fails
-// verification. Chunk 600 is slot 8 of window 37. Resident lines sit in
-// an earlier window (chunk 10), in the bad window after the bad chunk
-// (605) and in a later window (900).
+// tamperStreamChunks returns the bad chunk of the stream tamper tests and
+// the chunks they make resident. The bad chunk is slot 8 of window 37 of
+// the region's second batch, so the whole first batch is merged and
+// charged before the batch that fails. Resident lines sit in the first
+// batch (chunk 10), in the bad window after the bad chunk (bad+5) and in a
+// later window of the second batch.
+func tamperStreamChunks() (bad int, resident []int) {
+	bad = tamperBatch + 600
+	return bad, []int{10, bad + 5, tamperBatch + 900}
+}
+
+// tamperStreamWant is what a stream read of the whole region must leave
+// in a sentinel buffer when chunk bad fails: every chunk before it and
+// the resident line after it in its window.
+func tamperStreamWant(img []byte, bad int) []byte {
+	want := sentinelBuf(tamperChunks)
+	copy(want, img[:bad*tamperChunk])
+	copy(want[(bad+5)*tamperChunk:], img[(bad+5)*tamperChunk:(bad+6)*tamperChunk])
+	return want
+}
+
+// TestStreamTamperMidStream reads a two-batch region whose chunk
+// tamperStreamChunks names fails verification.
 func TestStreamTamperMidStream(t *testing.T) {
-	const bad, badWindow = 600, 600 / streamWindowChunks
-	resident := []int{10, 605, 900}
+	bad, resident := tamperStreamChunks()
+	badWindow := bad / streamWindowChunks
 	for _, rm := range realMACs {
 		for _, procs := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/P%d", rm.name, procs), func(t *testing.T) {
@@ -154,36 +179,41 @@ func TestStreamTamperMidStream(t *testing.T) {
 				rig, _ := newTamperRig(t, rm.mac, resident)
 				tamperChunkAt(t, rig, bad)
 				buf := sentinelBuf(tamperChunks)
-				want := sentinelBuf(tamperChunks)
-				copy(want, img[:bad*tamperChunk])
-				copy(want[605*tamperChunk:], img[605*tamperChunk:606*tamperChunk])
 				cyc, err := rig.shield.ReadStream(0, buf)
-				checkTamperOutcome(t, rig, bad, cyc, err, buf, want, refCyc, ref.shield.Report().Regions[0])
+				checkTamperOutcome(t, rig, bad, cyc, err, buf, tamperStreamWant(img, bad), refCyc, ref.shield.Report().Regions[0])
 			})
 		}
 	}
 }
 
-// tamperGatherRuns returns the runs of the first slots gather slots of a
-// pattern of three-chunk runs, one every five chunks: slot s carries
-// chunk s/3*5 + s%3. 600 slots (300 KiB) end at chunk 997.
+// tamperGatherChunk maps a gather slot of the tamper gathers to its chunk:
+// three-chunk runs, one every four chunks.
+func tamperGatherChunk(s int) int { return s/3*4 + s%3 }
+
+// tamperGatherRuns returns the runs of the first slots gather slots of
+// tamperGatherChunk's pattern. The chunks span about 4/3 of the slots, so
+// a batch and 600 slots fit in the two-batch region.
 func tamperGatherRuns(slots int) []axi.Burst {
 	var runs []axi.Burst
 	for s := 0; s < slots; s += 3 {
-		runs = append(runs, axi.Burst{Addr: uint64(s / 3 * 5 * tamperChunk), Len: min(3, slots-s) * tamperChunk})
+		runs = append(runs, axi.Burst{Addr: uint64(tamperGatherChunk(s) * tamperChunk), Len: min(3, slots-s) * tamperChunk})
 	}
 	return runs
 }
 
-// TestGatherTamperMidGather gathers 600 scattered chunks whose slot 405
-// (chunk 675, slot 5 of window 25) fails verification. Resident lines sit
-// in an earlier window (slot 20, chunk 32), in the bad window after the
-// bad slot (slot 410, chunk 682) and in a later window (slot 500, chunk
-// 832).
+// TestGatherTamperMidGather gathers a batch and 600 more scattered chunks
+// whose slot tamperBatch+405 (slot 5 of window 25 of the second batch)
+// fails verification, so the whole first batch is merged and charged
+// first. Resident lines sit in the first batch (slot 20), in the bad
+// window after the bad slot (tamperBatch+410) and in a later window
+// (tamperBatch+500).
 func TestGatherTamperMidGather(t *testing.T) {
-	const slots, badSlot = 600, 405
-	slotChunk := func(s int) int { return s/3*5 + s%3 }
-	resident := []int{slotChunk(20), slotChunk(410), slotChunk(500)}
+	slots, badSlot := tamperBatch+600, tamperBatch+405
+	residentSlots := []int{20, tamperBatch + 410, tamperBatch + 500}
+	var resident []int
+	for _, s := range residentSlots {
+		resident = append(resident, tamperGatherChunk(s))
+	}
 	badWindow := badSlot / streamWindowChunks
 	for _, rm := range realMACs {
 		for _, procs := range []int{1, 2, 4} {
@@ -198,30 +228,49 @@ func TestGatherTamperMidGather(t *testing.T) {
 				}
 
 				rig, _ := newTamperRig(t, rm.mac, resident)
-				tamperChunkAt(t, rig, slotChunk(badSlot))
+				tamperChunkAt(t, rig, tamperGatherChunk(badSlot))
 				buf := sentinelBuf(slots)
 				want := sentinelBuf(slots)
 				for s := 0; s < slots; s++ {
-					if s < badSlot || s == 410 {
-						c := slotChunk(s)
+					if s < badSlot || s == residentSlots[1] {
+						c := tamperGatherChunk(s)
 						copy(want[s*tamperChunk:], img[c*tamperChunk:(c+1)*tamperChunk])
 					}
 				}
 				cyc, err := rig.shield.ReadGather(tamperGatherRuns(slots), buf)
-				checkTamperOutcome(t, rig, slotChunk(badSlot), cyc, err, buf, want, refCyc, ref.shield.Report().Regions[0])
+				checkTamperOutcome(t, rig, tamperGatherChunk(badSlot), cyc, err, buf, want, refCyc, ref.shield.Report().Regions[0])
 			})
 		}
 	}
 }
 
-// TestStreamTamperTwoChunks adds a second bad chunk, 1000, to
-// TestStreamTamperMidStream's read. Chunks 600 and 1000 share a batch but
-// fall in different workers' ranges when the batch splits, so the lowest
-// failure, chunk 600, must still decide the error, the bytes and the
+// splitWorker returns the worker of a p-way parallel.Group split of n
+// units that runs unit j.
+func splitWorker(j, n, p int) int {
+	w := 0
+	for (w+1)*n/p <= j {
+		w++
+	}
+	return w
+}
+
+// TestStreamTamperTwoChunks adds a second bad chunk, tamperBatch+1600, to
+// TestStreamTamperMidStream's read. Both bad chunks sit in the second
+// batch but in different workers' ranges when it splits at 2 and 4 Ps, so
+// the lowest failure must still decide the error, the bytes and the
 // charges.
 func TestStreamTamperTwoChunks(t *testing.T) {
-	const bad, badWindow = 600, 600 / streamWindowChunks
-	resident := []int{10, 605, 900}
+	bad, resident := tamperStreamChunks()
+	bad2 := tamperBatch + 1600
+	badWindow := bad / streamWindowChunks
+	// The second batch opens every slot but its two resident lines, which
+	// both sit before bad2.
+	opened := tamperBatch - 2
+	for _, p := range []int{2, 4} {
+		if w1, w2 := splitWorker(bad-tamperBatch, opened, p), splitWorker(bad2-tamperBatch-2, opened, p); w1 == w2 {
+			t.Fatalf("at %d Ps both bad chunks open in worker %d", p, w1)
+		}
+	}
 	for _, rm := range realMACs {
 		for _, procs := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/P%d", rm.name, procs), func(t *testing.T) {
@@ -235,13 +284,10 @@ func TestStreamTamperTwoChunks(t *testing.T) {
 
 				rig, _ := newTamperRig(t, rm.mac, resident)
 				tamperChunkAt(t, rig, bad)
-				tamperChunkAt(t, rig, 1000)
+				tamperChunkAt(t, rig, bad2)
 				buf := sentinelBuf(tamperChunks)
-				want := sentinelBuf(tamperChunks)
-				copy(want, img[:bad*tamperChunk])
-				copy(want[605*tamperChunk:], img[605*tamperChunk:606*tamperChunk])
 				cyc, err := rig.shield.ReadStream(0, buf)
-				checkTamperOutcome(t, rig, bad, cyc, err, buf, want, refCyc, ref.shield.Report().Regions[0])
+				checkTamperOutcome(t, rig, bad, cyc, err, buf, tamperStreamWant(img, bad), refCyc, ref.shield.Report().Regions[0])
 			})
 		}
 	}

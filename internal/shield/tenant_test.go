@@ -88,6 +88,55 @@ func TestCreateDestroyRegion(t *testing.T) {
 	}
 }
 
+// TestRetireRegionKeepsStats: a retired region keeps its RegionStats row
+// in Report until its next set takes the stats over and counts on from
+// them; ResetStats zeroes the kept row, and DestroyRegion drops it.
+func TestRetireRegionKeepsStats(t *testing.T) {
+	rig := newRig(t, simpleConfig())
+	sh := rig.shield
+	row := func(name string) (RegionStats, bool) {
+		for _, rs := range sh.Report().Regions {
+			if rs.Name == name {
+				return rs, true
+			}
+		}
+		return RegionStats{}, false
+	}
+	if _, err := sh.WriteBurst(0, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := row("data")
+	if err := sh.RetireRegion("data"); err != nil {
+		t.Fatal(err)
+	}
+	if kept, ok := row("data"); !ok || kept != before {
+		t.Fatalf("retired region's row %+v (listed %t), want %+v", kept, ok, before)
+	}
+	if regions := sh.Report().Regions; len(regions) != 2 || regions[0].Name != "data" {
+		t.Fatalf("rows %+v, want data then stream", regions)
+	}
+	if _, err := sh.ReadBurst(0, make([]byte, 512)); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := row("data"); after.BusyCycles <= before.BusyCycles || after.Misses <= before.Misses {
+		t.Fatalf("rebuilt set's row %+v does not count on from %+v", after, before)
+	}
+
+	if err := sh.RetireRegion("data"); err != nil {
+		t.Fatal(err)
+	}
+	sh.ResetStats()
+	if kept, ok := row("data"); !ok || kept != (RegionStats{Name: "data"}) {
+		t.Fatalf("kept row after ResetStats: %+v (listed %t), want zeroed", kept, ok)
+	}
+	if err := sh.DestroyRegion("", "data"); err != nil {
+		t.Fatal(err)
+	}
+	if rs, ok := row("data"); ok {
+		t.Fatalf("destroyed region still reported: %+v", rs)
+	}
+}
+
 func TestTenantErrorTextAttributable(t *testing.T) {
 	rig := newRig(t, simpleConfig())
 	err := rig.shield.FlushRegion("nope")
