@@ -189,7 +189,6 @@ type floorGate struct {
 var floorGates = []floorGate{
 	{"real-cluster-scale-x", 2.0, "real cluster throughput no longer scales with shards"},
 	{"real-degraded-retain-x", 0.25, "single-node-failure throughput collapsed — degraded mode is not serving"},
-	{"real-tenant-fairness-x", 0.25, "a noisy neighbour starves well-behaved tenants — fair admission is not protecting victims"},
 }
 
 // ceilingGate is one absolute metric ceiling: the lower-is-better dual

@@ -185,23 +185,15 @@ func TestCheckRealFamilyBudget(t *testing.T) {
 }
 
 func TestCheckFloors(t *testing.T) {
-	// Healthy scaling, degraded retention, and tenant fairness pass and
-	// are reported.
+	// Healthy scaling and degraded retention pass and are reported.
 	pr := &BenchDoc{Benchmarks: []BenchEntry{
 		{Name: "BenchmarkClusterThroughput", Metrics: map[string]float64{"real-cluster-scale-x": 5.4}},
 		{Name: "BenchmarkClusterDegraded", Metrics: map[string]float64{"real-degraded-retain-x": 0.8}},
-		{Name: "BenchmarkTenantFairness", Metrics: map[string]float64{"real-tenant-fairness-x": 0.7}},
 	}}
 	regs, report := checkFloors(pr)
-	if len(regs) != 0 || len(report) != 3 {
+	if len(regs) != 0 || len(report) != 2 {
 		t.Fatalf("healthy floors: regs=%v report=%v", regs, report)
 	}
-	// A starved victim fails the fairness floor absolutely.
-	pr.Benchmarks[2].Metrics["real-tenant-fairness-x"] = 0.1
-	if regs, _ := checkFloors(pr); len(regs) != 1 || !strings.Contains(regs[0], "real-tenant-fairness-x") {
-		t.Fatalf("starved victim not flagged: %v", regs)
-	}
-	pr.Benchmarks[2].Metrics["real-tenant-fairness-x"] = 0.7
 	// Flat scaling fails absolutely, baseline or not.
 	pr.Benchmarks[0].Metrics["real-cluster-scale-x"] = 1.3
 	if regs, _ := checkFloors(pr); len(regs) != 1 || !strings.Contains(regs[0], "floor") {

@@ -41,9 +41,6 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 0, "admission control: max concurrent owner sessions (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "admission control: connections allowed to wait for a session slot before shedding")
 	retryAfter := flag.Duration("retry-after", 100*time.Millisecond, "backoff hint sent with shed (busy) responses")
-	maxTenants := flag.Int("max-tenants", 0, "multi-tenant: max distinct tenants holding protection zones (0 = unlimited)")
-	tenantQuota := flag.Uint64("tenant-quota", 0, "multi-tenant: per-tenant zone byte budget (0 = unlimited)")
-	tenantFair := flag.Bool("tenant-fair", false, "multi-tenant: fair-share admission under overload")
 	flag.Parse()
 
 	v, err := accel.ParseVariant(*variant)
@@ -64,21 +61,14 @@ func main() {
 		log.Fatalf("shefd: %v", err)
 	}
 	cfg := hostapp.ServerConfig{
-		MaxSessions:      *maxSessions,
-		MaxQueue:         *maxQueue,
-		RetryAfter:       *retryAfter,
-		MaxTenants:       *maxTenants,
-		TenantQuotaBytes: *tenantQuota,
-		TenantFair:       *tenantFair,
+		MaxSessions: *maxSessions,
+		MaxQueue:    *maxQueue,
+		RetryAfter:  *retryAfter,
 	}
 	srv := hostapp.NewVendorServerWith(vendor, ln, cfg)
 	fmt.Printf("shefd: serving product %q on %s\n", product, srv.Addr())
 	if *maxSessions > 0 {
 		fmt.Printf("shefd: admission control: %d session(s), queue %d, retry-after %s\n", *maxSessions, *maxQueue, *retryAfter)
-	}
-	if srv.Tenants() != nil {
-		fmt.Printf("shefd: multi-tenant: max %s tenant(s), quota %s byte(s)/tenant, fair admission %v\n",
-			unlimited(*maxTenants), unlimited(int(*tenantQuota)), *tenantFair)
 	}
 	fmt.Printf("shefd: designs available in this build: %v\n", accel.Designs())
 
@@ -114,18 +104,6 @@ func main() {
 	}
 	st := srv.Stats()
 	fmt.Printf("shefd: served %d session(s), %d failed, %d shed\n", st.Served, st.Failed, st.Shed)
-	for _, ts := range st.Tenants {
-		fmt.Printf("shefd:   tenant %q: served %d, shed %d, %d zone(s) holding %d byte(s)\n",
-			ts.Tenant, ts.Served, ts.Shed, ts.Zones, ts.ZoneBytes)
-	}
-}
-
-// unlimited renders a 0-means-unlimited bound for the startup banner.
-func unlimited(n int) string {
-	if n == 0 {
-		return "unlimited"
-	}
-	return fmt.Sprintf("%d", n)
 }
 
 // startDebug stands up the opt-in observability listener. An empty addr —
@@ -135,13 +113,9 @@ func startDebug(addr string, srv *hostapp.VendorServer) (*hostapp.DebugServer, e
 		return nil, nil
 	}
 	return hostapp.NewDebugServer(addr, func() any {
-		stats := map[string]any{
+		return map[string]any{
 			"server":   srv.Stats(),
 			"sessions": srv.Sessions(),
 		}
-		if reg := srv.Tenants(); reg != nil {
-			stats["tenants"] = reg.Stats()
-		}
-		return stats
 	})
 }

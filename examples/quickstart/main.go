@@ -69,8 +69,7 @@ func main() {
 	// The regions above came from the design's static manifest, but the
 	// Shield's region model is dynamic underneath: tenants can carve
 	// protection zones at runtime with
-	// platform.Shield.CreateRegion / DestroyRegion (destroy is erasure),
-	// and `shefd -max-tenants/-tenant-quota/-tenant-fair` serves the same
-	// lifecycle over the wire. See DESIGN.md §11 and
-	// examples/secure_storage for the tenant-zone storage node.
+	// platform.Shield.CreateRegion / DestroyRegion (destroy is erasure).
+	// See DESIGN.md §11 and examples/secure_storage for the tenant-zone
+	// storage node.
 }

@@ -50,9 +50,6 @@ var lockRanks = map[string]int{
 	// hostapp: the server session table above the CA registry (attest
 	// package).
 	"hostapp.VendorServer.mu": 10,
-	// The tenant registry is self-contained: the server calls it with no
-	// lock held, and registry methods never call back out.
-	"hostapp.TenantRegistry.mu": 30,
 	// faultinject: plan counters are a leaf.
 	"faultinject.Plan.mu": 50,
 	// fixtures (testdata models of the real hierarchy)

@@ -75,7 +75,7 @@ func buildWorld() (*world, error) {
 	return &world{pd: pd, kernel: kernel, vendor: vendor, enc: enc, bitKey: bitKey, shieldKey: shieldKey}, nil
 }
 
-func getWorld(t *testing.T) *world {
+func getWorld(t testing.TB) *world {
 	t.Helper()
 	worldOnce.Do(func() { theWorld, worldErr = buildWorld() })
 	if worldErr != nil {

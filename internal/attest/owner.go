@@ -34,33 +34,13 @@ const (
 	// In production the Manufacturer does this through a certificate
 	// authority; the demo CLI exercises the same data flow directly.
 	KindRegister = "register"
-	// KindZoneCreate asks the serving tier to carve a protection zone for
-	// the requesting tenant (quota permitting); KindZoneDestroy tears the
-	// tenant's zone down and releases its budget.
-	KindZoneCreate  = "zone-create"
-	KindZoneDestroy = "zone-destroy"
 )
-
-// ZoneHandler is the serving tier's tenant-lifecycle hook: zone-create
-// and zone-destroy requests land here. Implementations enforce tenant
-// quotas and return typed errors for over-budget requests.
-type ZoneHandler interface {
-	CreateZone(tenant string, bytes uint64) error
-	DestroyZone(tenant string) error
-}
 
 // OwnerRequest is Data Owner → IP Vendor over the TLS channel of Figure 3
 // step 1.
 type OwnerRequest struct {
 	Kind    string `json:"kind"`
 	Product string `json:"product"`
-	// Tenant identifies the requesting tenant for multi-tenant serving:
-	// zone lifecycle requests require it, and the server's fair-share
-	// admission sheds per tenant when it is present. Empty is the legacy
-	// single-tenant client.
-	Tenant string `json:"tenant,omitempty"`
-	// ZoneBytes is the requested zone footprint (KindZoneCreate).
-	ZoneBytes uint64 `json:"zone_bytes,omitempty"`
 	// Registration payload (KindRegister).
 	DeviceSerial string `json:"device_serial,omitempty"`
 	DeviceKeyN   []byte `json:"device_key_n,omitempty"`
@@ -131,45 +111,9 @@ func busyError(resp *OwnerResponse) error {
 // response — exactly the paper's topology, where all kernel traffic
 // crosses the untrusted host CPU.
 func (v *Vendor) HandleOwner(ownerConn io.ReadWriter) error {
-	req, err := ReadOwnerRequest(ownerConn)
-	if err != nil {
-		return err
-	}
-	return v.HandleOwnerRequest(ownerConn, req)
-}
-
-// ReadOwnerRequest reads the one request a Data Owner connection opens
-// with. Multi-tenant servers read it before admission so the fair gate
-// knows which tenant is asking.
-func ReadOwnerRequest(r io.Reader) (*OwnerRequest, error) {
 	var req OwnerRequest
-	if err := readMsg(r, &req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// HandleOwnerRequest dispatches an already-read owner request on conn
-// (the second half of HandleOwner).
-func (v *Vendor) HandleOwnerRequest(ownerConn io.ReadWriter, req *OwnerRequest) error {
-	switch req.Kind {
-	case KindZoneCreate, KindZoneDestroy:
-		if v.Zones == nil {
-			return writeMsg(ownerConn, OwnerResponse{OK: false, Error: "vendor has no zone manager"})
-		}
-		if req.Tenant == "" {
-			return writeMsg(ownerConn, OwnerResponse{OK: false, Error: "zone request needs a tenant"})
-		}
-		var err error
-		if req.Kind == KindZoneCreate {
-			err = v.Zones.CreateZone(req.Tenant, req.ZoneBytes)
-		} else {
-			err = v.Zones.DestroyZone(req.Tenant)
-		}
-		if err != nil {
-			return writeMsg(ownerConn, OwnerResponse{OK: false, Error: err.Error()})
-		}
-		return writeMsg(ownerConn, OwnerResponse{OK: true})
+	if err := readMsg(ownerConn, &req); err != nil {
+		return err
 	}
 	switch req.Kind {
 	case KindRegister:
@@ -283,35 +227,6 @@ func FetchBitstream(vendorConn io.ReadWriter, product string) (*bitstream.Encryp
 		return nil, fmt.Errorf("attest: fetch returned no bitstream")
 	}
 	return resp.Bitstream, nil
-}
-
-// CreateZone asks the vendor's serving tier to carve a protection zone
-// of the given byte footprint for tenant. Quota rejections come back as
-// protocol errors with the server's typed error text.
-func CreateZone(vendorConn io.ReadWriter, tenant string, bytes uint64) error {
-	return zoneRequest(vendorConn, OwnerRequest{Kind: KindZoneCreate, Tenant: tenant, ZoneBytes: bytes})
-}
-
-// DestroyZone tears down tenant's zone and releases its budget.
-func DestroyZone(vendorConn io.ReadWriter, tenant string) error {
-	return zoneRequest(vendorConn, OwnerRequest{Kind: KindZoneDestroy, Tenant: tenant})
-}
-
-func zoneRequest(vendorConn io.ReadWriter, req OwnerRequest) error {
-	if err := sendRequest(vendorConn, req); err != nil {
-		return err
-	}
-	var resp OwnerResponse
-	if err := readMsg(vendorConn, &resp); err != nil {
-		return err
-	}
-	if err := busyError(&resp); err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("attest: %s refused: %s", req.Kind, resp.Error)
-	}
-	return nil
 }
 
 // RegisterDevice records a device public key with the vendor's CA view

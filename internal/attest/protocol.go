@@ -89,10 +89,6 @@ type Vendor struct {
 	KernelAllowlist [][sha256.Size]byte
 	// Bitstreams maps product names to their distribution records.
 	Bitstreams map[string]*Product
-	// Zones handles tenant zone lifecycle requests (nil refuses them).
-	// The serving tier (hostapp.TenantRegistry) installs itself here so
-	// zone-create/zone-destroy RPCs share the owner channel.
-	Zones ZoneHandler
 }
 
 // Product is one accelerator offering: the encrypted bitstream as

@@ -2,9 +2,12 @@ package attest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"math/big"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -31,6 +34,31 @@ func TestWireRejectsTruncatedBody(t *testing.T) {
 	var v challenge
 	if err := readMsg(&buf, &v); err == nil {
 		t.Fatal("truncated message accepted")
+	}
+}
+
+// TestReadMsgAllocTracksReceivedBytes: a header declaring a 1 MiB body,
+// then 10 bytes and EOF, must not make readMsg allocate the declared
+// length. The smallest of three runs is taken, so an unrelated
+// allocation elsewhere in the process cannot fail the test.
+func TestReadMsgAllocTracksReceivedBytes(t *testing.T) {
+	msg := make([]byte, 4+10)
+	binary.BigEndian.PutUint32(msg, maxMsgBytes)
+	grew := uint64(math.MaxUint64)
+	for range 3 {
+		r := bytes.NewReader(msg)
+		var v challenge
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := readMsg(r, &v)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("truncated 1 MiB message accepted")
+		}
+		grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+	}
+	if grew >= 128<<10 {
+		t.Fatalf("readMsg allocated %d bytes for 10 received; want < 128 KiB", grew)
 	}
 }
 

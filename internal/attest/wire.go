@@ -17,11 +17,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // maxMsgBytes bounds a single protocol message (defence against a
-// malicious peer streaming garbage).
-const maxMsgBytes = 1 << 20
+// malicious peer streaming garbage). readChunk is the most readMsg holds
+// for a body before that many bytes of it have arrived.
+const (
+	maxMsgBytes = 1 << 20
+	readChunk   = 64 << 10
+)
 
 // writeMsg sends v as length-prefixed JSON.
 func writeMsg(w io.Writer, v any) error {
@@ -41,19 +46,32 @@ func writeMsg(w io.Writer, v any) error {
 	return err
 }
 
-// readMsg receives a length-prefixed JSON message into v.
+// readMsg receives a length-prefixed JSON message into v. The body
+// buffer starts at readChunk and doubles only once it is full, so memory
+// tracks the bytes the peer actually sent: a header declaring 1 MiB and
+// then stalling pins readChunk, not 1 MiB.
 func readMsg(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxMsgBytes {
 		return fmt.Errorf("attest: message of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
+	body := make([]byte, 0, min(n, readChunk))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), len(body)))
+		}
+		got, err := io.ReadFull(r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+got]
+		if err == io.EOF && len(body) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("attest: decoding message: %w", err)

@@ -2,7 +2,7 @@ package hostapp
 
 // The shefd debug/observability listener: live net/http/pprof endpoints
 // (CPU, heap, mutex, block, goroutine profiles on demand) plus a JSON
-// stats endpoint for per-tenant/per-shard serving state. Strictly opt-in:
+// stats endpoint for the serving counters and live sessions. Strictly opt-in:
 // nothing listens unless the operator passes `shefd -debug addr`, and the
 // debug mux is its own — the profile handlers are registered explicitly,
 // never on http.DefaultServeMux, so importing this package does not leak

@@ -26,9 +26,6 @@ import (
 type OwnerSession struct {
 	ID     uint64
 	Remote string
-	// Tenant is the requesting tenant (empty for legacy single-tenant
-	// clients or servers without tenant admission).
-	Tenant string
 
 	conn net.Conn
 }
@@ -44,22 +41,6 @@ type ServerConfig struct {
 	MaxQueue int
 	// RetryAfter is the backoff hint sent with a shed; default 100ms.
 	RetryAfter time.Duration
-	// MaxTenants caps how many distinct tenants may hold zones (0 =
-	// unlimited). Setting it (or TenantQuotaBytes, or TenantFair) makes
-	// the server tenant-aware: requests are read before admission so the
-	// gate knows who is asking, zone RPCs are served, and overload sheds
-	// per tenant instead of globally.
-	MaxTenants int
-	// TenantQuotaBytes caps each tenant's zone footprint (0 = unlimited).
-	TenantQuotaBytes uint64
-	// TenantFair enables fair-share admission even with no tenant
-	// caps configured.
-	TenantFair bool
-}
-
-// tenantAware reports whether any multi-tenant feature is configured.
-func (c ServerConfig) tenantAware() bool {
-	return c.MaxTenants > 0 || c.TenantQuotaBytes > 0 || c.TenantFair
 }
 
 // VendorServer multiplexes Data Owner sessions over one attestation
@@ -89,11 +70,6 @@ type VendorServer struct {
 	slots  chan struct{}
 	queued atomic.Int64
 
-	// registry is the tenant table (nil for tenant-oblivious servers):
-	// zone quotas, live per-tenant session counts for the fair gate, and
-	// per-tenant counters.
-	registry *TenantRegistry
-
 	wg     sync.WaitGroup
 	served atomic.Uint64
 	failed atomic.Uint64
@@ -116,17 +92,8 @@ func NewVendorServerWith(vendor *attest.Vendor, ln net.Listener, cfg ServerConfi
 	if cfg.MaxSessions > 0 {
 		s.slots = make(chan struct{}, cfg.MaxSessions)
 	}
-	if cfg.tenantAware() {
-		s.registry = NewTenantRegistry(cfg.MaxTenants, cfg.TenantQuotaBytes)
-		if vendor.Zones == nil {
-			vendor.Zones = s.registry
-		}
-	}
 	return s
 }
-
-// Tenants exposes the tenant registry (nil for tenant-oblivious servers).
-func (s *VendorServer) Tenants() *TenantRegistry { return s.registry }
 
 // Addr reports the listen address.
 func (s *VendorServer) Addr() net.Addr { return s.ln.Addr() }
@@ -171,32 +138,16 @@ func (s *VendorServer) track() bool {
 }
 
 // serveConn runs one connection through admission and, if admitted, the
-// owner protocol. Tenant-aware servers read the request up front — the
-// fair gate needs to know which tenant is asking before it decides who
-// overload falls on.
+// owner protocol. The request is read only once a slot is held, so a
+// peer that stalls mid-request occupies a slot, not memory outside
+// admission.
 func (s *VendorServer) serveConn(conn net.Conn, onError func(error)) {
 	defer s.wg.Done()
-	var req *attest.OwnerRequest
-	tenant := ""
-	if s.registry != nil {
-		var rerr error
-		req, rerr = attest.ReadOwnerRequest(conn)
-		if rerr != nil {
-			s.failed.Add(1)
-			conn.Close()
-			return
-		}
-		tenant = req.Tenant
-	}
-	if !s.acquireSlot(conn, tenant) {
+	if !s.acquireSlot(conn) {
 		return
 	}
-	if s.registry != nil {
-		s.registry.SessionStart(tenant)
-		defer s.registry.SessionEnd(tenant)
-	}
 	defer s.releaseSlot()
-	sess, ok := s.admit(conn, tenant)
+	sess, ok := s.admit(conn)
 	if !ok {
 		conn.Close()
 		return
@@ -213,11 +164,7 @@ func (s *VendorServer) serveConn(conn net.Conn, onError func(error)) {
 		if faultinject.Enabled() {
 			rw = faultinject.WrapRW(conn, "attest.conn", int(sess.ID))
 		}
-		if req != nil {
-			err = s.vendor.HandleOwnerRequest(rw, req)
-		} else {
-			err = s.vendor.HandleOwner(rw)
-		}
+		err = s.vendor.HandleOwner(rw)
 	}
 	if profiling.Enabled() {
 		profiling.Do(context.Background(), func() {
@@ -233,9 +180,6 @@ func (s *VendorServer) serveConn(conn net.Conn, onError func(error)) {
 		}
 		return
 	}
-	if s.registry != nil {
-		s.registry.RecordServed(tenant)
-	}
 	s.served.Add(1)
 }
 
@@ -244,13 +188,7 @@ func (s *VendorServer) serveConn(conn net.Conn, onError func(error)) {
 // past the queue bound it is shed: the server writes the busy response
 // with the retry-after hint and closes (shedConn). A queued connection
 // aborts if shutdown begins. Reports whether a slot was acquired.
-//
-// Tenant-aware servers add a fair-share pre-gate: when the server is
-// saturated, a tenant already at its fair share is shed immediately —
-// before it can occupy queue space — so overload falls on whoever is
-// hogging, not on every tenant equally. The gate is work-conserving: a
-// free slot admits anyone.
-func (s *VendorServer) acquireSlot(conn net.Conn, tenant string) bool {
+func (s *VendorServer) acquireSlot(conn net.Conn) bool {
 	if s.slots == nil {
 		return true
 	}
@@ -259,18 +197,9 @@ func (s *VendorServer) acquireSlot(conn net.Conn, tenant string) bool {
 		return true
 	default:
 	}
-	if s.registry != nil && s.registry.OverFairShare(tenant, s.cfg.MaxSessions) {
-		s.registry.RecordShed(tenant)
-		s.shed.Add(1)
-		s.shedConn(conn)
-		return false
-	}
 	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
 		s.shed.Add(1)
-		if s.registry != nil {
-			s.registry.RecordShed(tenant)
-		}
 		s.shedConn(conn)
 		return false
 	}
@@ -321,14 +250,14 @@ func (s *VendorServer) releaseSlot() {
 }
 
 // admit registers a new session unless the server is shutting down.
-func (s *VendorServer) admit(conn net.Conn, tenant string) (*OwnerSession, bool) {
+func (s *VendorServer) admit(conn net.Conn) (*OwnerSession, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, false
 	}
 	s.nextID++
-	sess := &OwnerSession{ID: s.nextID, Remote: conn.RemoteAddr().String(), Tenant: tenant, conn: conn}
+	sess := &OwnerSession{ID: s.nextID, Remote: conn.RemoteAddr().String(), conn: conn}
 	s.sessions[sess.ID] = sess
 	return sess, true
 }
@@ -396,9 +325,6 @@ type ServerStats struct {
 	// MaxSessions echoes the configured bound (0 = unlimited) so a stats
 	// consumer can tell "quiet" from "unbounded".
 	MaxSessions int
-	// Tenants is the per-tenant breakdown (nil for tenant-oblivious
-	// servers): zones, quota usage, served/shed counts, fairness weight.
-	Tenants []TenantStats
 }
 
 // Stats snapshots session counters.
@@ -406,7 +332,7 @@ func (s *VendorServer) Stats() ServerStats {
 	s.mu.Lock()
 	active := uint64(len(s.sessions))
 	s.mu.Unlock()
-	st := ServerStats{
+	return ServerStats{
 		Active:      active,
 		Queued:      uint64(s.queued.Load()),
 		Served:      s.served.Load(),
@@ -414,27 +340,22 @@ func (s *VendorServer) Stats() ServerStats {
 		Shed:        s.shed.Load(),
 		MaxSessions: s.cfg.MaxSessions,
 	}
-	if s.registry != nil {
-		st.Tenants = s.registry.Stats()
-	}
-	return st
 }
 
 // SessionInfo is one live session as the debug stats endpoint reports it.
 type SessionInfo struct {
 	ID     uint64 `json:"id"`
 	Remote string `json:"remote"`
-	Tenant string `json:"tenant,omitempty"`
 }
 
-// Sessions snapshots the live sessions (the per-tenant rows of the
-// -debug stats endpoint), sorted by admission order via their IDs.
+// Sessions snapshots the live sessions (the session rows of the -debug
+// stats endpoint), sorted by admission order via their IDs.
 func (s *VendorServer) Sessions() []SessionInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]SessionInfo, 0, len(s.sessions))
 	for _, sess := range s.sessions {
-		out = append(out, SessionInfo{ID: sess.ID, Remote: sess.Remote, Tenant: sess.Tenant})
+		out = append(out, SessionInfo{ID: sess.ID, Remote: sess.Remote})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
