@@ -134,7 +134,8 @@ func (c *Conv) Run(ctx *Ctx) error {
 	inRow := make([]byte, c.W*c.Cin*4)
 	outTotal := c.outBytes()
 	outPart := c.partSize(outTotal, convOutSets)
-	outRow := make([]byte, c.W*c.Cout*4)
+	rowBytes := c.W * c.Cout * 4
+	outImg := make([]byte, c.H*rowBytes)
 	// Sliding window of decoded input rows for the current image.
 	rows := make([][]uint32, c.H)
 
@@ -148,25 +149,26 @@ func (c *Conv) Run(ctx *Ctx) error {
 			}
 			rows[y] = decodeWords(rows[y], inRow)
 		}
-		// Compute and stream each output row. The row's pixels are split
-		// across Ps; each worker accumulates into its own array, which
-		// makes the innermost loop run contiguously over the weight layout,
-		// and encodes only its own pixels into outRow.
-		for y := 0; y < c.H; y++ {
-			parallel.For(c.W, func(lo, hi int) {
-				acc := make([]uint32, c.Cout)
-				for x := lo; x < hi; x++ {
-					c.pixel(acc, rows, w32, y, x)
-					o := outRow[x*c.Cout*4 : (x+1)*c.Cout*4]
-					for co, v := range acc {
-						binary.LittleEndian.PutUint32(o[4*co:4*co+4], v)
-					}
+		// Compute the image's output pixels in one split across Ps, then
+		// stream the output rows in order. Each worker accumulates into
+		// its own array, which makes the innermost loop run contiguously
+		// over the weight layout, and encodes only its own pixels into
+		// outImg.
+		parallel.For(c.H*c.W, func(lo, hi int) {
+			acc := make([]uint32, c.Cout)
+			for p := lo; p < hi; p++ {
+				c.pixel(acc, rows, w32, p/c.W, p%c.W)
+				o := outImg[p*c.Cout*4 : (p+1)*c.Cout*4]
+				for co, v := range acc {
+					binary.LittleEndian.PutUint32(o[4*co:4*co+4], v)
 				}
-			})
+			}
+		})
+		for y := 0; y < c.H; y++ {
 			// MACs for this row: W * Cout * K² * Cin.
 			ctx.Compute(uint64(c.W*c.Cout*c.K*c.K*c.Cin) / uint64(c.Lanes))
 			off := ((b*c.H + y) * c.W * c.Cout) * 4
-			if err := spanParts(convOutBase, outPart, off, outRow, ctx.WriteStream); err != nil {
+			if err := spanParts(convOutBase, outPart, off, outImg[y*rowBytes:(y+1)*rowBytes], ctx.WriteStream); err != nil {
 				return err
 			}
 		}

@@ -34,7 +34,7 @@ import (
 // Version identifies the invariant suite; it is recorded in benchtab's
 // JSON header so bench artifacts say which suite validated the run, and
 // printed by `shefvet -list`. Bump it whenever an analyzer's verdict on unchanged source can change.
-const Version = "shefvet-1.3.0"
+const Version = "shefvet-1.4.0"
 
 // An Analyzer is one named invariant check over a type-checked package.
 type Analyzer struct {

@@ -40,11 +40,15 @@ var lockRanks = map[string]int{
 	"shield.engineSet.mu":    30,
 	"shield.RegisterFile.mu": 40,
 	// sdp: controller key DB and the cluster's striped per-file write
-	// locks are outermost; then the witness registry, then node state,
-	// with the per-shard health FSM as the leaf.
+	// locks are outermost; then the witness registry; then a node's own
+	// session, its per-file stripes, its tls stage and its short state
+	// lock, with the per-shard health FSM as the leaf.
 	"sdp.Controller.mu":     10,
 	"sdp.Cluster.fileLocks": 20,
 	"sdp.Cluster.regMu":     30,
+	"sdp.Node.sessMu":       36,
+	"sdp.Node.fileLocks":    37,
+	"sdp.Node.tlsMu":        38,
 	"sdp.Node.mu":           40,
 	"sdp.healthFSM.mu":      50,
 	// hostapp: the server session table above the CA registry (attest

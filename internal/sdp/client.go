@@ -12,9 +12,9 @@ import (
 // region: a persistent region sealer plus staging buffers, built once
 // per session instead of per message. It moves the client half of the
 // TLS path — sealing requests, opening responses — onto the client's
-// own goroutine, so the node's serialised section carries only node
-// work (the paper's trust split: the Data Owner's endpoint is not part
-// of the Storage Node).
+// own goroutine, so the node's stages carry only node work (the paper's
+// trust split: the Data Owner's endpoint is not part of the Storage
+// Node).
 //
 // A TLSSession is not safe for concurrent use; hold one per goroutine.
 type TLSSession struct {

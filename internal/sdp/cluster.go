@@ -206,8 +206,8 @@ type shardSlot struct {
 
 // Cluster is a fleet of Storage Nodes behind one Controller Node. Clients
 // (NewClient) route Put/Get by hashed file name; operations against
-// different shards run in parallel (each node serialises internally),
-// which is where the "millions of users" aggregate throughput comes from. With Replicas > 1
+// different shards run in parallel (each node pipelines its tls and
+// store stages internally), which is where the "millions of users" aggregate throughput comes from. With Replicas > 1
 // the cluster is self-healing: reads fall back across a file's replica
 // set, writes acknowledge at a majority quorum, and Sync repairs
 // divergence.

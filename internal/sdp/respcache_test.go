@@ -165,3 +165,36 @@ func TestRespCacheByteBudgetEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestRespCacheChurnAllocatesNothing: a miss on a full cache copies its
+// image into the buffers of the entry it evicts, so Gets that cycle three
+// files through a two-entry cache, every one a miss, allocate nothing.
+func TestRespCacheChurnAllocatesNothing(t *testing.T) {
+	n := newCacheNode(t, 2*respImage)
+	names := []string{"a", "b", "c"}
+	for _, name := range names {
+		if err := n.Put("alice", name, bytes.Repeat([]byte(name), 3000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess := newNodeSession(t, n)
+	ct, tags := sess.Buffers()
+	i := 0
+	get := func() {
+		if _, err := n.GetSealed("alice", names[i%len(names)], ct, tags); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range names {
+		get()
+	}
+	_, before, _ := n.RespCacheStats()
+	allocs := testing.AllocsPerRun(30, get)
+	if h, m, _ := n.RespCacheStats(); h != 0 || m == before {
+		t.Fatalf("hits/misses = %d/%d, want every Get a miss", h, m)
+	}
+	if allocs != 0 {
+		t.Fatalf("a Get that evicts a cached image allocates %.1f times, want 0", allocs)
+	}
+}

@@ -130,10 +130,24 @@ const (
 // live encrypted in the store region; application traffic stages through
 // the tls region.
 //
-// A Node is safe for concurrent use, but serialises its operations: the
-// node has a single TLS staging region and a single directory, so requests
-// against one node queue the way they would on one physical Storage Node's
-// network port. Cluster spreads load over many nodes for real parallelism.
+// A Node is safe for concurrent use and pipelines requests the way the
+// hardware does: its tls engine set (the network endpoint) and its store
+// engine set are separate pipelines, so one request's store stage
+// overlaps another's tls stage. A request passes through:
+//   - the tls stage, one request at a time (tlsMu), because the tls
+//     region is the node's single staging area in device memory: a Put's
+//     DMA in and tls read, a Get's tls write and DMA out;
+//   - the store stage: the per-user CTR layer on the request's own
+//     scratch, then the store engine set or ORAM and the store flush,
+//     serialised only by the engine set's and the ORAM's own locks;
+//   - short sections under mu for the directory, slots, user keys,
+//     staging scratch and the response cache.
+//
+// Per-file order comes from a stripe of fileLocks: a Put holds its
+// file's stripe for its whole body, and a Get holds it shared from the
+// directory lookup until its bytes are out of the store, so a size and
+// its bytes always come from the same Put. Cluster spreads load over
+// many nodes.
 type Node struct {
 	cfg    NodeConfig
 	sh     *shield.Shield
@@ -144,25 +158,35 @@ type Node struct {
 
 	tlsLayout shield.RegionLayout
 
+	// sessMu serialises Put and Get, which seal and open on tls, the node's
+	// own Data Owner endpoint (the same TLSSession a Client holds).
+	sessMu sync.Mutex
+	tls    *TLSSession
+
+	fileLocks [nodeStripes]sync.RWMutex
+	tlsMu     sync.Mutex
+
 	mu        sync.Mutex
 	userKeys  map[string][]byte
 	directory map[string]fileEntry
-	nextSlot  int
+	slots     slotAlloc
 
 	// Tenant-zone state (TenantZones mode): live per-user zones and the
 	// free-list of zone base addresses in the store arena.
 	zones     map[string]*tenantZone
 	freeZones []uint64
 
-	// Serving-path state, all under mu. tls is the Data Owner endpoint
-	// Put and Get run in process: the same TLSSession a Client holds, so
-	// PutSealed and GetSealed are the only node bodies. stageBuf grows to
-	// the largest payload seen and is reused per operation, so the
+	// gen numbers cache-relevant events: each Put's start stamps its file
+	// entry with a new gen, and clearing the response cache records one in
+	// clearedGen. A Get notes gen when it reads the directory and caches
+	// its response only if neither happened since (respInsert).
+	gen, clearedGen uint64
+
+	// stages is the free list of request scratch. Each in-flight request
+	// holds its own, grown to the largest payload seen, so the
 	// steady-state serving loop allocates only the bytes it returns.
-	tls         *TLSSession
-	stageBuf    []byte
+	stages      []*stage
 	userCiphers map[string]*userCipher
-	ctr         aesx.CTRStream
 
 	// Sealed-response cache (nil unless cfg.ResponseCacheBytes > 0),
 	// LRU-evicted to stay within its on-chip byte budget. respCycles is
@@ -175,12 +199,24 @@ type Node struct {
 	respCycles         uint64
 }
 
+// nodeStripes is the number of per-file lock stripes in a Node. It is
+// prime, so a node's stripe is independent of the shard a file routes to
+// (fnv1a % shards).
+const nodeStripes = 31
+
 // respEntry is one cached sealed response: the file's tls image as the
 // Data Owner receives it, plus an LRU stamp.
 type respEntry struct {
 	size     int
 	ct, tags []byte
 	last     uint64
+}
+
+// stage is one in-flight request's scratch: the plaintext staging buffer
+// and the CTR scratch of the per-user layer.
+type stage struct {
+	buf []byte
+	ctr aesx.CTRStream
 }
 
 // userCipher is the cached per-(user, file) GDPR layer state: the AES
@@ -201,12 +237,45 @@ type fileEntry struct {
 	slot int
 	size int
 	user string
+	gen  uint64 // the gen of the newest Put begun on the file
 }
 
-// tenantZone is one user's protection zone in the store arena.
+// slotAlloc hands out file slots in ascending order from next up to
+// limit. A Put claims its slot when it reserves and releases it if it
+// fails, so a failed Put never leaves a slot claimed, even while other
+// Puts hold later slots: releasing the top slot lowers next, and any
+// other goes on free for the next claim.
+type slotAlloc struct {
+	next, limit int
+	free        []int
+}
+
+func (a *slotAlloc) claim() (int, bool) {
+	if k := len(a.free); k > 0 {
+		s := a.free[k-1]
+		a.free = a.free[:k-1]
+		return s, true
+	}
+	if a.next >= a.limit {
+		return 0, false
+	}
+	a.next++
+	return a.next - 1, true
+}
+
+func (a *slotAlloc) release(s int) {
+	if s == a.next-1 {
+		a.next--
+		return
+	}
+	a.free = append(a.free, s)
+}
+
+// tenantZone is one user's protection zone in the store arena. Its slots
+// are global slot indices inside the zone.
 type tenantZone struct {
-	base     uint64
-	nextSlot int // next free slot within the zone
+	base  uint64
+	slots slotAlloc
 }
 
 // oramConfig shapes the store-region ORAM: one ORAM block per auth block,
@@ -350,6 +419,7 @@ func NewNode(cfg NodeConfig, dek []byte, params perf.Params) (*Node, error) {
 		dek:       append([]byte(nil), dek...),
 		userKeys:  make(map[string][]byte),
 		directory: make(map[string]fileEntry),
+		slots:     slotAlloc{limit: cfg.Slots},
 	}
 	n.tlsLayout, _ = sh.Layout("tls")
 	n.tls, err = newTLSSession(cfg, n.dek)
@@ -394,47 +464,66 @@ func (n *Node) ProvisionUserKeys(keys map[string][]byte) {
 	// A (re)provisioned key invalidates any cached per-file cipher
 	// derived from the old key; provisioning is rare, so drop them all,
 	// along with any sealed responses whose GDPR layer they produced.
+	// The clear is recorded, so no Get already in flight refills the
+	// cache with an image the old key produced.
 	clear(n.userCiphers)
 	clear(n.respCache)
 	n.respBytes = 0
+	n.gen++
+	n.clearedGen = n.gen
 }
 
 // respInvalidate drops a file's cached sealed response (its content is
-// about to change). Caller holds mu.
-func (n *Node) respInvalidate(name string) {
-	if r, ok := n.respCache[name]; ok {
-		n.respBytes -= len(r.ct) + len(r.tags)
-		delete(n.respCache, name)
+// about to change) and returns the dropped entry, or nil. Caller holds
+// mu.
+func (n *Node) respInvalidate(name string) *respEntry {
+	r, ok := n.respCache[name]
+	if !ok {
+		return nil
 	}
+	n.respBytes -= len(r.ct) + len(r.tags)
+	delete(n.respCache, name)
+	return r
 }
 
 // respInsert caches a file's sealed response, evicting least-recently
 // served entries until the image fits the on-chip budget. Entries larger
-// than the whole budget are not cached. Caller holds mu.
-func (n *Node) respInsert(name string, size int, ct, tags []byte) {
+// than the whole budget are not cached. seen is the gen the Get noted
+// when it read the directory: if a Put of the file has begun since, or
+// the cache was cleared, the response may be older than what the next
+// Get must see, so it is not cached. The image is copied into the
+// buffers of an entry it displaces, so a full cache churns without
+// allocating. Caller holds mu.
+func (n *Node) respInsert(name string, seen uint64, size int, ct, tags []byte) {
 	need := len(ct) + len(tags)
 	if n.respCache == nil || need > n.cfg.ResponseCacheBytes {
 		return
 	}
-	n.respInvalidate(name)
+	if e, ok := n.directory[name]; !ok || e.gen > seen || n.clearedGen > seen {
+		return
+	}
+	r := n.respInvalidate(name)
 	for n.respBytes+need > n.cfg.ResponseCacheBytes {
 		victim, oldest := "", ^uint64(0)
 		// Every entry's LRU stamp is distinct, so the minimum is the same
 		// in any walk order.
-		for k, r := range n.respCache {
-			if r.last < oldest {
-				victim, oldest = k, r.last
+		for k, e := range n.respCache {
+			if e.last < oldest {
+				victim, oldest = k, e.last
 			}
 		}
-		n.respInvalidate(victim)
+		if v := n.respInvalidate(victim); r == nil {
+			r = v
+		}
+	}
+	if r == nil {
+		r = new(respEntry)
 	}
 	n.respClock++
-	n.respCache[name] = &respEntry{
-		size: size,
-		ct:   append([]byte(nil), ct...),
-		tags: append([]byte(nil), tags...),
-		last: n.respClock,
-	}
+	r.size, r.last = size, n.respClock
+	r.ct = append(r.ct[:0], ct...)
+	r.tags = append(r.tags[:0], tags...)
+	n.respCache[name] = r
 	n.respBytes += need
 }
 
@@ -466,14 +555,24 @@ func (n *Node) RespCacheStats() (hits, misses, cycles uint64) {
 	return n.respHits, n.respMiss, n.respCycles
 }
 
-// stage sizes the node's reusable plaintext staging buffer for an aligned
-// payload of nBytes and returns it. Caller holds mu.
-func (n *Node) stage(nBytes int) []byte {
-	if cap(n.stageBuf) < nBytes {
-		n.stageBuf = make([]byte, nBytes)
+// takeStage checks out request scratch whose buffer holds an aligned
+// payload of nBytes. Caller holds mu.
+func (n *Node) takeStage(nBytes int) *stage {
+	var st *stage
+	if k := len(n.stages); k > 0 {
+		st, n.stages = n.stages[k-1], n.stages[:k-1]
+	} else {
+		st = new(stage)
 	}
-	return n.stageBuf[:nBytes]
+	if cap(st.buf) < nBytes {
+		st.buf = make([]byte, nBytes)
+	}
+	st.buf = st.buf[:nBytes]
+	return st
 }
+
+// giveStage returns request scratch to the free list. Caller holds mu.
+func (n *Node) giveStage(st *stage) { n.stages = append(n.stages, st) }
 
 // dmaTLSIn lands a sealed payload extent in the tls region: the host DMA
 // plus the valid-bit update. Only the extent's chunks are written and
@@ -481,7 +580,7 @@ func (n *Node) stage(nBytes int) []byte {
 // and crucially the *store* region's buffer residency is untouched (the
 // old path invalidated every clean line in both engine sets per Put,
 // which is exactly the aggregate on-chip cache a fleet of shards needs).
-// Caller holds mu.
+// Caller holds tlsMu.
 func (n *Node) dmaTLSIn(ct, tags []byte) error {
 	// Defensive drain: staged traffic never leaves tls lines dirty, but a
 	// clean region costs nothing to flush and a dirty one would otherwise
@@ -499,7 +598,8 @@ func (n *Node) dmaTLSIn(ct, tags []byte) error {
 }
 
 // dmaTLSOut flushes the tls staging set and DMAs the sealed payload
-// extent out into ct/tags (exactly the aligned extent). Caller holds mu.
+// extent out into ct/tags (exactly the aligned extent). Caller holds
+// tlsMu.
 func (n *Node) dmaTLSOut(ct, tags []byte) error {
 	// In oblivious mode the store region carries the ORAM's deferred path
 	// writes; they must land before the host observes the device (the
@@ -518,64 +618,70 @@ func (n *Node) dmaTLSOut(ct, tags []byte) error {
 	return n.dram.RawReadInto(n.tlsLayout.TagBase, tags)
 }
 
-// reserve validates a Put and picks the file's slot entry. An existing
-// file keeps its slot if the user owns it. A new file takes the store's
-// next slot or, with tenant zones, the next slot inside the user's own
-// protection zone, created on first use; slots stay global indices (the
-// arena's address math is unchanged), and the zone boundary is what the
-// Shield's region table enforces. reserve claims nothing: the slot
-// counter advances only when the Put commits (commit), so a Put that
-// fails after reserve leaves the next slot free. Caller holds mu.
+// reserve validates a Put and claims the file's slot. An existing file
+// keeps its slot if the user owns it. A new file claims the store's next
+// free slot or, with tenant zones, the next free slot inside the user's
+// own protection zone, created on first use; slots stay global indices
+// (the arena's address math is unchanged), and the zone boundary is what
+// the Shield's region table enforces. A Put that fails after reserve
+// hands a new slot back (release), so it leaves the slot free. reserve
+// also stamps an existing file with the Put's gen and drops its cached
+// response. Caller holds mu and the file's stripe.
 // Failures are application rejections (ErrRejected): authoritative
 // verdicts the cluster's resilience layer must not retry or hold against
 // the node's health.
-func (n *Node) reserve(user, name string, size int) (fileEntry, error) {
+func (n *Node) reserve(user, name string, size int) (entry fileEntry, claimed bool, err error) {
 	if _, ok := n.userKeys[user]; !ok {
-		return fileEntry{}, rejectf("sdp: user %q has no provisioned key", user)
+		return fileEntry{}, false, rejectf("sdp: user %q has no provisioned key", user)
 	}
 	if size < 1 {
-		return fileEntry{}, rejectf("sdp: empty file (a file holds at least one byte)")
+		return fileEntry{}, false, rejectf("sdp: empty file (a file holds at least one byte)")
 	}
 	if size > n.cfg.SlotBytes {
-		return fileEntry{}, rejectf("sdp: file of %d bytes exceeds slot size %d", size, n.cfg.SlotBytes)
+		return fileEntry{}, false, rejectf("sdp: file of %d bytes exceeds slot size %d", size, n.cfg.SlotBytes)
 	}
-	entry, ok := n.directory[name]
+	entry, exists := n.directory[name]
+	var ok bool
 	switch {
-	case ok && entry.user != user:
-		return fileEntry{}, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
-	case ok:
+	case exists && entry.user != user:
+		return fileEntry{}, false, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
+	case exists:
 	case !n.cfg.TenantZones:
-		if n.nextSlot >= n.cfg.Slots {
-			return fileEntry{}, reject(errors.New("sdp: node full"))
+		if entry.slot, ok = n.slots.claim(); !ok {
+			return fileEntry{}, false, reject(errors.New("sdp: node full"))
 		}
-		entry.slot = n.nextSlot
 	default:
 		z, err := n.zoneFor(user)
 		if err != nil {
-			return fileEntry{}, err
+			return fileEntry{}, false, err
 		}
-		if z.nextSlot >= n.cfg.TenantSlots {
-			return fileEntry{}, rejectf("sdp: user %q's zone is full (%d slots)", user, n.cfg.TenantSlots)
+		if entry.slot, ok = z.slots.claim(); !ok {
+			return fileEntry{}, false, rejectf("sdp: user %q's zone is full (%d slots)", user, n.cfg.TenantSlots)
 		}
-		entry.slot = int((z.base-storeBase)/uint64(n.cfg.SlotBytes)) + z.nextSlot
+	}
+	n.gen++
+	if exists {
+		// Only the stored entry's gen changes now: its size and bytes stay
+		// the old Put's until commit.
+		stamped := entry
+		stamped.gen = n.gen
+		n.directory[name] = stamped
+		n.respInvalidate(name)
 	}
 	entry.size = size
 	entry.user = user
-	return entry, nil
+	entry.gen = n.gen
+	return entry, !exists, nil
 }
 
-// commit records a stored file in the directory; a new file's slot,
-// which reserve picked from the store's (or the zone's) next free one,
-// is claimed here. Caller holds mu.
-func (n *Node) commit(name string, entry fileEntry) {
-	if _, ok := n.directory[name]; !ok {
-		if n.cfg.TenantZones {
-			n.zones[entry.user].nextSlot++
-		} else {
-			n.nextSlot++
-		}
+// release hands back the slot a failed Put of a new file claimed.
+// Caller holds mu and the file's stripe.
+func (n *Node) release(entry fileEntry) {
+	if n.cfg.TenantZones {
+		n.zones[entry.user].slots.release(entry.slot)
+		return
 	}
-	n.directory[name] = entry
+	n.slots.release(entry.slot)
 }
 
 // checkSealedShape rejects a sealed image whose ciphertext or tags are not
@@ -607,7 +713,8 @@ func (n *Node) zoneFor(user string) (*tenantZone, error) {
 		return nil, fmt.Errorf("sdp: tenant zone for %q: %w", user, err)
 	}
 	n.freeZones = n.freeZones[:len(n.freeZones)-1]
-	z := &tenantZone{base: base}
+	first := int((base - storeBase) / uint64(n.cfg.SlotBytes))
+	z := &tenantZone{base: base, slots: slotAlloc{next: first, limit: first + n.cfg.TenantSlots}}
 	n.zones[user] = z
 	return z, nil
 }
@@ -619,6 +726,8 @@ func (n *Node) zoneFor(user string) (*tenantZone, error) {
 // and forgets the user's key and directory entries. The zone's address
 // range returns to the free list for the next tenant.
 func (n *Node) EraseTenant(user string) error {
+	n.quiesce()
+	defer n.unquiesce()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.cfg.TenantZones {
@@ -644,6 +753,26 @@ func (n *Node) EraseTenant(user string) error {
 	return nil
 }
 
+// fileLock returns the stripe that orders operations on name.
+func (n *Node) fileLock(name string) *sync.RWMutex {
+	return &n.fileLocks[fnv1a(name)%nodeStripes]
+}
+
+// quiesce takes every file stripe, waiting out each Put in flight and
+// each Get still in its store stage, so EraseTenant and Sync can walk and
+// change the zones; unquiesce releases them.
+func (n *Node) quiesce() {
+	for i := range n.fileLocks {
+		n.fileLocks[i].Lock()
+	}
+}
+
+func (n *Node) unquiesce() {
+	for i := range n.fileLocks {
+		n.fileLocks[i].Unlock()
+	}
+}
+
 // flushStore is Put's durability barrier: under the default
 // write-through policy every operation's store lines are sealed to DRAM
 // before it returns; under WriteBack they stay resident and dirty (the
@@ -663,6 +792,8 @@ func (n *Node) flushStore(user string) error {
 // barrier of a WriteBack node (a no-op burden under write-through). In
 // tenant-zone mode it walks every live zone.
 func (n *Node) Sync() error {
+	n.quiesce()
+	defer n.unquiesce()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.cfg.TenantZones {
@@ -681,43 +812,69 @@ func (n *Node) Sync() error {
 // runs. Table 2, anti-entropy repair and the examples drive a node
 // through Put/Get; the serving tier seals on client-held sessions.
 func (n *Node) Put(user, name string, payload []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.sessMu.Lock()
+	defer n.sessMu.Unlock()
 	ct, tags, err := n.tls.Seal(payload)
 	if err != nil {
 		return err
 	}
-	return n.putSealed(user, name, len(payload), ct, tags)
+	return n.PutSealed(user, name, len(payload), ct, tags)
 }
 
 // PutSealed stores a file whose tls image the Data Owner already sealed
 // (see TLSSession.Seal): ct and tags are the payload extent, padded to
 // whole auth blocks. This is the serving-tier entry point — the
-// Data-Owner-side cryptography happens on the client's goroutine, outside
-// the node's serialised section.
+// Data-Owner-side cryptography happens on the client's goroutine — and
+// the one node body of a Put: reserve the file's slot, run the tls stage
+// (DMA the image into the tls region and pull it through the tls engine
+// set, decrypt+verify), then the store stage (the per-user GDPR layer
+// and the store engine set), and record the file in the directory.
 func (n *Node) PutSealed(user, name string, size int, ct, tags []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.putSealed(user, name, size, ct, tags)
-}
-
-// putSealed is the one node body of a Put: DMA the sealed image into the
-// tls region, pull the extent through the tls engine set
-// (decrypt+verify), apply the per-user GDPR layer, and push it through
-// the store engine set. Caller holds mu.
-func (n *Node) putSealed(user, name string, size int, ct, tags []byte) error {
 	if err := checkSealedShape(size, n.cfg.AuthBlock, ct, tags); err != nil {
 		return err
 	}
-	entry, err := n.reserve(user, name, size)
+	fl := n.fileLock(name)
+	fl.Lock()
+	defer fl.Unlock()
+	n.mu.Lock()
+	entry, claimed, err := n.reserve(user, name, size)
+	var st *stage
+	var uc *userCipher
+	if err == nil {
+		st, uc = n.takeStage(len(ct)), n.userCipher(user, name)
+	}
+	n.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	aligned := len(ct)
+	err = n.tlsIn(ct, tags, st.buf)
+	if err == nil {
+		st.ctr.XORKeyStream(uc.block, uc.iv, st.buf[:size], st.buf[:size])
+		err = n.storeWrite(entry.slot, st.buf)
+	}
+	n.mu.Lock()
+	switch {
+	case err == nil:
+		n.directory[name] = entry
+	case claimed:
+		n.release(entry)
+	}
+	n.giveStage(st)
+	n.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return n.flushStore(user)
+}
+
+// tlsIn is a Put's tls stage: DMA the sealed image into the tls region
+// and read it through the tls engine set into buf.
+func (n *Node) tlsIn(ct, tags, buf []byte) error {
+	n.tlsMu.Lock()
+	defer n.tlsMu.Unlock()
 	if err := n.dmaTLSIn(ct, tags); err != nil {
 		return err
 	}
-	buf := n.stage(aligned)
 	if _, err := n.sh.ReadBurst(tlsBase, buf); err != nil {
 		// A forged image latches the tls engine set's integrity fault.
 		// The staging region holds nothing but this request's image, so
@@ -731,13 +888,18 @@ func (n *Node) putSealed(user, name string, size int, ct, tags []byte) error {
 		}
 		return err
 	}
-	n.sealForUser(user, name, buf[:size])
-	if err := n.storeWrite(entry.slot, buf); err != nil {
+	return nil
+}
+
+// tlsOut is a Get's tls stage: write buf through the tls engine set and
+// DMA the sealed extent out into ct/tags.
+func (n *Node) tlsOut(buf, ct, tags []byte) error {
+	n.tlsMu.Lock()
+	defer n.tlsMu.Unlock()
+	if _, err := n.sh.WriteBurst(tlsBase, buf); err != nil {
 		return err
 	}
-	n.commit(name, entry)
-	n.respInvalidate(name)
-	return n.flushStore(user)
+	return n.dmaTLSOut(ct, tags)
 }
 
 // storeWrite places a slot image (whole auth blocks) in the store region:
@@ -797,10 +959,10 @@ func (n *Node) authorise(user, name string) (fileEntry, error) {
 // TLS session, which then opens the response as the application's
 // endpoint would. It returns the plaintext.
 func (n *Node) Get(user, name string) ([]byte, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.sessMu.Lock()
+	defer n.sessMu.Unlock()
 	ct, tags := n.tls.Buffers()
-	size, err := n.getSealed(user, name, ct, tags)
+	size, err := n.GetSealed(user, name, ct, tags)
 	if err != nil {
 		return nil, err
 	}
@@ -811,56 +973,66 @@ func (n *Node) Get(user, name string) ([]byte, error) {
 // caller's ct/tags buffers (each at least the region's aligned capacity;
 // the returned size selects the extent — alignUp(size) ciphertext bytes
 // and the matching tags). The Data Owner opens it with TLSSession.Open on
-// the client's goroutine, outside the node's serialised section.
+// the client's goroutine.
+//
+// It is the one node body of a Get: authorise, then serve the sealed
+// image from the response cache or run the full path — the store stage
+// (pull the file from the store engine set, strip the GDPR layer), then
+// the tls stage (push the plaintext through the tls engine set and DMA
+// the sealed extent out).
 func (n *Node) GetSealed(user, name string, ct, tags []byte) (int, error) {
+	fl := n.fileLock(name)
+	fl.RLock()
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.getSealed(user, name, ct, tags)
-}
-
-// getSealed is the one node body of a Get: authorise, then serve the
-// sealed image from the response cache or run the full path — pull the
-// file from the store engine set, strip the GDPR layer, push the
-// plaintext through the tls engine set and DMA the sealed extent out.
-// Caller holds mu.
-func (n *Node) getSealed(user, name string, ct, tags []byte) (int, error) {
 	entry, err := n.authorise(user, name)
 	if err != nil {
+		n.mu.Unlock()
+		fl.RUnlock()
 		return 0, err
 	}
 	aligned := alignUp(entry.size, n.cfg.AuthBlock)
 	k := aligned / n.cfg.AuthBlock
 	if len(ct) < aligned || len(tags) < k*shield.TagSize {
+		n.mu.Unlock()
+		fl.RUnlock()
 		return 0, rejectf("sdp: sealed-image buffers hold %d+%d bytes, need %d+%d",
 			len(ct), len(tags), aligned, k*shield.TagSize)
 	}
 	ct, tags = ct[:aligned], tags[:k*shield.TagSize]
 	if n.respCache != nil {
 		if size, ok := n.respServe(name, ct, tags); ok {
+			n.mu.Unlock()
+			fl.RUnlock()
 			return size, nil
 		}
 		n.respMiss++
 	}
-	buf := n.stage(aligned)
-	if err := n.storeRead(entry.slot, buf); err != nil {
+	seen := n.gen
+	st, uc := n.takeStage(aligned), n.userCipher(user, name)
+	n.mu.Unlock()
+	err = n.storeRead(entry.slot, st.buf)
+	fl.RUnlock()
+	if err == nil {
+		// The CTR layer is an involution: the same pass strips it.
+		st.ctr.XORKeyStream(uc.block, uc.iv, st.buf[:entry.size], st.buf[:entry.size])
+		err = n.tlsOut(st.buf, ct, tags)
+	}
+	n.mu.Lock()
+	if err == nil {
+		n.respInsert(name, seen, entry.size, ct, tags)
+	}
+	n.giveStage(st)
+	n.mu.Unlock()
+	if err != nil {
 		return 0, err
 	}
-	n.sealForUser(user, name, buf[:entry.size]) // CTR layer is an involution
-	if _, err := n.sh.WriteBurst(tlsBase, buf); err != nil {
-		return 0, err
-	}
-	if err := n.dmaTLSOut(ct, tags); err != nil {
-		return 0, err
-	}
-	n.respInsert(name, entry.size, ct, tags)
 	return entry.size, nil
 }
 
-// sealForUser applies the per-user GDPR encryption layer in place: an
-// AES-CTR pass under the user's key with a per-file IV. CTR is an
-// involution, so the same call encrypts and decrypts. The derived cipher
-// is cached per (user, file).
-func (n *Node) sealForUser(user, name string, data []byte) {
+// userCipher returns the per-user GDPR encryption layer of a file: an
+// AES-CTR pass under the user's key with a per-file IV, cached per
+// (user, file). Caller holds mu.
+func (n *Node) userCipher(user, name string) *userCipher {
 	uc, ok := n.userCiphers[user+"\x00"+name]
 	if !ok {
 		key := kdf.Derive([]byte("sdp/user-file"), n.userKeys[user], []byte(name), 16)
@@ -876,7 +1048,7 @@ func (n *Node) sealForUser(user, name string, data []byte) {
 		}
 		n.userCiphers[user+"\x00"+name] = uc
 	}
-	n.ctr.XORKeyStream(uc.block, uc.iv, data, data)
+	return uc
 }
 
 // Report exposes the Shield's cycle accounting.

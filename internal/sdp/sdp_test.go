@@ -182,12 +182,19 @@ func TestUserLayerKeySeparation(t *testing.T) {
 	data := []byte("same plaintext")
 	buf1 := append([]byte(nil), data...)
 	buf2 := append([]byte(nil), data...)
-	n.sealForUser("alice", "f", buf1)
-	n.sealForUser("bob", "f", buf2)
+	var st stage
+	seal := func(user string, buf []byte) {
+		n.mu.Lock()
+		uc := n.userCipher(user, "f")
+		n.mu.Unlock()
+		st.ctr.XORKeyStream(uc.block, uc.iv, buf, buf)
+	}
+	seal("alice", buf1)
+	seal("bob", buf2)
 	if bytes.Equal(buf1, buf2) {
 		t.Fatal("different users share the file encryption layer")
 	}
-	n.sealForUser("alice", "f", buf1)
+	seal("alice", buf1)
 	if !bytes.Equal(buf1, data) {
 		t.Fatal("user layer is not an involution")
 	}
