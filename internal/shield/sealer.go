@@ -256,36 +256,50 @@ func OpenRegionData(cfg RegionConfig, regionID uint32, dek, ct, tags []byte, cou
 // eachChunk runs f on every chunk of the region, split across Ps by the
 // rule a stream batch's split uses: parallel.Workers over the region's
 // bytes at splitGrainBytes, so a region under two grains stays on the
-// caller. Each worker takes one contiguous chunk range and its own seal
-// scratch, and stops at its first failure. Ranges ascend with the worker
-// index, so the first failure among the workers is the lowest-index one,
-// which eachChunk returns.
+// caller. Each worker builds one seal scratch for all its pieces, and a
+// piece stops at its first failure, which the worker records. A worker's
+// pieces ascend, so its first failure is its lowest, and it skips the
+// rest of its pieces; eachChunk returns the lowest failure among the
+// workers.
 func (s *sealer) eachChunk(f func(sc *sealScratch, c int) error) error {
 	p := parallel.Workers(int(s.cfg.Size), splitGrainBytes)
-	errs := make([]error, p)
+	type worker struct {
+		sc    *sealScratch
+		chunk int
+		err   error
+	}
+	workers := make([]worker, p)
 	var g parallel.Group
-	g.Run(p, s.cfg.Chunks(), chunkRanges(func(w, lo, hi int) {
-		sc := s.newScratch()
+	g.Run(p, s.cfg.Chunks(), chunkPieces(func(w, lo, hi int) {
+		wk := &workers[w]
+		if wk.err != nil {
+			return
+		}
+		if wk.sc == nil {
+			wk.sc = s.newScratch()
+		}
 		for c := lo; c < hi; c++ {
-			if err := f(sc, c); err != nil {
-				errs[w] = err
+			if err := f(wk.sc, c); err != nil {
+				wk.chunk, wk.err = c, err
 				return
 			}
 		}
 	}))
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var err error
+	lowest := 0
+	for _, wk := range workers {
+		if wk.err != nil && (err == nil || wk.chunk < lowest) {
+			err, lowest = wk.err, wk.chunk
 		}
 	}
-	return nil
+	return err
 }
 
-// chunkRanges adapts a worker's range function to parallel.Body.
-type chunkRanges func(w, lo, hi int)
+// chunkPieces adapts a worker's piece function to parallel.Body.
+type chunkPieces func(w, lo, hi int)
 
 // Run calls f(w, lo, hi).
-func (f chunkRanges) Run(w, lo, hi int) { f(w, lo, hi) }
+func (f chunkPieces) Run(w, lo, hi int) { f(w, lo, hi) }
 
 // MarkPreloaded tells the Shield that the host has DMAed sealed data into
 // a region (at epoch zero): the valid bits are set so reads fetch and

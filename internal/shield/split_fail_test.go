@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"shef/internal/axi"
 	"shef/internal/perf"
 )
 
@@ -165,5 +166,116 @@ func testSplitStoreFailure(t *testing.T, cfg Config, img []byte, tc splitFailCas
 	}
 	if !bytes.Equal(got, img[:n]) {
 		t.Fatal("the retried batch reads back wrong bytes")
+	}
+}
+
+// failingReadPort fails the failAt-th ReadBurst (1-based) it sees; zero
+// disarms it.
+type failingReadPort struct {
+	axi.MemoryPort
+	reads, failAt int
+}
+
+var errFetchFailed = errors.New("injected fetch failure")
+
+func (p *failingReadPort) ReadBurst(addr uint64, buf []byte) (uint64, error) {
+	p.reads++
+	if p.failAt > 0 && p.reads == p.failAt {
+		return 0, errFetchFailed
+	}
+	return p.MemoryPort.ReadBurst(addr, buf)
+}
+
+// TestStreamFetchFailureMidBatch fails a fetch in the middle window of a
+// 1 MiB ReadStream, a window that also holds a resident dirty line, a
+// resident clean line and virgin chunks, at one, two and four Ps. The
+// windows before it are delivered and charged as a read of them alone;
+// the failing window delivers its resident and virgin slots only, and
+// is not charged; the windows after it are untouched. The set is not
+// latched: once the port heals, the read delivers everything.
+func TestStreamFetchFailureMidBatch(t *testing.T) {
+	const (
+		size   = 1 << 20
+		win    = streamWindowChunks * 512
+		failW  = 64
+		dirtyC = failW*streamWindowChunks + 2
+		cleanC = failW*streamWindowChunks + 5
+	)
+	img := make([]byte, size)
+	rand.New(rand.NewSource(41)).Read(img)
+	junk := bytes.Repeat([]byte{0x5A}, 512)
+	// rig writes img except the failing window's last eight chunks, which
+	// stay virgin, dirties one line and makes another resident and clean.
+	rig := func(t *testing.T) (*Shield, *failingReadPort) {
+		sh, rec, _ := newBatchRig(t, flushBenchConfig(size), perf.Default())
+		port := &failingReadPort{MemoryPort: rec.inner}
+		rec.inner = port
+		if _, err := sh.WriteStream(0, img[:failW*win+8*512]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.WriteStream((failW+1)*win, img[(failW+1)*win:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.WriteBurst(dirtyC*512, junk); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.ReadBurst(cleanC*512, make([]byte, 512)); err != nil {
+			t.Fatal(err)
+		}
+		sh.ResetStats()
+		port.reads = 0
+		return sh, port
+	}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("P%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			ref, _ := rig(t)
+			if _, err := ref.ReadStream(0, make([]byte, failW*win)); err != nil {
+				t.Fatal(err)
+			}
+			want := ref.Report().Regions[0]
+			want.Hits += 2 // the failing window serves its resident lines
+
+			sh, port := rig(t)
+			// Every earlier window fetches one run, data then tags; the
+			// failing window's second run is its fourth fetch.
+			port.failAt = 2*failW + 3
+			got := bytes.Repeat([]byte{0xEE}, size)
+			if _, err := sh.ReadStream(0, got); !errors.Is(err, errFetchFailed) {
+				t.Fatalf("ReadStream returned %v, want the injected fetch failure", err)
+			}
+			if rs := sh.Report().Regions[0]; rs != want {
+				t.Errorf("stats after the failure %+v\nwant %+v", rs, want)
+			}
+			if !bytes.Equal(got[:failW*win], img[:failW*win]) {
+				t.Error("the windows before the failing one read back wrong bytes")
+			}
+			for c := failW * streamWindowChunks; c < size/512; c++ {
+				slot := got[c*512 : (c+1)*512]
+				want := bytes.Repeat([]byte{0xEE}, 512)
+				switch {
+				case c == dirtyC:
+					want = junk
+				case c == cleanC:
+					want = img[c*512 : (c+1)*512]
+				case c >= failW*streamWindowChunks+8 && c < (failW+1)*streamWindowChunks:
+					want = make([]byte, 512)
+				}
+				if !bytes.Equal(slot, want) {
+					t.Errorf("chunk %d (window %d) holds the wrong bytes", c, c/streamWindowChunks)
+				}
+			}
+
+			port.failAt = 0
+			if _, err := sh.ReadStream(0, got); err != nil {
+				t.Fatalf("ReadStream after the port healed: %v", err)
+			}
+			wantAll := append([]byte(nil), img...)
+			copy(wantAll[dirtyC*512:], junk)
+			clear(wantAll[failW*win+8*512 : (failW+1)*win])
+			if !bytes.Equal(got, wantAll) {
+				t.Error("the healed read returned the wrong bytes")
+			}
+		})
 	}
 }

@@ -23,9 +23,9 @@ import (
 //	stage 3  merge into the caller's buffer (on-chip copy)
 //
 // The write side seals the batch (stage 2), then stores and charges it
-// window by window. Whoever builds a batch decides where its windows end:
-// a stream or gather every streamWindowChunks slots, a write-back at each
-// contiguous dirty run, a miss after its prefetch run.
+// window by window (stage 3). Whoever builds a batch decides where its
+// windows end: a stream or gather every streamWindowChunks slots, a
+// write-back at each contiguous dirty run, a miss after its prefetch run.
 //
 // Windows overlap in the performance model (perf.StreamWindowTime /
 // StreamFillDrain): while window k is being verified, window k+1's fetch
@@ -36,20 +36,28 @@ import (
 // because it holds a single outstanding burst and releases data only
 // after each MAC check (perf.Params.OverlapAlpha).
 //
-// In real time the windows move in batches of streamBatchBytes. Under the
-// set mutex the caller classifies and fetches every window of a batch,
-// in window order; only the chunk seals or opens are split across Ps
-// (parallel.Group, one contiguous range and one seal scratch per worker);
-// then the batch merges, stores and charges window by window, in order.
-// A stream read opens its slots in place in the staging, and the merge
-// copies out only the slots before the lowest-index failure, so the
-// caller's buffer receives exactly what a window-at-a-time read would: every
-// window before the failure, and in the failing window the chunks before
-// it plus its resident and virgin slots. The cycle model sees the same
-// fetchRun/storeRun/chargeWindow calls in the same order either way.
-// A flush splits the same way once its batch of dirty lines is large
-// enough; a miss window is far below the grain and never splits. A
-// batch holds up to 1 MiB, so a 1 MiB op pays one split.
+// In real time the windows move in batches of streamBatchBytes, and a
+// batch runs stages 2 and 3 as a pipeline. Under the set mutex the caller
+// classifies and fetches every window of the batch, in window order;
+// then the chunk opens or seals are split across Ps (parallel.Group:
+// workers claim ascending pieces of slots, each worker with its own seal
+// scratch), and while they run, the caller commits the batch window by
+// window, in order, as soon as a window's slots are done: a read window
+// merges, serves its resident and virgin slots, inserts a miss's lines
+// and is charged; a write window bumps its counters, is stored and is
+// charged. So the merge and the stores of early windows overlap the
+// crypto of later ones, and the cycle model sees the same
+// fetchRun/storeRun/chargeWindow calls in the same order as a
+// window-at-a-time engine. A piece that fails to open a slot records
+// the failure before it is marked done, so the commit meets the
+// lowest-index failure by walking in order: the caller's buffer receives
+// exactly what a window-at-a-time read would, every window before the
+// failure, and in the failing window the chunks before it plus its
+// resident and virgin slots. A store error stops the commit at its
+// window, so later windows stay as they were; the workers only ever
+// write the staging. A flush splits the same way once its batch of dirty
+// lines is large enough; a miss window is far below the grain and never
+// splits. A batch holds up to 1 MiB, so a 1 MiB op pays one split.
 //
 // Locking is batch-granular: the engine-set mutex is taken per batch,
 // not for the whole stream, so chunked accesses and other streams to the
@@ -58,7 +66,8 @@ import (
 // streamed full-chunk writes supersede them — so streams and cached
 // traffic never diverge. The per-chunk hot path allocates nothing in
 // steady state: the staging and seal scratch are dedicated per engine
-// set, buffer lines are pooled, and a split reuses the set's task slots.
+// set, buffer lines are pooled, and a split reuses the set's task slots
+// and piece flags.
 
 // streamWindowChunks is the pipeline window: how many chunks stage 1
 // fetches per batched transaction and stage 2 decrypts per window.
@@ -72,25 +81,35 @@ const streamWindowChunks = 16
 // by the same grain.
 //
 // Measured on a 2-vCPU Xeon VM with Go 1.24: a split costs about 1 µs to
-// start and join while the other P is awake, and its second range starts
-// 50–70 µs late (median, back-to-back splits) when that P's thread must
-// first be woken, as it usually must between ops. Opening or sealing
-// 64 KiB of 512-byte chunks takes 190–260 µs there at one P. Halving w µs
-// of crypto pays once w/2 plus the wake-up is less than w, from about
-// 140 µs (40–50 KiB); a 64 KiB grain keeps each share at three or more
-// times the wake-up. One 8 KiB window, about 30 µs, cannot pay for a
-// wake-up, which is why a per-window fan-out lost.
+// start and join while the other P is awake. The caller hands its P to
+// its first new worker and resumes once the other P's thread has been
+// woken, as it usually must between ops: 60–75 µs later (medians over
+// 300 back-to-back 1 MiB ops at two Ps). The new worker claims pieces
+// meanwhile, so the late start only leaves the caller fewer pieces (7–8
+// of 16 at two Ps) instead of idling the other worker at the end of the
+// split. Opening or sealing 64 KiB of 512-byte chunks takes 190–260 µs
+// there at one P. The grain was sized when each worker had one fixed
+// range: halving w µs of crypto paid once w/2 plus the wake-up was less
+// than w, from about 140 µs (40–50 KiB), and a 64 KiB grain kept each
+// share at three or more times the wake-up. One 8 KiB window, 30 µs or
+// less, cannot pay for a wake-up, which is why a per-window fan-out
+// lost.
 //
 // Every split pays the wake-up once, so a batch is sized to make a 1 MiB
 // stream, gather or flush one split, and each of four Ps then gets at
 // least 256 KiB. Against 256 KiB batches, four splits per MiB, that took
 // a 1 MiB HMAC ReadStream at two Ps from 2.11 to 1.99 ms and a
 // WriteStream from 2.13 to 1.87 ms on that host (medians of six
-// alternating runs). The cost is the mutex hold, up to one 1 MiB batch
-// of crypto: 3.2–4.2 ms at one P and about 2 ms at two, against about
-// 30 µs for a window. A chunked access to the same region queues behind
-// it; no workload queues one there (kv's sets see 8 KiB bursts, and an
-// accelerator drives its Shield from one goroutine).
+// alternating runs). Committing windows while the workers run then moved
+// stage 3 off the end of the split: run after the join at two Ps, it
+// took 170–190 µs for a 1 MiB read and 270–280 µs for a write (48–52 and
+// 60–63 µs at one P, where no other core holds the opened slots), and
+// overlapped it takes 70–96 µs of the caller's time. The cost of a batch
+// is the mutex hold, up to one 1 MiB batch: 2.0–2.3 ms at one P and
+// 1.1–1.5 ms at two there, against 16–18 µs for one window. A chunked
+// access to the same region queues behind it; no workload queues one
+// there (kv's sets see 8 KiB bursts, and an accelerator drives its
+// Shield from one goroutine).
 const (
 	streamBatchBytes = 1 << 20
 	splitGrainBytes  = 64 << 10
@@ -112,13 +131,15 @@ const (
 )
 
 // streamWindow is the preallocated staging of the set's windows in
-// flight: ciphertext and tags, each slot's chunk and buffer offset, the
-// fetched slots (idx), and the batch's windows. It holds one window
-// until the set first moves a longer batch, then grows to fit the
-// largest batch moved so far (at most batchSlots), so a set that only
-// serves chunked traffic keeps one window's staging. It is also the
-// split's parallel.Body: one seal scratch and failure record per worker,
-// and the pass in progress.
+// flight: ciphertext and tags, each slot's chunk and buffer offset (the
+// arrays batch hands out, which readBatch and writeBatch get back), the
+// fetched slots (idx), the batch's windows, and for each slot the buffer
+// line it opens into or seals from and each fetched slot's open failure.
+// It holds one window until the set first moves a longer batch, then
+// grows to fit the largest batch moved so far (at most batchSlots), so a
+// set that only serves chunked traffic keeps one window's staging. It is
+// also the split's parallel.Committer: one seal scratch per worker, the
+// batch in flight and how far its in-order commit has got.
 type streamWindow struct {
 	ct     []byte
 	tags   []byte
@@ -126,16 +147,23 @@ type streamWindow struct {
 	chunks []int
 	offs   []int
 	wins   []window
+	lines  []*bufLine // the buffer line slot i opens into or seals from (nil: none)
+	errs   []error    // passOpen: why fetched slot j failed to open, set before its piece is done
 
 	set     *engineSet
 	scratch [maxSplitWorkers]*sealScratch // [0] is the set's own scratch
-	bad     [maxSplitWorkers]int
-	errs    [maxSplitWorkers]error
 	group   parallel.Group
-	pass    cryptoPass
-	slots   []int      // passOpen: the fetched slots
-	lines   []*bufLine // passOpen: the buffer line slot i opens into (nil: in place)
-	buf     []byte     // passSeal: the caller's buffer (nil: the buffer lines), during the pass only
+
+	// The batch in flight, during its split (its windows and a read's
+	// fetched slots are wins and idx): the pass and the caller's buffer
+	// (nil: buffer lines); then the commit's progress, which the caller
+	// alone touches: the next window to commit, where it starts (slot
+	// w0, fetched slot f0), and the failure that ended the commit.
+	pass   cryptoPass
+	buf    []byte
+	next   int
+	w0, f0 int
+	err    error
 }
 
 // window is one pipeline window of a batch. Whoever builds the batch sets
@@ -167,6 +195,7 @@ func (w *streamWindow) grow(slots int) {
 	w.chunks = make([]int, slots)
 	w.offs = make([]int, slots)
 	w.lines = make([]*bufLine, slots)
+	w.errs = make([]error, slots)
 	w.wins = make([]window, 0, slots) // a write-back may cut every slot
 	if s.seal != nil && slots*s.cfg.ChunkSize >= 2*splitGrainBytes {
 		for k := 1; k < maxSplitWorkers; k++ {
@@ -186,37 +215,41 @@ func (w *streamWindow) batch(n int) (chunks, offs []int, wins []window) {
 	return w.chunks[:n], w.offs[:n], w.wins[:0]
 }
 
-// split runs pass over n units (slots of slots, or every slot for
-// passSeal, sealing buf or, if buf is nil, the slots' resident lines) of
-// the current batch, one contiguous range per worker. A set
-// without a sealer only copies, which never pays for a hand-off, so it
-// stays on the caller.
-func (w *streamWindow) split(pass cryptoPass, slots []int, n int, buf []byte) {
+// split runs pass over the batch's n units (for passOpen the first n
+// fetched slots in idx, for passSeal its n slots) in pieces claimed by the
+// workers, and commits the batch's windows in order on the caller as
+// their units finish (Commit). buf is the caller's buffer, nil for the
+// slots' buffer lines; the caller clears it once the batch is done. It
+// returns the failure that ended the commit, if any, and leaves the
+// commit's progress for readBatch to finish a fetch-failed window. A
+// set without a sealer only copies, which never pays for a hand-off, so
+// it stays on the caller.
+func (w *streamWindow) split(pass cryptoPass, n int, buf []byte, wins []window) error {
 	p := 1
 	if w.set.seal != nil {
 		p = min(parallel.Workers(n*w.set.cfg.ChunkSize, splitGrainBytes), maxSplitWorkers)
 	}
-	w.pass, w.slots, w.buf = pass, slots, buf
+	w.pass, w.buf, w.wins = pass, buf, wins
+	w.next, w.w0, w.f0, w.err = 0, 0, 0, nil
 	w.group.Run(p, n, w)
-	w.slots, w.buf = nil, nil
+	return w.err
 }
 
 // Run implements parallel.Body: worker k runs the pass over units
-// [lo, hi) with its own seal scratch. An opening worker stops at its
-// first failure and records it.
+// [lo, hi), one piece, with its own seal scratch. An opening piece stops
+// at its first failure and records it.
 func (w *streamWindow) Run(k, lo, hi int) {
 	s, sc, cs := w.set, w.scratch[k], w.set.cfg.ChunkSize
 	switch w.pass {
 	case passOpen:
-		w.bad[k], w.errs[k] = hi, nil
 		for j := lo; j < hi; j++ {
-			i := w.slots[j]
+			i := w.idx[j]
 			dst := w.ct[i*cs : (i+1)*cs]
 			if ln := w.lines[i]; ln != nil {
 				dst = ln.data
 			}
 			if err := s.openSlot(sc, i, w.chunks[i], dst); err != nil {
-				w.bad[k], w.errs[k] = j, err
+				w.errs[j] = err
 				return
 			}
 		}
@@ -225,11 +258,11 @@ func (w *streamWindow) Run(k, lo, hi int) {
 			c := w.chunks[i]
 			epoch := s.counters[c]
 			if s.cfg.Freshness {
-				epoch++ // the epoch writeBatch bumps to before the store
+				epoch++ // the epoch the commit bumps to before the store
 			}
 			var src []byte
 			if w.buf == nil {
-				src = s.lines[c].data
+				src = w.lines[i].data
 			} else {
 				src = w.buf[w.offs[i] : w.offs[i]+cs]
 			}
@@ -238,22 +271,28 @@ func (w *streamWindow) Run(k, lo, hi int) {
 	}
 }
 
-// open verifies the staged slots slots and decrypts each in place or
-// into its buffer line; without a sealer it only copies to the lines. It
-// returns how many lead slots verified, up to the lowest-index failure,
-// and that failure (nil if there was none).
-func (w *streamWindow) open(slots []int) (int, error) {
-	w.split(passOpen, slots, len(slots), nil)
-	// Worker ranges ascend with k, so the first failure found is the
-	// lowest-index one.
-	ok, err := len(slots), error(nil)
-	for k := range w.errs {
-		if w.errs[k] != nil && err == nil {
-			ok, err = w.bad[k], w.errs[k]
+// Commit implements parallel.Committer: it commits, in window order,
+// every window of the batch whose units lie in the finished prefix
+// [0, done): a read window once all its fetched slots are opened, a
+// write window once all its slots are sealed. It stops for good at the
+// first window that fails. A read window whose fetch failed has no
+// opened units and waits for readBatch.
+func (w *streamWindow) Commit(done int) {
+	s := w.set
+	for w.err == nil && w.next < len(w.wins) {
+		wf := &w.wins[w.next]
+		switch {
+		case w.pass == passOpen && wf.fetchEnd <= done:
+			w.err = s.commitRead(wf, w.w0, w.f0, nil)
+		case w.pass == passSeal && wf.end <= done:
+			w.err = s.commitWrite(wf, w.w0)
+		default:
+			return
 		}
-		w.errs[k] = nil
+		if w.err == nil {
+			w.next, w.w0, w.f0 = w.next+1, wf.end, wf.fetchEnd
+		}
 	}
-	return ok, err
 }
 
 // fetchRun is the stage-1 fetch: one batched AXI transaction for
@@ -478,20 +517,18 @@ func (s *engineSet) gather(runs []axi.Burst,
 // new buffer line (a miss or prefetch, whose chunks the caller has made
 // room for and which must all be absent and valid). It classifies and
 // fetches every window, one batched fetch per contiguous chunk run among
-// its missing slots; the fetched slots are verified and decrypted in
-// place, or for a miss straight into new buffer lines, in one split;
-// then each window in order merges its verified slots, serves its
-// resident and virgin slots and is charged. Lines a miss brings in are
-// marked prefetched until a demand access touches them. The window
-// holding the lowest-index integrity failure latches the set and is not
-// charged, and a fetch error ends the batch at its window. Callers hold
-// s.mu.
+// its missing slots; then the fetched slots are verified and decrypted
+// in place, or for a miss straight into new buffer lines, in one split,
+// while the caller commits each window in order as soon as its fetched
+// slots are open (commitRead). Lines a miss brings in are marked
+// prefetched until a demand access touches them. The window holding the
+// lowest-index integrity failure latches the set and is not charged, and
+// a fetch error ends the batch at its window. Callers hold s.mu.
 func (s *engineSet) readBatch(chunks, offs []int, buf []byte, wins []window) (uint64, error) {
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
 	start := s.acct.BusyCycles
-	cs := s.cfg.ChunkSize
 	win := s.win
 
 	// Stage 1, window by window: classify, then one batched fetch per
@@ -530,138 +567,176 @@ func (s *engineSet) readBatch(chunks, offs []int, buf []byte, wins []window) (ui
 		opened = len(fetch)
 	}
 
-	// Stage 2, split: verify and decrypt the slots of every window that
-	// fetched in full, in place or, for a miss, straight into new buffer
-	// lines, which join the buffer if they verify.
-	opening := fetch[:opened]
+	// Stages 2 and 3: the split verifies and decrypts the slots of every
+	// window that fetched in full, in place or, for a miss, straight into
+	// new buffer lines, while the caller commits the windows in order.
+	// A fetch-failed window is committed last, with none of its fetched
+	// slots.
 	if buf == nil {
-		for _, i := range opening {
+		for _, i := range fetch[:opened] {
 			win.lines[i] = s.linePool.Get().(*bufLine)
 		}
 	}
-	verified, integrityErr := win.open(opening)
-	if buf == nil {
-		for f, i := range opening {
-			ln := win.lines[i]
-			win.lines[i] = nil
-			if f < verified {
-				ln.prefetched = true
-				s.insertLine(chunks[i], ln)
-			} else {
-				s.linePool.Put(ln)
-			}
-		}
+	win.idx = fetch
+	err := win.split(passOpen, opened, buf, wins)
+	if err == nil && fetchErr != nil {
+		err = s.commitRead(&wins[len(wins)-1], win.w0, win.f0, fetchErr)
 	}
-
-	// Stage 3, window by window: merge the verified slots into buf,
-	// serve resident lines (clean or dirty, they are authoritative) and
-	// virgin chunks, then charge.
-	w0, f0 := 0, 0
-	for k, wf := range wins {
-		for i, f := w0, f0; i < wf.end; i++ {
-			if f < wf.fetchEnd && fetch[f] == i {
-				if f < verified && buf != nil {
-					copy(buf[offs[i]:offs[i]+cs], win.ct[i*cs:(i+1)*cs])
-				}
-				f++
-				continue
-			}
-			dst := buf[offs[i] : offs[i]+cs]
-			if ln, ok := s.lines[chunks[i]]; ok {
-				s.touchResident(ln)
-				copy(dst, ln.data)
-				s.acct.Hits++
-			} else {
-				clear(dst)
-			}
-		}
-		if integrityErr != nil && verified < wf.fetchEnd {
-			s.integrityErr = integrityErr
-			return s.acct.BusyCycles - start, integrityErr
-		}
-		if fetchErr != nil && k == len(wins)-1 {
-			return s.acct.BusyCycles - start, fetchErr
-		}
-		n := wf.end - w0
-		s.chargeWindow(wf.fetchEnd-f0, n, wf.dramBusy, wf.dramBus, wf.first, buf == nil && n == 1)
+	if err != nil {
+		clear(win.errs[:opened])
 		if buf == nil {
-			s.acct.Misses++
-			s.acct.Prefetched += uint64(n - 1)
-		} else {
-			s.acct.Streamed += uint64(n)
-			s.acct.StreamWindows++
+			for _, i := range fetch[:opened] {
+				if ln := win.lines[i]; ln != nil {
+					win.lines[i] = nil
+					s.linePool.Put(ln)
+				}
+			}
 		}
-		w0, f0 = wf.end, wf.fetchEnd
 	}
-	return s.acct.BusyCycles - start, nil
+	win.buf = nil
+	return s.acct.BusyCycles - start, err
+}
+
+// commitRead is stage 3 of read window wf, which starts at slot w0 and
+// fetched slot f0: it merges the window's opened slots into the caller's
+// buffer, or makes a miss's new lines resident, serves its resident
+// (clean or dirty, they are authoritative) and virgin slots, and charges
+// it. At the lowest fetched slot that failed to open, the merge skips the
+// rest of the window's fetched slots, and the window latches the failure
+// and is not charged. A window whose fetch failed (fetchErr) had none of
+// its fetched slots opened; it returns fetchErr uncharged.
+func (s *engineSet) commitRead(wf *window, w0, f0 int, fetchErr error) error {
+	win, cs := s.win, s.cfg.ChunkSize
+	chunks, offs, buf := win.chunks, win.offs, win.buf
+	bad, err := wf.fetchEnd, fetchErr
+	if err != nil {
+		bad = f0
+	} else {
+		for f := f0; f < wf.fetchEnd; f++ {
+			if win.errs[f] != nil {
+				bad, err = f, win.errs[f]
+				break
+			}
+		}
+	}
+	for i, f := w0, f0; i < wf.end; i++ {
+		if f < wf.fetchEnd && win.idx[f] == i {
+			if f < bad {
+				if buf != nil {
+					copy(buf[offs[i]:offs[i]+cs], win.ct[i*cs:(i+1)*cs])
+				} else {
+					ln := win.lines[i]
+					win.lines[i] = nil
+					ln.prefetched = true
+					s.insertLine(chunks[i], ln)
+				}
+			}
+			f++
+			continue
+		}
+		dst := buf[offs[i] : offs[i]+cs]
+		if ln, ok := s.lines[chunks[i]]; ok {
+			s.touchResident(ln)
+			copy(dst, ln.data)
+			s.acct.Hits++
+		} else {
+			clear(dst)
+		}
+	}
+	if err != nil {
+		if fetchErr == nil {
+			s.integrityErr = err
+		}
+		return err
+	}
+	n := wf.end - w0
+	s.chargeWindow(wf.fetchEnd-f0, n, wf.dramBusy, wf.dramBus, wf.first, buf == nil && n == 1)
+	if buf == nil {
+		s.acct.Misses++
+		s.acct.Prefetched += uint64(n - 1)
+	} else {
+		s.acct.Streamed += uint64(n)
+		s.acct.StreamWindows++
+	}
+	return nil
 }
 
 // writeBatch moves one batch of write windows: slot i seals chunk
 // chunks[i] from data[offs[i]], or, when data is nil, from the chunk's
-// resident line (a write-back). Every slot is sealed in one split, at
-// the write epoch its window moves to; then each window in order bumps
-// its chunks' counters to that epoch and is stored, one batched store per
-// contiguous chunk run, and charged. A store error ends the batch at its
-// window. A full-chunk write never fetches and supersedes the chunk's
-// resident line; a write-back leaves its line resident and clean.
-// Callers hold s.mu.
+// resident line (a write-back). The slots are sealed in one split, each
+// at the write epoch its window moves to, while the caller commits each
+// window in order as soon as its slots are sealed (commitWrite). A store
+// error ends the batch at its window. A full-chunk write never fetches
+// and supersedes the chunk's resident line; a write-back leaves its line
+// resident and clean. Callers hold s.mu.
 func (s *engineSet) writeBatch(chunks, offs []int, data []byte, wins []window) (uint64, error) {
 	if s.integrityErr != nil {
 		return 0, s.integrityErr
 	}
 	start := s.acct.BusyCycles
-
-	s.win.split(passSeal, nil, len(chunks), data)
-
-	w0 := 0
-	for _, wf := range wins {
-		// New write epoch for every chunk of the window before it is
-		// stored: the epoch its slots were sealed at.
-		if s.cfg.Freshness {
-			for _, chunk := range chunks[w0:wf.end] {
-				s.counters[chunk]++
-			}
+	win := s.win
+	// The workers seal a write-back from these line pointers: the
+	// buffer's map is the commit's alone while they run.
+	if data == nil {
+		for i, c := range chunks {
+			win.lines[i] = s.lines[c]
 		}
-
-		var dramBusy, dramBus uint64
-		for i := w0; i < wf.end; {
-			j := i
-			for j+1 < wf.end && chunks[j+1] == chunks[j]+1 {
-				j++
-			}
-			busy, bus, err := s.storeRun(s.win, i, chunks[i], j-i+1)
-			if err != nil {
-				return s.acct.BusyCycles - start, err
-			}
-			dramBusy += busy
-			dramBus += bus
-			i = j + 1
-		}
-
-		// DRAM now holds the authoritative ciphertext at the bumped epoch.
-		for _, chunk := range chunks[w0:wf.end] {
-			if ln, ok := s.lines[chunk]; ok {
-				if data == nil {
-					ln.dirty = false
-				} else {
-					s.dropLine(ln)
-				}
-			}
-			s.initialized[chunk] = true
-		}
-
-		n := wf.end - w0
-		s.chargeWindow(n, n, dramBusy, dramBus, wf.first, data == nil && n == 1)
-		if data == nil {
-			s.acct.Writebacks += uint64(n)
-			if n > 1 {
-				s.acct.BatchedWritebacks += uint64(n)
-			}
-		} else {
-			s.acct.Streamed += uint64(n)
-			s.acct.StreamWindows++
-		}
-		w0 = wf.end
 	}
-	return s.acct.BusyCycles - start, nil
+	err := win.split(passSeal, len(chunks), data, wins)
+	if data == nil {
+		clear(win.lines[:len(chunks)])
+	}
+	win.buf = nil
+	return s.acct.BusyCycles - start, err
+}
+
+// commitWrite is stage 3 of write window wf, which starts at slot w0: it
+// bumps the window's counters to the epoch its slots were sealed at,
+// stores it, one batched store per contiguous chunk run, and charges it.
+// DRAM then holds the authoritative ciphertext, so the window's chunks
+// become valid and a write supersedes their resident lines while a
+// write-back leaves them clean. A store error returns at once.
+func (s *engineSet) commitWrite(wf *window, w0 int) error {
+	chunks, data := s.win.chunks[w0:wf.end], s.win.buf
+	if s.cfg.Freshness {
+		for _, chunk := range chunks {
+			s.counters[chunk]++
+		}
+	}
+	var dramBusy, dramBus uint64
+	for i := 0; i < len(chunks); {
+		j := i
+		for j+1 < len(chunks) && chunks[j+1] == chunks[j]+1 {
+			j++
+		}
+		busy, bus, err := s.storeRun(s.win, w0+i, chunks[i], j-i+1)
+		if err != nil {
+			return err
+		}
+		dramBusy += busy
+		dramBus += bus
+		i = j + 1
+	}
+	for _, chunk := range chunks {
+		if ln, ok := s.lines[chunk]; ok {
+			if data == nil {
+				ln.dirty = false
+			} else {
+				s.dropLine(ln)
+			}
+		}
+		s.initialized[chunk] = true
+	}
+	n := len(chunks)
+	s.chargeWindow(n, n, dramBusy, dramBus, wf.first, data == nil && n == 1)
+	if data == nil {
+		s.acct.Writebacks += uint64(n)
+		if n > 1 {
+			s.acct.BatchedWritebacks += uint64(n)
+		}
+	} else {
+		s.acct.Streamed += uint64(n)
+		s.acct.StreamWindows++
+	}
+	return nil
 }
