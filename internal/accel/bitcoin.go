@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync/atomic"
 
 	"shef/internal/crypto/hmacx"
+	"shef/internal/parallel"
 	"shef/internal/shield"
 )
 
@@ -101,19 +103,7 @@ func (b *Bitcoin) Run(ctx *Ctx) error {
 	if _, err := ctx.Regs.WriteReg(btcRegCtrl, 1); err != nil {
 		return err
 	}
-	var full [80]byte
-	copy(full[:76], b.Header[:])
-	tried := uint64(0)
-	found := false
-	var nonce uint32
-	for n := uint32(0); n < b.MaxNonce; n++ {
-		binary.LittleEndian.PutUint32(full[76:], n)
-		tried++
-		if meetsDifficulty(doubleSHA(full[:]), b.Difficulty) {
-			nonce, found = n, true
-			break
-		}
-	}
+	nonce, tried, found := searchNonce(&b.Header, b.Difficulty, b.MaxNonce)
 	ctx.Compute(tried * hashCyclesPerNonce)
 	if !found {
 		return fmt.Errorf("accel: no nonce below %d met difficulty %d", b.MaxNonce, b.Difficulty)
@@ -151,6 +141,67 @@ func (b *Bitcoin) Check(inputs, outputs map[string][]byte) error {
 		return fmt.Errorf("accel: posted nonce %#x misses difficulty %d", b.nonce, b.Difficulty)
 	}
 	return nil
+}
+
+// The nonce search splits across Ps one window of nonces at a time, and
+// each worker of a split gets at least nonceGrain nonces. A window bounds
+// the work done past the winner: the split of the window that holds it
+// stops once the nonces below the winner are tried. At about 200 ns a
+// nonce, a window is about 1.6 ms of hashing, and at two Ps its
+// 512-nonce pieces are about 100 µs each.
+const (
+	nonceWindow = 1 << 13
+	nonceGrain  = 1 << 10
+)
+
+// searchNonce returns the lowest nonce below maxNonce whose header hash
+// has difficulty leading zero bits, and how many nonces the serial search
+// from zero tries: up to and including the winner, or all maxNonce of them
+// when none wins. Each window's nonces are claimed in ascending pieces
+// across Ps; at one P, or when a window is under two grains, the search
+// runs on the caller.
+func searchNonce(hdr *[76]byte, difficulty int, maxNonce uint32) (nonce uint32, tried uint64, found bool) {
+	s := nonceSearch{hdr: hdr, difficulty: difficulty}
+	var g parallel.Group
+	for base := uint64(0); base < uint64(maxNonce); base += nonceWindow {
+		n := min(nonceWindow, uint64(maxNonce)-base)
+		s.base = base
+		s.best.Store(n)
+		g.Run(parallel.Workers(int(n), nonceGrain), int(n), &s)
+		if k := s.best.Load(); k < n {
+			return uint32(base + k), base + k + 1, true
+		}
+	}
+	return 0, uint64(maxNonce), false
+}
+
+// nonceSearch is one window's split of the nonce search: index k of the
+// split is nonce base+k.
+type nonceSearch struct {
+	hdr        *[76]byte
+	difficulty int
+	base       uint64
+	// best is the lowest winning index found so far in the window, or the
+	// window's size while none is. A worker skips indexes at or above it:
+	// only a lower winner can change the answer.
+	best atomic.Uint64
+}
+
+// Run tries nonces base+lo .. base+hi-1 in ascending order.
+func (s *nonceSearch) Run(_, lo, hi int) {
+	var full [80]byte
+	copy(full[:76], s.hdr[:])
+	for k := uint64(lo); k < uint64(hi) && k < s.best.Load(); k++ {
+		binary.LittleEndian.PutUint32(full[76:], uint32(s.base+k))
+		if meetsDifficulty(doubleSHA(full[:]), s.difficulty) {
+			for {
+				cur := s.best.Load()
+				if k >= cur || s.best.CompareAndSwap(cur, k) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // doubleSHA is SHA-256(SHA-256(b)), the Bitcoin block-header hash.

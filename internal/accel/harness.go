@@ -149,29 +149,40 @@ func RunShielded(w Workload, v Variant, params perf.Params, seed int64) (RunResu
 func RunOnShield(w Workload, sh *shield.Shield, dram *mem.DRAM, dek []byte, params perf.Params, seed int64) (RunResult, error) {
 	cfg := sh.Config()
 
-	// Data Owner: seal inputs; host: DMA them in; Shield: mark preloaded.
+	// Data Owner: seal inputs, in the configuration's region order and
+	// all in one split; host: DMA them in; Shield: mark preloaded.
 	rng := rand.New(rand.NewSource(seed))
 	inputs := w.Inputs(rng)
-	for name, img := range inputs {
-		rc := regionByName(cfg, name)
-		if rc == nil {
+	for name := range inputs {
+		if regionByName(cfg, name) == nil {
 			return RunResult{}, fmt.Errorf("accel: workload %s writes to unconfigured region %q", w.Name(), name)
 		}
-		layout, err := sh.Layout(name)
+	}
+	var sealed []shield.RegionImage
+	var layouts []shield.RegionLayout
+	for _, rc := range cfg.Regions {
+		img, ok := inputs[rc.Name]
+		if !ok {
+			continue
+		}
+		layout, err := sh.Layout(rc.Name)
 		if err != nil {
 			return RunResult{}, err
 		}
-		ct, tags, err := shield.SealRegionData(*rc, layout.RegionID, dek, img)
-		if err != nil {
+		sealed = append(sealed, shield.RegionImage{Config: rc, ID: layout.RegionID, Plain: img})
+		layouts = append(layouts, layout)
+	}
+	if err := shield.SealRegions(dek, sealed); err != nil {
+		return RunResult{}, err
+	}
+	for i, im := range sealed {
+		if err := dram.RawWrite(layouts[i].DataBase, im.CT); err != nil {
 			return RunResult{}, err
 		}
-		if err := dram.RawWrite(layout.DataBase, ct); err != nil {
+		if err := dram.RawWrite(layouts[i].TagBase, im.Tags); err != nil {
 			return RunResult{}, err
 		}
-		if err := dram.RawWrite(layout.TagBase, tags); err != nil {
-			return RunResult{}, err
-		}
-		if err := sh.MarkPreloaded(name); err != nil {
+		if err := sh.MarkPreloaded(im.Config.Name); err != nil {
 			return RunResult{}, err
 		}
 	}
@@ -186,35 +197,37 @@ func RunOnShield(w Workload, sh *shield.Shield, dram *mem.DRAM, dek []byte, para
 		return RunResult{}, err
 	}
 
-	// Host DMAs results out; Data Owner opens and checks them.
-	outputs := make(map[string][]byte)
+	// Host DMAs results out; Data Owner opens them, all in one split, and
+	// checks them.
+	var results []shield.RegionImage
 	for _, name := range w.OutputRegions() {
 		rc := regionByName(cfg, name)
 		layout, err := sh.Layout(name)
 		if err != nil {
 			return RunResult{}, err
 		}
-		ct, err := dram.RawRead(layout.DataBase, int(layout.DataSize))
-		if err != nil {
+		im := shield.RegionImage{Config: *rc, ID: layout.RegionID}
+		if im.CT, err = dram.RawRead(layout.DataBase, int(layout.DataSize)); err != nil {
 			return RunResult{}, err
 		}
-		tags, err := dram.RawRead(layout.TagBase, int(layout.TagSize))
-		if err != nil {
+		if im.Tags, err = dram.RawRead(layout.TagBase, int(layout.TagSize)); err != nil {
 			return RunResult{}, err
 		}
-		var counters []uint32
 		if rc.Freshness {
 			snap, err := sh.CounterSnapshot(name)
 			if err != nil {
 				return RunResult{}, err
 			}
-			counters = snap.Counters
+			im.Counters = snap.Counters
 		}
-		img, err := shield.OpenRegionData(*rc, layout.RegionID, dek, ct, tags, counters)
-		if err != nil {
-			return RunResult{}, fmt.Errorf("accel: opening %s results: %w", name, err)
-		}
-		outputs[name] = img
+		results = append(results, im)
+	}
+	if err := shield.OpenRegions(dek, results); err != nil {
+		return RunResult{}, fmt.Errorf("accel: opening %s results: %w", w.Name(), err)
+	}
+	outputs := make(map[string][]byte)
+	for _, im := range results {
+		outputs[im.Config.Name] = im.Plain
 	}
 	if err := w.Check(inputs, outputs); err != nil {
 		return RunResult{}, fmt.Errorf("accel: %s shielded run produced wrong output: %w", w.Name(), err)

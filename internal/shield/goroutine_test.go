@@ -8,12 +8,15 @@ import (
 
 // settledGoroutines samples runtime.NumGoroutine until it is at most
 // limit, yielding the processor between samples so goroutines that are
-// already on their way out (a multi-region Flush's per-set goroutines)
-// can exit. The wait is bounded in samples, not time; it returns the last
-// count.
+// already on their way out (a multi-region Flush's per-set goroutines, a
+// split's helpers after their last piece) can exit. The wait is bounded
+// in samples, not time; it returns the last count. Under the race
+// detector at four Ps on a two-CPU host, a helper's exit outlasted 1000
+// samples in about one run in ten; a leaked goroutine still fails after
+// 100000.
 func settledGoroutines(limit int) int {
 	n := runtime.NumGoroutine()
-	for i := 0; i < 1000 && n > limit; i++ {
+	for i := 0; i < 100000 && n > limit; i++ {
 		runtime.Gosched()
 		n = runtime.NumGoroutine()
 	}

@@ -183,10 +183,10 @@ func TestSealRegionDataSameAtAnyProcs(t *testing.T) {
 }
 
 // TestOpenRegionDataLowestFailure: with tampered chunks in several
-// workers' ranges, the owner-side open returns no plaintext and the
+// workers' pieces, the owner-side open returns no plaintext and the
 // IntegrityError of the lowest tampered chunk, whether it runs on one P
-// or splits. At two Ps the ranges are chunks [0, 512) and [512, 1024); at
-// four, 256 chunks each.
+// or splits. The workers claim ascending pieces of 64 chunks at two Ps
+// and 32 at four.
 func TestOpenRegionDataLowestFailure(t *testing.T) {
 	dek := bytes.Repeat([]byte{0x5A}, 32)
 	type flip struct {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"sort"
 
 	"shef/internal/crypto/aesx"
 	"shef/internal/crypto/hmacx"
@@ -197,90 +198,171 @@ func (s *Shield) Layout(region string) (RegionLayout, error) {
 	}, nil
 }
 
-// SealRegionData encrypts a full region image in the Shield's chunk format
-// at epoch zero. The Data Owner runs this in a secure location before
-// handing the ciphertext and tags to the untrusted host program for DMA.
-func SealRegionData(cfg RegionConfig, regionID uint32, dek, data []byte) (ct, tags []byte, err error) {
-	if uint64(len(data)) != cfg.Size {
-		return nil, nil, fmt.Errorf("shield: region %q image is %d bytes, want %d", cfg.Name, len(data), cfg.Size)
+// RegionImage is one region of a Data Owner seal or open: the region's
+// configuration and ID (see Layout), and its image. SealRegions reads
+// Plain and sets CT and Tags; OpenRegions reads CT, Tags and Counters and
+// sets Plain.
+type RegionImage struct {
+	Config   RegionConfig
+	ID       uint32
+	Plain    []byte
+	CT, Tags []byte
+	// Counters holds the per-chunk write epochs of a freshness-protected
+	// region (from Shield.CounterSnapshot, relayed over an authenticated
+	// channel); nil means epoch zero everywhere.
+	Counters []uint32
+}
+
+// SealRegions encrypts full region images in the Shield's chunk format
+// at epoch zero, setting each image's CT and Tags from its Plain. The
+// Data Owner runs this in a secure location before handing the
+// ciphertext and tags to the untrusted host program for DMA. Every
+// chunk of every image is sealed in one split.
+func SealRegions(dek []byte, imgs []RegionImage) error {
+	for _, im := range imgs {
+		if uint64(len(im.Plain)) != im.Config.Size {
+			return fmt.Errorf("shield: region %q image is %d bytes, want %d", im.Config.Name, len(im.Plain), im.Config.Size)
+		}
 	}
-	s, err := newSealer(cfg, regionID, dek)
+	sealers, err := newSealers(dek, imgs)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	ct = make([]byte, len(data))
-	tags = make([]byte, cfg.Chunks()*TagSize)
-	cs := cfg.ChunkSize
-	s.eachChunk(func(sc *sealScratch, c int) error {
-		s.sealChunkWith(sc, ct[c*cs:(c+1)*cs], tags[c*TagSize:(c+1)*TagSize], c, 0, data[c*cs:(c+1)*cs])
+	for i := range imgs {
+		imgs[i].CT = make([]byte, len(imgs[i].Plain))
+		imgs[i].Tags = make([]byte, imgs[i].Config.Chunks()*TagSize)
+	}
+	return eachChunk(sealers, func(sc *sealScratch, r, c int) error {
+		im, cs := &imgs[r], imgs[r].Config.ChunkSize
+		sealers[r].sealChunkWith(sc, im.CT[c*cs:(c+1)*cs], im.Tags[c*TagSize:(c+1)*TagSize], c, 0, im.Plain[c*cs:(c+1)*cs])
 		return nil
 	})
-	return ct, tags, nil
 }
 
-// OpenRegionData verifies and decrypts a full region image DMAed out of
-// device DRAM. counters supplies the per-chunk write epochs for
-// freshness-protected regions (from Shield.CounterSnapshot, relayed over
-// an authenticated channel); nil means epoch zero everywhere. A tampered
-// image returns the lowest-index failing chunk's *IntegrityError and no
-// plaintext.
-func OpenRegionData(cfg RegionConfig, regionID uint32, dek, ct, tags []byte, counters []uint32) ([]byte, error) {
-	if uint64(len(ct)) != cfg.Size {
-		return nil, fmt.Errorf("shield: ciphertext is %d bytes, want %d", len(ct), cfg.Size)
-	}
-	if len(tags) != cfg.Chunks()*TagSize {
-		return nil, errors.New("shield: tag array has wrong size")
-	}
-	if counters != nil && len(counters) != cfg.Chunks() {
-		return nil, errors.New("shield: counter array has wrong size")
-	}
-	s, err := newSealer(cfg, regionID, dek)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(ct))
-	cs := cfg.ChunkSize
-	err = s.eachChunk(func(sc *sealScratch, c int) error {
-		ctr := uint32(0)
-		if counters != nil {
-			ctr = counters[c]
+// OpenRegions verifies and decrypts full region images DMAed out of
+// device DRAM, setting each image's Plain from its CT, Tags and Counters.
+// Every chunk of every image is opened in one split. A tampered image
+// returns the *IntegrityError of the first failing image in imgs' order,
+// at its lowest-index failing chunk, and sets no plaintext.
+func OpenRegions(dek []byte, imgs []RegionImage) error {
+	for _, im := range imgs {
+		cfg := im.Config
+		if uint64(len(im.CT)) != cfg.Size {
+			return fmt.Errorf("shield: region %q ciphertext is %d bytes, want %d", cfg.Name, len(im.CT), cfg.Size)
 		}
-		return s.openChunkWith(sc, out[c*cs:(c+1)*cs], c, ctr, ct[c*cs:(c+1)*cs], tags[c*TagSize:(c+1)*TagSize])
+		if len(im.Tags) != cfg.Chunks()*TagSize {
+			return fmt.Errorf("shield: region %q tag array has wrong size", cfg.Name)
+		}
+		if im.Counters != nil && len(im.Counters) != cfg.Chunks() {
+			return fmt.Errorf("shield: region %q counter array has wrong size", cfg.Name)
+		}
+	}
+	sealers, err := newSealers(dek, imgs)
+	if err != nil {
+		return err
+	}
+	plain := make([][]byte, len(imgs))
+	for i := range imgs {
+		plain[i] = make([]byte, len(imgs[i].CT))
+	}
+	err = eachChunk(sealers, func(sc *sealScratch, r, c int) error {
+		im, cs := &imgs[r], imgs[r].Config.ChunkSize
+		ctr := uint32(0)
+		if im.Counters != nil {
+			ctr = im.Counters[c]
+		}
+		return sealers[r].openChunkWith(sc, plain[r][c*cs:(c+1)*cs], c, ctr, im.CT[c*cs:(c+1)*cs], im.Tags[c*TagSize:(c+1)*TagSize])
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return out, nil
+	for i := range imgs {
+		imgs[i].Plain = plain[i]
+	}
+	return nil
 }
 
-// eachChunk runs f on every chunk of the region, split across Ps by the
-// rule a stream batch's split uses: parallel.Workers over the region's
-// bytes at splitGrainBytes, so a region under two grains stays on the
-// caller. Each worker builds one seal scratch for all its pieces, and a
-// piece stops at its first failure, which the worker records. A worker's
-// pieces ascend, so its first failure is its lowest, and it skips the
-// rest of its pieces; eachChunk returns the lowest failure among the
-// workers.
-func (s *sealer) eachChunk(f func(sc *sealScratch, c int) error) error {
-	p := parallel.Workers(int(s.cfg.Size), splitGrainBytes)
+// SealRegionData is SealRegions for one region: it returns the sealed
+// ciphertext and tags of data.
+func SealRegionData(cfg RegionConfig, regionID uint32, dek, data []byte) (ct, tags []byte, err error) {
+	imgs := []RegionImage{{Config: cfg, ID: regionID, Plain: data}}
+	if err := SealRegions(dek, imgs); err != nil {
+		return nil, nil, err
+	}
+	return imgs[0].CT, imgs[0].Tags, nil
+}
+
+// OpenRegionData is OpenRegions for one region: it returns the plaintext
+// of ct, or the lowest-index failing chunk's *IntegrityError and no
+// plaintext.
+func OpenRegionData(cfg RegionConfig, regionID uint32, dek, ct, tags []byte, counters []uint32) ([]byte, error) {
+	imgs := []RegionImage{{Config: cfg, ID: regionID, CT: ct, Tags: tags, Counters: counters}}
+	if err := OpenRegions(dek, imgs); err != nil {
+		return nil, err
+	}
+	return imgs[0].Plain, nil
+}
+
+// newSealers builds the sealer of each image's region.
+func newSealers(dek []byte, imgs []RegionImage) ([]*sealer, error) {
+	sealers := make([]*sealer, len(imgs))
+	for i, im := range imgs {
+		s, err := newSealer(im.Config, im.ID, dek)
+		if err != nil {
+			return nil, err
+		}
+		sealers[i] = s
+	}
+	return sealers, nil
+}
+
+// eachChunk runs f(sc, r, c) on every chunk c of every region r, in one
+// split over the regions' chunks laid end to end in sealers' order. The
+// split follows the rule a stream batch's split uses, applied to the
+// regions' total size: parallel.Workers over their bytes at
+// splitGrainBytes, so regions under two grains in all stay on the
+// caller. Each worker builds a seal scratch for each region it meets,
+// once for all its pieces, and a piece stops at its first failure, which
+// the worker records. A worker's pieces ascend, so its first failure is
+// its lowest, and it skips the rest of its pieces; eachChunk returns the
+// lowest failure among the workers: the first failing region's lowest
+// failing chunk.
+func eachChunk(sealers []*sealer, f func(sc *sealScratch, r, c int) error) error {
+	// first[r] is region r's first chunk in the split's index space.
+	first := make([]int, len(sealers)+1)
+	size := 0
+	for r, s := range sealers {
+		first[r+1] = first[r] + s.cfg.Chunks()
+		size += int(s.cfg.Size)
+	}
+	p := parallel.Workers(size, splitGrainBytes)
 	type worker struct {
-		sc    *sealScratch
+		sc    []*sealScratch // by region, built on first use
 		chunk int
 		err   error
 	}
 	workers := make([]worker, p)
 	var g parallel.Group
-	g.Run(p, s.cfg.Chunks(), chunkPieces(func(w, lo, hi int) {
+	g.Run(p, first[len(sealers)], chunkPieces(func(w, lo, hi int) {
 		wk := &workers[w]
 		if wk.err != nil {
 			return
 		}
 		if wk.sc == nil {
-			wk.sc = s.newScratch()
+			wk.sc = make([]*sealScratch, len(sealers))
 		}
-		for c := lo; c < hi; c++ {
-			if err := f(wk.sc, c); err != nil {
-				wk.chunk, wk.err = c, err
+		r := sort.SearchInts(first[1:], lo+1) // the region holding chunk lo
+		for i := lo; i < hi; i++ {
+			for i >= first[r+1] {
+				r++
+			}
+			sc := wk.sc[r]
+			if sc == nil {
+				sc = sealers[r].newScratch()
+				wk.sc[r] = sc
+			}
+			if err := f(sc, r, i-first[r]); err != nil {
+				wk.chunk, wk.err = i, err
 				return
 			}
 		}
@@ -341,7 +423,7 @@ func (s *Shield) MarkPreloadedRange(region string, off, n uint64) error {
 
 // RegionSealer is the Data Owner's persistent chunk-cryptography handle
 // for one region: the same key schedule, MAC state, and scratch reused
-// across calls, instead of SealRegionData/OpenRegionData's
+// across calls, instead of SealRegions/OpenRegions'
 // rebuild-per-call. A RegionSealer is NOT safe for concurrent use — it
 // owns one scratch; callers wanting parallelism hold one per goroutine.
 type RegionSealer struct {
