@@ -1,10 +1,9 @@
 package shef
 
-// One benchmark per table and figure of the paper's evaluation (§6).
-// Run with:
+// One benchmark per table and figure of the paper's evaluation (§6), at
+// the paper's workload dimensions. Run with:
 //
-//	go test -bench=. -benchmem            # paper-scale workloads
-//	go test -bench=. -benchmem -short     # quick-scale
+//	go test -bench=. -benchmem
 //
 // Each benchmark regenerates its experiment through internal/experiments
 // and reports the headline numbers as custom metrics; the full rows print
@@ -20,13 +19,6 @@ import (
 	"shef/internal/perf"
 	"shef/internal/sdp"
 )
-
-func scale(b *testing.B) experiments.Scale {
-	if testing.Short() {
-		return experiments.Quick
-	}
-	return experiments.Paper
-}
 
 // BenchmarkTable1ShieldArea regenerates Table 1: per-component Shield
 // resource utilisation on the F1 device model.
@@ -48,7 +40,7 @@ func BenchmarkFigure5VecAdd(b *testing.B) {
 	var rows []experiments.Fig5Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure5(scale(b))
+		rows, err = experiments.Figure5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +107,7 @@ func BenchmarkFigure6Workloads(b *testing.B) {
 	var rows []experiments.Fig6Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure6(scale(b))
+		rows, err = experiments.Figure6()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -224,7 +216,7 @@ func BenchmarkClusterThroughput(b *testing.B) {
 		// The sweep stops the timer around cluster construction, sealed
 		// key-DB provisioning, and warm-up, so real ops/sec measures
 		// steady-state serving only.
-		rows, err = experiments.ClusterThroughput(b, scale(b))
+		rows, err = experiments.ClusterThroughput(b)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +247,7 @@ func BenchmarkClusterDegraded(b *testing.B) {
 	var row experiments.DegradedRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		row, err = experiments.DegradedThroughput(b, scale(b))
+		row, err = experiments.DegradedThroughput(b)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +266,7 @@ func BenchmarkClusterGoroutines(b *testing.B) {
 	var rows []experiments.ClusterRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.ClusterWorkerSweep(b, scale(b))
+		rows, err = experiments.ClusterWorkerSweep(b)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -295,7 +287,7 @@ func BenchmarkORAMPath(b *testing.B) {
 	var serial, batched experiments.ORAMPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		serial, batched, err = experiments.ORAMPathSweep(scale(b))
+		serial, batched, err = experiments.ORAMPathSweep()
 		if err != nil {
 			b.Fatal(err)
 		}

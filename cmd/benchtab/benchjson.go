@@ -4,7 +4,7 @@ package main
 // text output into a stable JSON document (the BENCH_pr.json artifact CI
 // publishes on every PR), and `benchtab -check` compares such a document
 // against the committed BENCH_baseline.json, failing when a headline
-// simulated-throughput metric regresses beyond the threshold.
+// simulated-throughput metric regresses beyond simBudget.
 //
 // Two families of metrics gate the build:
 //
@@ -18,7 +18,7 @@ package main
 //
 //   - Real wall-clock metrics (the "real-" family: real-stream-MB/s,
 //     real-flush-MB/s, real-cluster-scale-x) gate with their own, looser
-//     budget (-real-threshold): they vary with CI hardware, so the budget
+//     budget (realBudget): they vary with CI hardware, so the budget
 //     absorbs host noise, but a floor keeps a real win from silently
 //     rotting. real-cluster-scale-x additionally gates absolutely: the
 //     8-shard/1-shard real throughput ratio must stay ≥ 2.0 regardless of
@@ -168,7 +168,7 @@ func gatedMetric(name string) bool {
 }
 
 // realMetric selects the real wall-clock family, which gates with the
-// looser -real-threshold budget.
+// looser realBudget.
 func realMetric(name string) bool {
 	return strings.HasPrefix(name, "real-")
 }
@@ -318,6 +318,14 @@ func (e BenchEntry) sortedGated() []string {
 	return out
 }
 
+// The -check regression budgets: the fraction a gated metric may fall
+// below its baseline. Real wall-clock metrics get the looser budget
+// because they vary with the host.
+const (
+	simBudget  = 0.20
+	realBudget = 0.50
+)
+
 // checkRegression compares pr against baseline. It returns the list of
 // human-readable regressions (empty means the gate passes), a report of
 // every gated comparison for the CI log, and the gated metrics that
@@ -376,7 +384,7 @@ func checkRegression(baseline, pr *BenchDoc, threshold, realThreshold float64) (
 }
 
 // runCheck runs the -check mode and returns the process exit code.
-func runCheck(baselinePath, prPath string, threshold, realThreshold float64, w io.Writer) int {
+func runCheck(baselinePath, prPath string, w io.Writer) int {
 	baseline, err := loadBenchDoc(baselinePath)
 	if err != nil {
 		fmt.Fprintf(w, "benchtab -check: %v\n", err)
@@ -393,7 +401,7 @@ func runCheck(baselinePath, prPath string, threshold, realThreshold float64, w i
 		fmt.Fprintf(w, "benchtab -check: PR document produced under %s (%s)\n",
 			pr.Shefvet.Version, strings.Join(pr.Shefvet.Analyzers, ", "))
 	}
-	regressions, report, newMetrics := checkRegression(baseline, pr, threshold, realThreshold)
+	regressions, report, newMetrics := checkRegression(baseline, pr, simBudget, realBudget)
 	allocRegressions, allocReport := checkAllocs(pr)
 	regressions = append(regressions, allocRegressions...)
 	floorRegressions, floorReport := checkFloors(pr)
@@ -401,7 +409,7 @@ func runCheck(baselinePath, prPath string, threshold, realThreshold float64, w i
 	ceilRegressions, ceilReport := checkCeilings(pr)
 	regressions = append(regressions, ceilRegressions...)
 	fmt.Fprintf(w, "benchtab -check: %d gated metrics vs %s (sim budget %.0f%%, real budget %.0f%%), %d zero-alloc gates, %d absolute floors, %d absolute ceilings\n",
-		len(report), baselinePath, threshold*100, realThreshold*100, len(allocReport), len(floorGates), len(ceilingGates))
+		len(report), baselinePath, simBudget*100, realBudget*100, len(allocReport), len(floorGates), len(ceilingGates))
 	for _, line := range report {
 		fmt.Fprintln(w, "  ", line)
 	}

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	benchtab -all                 # everything at quick scale
-//	benchtab -table 2 -scale paper
-//	benchtab -fig 6 -scale paper
+//	benchtab -all                 # everything, at the paper's dimensions
+//	benchtab -table 2
+//	benchtab -fig 6
 //	benchtab -boot
 //
 // CI modes for the benchmark trajectory:
@@ -35,15 +35,12 @@ func main() {
 	oramFlag := flag.Bool("oram", false, "run the Path ORAM path-cost sweep (serial vs batched, §5.2.2)")
 	tenantsFlag := flag.Bool("tenants", false, "run the multi-tenant region-lookup scaling sweep (zones vs lookup overhead)")
 	all := flag.Bool("all", false, "regenerate everything")
-	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or paper")
 	profileFlag := flag.Bool("profile", false, "run the cluster sweeps under the profiling harness, write cpu/mutex/block profiles and a trace to -profiledir, and print the go tool pprof commands that read them")
 	profileDir := flag.String("profiledir", "profiles", "output directory for -profile (cpu/mutex/block pprof + trace)")
 	jsonFlag := flag.Bool("json", false, "parse `go test -bench` output on stdin into JSON on stdout")
 	checkFlag := flag.Bool("check", false, "compare -pr against -baseline and fail on regressions")
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline document for -check")
 	prPath := flag.String("pr", "BENCH_pr.json", "PR document for -check")
-	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression of sim-gated metrics for -check")
-	realThreshold := flag.Float64("real-threshold", 0.50, "allowed fractional regression of real- wall-clock metrics for -check (looser: they vary with host)")
 	flag.Parse()
 
 	if *jsonFlag {
@@ -53,18 +50,11 @@ func main() {
 		return
 	}
 	if *checkFlag {
-		os.Exit(runCheck(*baselinePath, *prPath, *threshold, *realThreshold, os.Stdout))
-	}
-
-	scale, err := parseScale(*scaleFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
+		os.Exit(runCheck(*baselinePath, *prPath, os.Stdout))
 	}
 
 	if *profileFlag {
-		runProfile(*profileDir, scale)
+		runProfile(*profileDir)
 		return
 	}
 
@@ -75,7 +65,7 @@ func main() {
 	}
 	if *all || *fig == 5 {
 		any = true
-		printFigure5(scale)
+		printFigure5()
 	}
 	if *all || *table == 2 {
 		any = true
@@ -83,7 +73,7 @@ func main() {
 	}
 	if *all || *fig == 6 {
 		any = true
-		printFigure6(scale)
+		printFigure6()
 	}
 	if *all || *table == 3 {
 		any = true
@@ -95,31 +85,19 @@ func main() {
 	}
 	if *all || *cluster {
 		any = true
-		printCluster(scale)
+		printCluster()
 	}
 	if *all || *oramFlag {
 		any = true
-		printORAM(scale)
+		printORAM()
 	}
 	if *all || *tenantsFlag {
 		any = true
-		printTenants(scale)
+		printTenants()
 	}
 	if !any {
 		flag.Usage()
 	}
-}
-
-// parseScale maps the -scale flag to an experiment scale, rejecting
-// anything but the two names so a typo cannot silently run quick.
-func parseScale(s string) (experiments.Scale, error) {
-	switch s {
-	case "quick":
-		return experiments.Quick, nil
-	case "paper":
-		return experiments.Paper, nil
-	}
-	return 0, fmt.Errorf("benchtab: -scale %q: want quick or paper", s)
 }
 
 func printTable1() {
@@ -134,9 +112,9 @@ func printTable1() {
 	fmt.Println()
 }
 
-func printFigure5(scale experiments.Scale) {
+func printFigure5() {
 	fmt.Println("== Figure 5: vecadd throughput overhead vs input size ==")
-	rows, err := experiments.Figure5(scale)
+	rows, err := experiments.Figure5()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,9 +145,9 @@ func printTable2() {
 	fmt.Println()
 }
 
-func printFigure6(scale experiments.Scale) {
+func printFigure6() {
 	fmt.Println("== Figure 6: workload execution time across Shield configurations ==")
-	rows, err := experiments.Figure6(scale)
+	rows, err := experiments.Figure6()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -213,9 +191,9 @@ func printTable3() {
 	fmt.Println()
 }
 
-func printCluster(scale experiments.Scale) {
+func printCluster() {
 	fmt.Println("== SDP cluster throughput: ops/sec vs fleet size (8 client goroutines) ==")
-	rows, err := experiments.ClusterThroughput(nil, scale)
+	rows, err := experiments.ClusterThroughput(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -227,7 +205,7 @@ func printCluster(scale experiments.Scale) {
 	fmt.Println("(host ops/sec is bounded by real cores; sim ops/sec is the fleet model: ops over the busiest shard's cycles)")
 	fmt.Println()
 	fmt.Println("== SDP cluster throughput: ops/sec vs offered load (4 shards) ==")
-	rows, err = experiments.ClusterWorkerSweep(nil, scale)
+	rows, err = experiments.ClusterWorkerSweep(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -243,13 +221,13 @@ func printCluster(scale experiments.Scale) {
 // mutex, and block profiles plus an execution trace land in dir, and the
 // `go tool pprof` commands that rank on-CPU time, split it by label, and
 // rank blocked time print after the sweep output.
-func runProfile(dir string, scale experiments.Scale) {
+func runProfile(dir string) {
 	fmt.Printf("== cluster sweeps under the profiling harness (profiles in %s/) ==\n\n", dir)
 	h, err := profiling.Start(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	printCluster(scale)
+	printCluster()
 	if err := h.Stop(); err != nil {
 		log.Fatal(err)
 	}
@@ -261,9 +239,9 @@ func runProfile(dir string, scale experiments.Scale) {
 	fmt.Printf("execution trace:        go tool trace %s\n", h.TracePath())
 }
 
-func printORAM(scale experiments.Scale) {
+func printORAM() {
 	fmt.Println("== Path ORAM path cost: serial per-bucket vs batched gather (§5.2.2) ==")
-	serial, batched, err := experiments.ORAMPathSweep(scale)
+	serial, batched, err := experiments.ORAMPathSweep()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -278,9 +256,9 @@ func printORAM(scale experiments.Scale) {
 	fmt.Println()
 }
 
-func printTenants(scale experiments.Scale) {
+func printTenants() {
 	fmt.Println("== Multi-tenant scaling: region-lookup cost vs resident zones ==")
-	rows, err := experiments.TenantSweep(scale)
+	rows, err := experiments.TenantSweep()
 	if err != nil {
 		log.Fatal(err)
 	}

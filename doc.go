@@ -10,9 +10,9 @@
 // paper's evaluation is regenerated by the benchmarks in bench_test.go
 // and by cmd/benchtab.
 //
-// Start with README.md for the package map, DESIGN.md for the
-// substitution rationale (hardware → simulation), and EXPERIMENTS.md for
-// paper-vs-measured results. The library entry points are
+// Start with README.md for the package map and DESIGN.md for the
+// substitution rationale (hardware → simulation); `go run ./cmd/benchtab
+// -all` prints the measured results next to the paper's. The library entry points are
 // internal/hostapp (end-to-end workflow) and internal/shield (the Shield
 // itself); examples/quickstart shows both in ~40 lines.
 package shef

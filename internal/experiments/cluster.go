@@ -111,7 +111,7 @@ type clusterFile struct {
 // each worker camping on one file) is what a serving tier sees — the
 // request stream interleaves tenants — and it is what defeats a single
 // shard's caches while leaving a balanced fleet's residency intact.
-func runClusterLoad(tc TimerControl, shards, workers, opsPerWorker int) (ClusterRow, error) {
+func runClusterLoad(tc TimerControl, shards, workers int) (ClusterRow, error) {
 	if tc != nil {
 		tc.StopTimer()
 		defer tc.StartTimer()
@@ -172,7 +172,7 @@ func runClusterLoad(tc TimerControl, shards, workers, opsPerWorker int) (Cluster
 			defer wg.Done()
 			cl := clients[w]
 			phase := w * clusterFiles / workers
-			for i := 0; i < opsPerWorker; i++ {
+			for i := 0; i < clusterOps; i++ {
 				f := files[(phase+i)%clusterFiles]
 				if i%(clusterGetsPut+1) == 0 {
 					if err := cl.PutSealed("load", f.name, len(f.payload), f.putCT, f.putTags); err != nil {
@@ -216,7 +216,7 @@ func runClusterLoad(tc TimerControl, shards, workers, opsPerWorker int) (Cluster
 	if err := c.Sync(); err != nil {
 		return ClusterRow{}, err
 	}
-	ops := workers * opsPerWorker
+	ops := workers * clusterOps
 	row := ClusterRow{
 		Shards:     shards,
 		Workers:    workers,
@@ -231,24 +231,18 @@ func runClusterLoad(tc TimerControl, shards, workers, opsPerWorker int) (Cluster
 	return row, nil
 }
 
-// clusterOps returns ops per worker: enough iterations at Paper scale for
-// a steady-state window, trimmed for Quick. (The payload is fixed — the
-// working-set-to-buffer geometry above is the experiment.)
-func clusterOps(scale Scale) int {
-	if scale == Paper {
-		return 256
-	}
-	return 64
-}
+// clusterOps is the ops per worker: enough iterations for a steady-state
+// window. (The payload is fixed — the working-set-to-buffer geometry
+// above is the experiment.)
+const clusterOps = 256
 
 // ClusterThroughput sweeps fleet size at a fixed offered load (eight
 // client goroutines): aggregate ops/sec should grow with shards until the
 // client count is the limit.
-func ClusterThroughput(tc TimerControl, scale Scale) ([]ClusterRow, error) {
-	ops := clusterOps(scale)
+func ClusterThroughput(tc TimerControl) ([]ClusterRow, error) {
 	var rows []ClusterRow
 	for _, shards := range []int{1, 2, 4, 8} {
-		row, err := runClusterLoad(tc, shards, clusterWorkers8, ops)
+		row, err := runClusterLoad(tc, shards, clusterWorkers8)
 		if err != nil {
 			return nil, err
 		}
@@ -260,11 +254,10 @@ func ClusterThroughput(tc TimerControl, scale Scale) ([]ClusterRow, error) {
 // ClusterWorkerSweep sweeps offered load (client goroutines) over a fixed
 // four-shard fleet: throughput should rise until workers saturate the
 // shards they hash onto.
-func ClusterWorkerSweep(tc TimerControl, scale Scale) ([]ClusterRow, error) {
-	ops := clusterOps(scale)
+func ClusterWorkerSweep(tc TimerControl) ([]ClusterRow, error) {
 	var rows []ClusterRow
 	for _, workers := range []int{1, 2, 4, 8, 16} {
-		row, err := runClusterLoad(tc, 4, workers, ops)
+		row, err := runClusterLoad(tc, 4, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -62,7 +62,7 @@ func degradedClusterConfig(shards int) sdp.ClusterConfig {
 // runDegradedWindow drives the shared Put/Get mix (1:3, like the scaling
 // sweep) for one measured window, one Client per worker, and returns the
 // real ops/sec.
-func runDegradedWindow(clients []*sdp.Client, files []*clusterFile, opsPerWorker int) (float64, error) {
+func runDegradedWindow(clients []*sdp.Client, files []*clusterFile) (float64, error) {
 	workers := len(clients)
 	errs := make([]error, workers)
 	start := time.Now()
@@ -74,7 +74,7 @@ func runDegradedWindow(clients []*sdp.Client, files []*clusterFile, opsPerWorker
 			cl := clients[w]
 			phase := w * len(files) / workers
 			var dst []byte
-			for i := 0; i < opsPerWorker; i++ {
+			for i := 0; i < clusterOps; i++ {
 				f := files[(phase+i)%len(files)]
 				var err error
 				if i%(clusterGetsPut+1) == 0 {
@@ -96,7 +96,7 @@ func runDegradedWindow(clients []*sdp.Client, files []*clusterFile, opsPerWorker
 			return 0, err
 		}
 	}
-	return float64(workers*opsPerWorker) / elapsed.Seconds(), nil
+	return float64(workers*clusterOps) / elapsed.Seconds(), nil
 }
 
 // DegradedThroughput measures a four-shard, three-replica fleet at a
@@ -105,13 +105,12 @@ func runDegradedWindow(clients []*sdp.Client, files []*clusterFile, opsPerWorker
 // round-trips. The degraded window runs against the failure exactly as a
 // serving tier would see it: the health detector discovering the dead
 // shard, reads falling back replica-by-replica, writes acking at quorum.
-func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
+func DegradedThroughput(tc TimerControl) (DegradedRow, error) {
 	if tc != nil {
 		tc.StopTimer()
 		defer tc.StartTimer()
 	}
 	const shards, workers = 4, clusterWorkers8
-	opsPerWorker := clusterOps(scale)
 	c, err := sdp.NewCluster(degradedClusterConfig(shards))
 	if err != nil {
 		return DegradedRow{}, err
@@ -149,7 +148,7 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 	if tc != nil {
 		tc.StartTimer()
 	}
-	healthy, err := runDegradedWindow(clients, files, opsPerWorker)
+	healthy, err := runDegradedWindow(clients, files)
 	if tc != nil {
 		tc.StopTimer()
 	}
@@ -164,7 +163,7 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 	if tc != nil {
 		tc.StartTimer()
 	}
-	degraded, err := runDegradedWindow(clients, files, opsPerWorker)
+	degraded, err := runDegradedWindow(clients, files)
 	if tc != nil {
 		tc.StopTimer()
 	}
@@ -194,7 +193,7 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 		Shards:            shards,
 		Replicas:          3,
 		Workers:           workers,
-		Ops:               workers * opsPerWorker,
+		Ops:               workers * clusterOps,
 		HealthyOpsPerSec:  healthy,
 		DegradedOpsPerSec: degraded,
 		DegradedWrites:    st.DegradedWrites,

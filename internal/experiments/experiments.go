@@ -15,16 +15,6 @@ import (
 	"shef/internal/shield"
 )
 
-// Scale selects experiment sizing: Quick keeps functional runs fast for
-// unit tests; Paper uses the paper's workload dimensions.
-type Scale int
-
-// Experiment scales.
-const (
-	Quick Scale = iota
-	Paper
-)
-
 // ---------------------------------------------------------------------
 // Table 1: Shield component utilisation on AWS F1.
 
@@ -70,20 +60,12 @@ type Fig5Row struct {
 	Overhead float64
 }
 
-// Figure5Sizes returns the vector sizes swept, in bytes.
-func Figure5Sizes(scale Scale) []int {
-	if scale == Paper {
-		// The paper's x-axis: 8 KB to 80 MB per input vector.
-		return []int{8 << 10, 80 << 10, 800 << 10, 8 << 20, 80 << 20}
-	}
-	return []int{8 << 10, 80 << 10, 800 << 10}
-}
-
-// Figure5 sweeps vecadd sizes for the AES/4x and AES/16x configurations.
-func Figure5(scale Scale) ([]Fig5Row, error) {
+// Figure5 sweeps vecadd sizes for the AES/4x and AES/16x configurations
+// over the paper's x-axis: 8 KB to 80 MB per input vector.
+func Figure5() ([]Fig5Row, error) {
 	params := perf.Default()
 	var rows []Fig5Row
-	for _, size := range Figure5Sizes(scale) {
+	for _, size := range []int{8 << 10, 80 << 10, 800 << 10, 8 << 20, 80 << 20} {
 		p := map[string]string{"bytes": fmt.Sprint(size)}
 		mk := func() (accel.Workload, error) { return accel.New("vecadd", p) }
 		w, err := mk()
@@ -116,7 +98,7 @@ func MatMulOverhead() (float64, error) {
 	params := perf.Default()
 	// n=256 with a 32-lane MAC array puts the compute/memory balance in
 	// the regime the paper describes (more computation per byte than
-	// vecadd); size is scale-independent.
+	// vecadd).
 	p := map[string]string{"n": "256"}
 	w, err := accel.New("matmul", p)
 	if err != nil {
@@ -149,37 +131,22 @@ type Fig6Row struct {
 // Figure6Workloads lists the workloads of Figure 6 in paper order.
 var Figure6Workloads = []string{"conv", "digitrec", "affine", "dnnweaver", "bitcoin"}
 
-// figure6Params sizes each workload per scale.
-func figure6Params(name string, scale Scale) map[string]string {
-	if scale == Paper {
-		switch name {
-		case "conv":
-			// The paper's layer: 27×27×96 in, 5×5 filters, 27×27×256 out.
-			// The 640-lane MAC array matches the compute density the
-			// paper's batched implementation achieves.
-			return map[string]string{"cin": "96", "cout": "256", "batch": "1", "lanes": "640"}
-		case "digitrec":
-			return map[string]string{"train": "16384", "tests": "192", "units": "16"}
-		case "affine":
-			return map[string]string{"dim": "512"}
-		case "dnnweaver":
-			return map[string]string{"batch": "48"}
-		case "bitcoin":
-			return map[string]string{"difficulty": "18"}
-		}
-		return nil
-	}
+// figure6Params sizes each workload at the paper's dimensions.
+func figure6Params(name string) map[string]string {
 	switch name {
 	case "conv":
-		return map[string]string{"cin": "32", "cout": "96", "batch": "1", "lanes": "1024"}
+		// The paper's layer: 27×27×96 in, 5×5 filters, 27×27×256 out.
+		// The 640-lane MAC array matches the compute density the
+		// paper's batched implementation achieves.
+		return map[string]string{"cin": "96", "cout": "256", "batch": "1", "lanes": "640"}
 	case "digitrec":
-		return map[string]string{"train": "8192", "tests": "64"}
+		return map[string]string{"train": "16384", "tests": "192", "units": "16"}
 	case "affine":
-		return map[string]string{"dim": "256"}
+		return map[string]string{"dim": "512"}
 	case "dnnweaver":
-		return map[string]string{"batch": "24"}
+		return map[string]string{"batch": "48"}
 	case "bitcoin":
-		return map[string]string{"difficulty": "15"}
+		return map[string]string{"difficulty": "18"}
 	}
 	return nil
 }
@@ -195,11 +162,11 @@ func Figure6VariantsFor(name string) []accel.Variant {
 }
 
 // Figure6 runs the full grid.
-func Figure6(scale Scale) ([]Fig6Row, error) {
+func Figure6() ([]Fig6Row, error) {
 	params := perf.Default()
 	var rows []Fig6Row
 	for _, name := range Figure6Workloads {
-		p := figure6Params(name, scale)
+		p := figure6Params(name)
 		w, err := accel.New(name, p)
 		if err != nil {
 			return nil, err
@@ -241,7 +208,7 @@ type Table3Row struct {
 func Table3() ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, name := range Figure6Workloads {
-		w, err := accel.New(name, figure6Params(name, Paper))
+		w, err := accel.New(name, figure6Params(name))
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"shef/internal/accel"
@@ -9,8 +10,12 @@ import (
 
 // These tests assert that the reproduction preserves the *shape* of the
 // paper's results — who wins, by roughly what factor, where the crossovers
-// fall — at Quick scale. EXPERIMENTS.md records the paper-vs-measured
-// values at Paper scale.
+// fall — at the paper's workload dimensions. `go run ./cmd/benchtab -all`
+// prints the measured values next to the paper's.
+
+// figure5 runs Figure 5 once per test binary: its 80 MB vecadd point
+// dominates the package's run time, and two tests read the rows.
+var figure5 = sync.OnceValues(Figure5)
 
 func TestTable1MatchesPaper(t *testing.T) {
 	rows := Table1()
@@ -36,7 +41,8 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	rows, err := Figure5(Quick)
+	t.Parallel()
+	rows, err := figure5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +81,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestMatMulLessPronounced(t *testing.T) {
+	t.Parallel()
 	mm, err := MatMulOverhead()
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +90,7 @@ func TestMatMulLessPronounced(t *testing.T) {
 	if mm < 1.02 || mm > 1.6 {
 		t.Errorf("matmul AES/4x overhead %.2f outside [1.02, 1.6] (paper: 1.26)", mm)
 	}
-	rows, err := Figure5(Quick)
+	rows, err := figure5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,19 +105,21 @@ func TestMatMulLessPronounced(t *testing.T) {
 	}
 }
 
-// figure6Bands holds per-workload overhead bands at Quick scale, centred
-// on the paper's Figure 6 values with model tolerance. Deviations are
-// documented in EXPERIMENTS.md.
-var figure6Bands = map[string][2]float64{
-	"conv":      {1.05, 2.10}, // paper: 1.20-1.35
-	"digitrec":  {1.70, 4.50}, // paper: 1.85-3.15
-	"affine":    {1.20, 1.95}, // paper: 1.41-2.22 (streamed output rows cheapen the bare baseline, raising relative overhead)
-	"dnnweaver": {2.70, 4.30}, // paper: 3.20-3.83 (HMAC bars)
-	"bitcoin":   {0.99, 1.10}, // paper: ~1.0
+// figure6Bands holds per-workload overhead bounds at the paper's
+// dimensions: x16 bounds the AES-128/16x and AES-256/16x bars, x4 the
+// AES-128/4x and AES-256/4x bars, which run crypto-bound on the memory
+// workloads. Each comment gives the measured bars, then the paper's range.
+var figure6Bands = map[string]struct{ x16, x4 [2]float64 }{
+	"conv":      {x16: [2]float64{1.05, 1.35}, x4: [2]float64{1.80, 2.90}}, // 1.07/1.07, 4x 1.97/2.64; paper 1.20-1.35
+	"digitrec":  {x16: [2]float64{2.70, 3.20}, x4: [2]float64{5.00, 8.00}}, // 2.94/3.00, 4x 5.49/7.30; paper 1.85-3.15
+	"affine":    {x16: [2]float64{1.35, 1.65}, x4: [2]float64{1.35, 1.70}}, // 1.48/1.48, 4x 1.48/1.52; paper 1.41-2.22 (streamed output rows cheapen the bare baseline)
+	"dnnweaver": {x16: [2]float64{3.20, 3.60}, x4: [2]float64{3.20, 3.70}}, // 3.38/3.38, 4x 3.43/3.46; paper 3.20-3.83 (HMAC bars)
+	"bitcoin":   {x16: [2]float64{0.99, 1.03}, x4: [2]float64{0.99, 1.03}}, // 1.00 everywhere; paper ~1.0
 }
 
 func TestFigure6Shape(t *testing.T) {
-	rows, err := Figure6(Quick)
+	t.Parallel()
+	rows, err := Figure6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +133,15 @@ func TestFigure6Shape(t *testing.T) {
 	}
 	for wl, band := range figure6Bands {
 		for v, o := range got[wl] {
-			if v == accel.V128x16PMAC.String() {
+			b := band.x16
+			switch v {
+			case accel.V128x16PMAC.String():
 				continue // checked separately below
+			case accel.V128x4.String(), accel.V256x4.String():
+				b = band.x4
 			}
-			lo, hi := band[0], band[1]
-			// The 4x bars may exceed the nominal band for mem-bound
-			// workloads; apply the wide bound only to the 16x bars.
-			if v == accel.V128x16.String() || v == accel.V256x16.String() {
-				if o < lo || o > hi {
-					t.Errorf("%s %s overhead %.2f outside [%.2f, %.2f]", wl, v, o, lo, hi)
-				}
-			} else if o < lo-0.05 || o > hi*2.2 {
-				t.Errorf("%s %s overhead %.2f wildly outside band [%.2f, %.2f]", wl, v, o, lo, hi)
+			if o < b[0] || o > b[1] {
+				t.Errorf("%s %s overhead %.2f outside [%.2f, %.2f]", wl, v, o, b[0], b[1])
 			}
 		}
 	}
@@ -155,8 +161,8 @@ func TestFigure6Shape(t *testing.T) {
 	if pmac >= hmac-0.5 {
 		t.Errorf("dnnweaver PMAC (%.2f) does not substantially improve on HMAC (%.2f)", pmac, hmac)
 	}
-	if pmac < 1.2 || pmac > 2.9 {
-		t.Errorf("dnnweaver PMAC overhead %.2f outside [1.2, 2.9] (paper: 2.31)", pmac)
+	if pmac < 2.15 || pmac > 2.50 {
+		t.Errorf("dnnweaver PMAC overhead %.2f outside [2.15, 2.50] (paper: 2.31)", pmac)
 	}
 	// Bitcoin is the near-zero-overhead register workload; conv the lowest
 	// of the memory workloads (compute dense).

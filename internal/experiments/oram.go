@@ -71,14 +71,9 @@ func oramDrive(cfg oram.Config, mode string, ops int) (ORAMPoint, error) {
 }
 
 // ORAMPathSweep measures the serial per-bucket path against the batched
-// scatter-gather path at the acceptance geometry (4096 blocks × 512 B at
-// paper scale, 1024 × 512 at quick scale).
-func ORAMPathSweep(scale Scale) (serial, batched ORAMPoint, err error) {
-	blocks := 1024
-	if scale == Paper {
-		blocks = 4096
-	}
-	const bs, ops = 512, 40
+// scatter-gather path at the acceptance geometry: 4096 blocks × 512 B.
+func ORAMPathSweep() (serial, batched ORAMPoint, err error) {
+	const blocks, bs, ops = 4096, 512, 40
 	serialCfg := oram.Config{Blocks: blocks, BlockSize: bs, Seed: 5, Serial: true}
 	batchedCfg := oram.Config{Blocks: blocks, BlockSize: bs, Seed: 5, ChunkAlign: 512}
 	if serial, err = oramDrive(serialCfg, "serial per-bucket", ops); err != nil {

@@ -36,13 +36,9 @@ const tenantZoneSize = 1 << 13
 // TenantSweep measures region-lookup behaviour as the tenant count
 // grows. The flat-table failure mode this exists to catch: per-access
 // resolution cost growing with the number of resident zones.
-func TenantSweep(scale Scale) ([]TenantRow, error) {
-	counts := []int{1, 16, 128}
-	accesses := 2048
-	if scale == Paper {
-		counts = []int{1, 16, 256, 1024}
-		accesses = 8192
-	}
+func TenantSweep() ([]TenantRow, error) {
+	counts := []int{1, 16, 256, 1024}
+	const accesses = 8192
 	params := perf.Default()
 	out := make([]TenantRow, 0, len(counts))
 	for _, zones := range counts {

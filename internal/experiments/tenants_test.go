@@ -7,7 +7,7 @@ import "testing"
 // every swept point, and the simulated lookup charge does not scale with
 // the table.
 func TestTenantSweepFlat(t *testing.T) {
-	rows, err := TenantSweep(Quick)
+	rows, err := TenantSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,9 @@ const streamWindowChunks = 16
 // the set mutex, whatever the chunk size (at least one window),
 // splitGrainBytes is the least chunk crypto a worker of the split gets,
 // and maxSplitWorkers caps the workers of one split, and so the seal
-// scratches a set keeps. The Data Owner's whole-image seal and open split
-// by the same grain.
+// scratches a set keeps. The Data Owner's seal and open of a design's
+// regions (SealRegions, OpenRegions) split all their chunks together by
+// the same grain.
 //
 // Measured on a 2-vCPU Xeon VM with Go 1.24: a split costs about 1 µs to
 // start and join while the other P is awake. The caller hands its P to
