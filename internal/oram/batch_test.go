@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"shef/internal/axi"
 	"shef/internal/crypto/aesx"
 	"shef/internal/crypto/keywrap"
 	"shef/internal/crypto/modp"
@@ -102,6 +103,110 @@ func TestORAMBatchedSpeedup(t *testing.T) {
 		serialCycles, batchedCycles, speedup, float64(batchedCycles)/ops)
 	if speedup < 1.5 {
 		t.Fatalf("batched path %.2fx over serial, want ≥1.5x", speedup)
+	}
+}
+
+// portCounts tallies the transactions a controller issues, by entry point.
+type portCounts struct {
+	readBursts, writeBursts   int
+	readStreams, writeStreams int
+	readGathers, writeGathers int
+}
+
+// burstCounter forwards bursts to a port that has nothing else.
+type burstCounter struct {
+	axi.MemoryPort
+	n *portCounts
+}
+
+func (c burstCounter) ReadBurst(addr uint64, buf []byte) (uint64, error) {
+	c.n.readBursts++
+	return c.MemoryPort.ReadBurst(addr, buf)
+}
+
+func (c burstCounter) WriteBurst(addr uint64, data []byte) (uint64, error) {
+	c.n.writeBursts++
+	return c.MemoryPort.WriteBurst(addr, data)
+}
+
+// engineCounter also forwards the Shield's stream and gather engines.
+type engineCounter struct {
+	burstCounter
+	sh *shield.Shield
+}
+
+func (c engineCounter) ReadStream(addr uint64, buf []byte) (uint64, error) {
+	c.n.readStreams++
+	return c.sh.ReadStream(addr, buf)
+}
+
+func (c engineCounter) WriteStream(addr uint64, data []byte) (uint64, error) {
+	c.n.writeStreams++
+	return c.sh.WriteStream(addr, data)
+}
+
+func (c engineCounter) ReadGather(runs []axi.Burst, buf []byte) (uint64, error) {
+	c.n.readGathers++
+	return c.sh.ReadGather(runs, buf)
+}
+
+func (c engineCounter) WriteGather(runs []axi.Burst, data []byte) (uint64, error) {
+	c.n.writeGathers++
+	return c.sh.WriteGather(runs, data)
+}
+
+// TestORAMPathMode pins how the controller moves data on each kind of
+// port. Chunk-aligned buckets over a Shield move every path as one
+// ReadGather plus one WriteGather and initialise the tree in slab
+// gathers. Any other pairing (packed buckets over a Shield, any geometry
+// over plain DRAM) moves every bucket in its own burst, both at
+// initialisation and on each access.
+func TestORAMPathMode(t *testing.T) {
+	const blocks, bs, ops = 64, 64, 16
+	for _, tc := range []struct {
+		name   string
+		align  int
+		shield bool
+	}{
+		{"shield-align512", 512, true},
+		{"shield-packed", 0, true},
+		{"dram-align512", 512, false},
+		{"dram-packed", 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Blocks: blocks, BlockSize: bs, Seed: 3, ChunkAlign: tc.align}
+			var n portCounts
+			var port axi.MemoryPort
+			if tc.shield {
+				sh := oramShield(t, cfg)
+				port = engineCounter{burstCounter{sh, &n}, sh}
+			} else {
+				port = burstCounter{mem.NewDRAM(cfg.FootprintBytes()+1<<16, perf.Default()), &n}
+			}
+			o, err := NewWithConfig(port, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buckets := o.TreeBuckets()
+			gather := tc.shield && tc.align > 0
+			want := portCounts{writeBursts: buckets}
+			if gather {
+				want = portCounts{writeGathers: (buckets + initSlabBuckets - 1) / initSlabBuckets}
+			}
+			if n != want {
+				t.Errorf("initialisation issued %+v, want %+v", n, want)
+			}
+			n = portCounts{}
+			driveMixed(t, o, blocks, bs, ops, 9)
+			perPath := o.levels + 1
+			want = portCounts{readBursts: ops * perPath, writeBursts: ops * perPath}
+			if gather {
+				want = portCounts{readGathers: ops, writeGathers: ops}
+			}
+			if n != want {
+				t.Errorf("%d accesses issued %+v, want %+v", ops, n, want)
+			}
+		})
 	}
 }
 
