@@ -25,8 +25,9 @@ import (
 // Ctx is the execution context handed to a running accelerator.
 type Ctx struct {
 	// Mem is the accelerator's AXI4 view of device memory: the Shield's
-	// plaintext interface when shielded, the Shell's port when bare.
-	Mem axi.MemoryPort
+	// plaintext interface, keyed when shielded and bare (shield.NewBare,
+	// the same engine sets without a sealer) for the baseline.
+	Mem axi.Streamer
 	// Regs is the AXI4-Lite register file (nil for bare runs without one).
 	Regs axi.RegisterPort
 
@@ -37,18 +38,16 @@ type Ctx struct {
 // Compute overlaps memory traffic: the harness takes the max.
 func (c *Ctx) Compute(cycles uint64) { c.computeCycles += cycles }
 
-// ReadStream reads a bulk transfer through the port's pipelined streaming
-// path when it has one (the engine sets' stream windows, shielded or
-// bare), falling back to a plain burst otherwise. Workloads use
-// it for multi-chunk sequential transfers.
+// ReadStream reads a bulk transfer through the port's pipelined stream
+// windows. Workloads use it for multi-chunk sequential transfers.
 func (c *Ctx) ReadStream(addr uint64, buf []byte) error {
-	_, err := axi.ReadAuto(c.Mem, addr, buf)
+	_, err := c.Mem.ReadStream(addr, buf)
 	return err
 }
 
-// WriteStream writes a bulk transfer through the port's streaming path.
+// WriteStream writes a bulk transfer through the port's stream windows.
 func (c *Ctx) WriteStream(addr uint64, data []byte) error {
-	_, err := axi.WriteAuto(c.Mem, addr, data)
+	_, err := c.Mem.WriteStream(addr, data)
 	return err
 }
 

@@ -17,10 +17,10 @@ import (
 
 // callRecorder stands between a kernel and its bare ports and hashes
 // every call it makes as one "kind addr len cycles" line. It forwards the
-// streaming and gather interfaces, so axi.ReadAuto/WriteAuto and the
-// gather helpers take the same path they take on the unwrapped port. Compute only adds to ctx's counter, so it is
-// recorded as the datapath cycles accumulated since the previous port
-// call: that total is all the cycle model reads of it.
+// burst and stream entry points of the bare Shield it wraps. Compute only
+// adds to ctx's counter, so it is recorded as the datapath cycles
+// accumulated since the previous port call: that total is all the cycle
+// model reads of it.
 type callRecorder struct {
 	mem   *shield.Shield
 	regs  axi.RegisterPort
@@ -66,19 +66,6 @@ func (r *callRecorder) ReadStream(addr uint64, buf []byte) (uint64, error) {
 func (r *callRecorder) WriteStream(addr uint64, data []byte) (uint64, error) {
 	c, err := r.mem.WriteStream(addr, data)
 	r.record("write_stream", addr, len(data), c)
-	return c, err
-}
-
-// A gather is one line whose kind names its runs.
-func (r *callRecorder) ReadGather(runs []axi.Burst, buf []byte) (uint64, error) {
-	c, err := r.mem.ReadGather(runs, buf)
-	r.record(fmt.Sprint("read_gather", runs), 0, len(buf), c)
-	return c, err
-}
-
-func (r *callRecorder) WriteGather(runs []axi.Burst, data []byte) (uint64, error) {
-	c, err := r.mem.WriteGather(runs, data)
-	r.record(fmt.Sprint("write_gather", runs), 0, len(data), c)
 	return c, err
 }
 

@@ -26,11 +26,12 @@ type RegisterPort interface {
 	WriteReg(index int, value uint64) (cycles uint64, err error)
 }
 
-// Streamer is an optional MemoryPort extension for bulk multi-chunk
-// transfers: implementations pipeline the burst (batched fetch, engine
-// fan-out, overlapped stages) instead of serving it beat by beat. The
-// Shield's streaming data path implements it; plain DRAM does not need to.
+// Streamer is a MemoryPort with a bulk multi-chunk path: the transfer is
+// pipelined (batched fetch, engine fan-out, overlapped stages) instead of
+// served beat by beat. The Shield implements it, keyed or bare; it is the
+// port an accelerator's context holds.
 type Streamer interface {
+	MemoryPort
 	ReadStream(addr uint64, buf []byte) (cycles uint64, err error)
 	WriteStream(addr uint64, data []byte) (cycles uint64, err error)
 }
@@ -46,106 +47,29 @@ type Gatherer interface {
 	WriteGather(runs []Burst, data []byte) (cycles uint64, err error)
 }
 
-// checkGather validates what every gather implementation must hold: runs
-// with positive lengths whose total matches the packed buffer. (Ports add
-// their own constraints on top — the Shield also requires chunk-aligned,
-// ascending, disjoint runs.)
-func checkGather(runs []Burst, n int) error {
-	total := 0
-	for _, r := range runs {
-		if r.Len <= 0 {
-			return fmt.Errorf("axi: gather run %v has no length", r)
-		}
-		total += r.Len
-	}
-	if total != n {
-		return fmt.Errorf("axi: gather buffer %d bytes, runs carry %d", n, total)
-	}
-	return nil
-}
-
-// ReadGatherAuto reads the runs through the port's gather engine when it
-// has one, falling back to one ReadAuto per run.
-func ReadGatherAuto(p MemoryPort, runs []Burst, buf []byte) (uint64, error) {
-	if err := checkGather(runs, len(buf)); err != nil {
-		return 0, err
-	}
-	if g, ok := p.(Gatherer); ok {
-		return g.ReadGather(runs, buf)
-	}
-	var total uint64
-	off := 0
-	for _, r := range runs {
-		c, err := ReadAuto(p, r.Addr, buf[off:off+r.Len])
-		total += c
-		if err != nil {
-			return total, err
-		}
-		off += r.Len
-	}
-	return total, nil
-}
-
-// WriteGatherAuto writes the runs through the port's gather engine when it
-// has one, falling back to one WriteAuto per run.
-func WriteGatherAuto(p MemoryPort, runs []Burst, data []byte) (uint64, error) {
-	if err := checkGather(runs, len(data)); err != nil {
-		return 0, err
-	}
-	if g, ok := p.(Gatherer); ok {
-		return g.WriteGather(runs, data)
-	}
-	var total uint64
-	off := 0
-	for _, r := range runs {
-		c, err := WriteAuto(p, r.Addr, data[off:off+r.Len])
-		total += c
-		if err != nil {
-			return total, err
-		}
-		off += r.Len
-	}
-	return total, nil
-}
-
-// ForEachRun groups ascending indices into maximal contiguous runs and
-// invokes fn(i0, n) for each run of n consecutive indices starting at
-// i0. Streaming ports use it to coalesce chunk fetches into batched
-// transactions.
-func ForEachRun(idx []int, fn func(i0, n int) error) error {
+// ForEachRunCapped groups ascending indices into maximal contiguous runs,
+// splits runs longer than max indices into max-sized windows, and invokes
+// fn(i0, n) for each window of n consecutive indices starting at i0.
+// max < 1 means uncapped.
+func ForEachRunCapped(idx []int, max int, fn func(i0, n int) error) error {
 	for i := 0; i < len(idx); {
 		j := i
 		for j+1 < len(idx) && idx[j+1] == idx[j]+1 {
 			j++
 		}
-		if err := fn(idx[i], j-i+1); err != nil {
-			return err
+		n := j - i + 1
+		w := n
+		if max >= 1 {
+			w = max
+		}
+		for off := 0; off < n; off += w {
+			if err := fn(idx[i]+off, min(w, n-off)); err != nil {
+				return err
+			}
 		}
 		i = j + 1
 	}
 	return nil
-}
-
-// ForEachRunCapped is ForEachRun with a ceiling on the run length: maximal
-// contiguous runs longer than max indices are split into max-sized
-// windows. Batched write-back uses it to bound how many chunks one
-// pipelined store transaction carries. max < 1 means uncapped.
-func ForEachRunCapped(idx []int, max int, fn func(i0, n int) error) error {
-	return ForEachRun(idx, func(i0, n int) error {
-		if max < 1 {
-			return fn(i0, n)
-		}
-		for off := 0; off < n; off += max {
-			w := n - off
-			if w > max {
-				w = max
-			}
-			if err := fn(i0+off, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // BurstsFor is the number of AXI transactions a transfer of n bytes
@@ -156,24 +80,6 @@ func BurstsFor(n int) int {
 		return 0
 	}
 	return (n + MaxBurstBytes - 1) / MaxBurstBytes
-}
-
-// ReadAuto reads through the port's streaming path when it has one,
-// falling back to a plain burst. Accelerators use it for bulk transfers
-// so the same code runs shielded (pipelined) and bare.
-func ReadAuto(p MemoryPort, addr uint64, buf []byte) (uint64, error) {
-	if st, ok := p.(Streamer); ok {
-		return st.ReadStream(addr, buf)
-	}
-	return p.ReadBurst(addr, buf)
-}
-
-// WriteAuto writes through the port's streaming path when it has one.
-func WriteAuto(p MemoryPort, addr uint64, data []byte) (uint64, error) {
-	if st, ok := p.(Streamer); ok {
-		return st.WriteStream(addr, data)
-	}
-	return p.WriteBurst(addr, data)
 }
 
 // MaxBurstBytes is the largest legal AXI4 burst (256 beats of 64 bytes).

@@ -10,10 +10,11 @@ import (
 
 // ---------------------------------------------------------------------
 // ORAM path cost: the §5.2.2 oblivious-access extension measured on the
-// serving-tier Shield configuration. Serial is the per-bucket chunked
-// baseline; batched gathers the root-to-leaf path into one pipelined
-// scatter-gather stream. Both are deterministic simulated-cycle numbers,
-// so benchtab gates them (sim-oram-*).
+// serving-tier Shield configuration. Serial is packed buckets, each moved
+// in its own chunked burst; batched pads buckets to the chunk size so the
+// root-to-leaf path moves as one pipelined scatter-gather stream. Both
+// are deterministic simulated-cycle numbers, so benchtab gates them
+// (sim-oram-*).
 
 // ORAMPoint is one controller mode's measured cost.
 type ORAMPoint struct {
@@ -74,7 +75,7 @@ func oramDrive(cfg oram.Config, mode string, ops int) (ORAMPoint, error) {
 // scatter-gather path at the acceptance geometry: 4096 blocks × 512 B.
 func ORAMPathSweep() (serial, batched ORAMPoint, err error) {
 	const blocks, bs, ops = 4096, 512, 40
-	serialCfg := oram.Config{Blocks: blocks, BlockSize: bs, Seed: 5, Serial: true}
+	serialCfg := oram.Config{Blocks: blocks, BlockSize: bs, Seed: 5}
 	batchedCfg := oram.Config{Blocks: blocks, BlockSize: bs, Seed: 5, ChunkAlign: 512}
 	if serial, err = oramDrive(serialCfg, "serial per-bucket", ops); err != nil {
 		return serial, batched, err

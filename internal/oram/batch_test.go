@@ -77,15 +77,15 @@ func driveMixed(t testing.TB, o *ORAM, blocks, bs, ops int, seed int64) uint64 {
 }
 
 // TestORAMBatchedSpeedup is the acceptance gate: at 4096 blocks × 512 B
-// over a Shield region, gathering the path into batched stream
-// transactions must beat the serial per-bucket chunked path by ≥1.5x in
+// over a Shield region, gathering the chunk-aligned path into one stream
+// each way must beat packed buckets moved one burst each by ≥1.5x in
 // deterministic simulated cycles.
 func TestORAMBatchedSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two 4096-block trees over Shields")
 	}
 	const blocks, bs, ops = 4096, 512, 40
-	serialCfg := Config{Blocks: blocks, BlockSize: bs, Seed: 5, Serial: true}
+	serialCfg := Config{Blocks: blocks, BlockSize: bs, Seed: 5}
 	batchedCfg := Config{Blocks: blocks, BlockSize: bs, Seed: 5, ChunkAlign: 512}
 
 	serial, err := NewWithConfig(oramShield(t, serialCfg), serialCfg)
@@ -337,19 +337,18 @@ func TestORAMGeometryLimit(t *testing.T) {
 
 // TestORAMRandomGeometries is the property test: ORAM equals flat memory
 // over random geometries — non-power-of-two block counts, odd block
-// sizes, serial and batched I/O, padded strides, and recursive position
-// maps — while the stash high-water mark stays bounded.
+// sizes, padded strides, and recursive position maps — and both path
+// modes, while the stash high-water mark stays bounded. A trial named
+// serialtrue runs over plain DRAM, which has no gather engine, so every
+// bucket moves in its own burst; serialfalse runs over a Shield, whose
+// gather engine carries the path when the stride is chunk-aligned.
 func TestORAMRandomGeometries(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 12; trial++ {
 		blocks := 2 + rng.Intn(250)
 		bs := 8 * (1 + rng.Intn(13)) // 8..104 bytes, odd multiples included
-		cfg := Config{
-			Blocks:    blocks,
-			BlockSize: bs,
-			Seed:      int64(trial),
-			Serial:    rng.Intn(3) == 0,
-		}
+		cfg := Config{Blocks: blocks, BlockSize: bs, Seed: int64(trial)}
+		serial := rng.Intn(3) == 0
 		if rng.Intn(2) == 0 {
 			cfg.ChunkAlign = 512
 		}
@@ -357,10 +356,13 @@ func TestORAMRandomGeometries(t *testing.T) {
 			cfg.PosMapThreshold = 16 + rng.Intn(32)
 		}
 		name := fmt.Sprintf("trial%d-b%d-s%d-serial%v-align%d-pos%d",
-			trial, blocks, bs, cfg.Serial, cfg.ChunkAlign, cfg.PosMapThreshold)
+			trial, blocks, bs, serial, cfg.ChunkAlign, cfg.PosMapThreshold)
 		t.Run(name, func(t *testing.T) {
-			dram := mem.NewDRAM(cfg.FootprintBytes()+1<<16, perf.Default())
-			o, err := NewWithConfig(dram, cfg)
+			var port axi.MemoryPort = mem.NewDRAM(cfg.FootprintBytes()+1<<16, perf.Default())
+			if !serial {
+				port = oramShield(t, cfg)
+			}
+			o, err := NewWithConfig(port, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

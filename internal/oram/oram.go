@@ -15,11 +15,11 @@
 //
 // The controller is safe for concurrent use (a mutex serialises Access the
 // way the hardware controller serialises its path state machine; stats are
-// atomics) and moves path buckets in batched transactions: the root-to-leaf
-// buckets are gathered into contiguous runs and each run travels through
-// axi.ReadAuto/WriteAuto, so over a Shield the path rides the pipelined
-// stream engine (perf.StreamWindowTime accounting) instead of one serial
-// chunked burst per bucket.
+// atomics). How it moves a path follows from the geometry and the port:
+// chunk-aligned buckets (Config.ChunkAlign) over a port with a gather
+// engine (the Shield) travel as one pipelined scatter-gather stream each
+// way (perf.StreamWindowTime accounting); otherwise every bucket moves in
+// its own burst.
 package oram
 
 import (
@@ -58,14 +58,12 @@ const posMapEntries = posMapBlockBytes / 4
 // far beyond any realistic backend window).
 const maxLevels = 40
 
-// initSlabBuckets is how many buckets one initialisation write moves when
-// the batched path is enabled.
+// initSlabBuckets is how many buckets one initialisation gather moves.
 const initSlabBuckets = 64
 
-// batchBuckets caps how many tree buckets one batched path transaction
-// carries (the controller's analogue of perf.Params.WritebackBatchChunks):
-// contiguous runs of path buckets longer than this are split into
-// separate ReadAuto/WriteAuto transfers.
+// batchBuckets caps how many tree buckets one gather run carries (the
+// controller's analogue of perf.Params.WritebackBatchChunks): contiguous
+// runs of path buckets longer than this are split into separate runs.
 const batchBuckets = 8
 
 // Sentinel causes for the typed *Error.
@@ -100,8 +98,8 @@ func (e *Error) Error() string {
 func (e *Error) Unwrap() error { return e.Err }
 
 // Config describes an ORAM controller. The zero value of the optional
-// fields reproduces the classic geometry: unpadded buckets, batched path
-// I/O capped at batchBuckets per run, and a fully on-chip position map.
+// fields reproduces the classic geometry: unpadded buckets, each moved in
+// its own burst, and a fully on-chip position map.
 type Config struct {
 	// Base is where the tree starts in the backend window.
 	Base uint64
@@ -111,15 +109,12 @@ type Config struct {
 	BlockSize int
 	// Seed drives the (simulated) hardware RNG that draws fresh leaves.
 	Seed int64
-	// Serial disables batched path I/O: every bucket moves in its own
-	// ReadBurst/WriteBurst, the pre-batching controller's behaviour. Kept
-	// for the speedup baseline and for accounting comparisons.
-	Serial bool
 	// ChunkAlign pads the bucket stride up to a multiple of this (the
 	// Shield chunk size): buckets then start chunk-aligned and cover whole
 	// chunks, so bucket stores stream as full-chunk writes instead of
-	// read-modify-writing the chunks they straddle. Zero keeps the packed
-	// layout.
+	// read-modify-writing the chunks they straddle. Over a port with a
+	// gather engine, aligned buckets move each path as one gather. Zero
+	// keeps the packed layout.
 	ChunkAlign int
 	// PosMapThreshold bounds the on-chip position map: while the table has
 	// more entries than this (and more than one position-map block's
@@ -137,6 +132,7 @@ type stashEntry struct {
 // ORAM is a Path ORAM controller over Config.Blocks logical blocks.
 type ORAM struct {
 	port   axi.MemoryPort
+	gather axi.Gatherer // port's gather engine for aligned buckets, else nil
 	cfg    Config
 	base   uint64
 	stride int // bucket pitch in bytes (bucketBytes padded to ChunkAlign)
@@ -171,9 +167,9 @@ type ORAM struct {
 }
 
 // New builds an ORAM of numBlocks blocks of blockSize bytes over port,
-// placing the tree at base, with the default configuration (batched path
-// I/O, packed buckets, on-chip position map). The backend window must
-// cover FootprintBytes(numBlocks, blockSize).
+// placing the tree at base, with the default configuration (packed
+// buckets, on-chip position map). The backend window must cover
+// FootprintBytes(numBlocks, blockSize).
 func New(port axi.MemoryPort, base uint64, numBlocks, blockSize int, seed int64) (*ORAM, error) {
 	return NewWithConfig(port, Config{Base: base, Blocks: numBlocks, BlockSize: blockSize, Seed: seed})
 }
@@ -197,6 +193,9 @@ func NewWithConfig(port axi.MemoryPort, cfg Config) (*ORAM, error) {
 		path:     make([]int, levels+1),
 		pathBuf:  make([]byte, (levels+1)*stride),
 		writeBuf: make([]byte, (levels+1)*stride),
+	}
+	if g, ok := port.(axi.Gatherer); ok && cfg.ChunkAlign > 0 {
+		o.gather = g
 	}
 	if child, ok := cfg.childConfig(foot); ok {
 		o.posORAM, err = NewWithConfig(port, child)
@@ -326,16 +325,15 @@ func (o *ORAM) bucketAddr(bucket int) uint64 {
 	return o.base + uint64(bucket)*uint64(o.stride)
 }
 
-// initBuckets writes every bucket as empty. The batched mode moves slabs
-// of buckets through WriteAuto (over a Shield: full-chunk stream windows);
-// the serial mode reproduces the per-bucket bring-up.
+// initBuckets writes every bucket as empty: in slab gathers when the
+// path moves as a gather, else one burst per bucket.
 func (o *ORAM) initBuckets() error {
 	empty := make([]byte, o.bucketBytes())
 	for s := 0; s < BucketSlots; s++ {
 		binary.LittleEndian.PutUint64(empty[s*o.slotBytes():], invalidID)
 	}
 	buckets := o.TreeBuckets()
-	if o.cfg.Serial {
+	if o.gather == nil {
 		for b := 0; b < buckets; b++ {
 			if _, err := o.port.WriteBurst(o.bucketAddr(b), empty); err != nil {
 				return fmt.Errorf("oram: initialising bucket %d: %w", b, err)
@@ -348,11 +346,9 @@ func (o *ORAM) initBuckets() error {
 		copy(slab[j*o.stride:], empty)
 	}
 	for b := 0; b < buckets; b += initSlabBuckets {
-		n := buckets - b
-		if n > initSlabBuckets {
-			n = initSlabBuckets
-		}
-		if _, err := axi.WriteAuto(o.port, o.bucketAddr(b), slab[:n*o.stride]); err != nil {
+		n := min(buckets-b, initSlabBuckets)
+		run := [1]axi.Burst{{Addr: o.bucketAddr(b), Len: n * o.stride}}
+		if _, err := o.gather.WriteGather(run[:], slab[:n*o.stride]); err != nil {
 			return fmt.Errorf("oram: initialising buckets %d..%d: %w", b, b+n-1, err)
 		}
 	}
@@ -361,8 +357,8 @@ func (o *ORAM) initBuckets() error {
 
 // pathInto fills o.path with the bucket indices from the root to leaf.
 // Bucket numbering is heap order: root = 0, children of i are 2i+1, 2i+2 —
-// so the slice is strictly ascending, which is what lets the batched path
-// hand it straight to axi.ForEachRunCapped.
+// so the slice is strictly ascending, which is what lets pathRuns hand it
+// straight to axi.ForEachRunCapped.
 func (o *ORAM) pathInto(leaf uint32) []int {
 	node := int(leaf) + (1 << o.levels) - 1 // leaf bucket index
 	for l := o.levels; l >= 0; l-- {
@@ -496,68 +492,35 @@ func (o *ORAM) pathRuns(path []int) []axi.Burst {
 	return runs
 }
 
-// gatherable reports whether the whole path can move as one scatter-gather
-// stream: the port has a gather engine and the bucket stride is
-// chunk-aligned (full chunks, so stores never read-modify-write).
-func (o *ORAM) gatherable() bool {
-	if o.cfg.Serial || o.cfg.ChunkAlign <= 0 {
-		return false
-	}
-	_, ok := o.port.(axi.Gatherer)
-	return ok
-}
-
-// readPath moves the whole path into the stash. Batched mode gathers the
-// (ascending) bucket indices into contiguous runs: over a gather-capable
-// port (the Shield) the runs travel as ONE pipelined stream — fill/drain
-// once per path, one batched AXI transaction per run — otherwise each run
-// moves in its own ReadAuto. Serial mode is the per-bucket baseline.
+// readPath moves the whole path into the stash: as one gather (fill and
+// drain once per path, one batched AXI transaction per run), or root to
+// leaf one burst per bucket.
 func (o *ORAM) readPath(op string, path []int) error {
-	if o.cfg.Serial {
-		buf := o.pathBuf[:o.bucketBytes()]
-		for _, b := range path {
-			c, err := o.port.ReadBurst(o.bucketAddr(b), buf)
+	buf := o.pathBuf[:len(path)*o.stride]
+	if o.gather != nil {
+		c, err := o.gather.ReadGather(o.pathRuns(path), buf)
+		o.cycles.Add(c)
+		if err != nil {
+			return err
+		}
+		o.bytesMoved.Add(uint64(len(buf)))
+	} else {
+		for j, b := range path {
+			img := buf[j*o.stride : j*o.stride+o.bucketBytes()]
+			c, err := o.port.ReadBurst(o.bucketAddr(b), img)
 			o.cycles.Add(c)
 			if err != nil {
 				return err
 			}
-			o.bytesMoved.Add(uint64(len(buf)))
-			if err := o.unpackBucket(op, buf); err != nil {
-				return err
-			}
+			o.bytesMoved.Add(uint64(len(img)))
 		}
-		return nil
 	}
-	if o.gatherable() {
-		buf := o.pathBuf[:len(path)*o.stride]
-		c, err := axi.ReadGatherAuto(o.port, o.pathRuns(path), buf)
-		o.cycles.Add(c)
-		if err != nil {
+	for j := range path {
+		if err := o.unpackBucket(op, buf[j*o.stride:j*o.stride+o.bucketBytes()]); err != nil {
 			return err
 		}
-		o.bytesMoved.Add(uint64(len(buf)))
-		for j := range path {
-			if err := o.unpackBucket(op, buf[j*o.stride:j*o.stride+o.bucketBytes()]); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	return axi.ForEachRunCapped(path, batchBuckets, func(b0, n int) error {
-		buf := o.pathBuf[:n*o.stride]
-		c, err := axi.ReadAuto(o.port, o.bucketAddr(b0), buf)
-		o.cycles.Add(c)
-		if err != nil {
-			return err
-		}
-		o.bytesMoved.Add(uint64(len(buf)))
-		for j := 0; j < n; j++ {
-			if err := o.unpackBucket(op, buf[j*o.stride:j*o.stride+o.bucketBytes()]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return nil
 }
 
 // unpackBucket pulls every occupied slot of one bucket image into the
@@ -599,9 +562,9 @@ func (o *ORAM) getEntry() *stashEntry {
 // stash blocks whose leaf still passes through each bucket, then writes
 // the buckets back. Candidates are visited in sorted block order so the
 // resulting backend layout — and therefore the simulated cycle count — is
-// a pure function of the seed and the access sequence. Batched mode
-// composes the images into stride-pitched slabs and stores each contiguous
-// run in one WriteAuto; serial mode writes leaf→root per bucket.
+// a pure function of the seed and the access sequence. The images are
+// composed stride-pitched and stored as one gather, or leaf to root one
+// burst per bucket.
 func (o *ORAM) evictPath(op string, path []int) error {
 	keys := o.stashKeys[:0]
 	for id := range o.stash {
@@ -640,20 +603,8 @@ func (o *ORAM) evictPath(op string, path []int) error {
 		}
 	}
 
-	if o.cfg.Serial {
-		for l := len(path) - 1; l >= 0; l-- {
-			img := wb[l*o.stride : l*o.stride+o.bucketBytes()]
-			c, err := o.port.WriteBurst(o.bucketAddr(path[l]), img)
-			o.cycles.Add(c)
-			if err != nil {
-				return err
-			}
-			o.bytesMoved.Add(uint64(len(img)))
-		}
-		return nil
-	}
-	if o.gatherable() {
-		c, err := axi.WriteGatherAuto(o.port, o.pathRuns(path), wb)
+	if o.gather != nil {
+		c, err := o.gather.WriteGather(o.pathRuns(path), wb)
 		o.cycles.Add(c)
 		if err != nil {
 			return err
@@ -661,17 +612,16 @@ func (o *ORAM) evictPath(op string, path []int) error {
 		o.bytesMoved.Add(uint64(len(wb)))
 		return nil
 	}
-	return axi.ForEachRunCapped(path, batchBuckets, func(b0, n int) error {
-		l := sort.SearchInts(path, b0)
-		slab := wb[l*o.stride : (l+n)*o.stride]
-		c, err := axi.WriteAuto(o.port, o.bucketAddr(b0), slab)
+	for l := len(path) - 1; l >= 0; l-- {
+		img := wb[l*o.stride : l*o.stride+o.bucketBytes()]
+		c, err := o.port.WriteBurst(o.bucketAddr(path[l]), img)
 		o.cycles.Add(c)
 		if err != nil {
 			return err
 		}
-		o.bytesMoved.Add(uint64(len(slab)))
-		return nil
-	})
+		o.bytesMoved.Add(uint64(len(img)))
+	}
+	return nil
 }
 
 // Read returns a block's contents obliviously.

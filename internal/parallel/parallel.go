@@ -1,8 +1,9 @@
-// Package parallel splits a loop's index range across Ps. It is the one
-// fan-out helper of the host code: accel's conv and DNNWeaver kernels
-// split their multiply-accumulate loops through For, and the Shield's
-// stream and gather batches and the Data Owner's region seal and open
-// split their chunk crypto through a Group.
+// Package parallel splits a loop's index range across Ps. accel's conv
+// and DNNWeaver kernels split their multiply-accumulate loops through For,
+// and the Shield's stream and gather batches and the Data Owner's region
+// seal and open split their chunk crypto through a Group. Fan-outs over a
+// few independent objects rather than a range start one goroutine each
+// instead: Shield.Flush per engine set, sdp.NewCluster per shard.
 //
 // A split cuts its range into ascending fixed-size pieces, and its
 // workers claim them from a shared cursor until none is left, so a worker

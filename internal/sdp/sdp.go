@@ -356,6 +356,9 @@ func NewNode(cfg NodeConfig, dek []byte, params perf.Params) (*Node, error) {
 	if cfg.Slots <= 0 || cfg.SlotBytes <= 0 {
 		return nil, fmt.Errorf("sdp: node needs at least one slot: %w", ErrConfig)
 	}
+	if cfg.AuthBlock <= 0 {
+		return nil, fmt.Errorf("sdp: auth block %d must be positive: %w", cfg.AuthBlock, ErrConfig)
+	}
 	if cfg.SlotBytes%cfg.AuthBlock != 0 {
 		return nil, fmt.Errorf("sdp: slot size must be a multiple of the auth block: %w", ErrConfig)
 	}

@@ -165,15 +165,20 @@ func TestNodeCapacity(t *testing.T) {
 }
 
 func TestNodeConfigValidation(t *testing.T) {
-	bad := smallConfig()
-	bad.Slots = 0
-	if _, err := NewNode(bad, make([]byte, 32), LineRateParams()); err == nil {
-		t.Fatal("zero-slot node built")
-	}
-	bad = smallConfig()
-	bad.SlotBytes = 1000 // not a multiple of AuthBlock
-	if _, err := NewNode(bad, make([]byte, 32), LineRateParams()); err == nil {
-		t.Fatal("misaligned slot size accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*NodeConfig)
+	}{
+		{"zero slots", func(c *NodeConfig) { c.Slots = 0 }},
+		{"slot size not a multiple of the auth block", func(c *NodeConfig) { c.SlotBytes = 1000 }},
+		{"zero auth block", func(c *NodeConfig) { c.AuthBlock = 0 }},
+		{"negative auth block", func(c *NodeConfig) { c.AuthBlock = -4096 }},
+	} {
+		bad := smallConfig()
+		tc.mutate(&bad)
+		if _, err := NewNode(bad, make([]byte, 32), LineRateParams()); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: got %v, want ErrConfig", tc.name, err)
+		}
 	}
 }
 

@@ -52,11 +52,10 @@ const CounterSize = 4
 type RegionConfig struct {
 	// Name labels the region in reports ("weights", "featuremaps", ...).
 	Name string
-	// Tenant is the protection zone's owner. Static Config.Regions leave
-	// it empty and inherit the session tenant (Config.Tenant); zones
-	// created at runtime through Shield.CreateRegion name their owner
-	// here, and all lifecycle operations (flush, destroy) are keyed by
-	// the (tenant, name) pair.
+	// Tenant is the protection zone's owner: zones created at runtime
+	// through Shield.CreateRegion name it here, and all lifecycle
+	// operations (flush, destroy) are keyed by the (tenant, name) pair.
+	// Static Config.Regions belong to the default session "".
 	Tenant string
 	// Base and Size delimit the region. Base must be ChunkSize-aligned and
 	// Size a multiple of ChunkSize.
@@ -122,10 +121,6 @@ type Config struct {
 	// all traffic at a common address with the index sealed inside the
 	// payload (paper §5.1).
 	EncryptRegAddrs bool
-	// Tenant names the session owner. It labels the static regions and
-	// the Shield's error text so multi-tenant failures are attributable;
-	// empty means the single-tenant default session.
-	Tenant string
 	// ArenaEnd extends the address space available to runtime-created
 	// protection zones past the last static region: zones must fit below
 	// the tag shadow, which starts at the page-aligned maximum of the

@@ -28,7 +28,7 @@ import (
 //
 // The static Config.Regions path is a thin shim over this layer: a
 // provisioning resets the table and inserts each configured region as an
-// eagerly-materialised zone owned by the session tenant, preserving the
+// eagerly-materialised zone of the default session "", preserving the
 // region IDs, tag layout, and DRAM-share accounting of the fixed-array
 // design bit for bit.
 

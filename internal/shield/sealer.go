@@ -177,14 +177,14 @@ type RegionLayout struct {
 	TagSize  uint64
 }
 
-// Layout reports the DRAM layout of one of the session tenant's regions,
+// Layout reports the DRAM layout of one of the default session's regions,
 // as its region-table row holds it.
 func (s *Shield) Layout(region string) (RegionLayout, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var r *vRegion
 	if s.table != nil {
-		r = s.table.named(s.cfg.Tenant, region)
+		r = s.table.named("", region)
 	}
 	if r == nil {
 		return RegionLayout{}, fmt.Errorf("shield: unknown region %q", region)
@@ -389,7 +389,7 @@ func (f chunkPieces) Run(w, lo, hi int) { f(w, lo, hi) }
 func (s *Shield) MarkPreloaded(region string) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	set, err := s.namedSet(s.cfg.Tenant, region)
+	set, err := s.namedSet("", region)
 	if err != nil {
 		return err
 	}
@@ -406,7 +406,7 @@ func (s *Shield) MarkPreloaded(region string) error {
 func (s *Shield) MarkPreloadedRange(region string, off, n uint64) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	set, err := s.namedSet(s.cfg.Tenant, region)
+	set, err := s.namedSet("", region)
 	if err != nil {
 		return err
 	}
@@ -494,7 +494,7 @@ type CounterSnapshot struct {
 func (s *Shield) CounterSnapshot(region string) (CounterSnapshot, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	set, err := s.namedSet(s.cfg.Tenant, region)
+	set, err := s.namedSet("", region)
 	if err != nil {
 		return CounterSnapshot{}, err
 	}

@@ -195,15 +195,15 @@ func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
 }
 
 // staticTable builds a region table holding the static Config.Regions, a
-// compatibility shim over the virtual layer: each becomes a session-tenant
-// zone, inserted in config order (preserving the fixed-array design's
+// compatibility shim over the virtual layer: each becomes a zone of the
+// default session "", inserted in config order (preserving the fixed-array design's
 // region IDs and tag layout) and materialised eagerly so the build fails
 // up front, DRAM shares match the static counts, and the first burst pays
 // no build cost. A nil dek gives sealer-less engine sets.
 func (s *Shield) staticTable(dek []byte) (*RegionTable, error) {
 	table := newRegionTable(s.tagBase)
 	for _, rc := range s.cfg.Regions {
-		rc.Tenant = s.cfg.Tenant
+		rc.Tenant = ""
 		r, err := table.create(rc, s.tagBase)
 		if err == nil {
 			_, err = table.materialize(r, dek, s.port, s.ocm, s.params)
@@ -245,9 +245,9 @@ func (s *Shield) DestroyRegion(tenant, region string) error {
 	return s.table.destroy(tenant, region, s.ocm)
 }
 
-// RetireRegion discards the engine set of one of the session's regions
-// as DestroyRegion does — buffered lines, counters, valid bits and a
-// latched integrity failure alike — but keeps the region: its ID, key and
+// RetireRegion discards the engine set of one of the default session's
+// regions as DestroyRegion does — buffered lines, counters, valid bits and
+// a latched integrity failure alike — but keeps the region: its ID, key and
 // tag span stay, so data sealed for it by the Data Owner stays valid, and
 // the next access builds a fresh set. The set's RegionStats stay: Report
 // lists them while the region is idle, and the next set counts on from
@@ -259,7 +259,7 @@ func (s *Shield) RetireRegion(region string) error {
 	if !s.provisioned {
 		return errors.New("shield: not provisioned")
 	}
-	return s.table.retire(s.cfg.Tenant, region, s.ocm)
+	return s.table.retire("", region, s.ocm)
 }
 
 // Zones lists all protection zones in base order, flagging which
@@ -426,12 +426,13 @@ func (s *Shield) namedSet(tenant, region string) (*engineSet, error) {
 	return s.table.materialize(r, s.dek, s.port, s.ocm, s.params)
 }
 
-// FlushRegion writes back the dirty buffer lines of one region only.
+// FlushRegion writes back the dirty buffer lines of one of the default
+// session's regions only.
 // Serving paths that stage traffic through a scratch region (the SDP
 // tls window) use it so a staging flush does not pay a fan-out over —
 // or disturb the write-back schedule of — every other engine set.
 func (s *Shield) FlushRegion(region string) error {
-	return s.FlushTenantRegion(s.cfg.Tenant, region)
+	return s.FlushTenantRegion("", region)
 }
 
 // FlushTenantRegion is FlushRegion for a runtime-created zone: the flush

@@ -143,13 +143,10 @@ func TestTenantErrorTextAttributable(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `tenant "default"`) {
 		t.Fatalf("default-session error not attributable: %v", err)
 	}
-	cfg := simpleConfig()
-	cfg.Tenant = "acme"
-	rig = newRig(t, cfg)
-	err = rig.shield.FlushRegion("nope")
+	err = rig.shield.FlushTenantRegion("acme", "nope")
 	if err == nil || !strings.Contains(err.Error(), `tenant "acme"`) ||
 		!strings.Contains(err.Error(), `unknown region "nope"`) {
-		t.Fatalf("session error not attributable: %v", err)
+		t.Fatalf("tenant error not attributable: %v", err)
 	}
 }
 
