@@ -251,8 +251,8 @@ func printORAM() {
 	}
 	fmt.Printf("batched path speedup at %d blocks × %d B: %.2fx (TestORAMBatchedSpeedup gates ≥1.5x at 4096)\n",
 		batched.Blocks, batched.BlockSize, serial.CyclesPerAccess/batched.CyclesPerAccess)
-	fmt.Println("(every access moves one root-to-leaf path; the batched mode streams it as one")
-	fmt.Println(" scatter-gather transaction per contiguous run with fill/drain paid once)")
+	fmt.Println("(every access moves one root-to-leaf path; the batched mode reads it in one")
+	fmt.Println(" ReadGather and writes it back in one WriteGather, each paying fill/drain once)")
 	fmt.Println()
 }
 

@@ -74,9 +74,10 @@ func main() {
 
 	// Tenant zones: the same node in multi-tenant mode places each user's
 	// files in their own runtime-created protection zone, so the GDPR
-	// right-to-erasure is structural — EraseTenant destroys the zone (key,
-	// files, freshness metadata and all) and recycles the space for the
-	// next tenant with nothing to resurface. DESIGN.md §11.
+	// right-to-erasure is structural — EraseTenant destroys the zone (its
+	// region ID, freshness metadata and valid bits), forgets the user's
+	// key and files, and recycles the space for the next tenant.
+	// DESIGN.md §11.
 	tcfg := cfg
 	tcfg.TenantZones = true
 	tcfg.TenantSlots = 4

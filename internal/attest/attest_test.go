@@ -59,7 +59,7 @@ func buildWorld() (*world, error) {
 		Resources:     fpga.Resources{LUT: 5000},
 	}
 	bitKey := bytes.Repeat([]byte{0x42}, 32)
-	enc, err := bitstream.Compile("vecadd-afi", man, bitKey, nil)
+	enc, err := bitstream.Compile("vecadd-afi", man, bitKey)
 	if err != nil {
 		return nil, err
 	}

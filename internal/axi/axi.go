@@ -47,31 +47,6 @@ type Gatherer interface {
 	WriteGather(runs []Burst, data []byte) (cycles uint64, err error)
 }
 
-// ForEachRunCapped groups ascending indices into maximal contiguous runs,
-// splits runs longer than max indices into max-sized windows, and invokes
-// fn(i0, n) for each window of n consecutive indices starting at i0.
-// max < 1 means uncapped.
-func ForEachRunCapped(idx []int, max int, fn func(i0, n int) error) error {
-	for i := 0; i < len(idx); {
-		j := i
-		for j+1 < len(idx) && idx[j+1] == idx[j]+1 {
-			j++
-		}
-		n := j - i + 1
-		w := n
-		if max >= 1 {
-			w = max
-		}
-		for off := 0; off < n; off += w {
-			if err := fn(idx[i]+off, min(w, n-off)); err != nil {
-				return err
-			}
-		}
-		i = j + 1
-	}
-	return nil
-}
-
 // BurstsFor is the number of AXI transactions a transfer of n bytes
 // legalises into (MaxBurstBytes each): batched streams pay the request
 // latency once per legal burst, not once per chunk.

@@ -1,8 +1,7 @@
 // Package bitstream models the partial-bitstream toolchain: the IP Vendor
 // compiles an accelerator design plus its Shield configuration (and the
 // embedded private Shield Encryption Key) into a bitstream, encrypts it
-// under the Bitstream Encryption Key, and signs it (paper §3, Accelerator
-// Development).
+// under the Bitstream Encryption Key (paper §3, Accelerator Development).
 //
 // A real bitstream is an opaque FPGA configuration image; here the payload
 // is a manifest naming a registered accelerator design and carrying the
@@ -21,7 +20,6 @@ import (
 
 	"shef/internal/crypto/aead"
 	"shef/internal/crypto/modp"
-	"shef/internal/crypto/rsax"
 	"shef/internal/crypto/schnorr"
 	"shef/internal/fpga"
 	"shef/internal/shield"
@@ -67,9 +65,6 @@ type Encrypted struct {
 	// Blob is the manifest sealed with aead.Seal under the Bitstream
 	// Encryption Key.
 	Blob []byte `json:"blob"`
-	// Signature is the IP Vendor's RSA signature over SHA-256(Blob),
-	// so marketplaces and Data Owners can check provenance.
-	Signature []byte `json:"signature,omitempty"`
 }
 
 // Hash is the value remote attestation reports:
@@ -82,8 +77,8 @@ func (e *Encrypted) Hash() [sha256.Size]byte {
 }
 
 // Compile serialises and encrypts a manifest under the Bitstream
-// Encryption Key, optionally signing it with the IP Vendor's RSA key.
-func Compile(name string, m *Manifest, bitstreamKey []byte, vendor *rsax.PrivateKey) (*Encrypted, error) {
+// Encryption Key.
+func Compile(name string, m *Manifest, bitstreamKey []byte) (*Encrypted, error) {
 	if err := m.Shield.Validate(); err != nil {
 		return nil, fmt.Errorf("bitstream: shield config invalid: %w", err)
 	}
@@ -95,16 +90,7 @@ func Compile(name string, m *Manifest, bitstreamKey []byte, vendor *rsax.Private
 	if err != nil {
 		return nil, fmt.Errorf("bitstream: sealing manifest: %w", err)
 	}
-	e := &Encrypted{Name: name, Blob: blob}
-	if vendor != nil {
-		sum := e.Hash()
-		sig, err := vendor.Sign(sum[:])
-		if err != nil {
-			return nil, err
-		}
-		e.Signature = sig
-	}
-	return e, nil
+	return &Encrypted{Name: name, Blob: blob}, nil
 }
 
 // Decrypt authenticates and opens an encrypted bitstream with the
@@ -123,13 +109,4 @@ func Decrypt(e *Encrypted, bitstreamKey []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("bitstream: decrypted manifest invalid: %w", err)
 	}
 	return &m, nil
-}
-
-// VerifySignature checks the IP Vendor's signature.
-func VerifySignature(e *Encrypted, vendorPub *rsax.PublicKey) bool {
-	if len(e.Signature) == 0 {
-		return false
-	}
-	sum := e.Hash()
-	return rsax.Verify(vendorPub, sum[:], e.Signature)
 }

@@ -2,33 +2,14 @@ package bitstream
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"shef/internal/crypto/aesx"
 	"shef/internal/crypto/modp"
-	"shef/internal/crypto/rsax"
 	"shef/internal/crypto/schnorr"
 	"shef/internal/fpga"
 	"shef/internal/shield"
 )
-
-var (
-	vendorOnce sync.Once
-	vendorKey  *rsax.PrivateKey
-)
-
-func vendor(t *testing.T) *rsax.PrivateKey {
-	t.Helper()
-	vendorOnce.Do(func() {
-		k, err := rsax.GenerateKey(nil, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vendorKey = k
-	})
-	return vendorKey
-}
 
 func testManifest(t *testing.T) *Manifest {
 	t.Helper()
@@ -57,7 +38,7 @@ func key32() []byte { return bytes.Repeat([]byte{0x77}, 32) }
 
 func TestCompileDecryptRoundTrip(t *testing.T) {
 	m := testManifest(t)
-	enc, err := Compile("vecadd-afi", m, key32(), vendor(t))
+	enc, err := Compile("vecadd-afi", m, key32())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +61,7 @@ func TestCompileDecryptRoundTrip(t *testing.T) {
 }
 
 func TestDecryptWrongKey(t *testing.T) {
-	enc, _ := Compile("x", testManifest(t), key32(), nil)
+	enc, _ := Compile("x", testManifest(t), key32())
 	bad := bytes.Repeat([]byte{0x88}, 32)
 	if _, err := Decrypt(enc, bad); err == nil {
 		t.Fatal("decryption with wrong bitstream key succeeded")
@@ -89,7 +70,7 @@ func TestDecryptWrongKey(t *testing.T) {
 
 func TestBlobHidesDesign(t *testing.T) {
 	m := testManifest(t)
-	enc, _ := Compile("x", m, key32(), nil)
+	enc, _ := Compile("x", m, key32())
 	if bytes.Contains(enc.Blob, []byte("vecadd")) {
 		t.Fatal("design name visible in encrypted bitstream")
 	}
@@ -99,7 +80,7 @@ func TestBlobHidesDesign(t *testing.T) {
 }
 
 func TestTamperedBlobRejected(t *testing.T) {
-	enc, _ := Compile("x", testManifest(t), key32(), nil)
+	enc, _ := Compile("x", testManifest(t), key32())
 	blob := enc.Blob
 	for _, i := range []int{len(blob) / 2, len(blob) - 1} { // body, tag
 		enc.Blob = append([]byte(nil), blob...)
@@ -114,31 +95,8 @@ func TestTamperedBlobRejected(t *testing.T) {
 	}
 }
 
-func TestSignature(t *testing.T) {
-	v := vendor(t)
-	enc, err := Compile("x", testManifest(t), key32(), v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifySignature(enc, &v.PublicKey) {
-		t.Fatal("valid signature rejected")
-	}
-	other, _ := rsax.GenerateKey(nil, 1024)
-	if VerifySignature(enc, &other.PublicKey) {
-		t.Fatal("signature verified under wrong vendor key")
-	}
-	enc.Blob[0] ^= 1
-	if VerifySignature(enc, &v.PublicKey) {
-		t.Fatal("signature verified over tampered blob")
-	}
-	unsigned, _ := Compile("x", testManifest(t), key32(), nil)
-	if VerifySignature(unsigned, &v.PublicKey) {
-		t.Fatal("missing signature verified")
-	}
-}
-
 func TestHashStableAndBinding(t *testing.T) {
-	enc, _ := Compile("x", testManifest(t), key32(), nil)
+	enc, _ := Compile("x", testManifest(t), key32())
 	h1 := enc.Hash()
 	h2 := enc.Hash()
 	if h1 != h2 {
@@ -154,7 +112,7 @@ func TestHashStableAndBinding(t *testing.T) {
 func TestCompileRejectsInvalidShieldConfig(t *testing.T) {
 	m := testManifest(t)
 	m.Shield.Regions[0].ChunkSize = 100 // not a multiple of the AES block
-	if _, err := Compile("x", m, key32(), nil); err == nil {
+	if _, err := Compile("x", m, key32()); err == nil {
 		t.Fatal("invalid shield config compiled")
 	}
 }

@@ -172,7 +172,7 @@ func testBitstream(t *testing.T, key []byte) *bitstream.Encrypted {
 		ShieldPrivKey: sk.X.Bytes(),
 		Resources:     fpga.Resources{LUT: 1000},
 	}
-	enc, err := bitstream.Compile("noop-afi", man, key, nil)
+	enc, err := bitstream.Compile("noop-afi", man, key)
 	if err != nil {
 		t.Fatal(err)
 	}

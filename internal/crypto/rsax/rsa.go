@@ -164,13 +164,3 @@ func Verify(pub *PublicKey, msg, sig []byte) bool {
 	}
 	return diff == 0
 }
-
-// Fingerprint returns a stable identifier for the public key. Only tests
-// call it: distinct device keys have distinct identities (paper §3, the
-// Manufacturer's per-device key).
-func (p *PublicKey) Fingerprint() [sha256.Size]byte {
-	h := sha256.New()
-	h.Write(p.N.Bytes())
-	h.Write([]byte{byte(p.E >> 16), byte(p.E >> 8), byte(p.E)})
-	return [sha256.Size]byte(h.Sum(nil))
-}

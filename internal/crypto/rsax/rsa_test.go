@@ -102,17 +102,6 @@ func TestGenerateKeyRejectsTiny(t *testing.T) {
 	}
 }
 
-func TestFingerprintStable(t *testing.T) {
-	k := key(t)
-	if k.PublicKey.Fingerprint() != k.PublicKey.Fingerprint() {
-		t.Fatal("fingerprint unstable")
-	}
-	other := PublicKey{N: new(big.Int).Add(k.N, big.NewInt(2)), E: k.E}
-	if other.Fingerprint() == k.PublicKey.Fingerprint() {
-		t.Fatal("distinct keys share fingerprint")
-	}
-}
-
 func TestVerifyNilSafety(t *testing.T) {
 	if Verify(nil, []byte("m"), []byte("sig")) {
 		t.Fatal("nil key verified")

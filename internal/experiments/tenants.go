@@ -63,12 +63,11 @@ func TenantSweep() ([]TenantRow, error) {
 		}
 		for z := 0; z < zones; z++ {
 			rc := shield.RegionConfig{
-				Name: "zone", Tenant: fmt.Sprintf("tenant-%04d", z),
-				Base: uint64(z) * tenantZoneSize, Size: tenantZoneSize, ChunkSize: 512,
+				Name: "zone", Base: uint64(z) * tenantZoneSize, Size: tenantZoneSize, ChunkSize: 512,
 				AESEngines: 1, SBox: aesx.SBox16x, KeySize: aesx.AES128,
 				MAC: shield.HMAC, BufferBytes: 2 * 512,
 			}
-			if err := sh.CreateRegion(rc); err != nil {
+			if err := sh.CreateRegion(fmt.Sprintf("tenant-%04d", z), rc); err != nil {
 				return nil, err
 			}
 		}

@@ -231,13 +231,6 @@ func (p *Plan) counter(target string, shard int) *atomic.Uint64 {
 	return c
 }
 
-// Ops reports how many operations a site has seen under this plan —
-// the counter the FromOp/ToOp windows index. Tests use it to steer
-// deterministic schedules.
-func (p *Plan) Ops(target string, shard int) uint64 {
-	return p.counter(target, shard).Load()
-}
-
 // draw is the deterministic probability draw: a splitmix64 hash of the
 // rule index, site, and op index against the rule's threshold.
 func (p *Plan) draw(rule uint64, target string, shard int, op uint64, prob float64) bool {

@@ -104,7 +104,7 @@ func BuildVendor(opts Options) (*attest.Vendor, string, error) {
 		Resources: shield.Area(cfg).Add(fpga.Resources{LUT: 20_000, REG: 15_000, BRAM: 8}),
 	}
 	product := opts.Design
-	enc, err := bitstream.Compile(product+"-afi", man, bitKey, nil)
+	enc, err := bitstream.Compile(product+"-afi", man, bitKey)
 	if err != nil {
 		return nil, "", err
 	}

@@ -106,25 +106,15 @@ func (d *DRAM) RawReadInto(addr uint64, buf []byte) error {
 	return nil
 }
 
-// RawWrite performs an adversarial write (spoofing attack).
+// RawWrite performs an adversarial write (spoofing attack); writing back
+// bytes an earlier RawRead took is the replay attack that freshness
+// counters must detect (paper §5.2.2).
 func (d *DRAM) RawWrite(addr uint64, data []byte) error {
 	if err := d.check(addr, len(data)); err != nil {
 		return err
 	}
 	d.copyIn(addr, data)
 	return nil
-}
-
-// Snapshot copies out a region so an adversary can later replay it. With
-// Restore it is the replay adversary of the tests: freshness counters must
-// detect the replayed ciphertext (paper §5.2.2).
-func (d *DRAM) Snapshot(addr uint64, n int) ([]byte, error) {
-	return d.RawRead(addr, n)
-}
-
-// Restore writes back a snapshot (replay attack).
-func (d *DRAM) Restore(addr uint64, snap []byte) error {
-	return d.RawWrite(addr, snap)
 }
 
 // Stats reports cumulative traffic counters.

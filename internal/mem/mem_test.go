@@ -91,12 +91,12 @@ func TestRawAccessBypassesStats(t *testing.T) {
 func TestSnapshotRestoreReplay(t *testing.T) {
 	d := newDRAM()
 	d.WriteBurst(0x100, []byte("old value"))
-	snap, err := d.Snapshot(0x100, 9)
+	snap, err := d.RawRead(0x100, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.WriteBurst(0x100, []byte("new value"))
-	if err := d.Restore(0x100, snap); err != nil {
+	if err := d.RawWrite(0x100, snap); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 9)

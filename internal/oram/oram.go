@@ -61,11 +61,6 @@ const maxLevels = 40
 // initSlabBuckets is how many buckets one initialisation gather moves.
 const initSlabBuckets = 64
 
-// batchBuckets caps how many tree buckets one gather run carries (the
-// controller's analogue of perf.Params.WritebackBatchChunks): contiguous
-// runs of path buckets longer than this are split into separate runs.
-const batchBuckets = 8
-
 // Sentinel causes for the typed *Error.
 var (
 	// ErrBlockRange reports a logical block index outside [0, Blocks).
@@ -357,8 +352,7 @@ func (o *ORAM) initBuckets() error {
 
 // pathInto fills o.path with the bucket indices from the root to leaf.
 // Bucket numbering is heap order: root = 0, children of i are 2i+1, 2i+2 —
-// so the slice is strictly ascending, which is what lets pathRuns hand it
-// straight to axi.ForEachRunCapped.
+// so the slice is strictly ascending, the order a gather's runs must take.
 func (o *ORAM) pathInto(leaf uint32) []int {
 	node := int(leaf) + (1 << o.levels) - 1 // leaf bucket index
 	for l := o.levels; l >= 0; l-- {
@@ -480,14 +474,15 @@ func (o *ORAM) accessLocked(op string, block int, mutate func([]byte), needOld b
 	return old, nil
 }
 
-// pathRuns gathers the (ascending) path bucket indices into contiguous
-// runs of at most batchBuckets buckets, as byte ranges.
+// pathRuns lists the (ascending) path buckets as one gather run each.
+// The gather packs chunks across runs and stage 1 merges adjacent chunks
+// into one AXI transaction, so adjacent buckets (only the root and bucket
+// 1 in heap order) cost the same as one merged run.
 func (o *ORAM) pathRuns(path []int) []axi.Burst {
 	runs := o.runs[:0]
-	axi.ForEachRunCapped(path, batchBuckets, func(b0, n int) error {
-		runs = append(runs, axi.Burst{Addr: o.bucketAddr(b0), Len: n * o.stride})
-		return nil
-	})
+	for _, b := range path {
+		runs = append(runs, axi.Burst{Addr: o.bucketAddr(b), Len: o.stride})
+	}
 	o.runs = runs[:0]
 	return runs
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"shef/internal/faultinject"
+	"shef/internal/profiling"
 )
 
 // replicatedConfig is the resilience-test geometry: 4 shards, 3-way
@@ -586,6 +587,79 @@ func TestBackoffDeterministicAndCapped(t *testing.T) {
 
 // TestClientReplicatedRoundTrip: the sealed client path (per-replica
 // sessions) survives a primary crash mid-workload.
+// TestProfiledOpsMatchUnprofiled: under an active profiling harness every
+// replicated Put and Get runs through doOp, inside its pprof labels. The
+// labels change nothing: one scenario — a Put and a Get of a missing
+// file, then with the home shard crashed a fallback Get, a degraded re-Put
+// and its Get, then restart and anti-entropy — returns the same bytes,
+// the same error and the same ClusterStats with profiling on as with it
+// off. The test is not parallel: the harness is process-wide.
+func TestProfiledOpsMatchUnprofiled(t *testing.T) {
+	run := func() (ClusterStats, []byte, error) {
+		c := newReplicatedCluster(t, 4, 3)
+		cl := newClient(t, c)
+		v1, v2 := bytes.Repeat([]byte{0x3C}, 6000), bytes.Repeat([]byte{0x4D}, 6000)
+		if err := cl.Put("alice", "doc", v1); err != nil {
+			t.Fatal(err)
+		}
+		_, missing := cl.Get("alice", "nope", nil)
+		c.CrashShard(c.ShardFor("doc"))
+		got1, err := cl.Get("alice", "doc", nil)
+		if err != nil || !bytes.Equal(got1, v1) {
+			t.Fatalf("fallback Get: %v", err)
+		}
+		if err := cl.Put("alice", "doc", v2); err != nil {
+			t.Fatalf("degraded Put: %v", err)
+		}
+		got2, err := cl.Get("alice", "doc", nil)
+		if err != nil || !bytes.Equal(got2, v2) {
+			t.Fatalf("Get after the degraded Put: %v", err)
+		}
+		if err := c.RestartShard(c.ShardFor("doc")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats(), append(got1, got2...), missing
+	}
+
+	off, offGot, offErr := run()
+	if off.DegradedWrites == 0 || off.FallbackReads == 0 || off.Repairs == 0 {
+		t.Fatalf("scenario did not degrade, fall back and repair: %+v", off)
+	}
+	if !errors.Is(offErr, ErrRejected) {
+		t.Fatalf("Get of a missing file: err = %v, want ErrRejected", offErr)
+	}
+	h, err := profiling.Start(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, onGot, onErr := run()
+	if err := h.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if on != off {
+		t.Errorf("ClusterStats with profiling %+v, without %+v", on, off)
+	}
+	if !bytes.Equal(onGot, offGot) {
+		t.Error("profiled Get returned different bytes")
+	}
+	if onErr == nil || onErr.Error() != offErr.Error() {
+		t.Errorf("profiled Get of a missing file: err = %v, want %v", onErr, offErr)
+	}
+}
+
+// TestShardLabel: indices below 16 use the interned labels, and every
+// other index, past the table or negative, formats as its decimal.
+func TestShardLabel(t *testing.T) {
+	for _, i := range []int{0, 7, 15, 16, 17, 100, 1 << 20, -1} {
+		if got, want := shardLabel(i), fmt.Sprint(i); got != want {
+			t.Errorf("shardLabel(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestClientReplicatedRoundTrip(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
 	cl, err := c.NewClient()

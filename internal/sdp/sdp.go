@@ -67,13 +67,15 @@ type NodeConfig struct {
 	// protection zone instead of one shared static store region: the
 	// store arena is carved into per-user zones (TenantSlots slots each),
 	// created lazily on a user's first Put via the Shield's virtual
-	// region layer and destroyed — counters, valid bits, and all — by
-	// EraseTenant, which is the GDPR erasure guarantee made structural:
-	// after destruction the zone's ciphertext is unrecoverable even with
-	// the device key, because the per-region key material and freshness
-	// state died with the zone. The tls region stays static (it is the
-	// node's own network endpoint, not tenant data). Incompatible with
-	// Oblivious (the ORAM fronts one flat store region).
+	// region layer and destroyed by EraseTenant, which makes GDPR
+	// erasure structural. Every zone is named "store", and a zone's keys
+	// derive from (DEK, region name), so tenants share keys; what
+	// separates them, and a destroyed zone from the next one at its
+	// address, is the region ID that every chunk's IV and MAC bind.
+	// Destruction discards the zone's region ID, freshness counters and
+	// valid bits. The tls region stays static (it is the node's own
+	// network endpoint, not tenant data). Incompatible with Oblivious
+	// (the ORAM fronts one flat store region).
 	TenantZones bool
 	// TenantSlots is how many file slots each per-user zone holds
 	// (TenantZones mode; default 1). Slots must divide evenly into
@@ -336,12 +338,13 @@ func (c NodeConfig) ShieldConfig() shield.Config {
 	}
 }
 
-// storeZoneConfig is one user's protection zone: a store-shaped region
-// owned by the user's tenant identity, replay-protected like the static
-// store (rollback across erasure is the attack GDPR deletion forbids).
-func (c NodeConfig) storeZoneConfig(user string, base uint64) shield.RegionConfig {
+// storeZoneConfig is one user's protection zone: a store-shaped region,
+// created under the user's tenant identity and replay-protected like the
+// static store (rollback across erasure is the attack GDPR deletion
+// forbids).
+func (c NodeConfig) storeZoneConfig(base uint64) shield.RegionConfig {
 	return shield.RegionConfig{
-		Name: "store", Tenant: user, Base: base,
+		Name: "store", Base: base,
 		Size: uint64(c.TenantSlots * c.SlotBytes), ChunkSize: c.AuthBlock,
 		AESEngines: c.Engines, SBox: c.SBox, KeySize: aesx.AES128,
 		MAC: c.MAC, BufferBytes: c.BufferBytes,
@@ -712,7 +715,7 @@ func (n *Node) zoneFor(user string) (*tenantZone, error) {
 		return nil, reject(errors.New("sdp: node full (no free tenant zones)"))
 	}
 	base := n.freeZones[len(n.freeZones)-1]
-	if err := n.sh.CreateRegion(n.cfg.storeZoneConfig(user, base)); err != nil {
+	if err := n.sh.CreateRegion(user, n.cfg.storeZoneConfig(base)); err != nil {
 		return nil, fmt.Errorf("sdp: tenant zone for %q: %w", user, err)
 	}
 	n.freeZones = n.freeZones[:len(n.freeZones)-1]
@@ -723,11 +726,13 @@ func (n *Node) zoneFor(user string) (*tenantZone, error) {
 }
 
 // EraseTenant is the GDPR "right to be forgotten" made structural: it
-// destroys the user's protection zone — per-region key material,
-// freshness counters, and valid bits all die with it, so the zone's
-// ciphertext in device memory is unrecoverable even by the operator —
-// and forgets the user's key and directory entries. The zone's address
-// range returns to the free list for the next tenant.
+// destroys the user's protection zone, discarding its valid bits,
+// freshness counters and region ID, and forgets the user's key and
+// directory entries. The zone's IVs and MACs bind its region ID, which is
+// not reissued within the session, so no later zone opens the ciphertext
+// left in device memory; the zone's keys derive from the DEK and the name
+// "store" and outlive it. The zone's address range returns to the free
+// list for the next tenant.
 func (n *Node) EraseTenant(user string) error {
 	n.quiesce()
 	defer n.unquiesce()

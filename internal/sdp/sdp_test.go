@@ -257,8 +257,8 @@ func TestStorageRollbackDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapData, _ := n.DRAM().Snapshot(layout.DataBase, 3*4096)
-	snapTags, _ := n.DRAM().Snapshot(layout.TagBase, 3*shield.TagSize)
+	snapData, _ := n.DRAM().RawRead(layout.DataBase, 3*4096)
+	snapTags, _ := n.DRAM().RawRead(layout.TagBase, 3*shield.TagSize)
 
 	// Overwrite (the "erasure").
 	v2 := bytes.Repeat([]byte{0xB2}, 8192)
@@ -268,11 +268,87 @@ func TestStorageRollbackDetected(t *testing.T) {
 	n.Shield().InvalidateClean()
 
 	// Roll back both data and tags.
-	n.DRAM().Restore(layout.DataBase, snapData)
-	n.DRAM().Restore(layout.TagBase, snapTags)
+	n.DRAM().RawWrite(layout.DataBase, snapData)
+	n.DRAM().RawWrite(layout.TagBase, snapTags)
 	if _, err := n.Get("alice", "f"); err == nil {
 		t.Fatal("rolled-back file served to the application")
 	}
+}
+
+// TestWriteBackNodeDefersToSync: on a WriteBack node a Put leaves the
+// store lines dirty on-chip, so the store region's DRAM image (ciphertext
+// and tags) and its write-back count stay as they were until Node.Sync,
+// while Get already serves the new bytes. Sync writes the lines back, and
+// the new bytes then survive dropping every clean line.
+func TestWriteBackNodeDefersToSync(t *testing.T) {
+	cfg := smallConfig()
+	cfg.WriteBack = true
+	n, err := NewNode(cfg, bytes.Repeat([]byte{0x21}, 32), LineRateParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.ProvisionUserKeys(map[string][]byte{"alice": []byte("alice-key")})
+	layout, err := n.Shield().Layout("store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := func() []byte {
+		data, err := n.DRAM().RawRead(layout.DataBase, int(layout.DataSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags, err := n.DRAM().RawRead(layout.TagBase, int(layout.TagSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(data, tags...)
+	}
+	get := func(want []byte, when string) {
+		t.Helper()
+		got, err := n.Get("alice", "f")
+		if err != nil {
+			t.Fatalf("Get %s: %v", when, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Get %s returned stale or corrupt bytes", when)
+		}
+	}
+
+	v1 := bytes.Repeat([]byte{0xA1}, 8192) // two auth blocks
+	if err := n.Put("alice", "f", v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before, wb := image(), regionStats(t, n, "store").Writebacks
+	if wb != 2 {
+		t.Fatalf("first Sync wrote back %d store lines, want 2", wb)
+	}
+
+	v2 := bytes.Repeat([]byte{0xB2}, 8192)
+	if err := n.Put("alice", "f", v2); err != nil {
+		t.Fatal(err)
+	}
+	if got := regionStats(t, n, "store").Writebacks; got != wb {
+		t.Fatalf("Put on a WriteBack node wrote back %d store lines before Sync", got-wb)
+	}
+	if !bytes.Equal(image(), before) {
+		t.Fatal("Put on a WriteBack node changed the store region's DRAM before Sync")
+	}
+	get(v2, "before Sync")
+
+	if err := n.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := regionStats(t, n, "store").Writebacks; got != wb+2 {
+		t.Fatalf("Sync wrote back %d store lines, want 2", got-wb)
+	}
+	if bytes.Equal(image(), before) {
+		t.Fatal("Sync left the store region's DRAM unchanged")
+	}
+	n.Shield().InvalidateClean()
+	get(v2, "after Sync")
 }
 
 // TestRejectedPutKeepsSlot: a rejected Put claims no slot, in the flat
@@ -364,16 +440,22 @@ func TestTamperedPutSealedRecovers(t *testing.T) {
 	}
 }
 
+// regionStats returns the named region's row of the node's Shield report.
+func regionStats(t *testing.T, n *Node, name string) shield.RegionStats {
+	t.Helper()
+	for _, rs := range n.Report().Regions {
+		if rs.Name == name {
+			return rs
+		}
+	}
+	t.Fatalf("Node.Report has no %s row: %+v", name, n.Report().Regions)
+	return shield.RegionStats{}
+}
+
 // tlsBusy returns the node's tls region BusyCycles from Node.Report.
 func tlsBusy(t *testing.T, n *Node) uint64 {
 	t.Helper()
-	for _, rs := range n.Report().Regions {
-		if rs.Name == "tls" {
-			return rs.BusyCycles
-		}
-	}
-	t.Fatalf("Node.Report has no tls row: %+v", n.Report().Regions)
-	return 0
+	return regionStats(t, n, "tls").BusyCycles
 }
 
 // TestForgedPutKeepsTLSStats: retiring the tls engine set after a forged

@@ -52,11 +52,6 @@ const CounterSize = 4
 type RegionConfig struct {
 	// Name labels the region in reports ("weights", "featuremaps", ...).
 	Name string
-	// Tenant is the protection zone's owner: zones created at runtime
-	// through Shield.CreateRegion name it here, and all lifecycle
-	// operations (flush, destroy) are keyed by the (tenant, name) pair.
-	// Static Config.Regions belong to the default session "".
-	Tenant string
 	// Base and Size delimit the region. Base must be ChunkSize-aligned and
 	// Size a multiple of ChunkSize.
 	Base uint64

@@ -26,8 +26,7 @@ func BenchmarkRegionLookupScaling(b *testing.B) {
 	rig := tenantRig(b, Config{Registers: 4, ArenaEnd: arena}, arena+(4<<20), params)
 	sh := rig.shield
 	for i := 0; i < zones; i++ {
-		rc := zoneConfig(fmt.Sprintf("tenant-%04d", i), uint64(i)*zoneSize, zoneSize)
-		if err := sh.CreateRegion(rc); err != nil {
+		if err := sh.CreateRegion(fmt.Sprintf("tenant-%04d", i), zoneConfig(uint64(i)*zoneSize, zoneSize)); err != nil {
 			b.Fatal(err)
 		}
 	}

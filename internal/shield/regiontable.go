@@ -36,6 +36,10 @@ import (
 // for the lifetime of the zone, the engine-set half comes and goes with
 // materialisation.
 type vRegion struct {
+	// tenant owns the zone: lifecycle operations (flush, destroy) are
+	// keyed by the (tenant, name) pair. Static regions belong to the
+	// default session "".
+	tenant string
 	cfg    RegionConfig
 	id     uint32
 	tagOff uint64
@@ -50,7 +54,7 @@ type vRegion struct {
 	share *atomic.Int64
 }
 
-func (r *vRegion) key() string { return r.cfg.Tenant + "\x00" + r.cfg.Name }
+func (r *vRegion) key() string { return r.tenant + "\x00" + r.cfg.Name }
 
 // end returns the first address past the zone.
 func (r *vRegion) end() uint64 { return r.cfg.Base + r.cfg.Size }
@@ -227,39 +231,40 @@ func (t *RegionTable) tagRelease(off, size uint64) {
 	t.tagFree[size] = append(t.tagFree[size], off)
 }
 
-// insert validates rc against the live table and adds it as an idle
-// zone. Callers hold t.mu.
-func (t *RegionTable) insertLocked(rc RegionConfig, arenaEnd uint64) (*vRegion, error) {
+// insertLocked validates rc against the live table and adds it as an idle
+// zone of tenant. Callers hold t.mu.
+func (t *RegionTable) insertLocked(tenant string, rc RegionConfig, arenaEnd uint64) (*vRegion, error) {
 	if rc.Name == "" {
-		return nil, fmt.Errorf("shield: tenant %q: region needs a name", rc.Tenant)
+		return nil, fmt.Errorf("shield: tenant %q: region needs a name", tenant)
 	}
 	if err := rc.validate(); err != nil {
 		return nil, err
 	}
-	key := rc.Tenant + "\x00" + rc.Name
+	key := tenant + "\x00" + rc.Name
 	if _, dup := t.byKey[key]; dup {
-		return nil, fmt.Errorf("shield: tenant %q: region %q already exists", rc.Tenant, rc.Name)
+		return nil, fmt.Errorf("shield: tenant %q: region %q already exists", tenant, rc.Name)
 	}
 	if end := rc.Base + rc.Size; end > arenaEnd {
 		return nil, fmt.Errorf("shield: tenant %q: region %q [%#x,+%d) exceeds the region arena (ends %#x)",
-			rc.Tenant, rc.Name, rc.Base, rc.Size, arenaEnd)
+			tenant, rc.Name, rc.Base, rc.Size, arenaEnd)
 	}
 	// Overlap check against the base-sorted neighbours only.
 	i := sort.Search(len(t.sorted), func(i int) bool { return t.sorted[i].cfg.Base > rc.Base })
 	if i > 0 {
 		if prev := t.sorted[i-1]; prev.end() > rc.Base {
 			return nil, fmt.Errorf("shield: tenant %q: region %q overlaps %q (tenant %q)",
-				rc.Tenant, rc.Name, prev.cfg.Name, prev.cfg.Tenant)
+				tenant, rc.Name, prev.cfg.Name, prev.tenant)
 		}
 	}
 	if i < len(t.sorted) {
 		if next := t.sorted[i]; rc.Base+rc.Size > next.cfg.Base {
 			return nil, fmt.Errorf("shield: tenant %q: region %q overlaps %q (tenant %q)",
-				rc.Tenant, rc.Name, next.cfg.Name, next.cfg.Tenant)
+				tenant, rc.Name, next.cfg.Name, next.tenant)
 		}
 	}
 	t.nextID++
 	r := &vRegion{
+		tenant: tenant,
 		cfg:    rc,
 		id:     t.nextID,
 		tagOff: t.tagAlloc(uint64(rc.Chunks() * TagSize)),
@@ -276,11 +281,11 @@ func (t *RegionTable) insertLocked(rc RegionConfig, arenaEnd uint64) (*vRegion, 
 	return r, nil
 }
 
-// create validates and inserts a new idle zone.
-func (t *RegionTable) create(rc RegionConfig, arenaEnd uint64) (*vRegion, error) {
+// create validates and inserts a new idle zone of tenant.
+func (t *RegionTable) create(tenant string, rc RegionConfig, arenaEnd uint64) (*vRegion, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.insertLocked(rc, arenaEnd)
+	return t.insertLocked(tenant, rc, arenaEnd)
 }
 
 // destroy tears down a zone: the engine set is retired with dirty lines
@@ -343,7 +348,7 @@ func (t *RegionTable) materialize(r *vRegion, dek []byte, port axi.MemoryPort,
 	}
 	set, err := newEngineSet(r.cfg, r.id, dek, r.tagOff, port, ocm, params)
 	if err != nil {
-		return nil, fmt.Errorf("shield: tenant %q: region %q: %w", r.cfg.Tenant, r.cfg.Name, err)
+		return nil, fmt.Errorf("shield: tenant %q: region %q: %w", r.tenant, r.cfg.Name, err)
 	}
 	if kept := r.kept.Load(); kept != nil {
 		set.acct = *kept
@@ -403,7 +408,7 @@ func (t *RegionTable) zoneStats() []TenantZoneStats {
 	out := make([]TenantZoneStats, 0, len(t.sorted))
 	for _, r := range t.sorted {
 		out = append(out, TenantZoneStats{
-			Tenant: r.cfg.Tenant,
+			Tenant: r.tenant,
 			Name:   r.cfg.Name,
 			Base:   r.cfg.Base,
 			Size:   r.cfg.Size,

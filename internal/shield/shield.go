@@ -203,8 +203,7 @@ func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
 func (s *Shield) staticTable(dek []byte) (*RegionTable, error) {
 	table := newRegionTable(s.tagBase)
 	for _, rc := range s.cfg.Regions {
-		rc.Tenant = ""
-		r, err := table.create(rc, s.tagBase)
+		r, err := table.create("", rc, s.tagBase)
 		if err == nil {
 			_, err = table.materialize(r, dek, s.port, s.ocm, s.params)
 		}
@@ -216,26 +215,29 @@ func (s *Shield) staticTable(dek []byte) (*RegionTable, error) {
 	return table, nil
 }
 
-// CreateRegion carves a new protection zone at runtime, owned by
-// rc.Tenant. The zone must fit below the tag shadow: static regions plus
+// CreateRegion carves a new protection zone at runtime, owned by tenant:
+// flushing and destroying it are keyed by the (tenant, rc.Name) pair. The
+// zone must fit below the tag shadow: static regions plus
 // Config.ArenaEnd bound the usable address space. The zone starts idle —
 // no engine set, buffer, or on-chip memory — and materialises on
 // first access.
-func (s *Shield) CreateRegion(rc RegionConfig) error {
+func (s *Shield) CreateRegion(tenant string, rc RegionConfig) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if !s.provisioned {
 		return errors.New("shield: not provisioned")
 	}
-	_, err := s.table.create(rc, s.tagBase)
+	_, err := s.table.create(tenant, rc, s.tagBase)
 	return err
 }
 
 // DestroyRegion tears down a tenant's zone: traffic quiesces, the engine
-// set (if materialised) is retired with its dirty lines discarded — zone
-// destruction is erasure, the ciphertext keys die with the descriptor —
-// and the zone's tag-shadow span is freed. Cached translations for the
-// zone are shot down.
+// set (if materialised) is retired with its dirty lines, counters and
+// valid bits discarded, and the zone's tag-shadow span is freed. The
+// region ID dies with the descriptor and is not reissued within the
+// session, so no later zone opens its ciphertext; the keys, which derive
+// from the DEK and the region name, do not die. Cached translations for
+// the zone are shot down.
 func (s *Shield) DestroyRegion(tenant, region string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -183,15 +183,15 @@ func TestReplayDetectedWithFreshness(t *testing.T) {
 	// Write v1, flush, snapshot ciphertext+tag, write v2, flush, restore v1.
 	rig.shield.WriteBurst(0, bytes.Repeat([]byte{0xA1}, 512))
 	rig.shield.Flush()
-	snapData, _ := rig.dram.Snapshot(0, 512)
-	snapTag, _ := rig.dram.Snapshot(rig.shield.tagBase, TagSize)
+	snapData, _ := rig.dram.RawRead(0, 512)
+	snapTag, _ := rig.dram.RawRead(rig.shield.tagBase, TagSize)
 
 	rig.shield.WriteBurst(0, bytes.Repeat([]byte{0xB2}, 512))
 	rig.shield.Flush()
 	rig.shield.InvalidateClean()
 
-	rig.dram.Restore(0, snapData)
-	rig.dram.Restore(rig.shield.tagBase, snapTag)
+	rig.dram.RawWrite(0, snapData)
+	rig.dram.RawWrite(rig.shield.tagBase, snapTag)
 
 	buf := make([]byte, 512)
 	if _, err := rig.shield.ReadBurst(0, buf); err == nil {
@@ -210,15 +210,15 @@ func TestReplayUndetectedWithoutFreshness(t *testing.T) {
 
 	rig.shield.WriteBurst(0, bytes.Repeat([]byte{0xA1}, 512))
 	rig.shield.Flush()
-	snapData, _ := rig.dram.Snapshot(0, 512)
-	snapTag, _ := rig.dram.Snapshot(rig.shield.tagBase, TagSize)
+	snapData, _ := rig.dram.RawRead(0, 512)
+	snapTag, _ := rig.dram.RawRead(rig.shield.tagBase, TagSize)
 
 	rig.shield.WriteBurst(0, bytes.Repeat([]byte{0xB2}, 512))
 	rig.shield.Flush()
 	rig.shield.InvalidateClean()
 
-	rig.dram.Restore(0, snapData)
-	rig.dram.Restore(rig.shield.tagBase, snapTag)
+	rig.dram.RawWrite(0, snapData)
+	rig.dram.RawWrite(rig.shield.tagBase, snapTag)
 
 	buf := make([]byte, 512)
 	if _, err := rig.shield.ReadBurst(0, buf); err != nil {

@@ -41,9 +41,9 @@ func tenantRig(t testing.TB, cfg Config, dramBytes uint64, params perf.Params) *
 }
 
 // zoneConfig is a small tenant zone at base.
-func zoneConfig(tenant string, base, size uint64) RegionConfig {
+func zoneConfig(base, size uint64) RegionConfig {
 	return RegionConfig{
-		Name: "zone", Tenant: tenant, Base: base, Size: size, ChunkSize: 512,
+		Name: "zone", Base: base, Size: size, ChunkSize: 512,
 		AESEngines: 1, SBox: aesx.SBox16x, KeySize: aesx.AES128,
 		MAC: HMAC, BufferBytes: 2 * 512,
 	}
@@ -52,7 +52,7 @@ func zoneConfig(tenant string, base, size uint64) RegionConfig {
 func TestCreateDestroyRegion(t *testing.T) {
 	rig := tenantRig(t, Config{Registers: 4, ArenaEnd: 1 << 20}, 1<<22, perf.Default())
 	sh := rig.shield
-	if err := sh.CreateRegion(zoneConfig("alice", 0, 1<<14)); err != nil {
+	if err := sh.CreateRegion("alice", zoneConfig(0, 1<<14)); err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("alice's secret")
@@ -77,7 +77,7 @@ func TestCreateDestroyRegion(t *testing.T) {
 	}
 	// The address range and tag shadow are reusable by another tenant,
 	// and the destroyed data must not resurface.
-	if err := sh.CreateRegion(zoneConfig("bob", 0, 1<<14)); err != nil {
+	if err := sh.CreateRegion("bob", zoneConfig(0, 1<<14)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sh.ReadBurst(0x100, buf); err != nil {
@@ -154,7 +154,7 @@ func TestLazyMaterialization(t *testing.T) {
 	rig := tenantRig(t, Config{Registers: 4, ArenaEnd: 1 << 20}, 1<<22, perf.Default())
 	sh := rig.shield
 	ocmBefore := sh.ocm.UsedBits()
-	if err := sh.CreateRegion(zoneConfig("idle", 0, 1<<14)); err != nil {
+	if err := sh.CreateRegion("idle", zoneConfig(0, 1<<14)); err != nil {
 		t.Fatal(err)
 	}
 	if got := sh.ocm.UsedBits(); got != ocmBefore {
@@ -178,7 +178,7 @@ func TestRegionLookupCacheCounts(t *testing.T) {
 	params := perf.Default()
 	rig := tenantRig(t, Config{Registers: 4, ArenaEnd: 1 << 20}, 1<<22, params)
 	sh := rig.shield
-	if err := sh.CreateRegion(zoneConfig("hot", 0, 1<<14)); err != nil {
+	if err := sh.CreateRegion("hot", zoneConfig(0, 1<<14)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 32)
@@ -205,7 +205,7 @@ func TestRegionLookupCacheCounts(t *testing.T) {
 		t.Fatal("TotalCycles does not charge region resolution")
 	}
 	// Destroying any zone is a shootdown: the next access misses again.
-	if err := sh.CreateRegion(zoneConfig("other", 1<<15, 1<<14)); err != nil {
+	if err := sh.CreateRegion("other", zoneConfig(1<<15, 1<<14)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sh.DestroyRegion("other", "zone"); err != nil {
@@ -243,8 +243,7 @@ func TestTenantChurn1k(t *testing.T) {
 			for i := 0; i < tenantsPerWorker; i++ {
 				tenant := fmt.Sprintf("tenant-%d-%d", w, i)
 				base := uint64(w*tenantsPerWorker+i) * zoneSize
-				rc := zoneConfig(tenant, base, zoneSize)
-				if err := sh.CreateRegion(rc); err != nil {
+				if err := sh.CreateRegion(tenant, zoneConfig(base, zoneSize)); err != nil {
 					errs[w] = err
 					return
 				}
@@ -283,7 +282,7 @@ func TestTenantChurn1k(t *testing.T) {
 	if want := workers * tenantsPerWorker / 2; len(zones) != want {
 		t.Fatalf("%d zones survive churn, want %d", len(zones), want)
 	}
-	rc := zoneConfig("", 0, zoneSize)
+	rc := zoneConfig(0, zoneSize)
 	perZone := uint64(rc.bufferLines()*rc.ChunkSize + (rc.Chunks()+7)/8)
 	if got, want := sh.ocm.UsedBits()-ocmBefore, uint64(len(zones))*perZone*8; got != want {
 		t.Fatalf("churn left %d bits on-chip, want %d for %d live zones", got, want, len(zones))
@@ -300,7 +299,7 @@ func TestTenantChurn1k(t *testing.T) {
 		t.Fatal(err)
 	}
 	cursor := sh.table.tagCursor
-	if err := sh.CreateRegion(zoneConfig("newcomer", victim.cfg.Base, zoneSize)); err != nil {
+	if err := sh.CreateRegion("newcomer", zoneConfig(victim.cfg.Base, zoneSize)); err != nil {
 		t.Fatal(err)
 	}
 	if off := sh.table.named("newcomer", "zone").tagOff; off != victim.tagOff || sh.table.tagCursor != cursor {
