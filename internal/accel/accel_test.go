@@ -83,6 +83,11 @@ func TestRegistry(t *testing.T) {
 	if _, err := New("nonexistent", nil); err == nil {
 		t.Fatal("unknown design instantiated")
 	}
+	for _, d := range got {
+		if w, err := New(d, nil); err != nil || w.Name() != d {
+			t.Errorf("New(%q, nil) = %v, %v; want a workload named %q", d, w, err, d)
+		}
+	}
 }
 
 func TestParamValidation(t *testing.T) {

@@ -150,7 +150,7 @@ func RunOnShield(w Workload, sh *shield.Shield, dram *mem.DRAM, dek []byte, para
 	cfg := sh.Config()
 
 	// Data Owner: seal inputs, in the configuration's region order and
-	// all in one split; host: DMA them in; Shield: mark preloaded.
+	// all in one split, as the host DMAs them in; Shield: mark preloaded.
 	rng := rand.New(rand.NewSource(seed))
 	inputs := w.Inputs(rng)
 	for name := range inputs {
@@ -159,7 +159,6 @@ func RunOnShield(w Workload, sh *shield.Shield, dram *mem.DRAM, dek []byte, para
 		}
 	}
 	var sealed []shield.RegionImage
-	var layouts []shield.RegionLayout
 	for _, rc := range cfg.Regions {
 		img, ok := inputs[rc.Name]
 		if !ok {
@@ -169,19 +168,12 @@ func RunOnShield(w Workload, sh *shield.Shield, dram *mem.DRAM, dek []byte, para
 		if err != nil {
 			return RunResult{}, err
 		}
-		sealed = append(sealed, shield.RegionImage{Config: rc, ID: layout.RegionID, Plain: img})
-		layouts = append(layouts, layout)
+		sealed = append(sealed, shield.RegionImage{Config: rc, Layout: layout, Plain: img})
 	}
-	if err := shield.SealRegions(dek, sealed); err != nil {
+	if err := shield.SealRegions(dek, dram, sealed); err != nil {
 		return RunResult{}, err
 	}
-	for i, im := range sealed {
-		if err := dram.RawWrite(layouts[i].DataBase, im.CT); err != nil {
-			return RunResult{}, err
-		}
-		if err := dram.RawWrite(layouts[i].TagBase, im.Tags); err != nil {
-			return RunResult{}, err
-		}
+	for _, im := range sealed {
 		if err := sh.MarkPreloaded(im.Config.Name); err != nil {
 			return RunResult{}, err
 		}
@@ -197,8 +189,8 @@ func RunOnShield(w Workload, sh *shield.Shield, dram *mem.DRAM, dek []byte, para
 		return RunResult{}, err
 	}
 
-	// Host DMAs results out; Data Owner opens them, all in one split, and
-	// checks them.
+	// Host DMAs results out as the Data Owner opens them, all in one
+	// split, and checks them.
 	var results []shield.RegionImage
 	for _, name := range w.OutputRegions() {
 		rc := regionByName(cfg, name)
@@ -206,13 +198,7 @@ func RunOnShield(w Workload, sh *shield.Shield, dram *mem.DRAM, dek []byte, para
 		if err != nil {
 			return RunResult{}, err
 		}
-		im := shield.RegionImage{Config: *rc, ID: layout.RegionID}
-		if im.CT, err = dram.RawRead(layout.DataBase, int(layout.DataSize)); err != nil {
-			return RunResult{}, err
-		}
-		if im.Tags, err = dram.RawRead(layout.TagBase, int(layout.TagSize)); err != nil {
-			return RunResult{}, err
-		}
+		im := shield.RegionImage{Config: *rc, Layout: layout}
 		if rc.Freshness {
 			snap, err := sh.CounterSnapshot(name)
 			if err != nil {
@@ -222,7 +208,7 @@ func RunOnShield(w Workload, sh *shield.Shield, dram *mem.DRAM, dek []byte, para
 		}
 		results = append(results, im)
 	}
-	if err := shield.OpenRegions(dek, results); err != nil {
+	if err := shield.OpenRegions(dek, dram, results); err != nil {
 		return RunResult{}, fmt.Errorf("accel: opening %s results: %w", w.Name(), err)
 	}
 	outputs := make(map[string][]byte)

@@ -248,3 +248,27 @@ func TestSchedule(t *testing.T) {
 		t.Fatal("degenerate inputs should yield nil schedule")
 	}
 }
+
+// TestKindActionFaultText names each fault class and schedule action,
+// and values outside them, and a Fault's error text names its site.
+func TestKindActionFaultText(t *testing.T) {
+	for k, want := range map[Kind]string{
+		KindError: "error", KindLatency: "latency", KindCorrupt: "corrupt",
+		KindCrash: "crash", KindPartition: "partition", KindPartition + 1: "kind(5)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d) = %q, want %q", int(k), got, want)
+		}
+	}
+	for a, want := range map[Action]string{
+		ActCrash: "crash", ActRestart: "restart", ActPartition: "partition", ActHeal: "heal", ActHeal + 1: "action(?)",
+	} {
+		if got := a.String(); got != want {
+			t.Errorf("Action(%d) = %q, want %q", int(a), got, want)
+		}
+	}
+	f := &Fault{Kind: KindCrash, Target: "sdp.get", Shard: 3, Op: 12}
+	if got, want := f.Error(), "faultinject: injected crash at sdp.get shard 3 op 12"; got != want {
+		t.Errorf("Fault text %q, want %q", got, want)
+	}
+}

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -271,5 +272,18 @@ func TestORAMOverShield(t *testing.T) {
 	dump, _ := dram.RawRead(0, int(regionSize))
 	if bytes.Contains(dump, []byte("ORAM+SHIELD!")) {
 		t.Fatal("plaintext leaked beneath the ORAM layer")
+	}
+}
+
+// TestErrorText: an oram.Error names its operation and block and wraps
+// its cause.
+func TestErrorText(t *testing.T) {
+	cause := errors.New("tag mismatch")
+	err := &Error{Op: "access", Block: 17, Err: cause}
+	if got, want := err.Error(), "oram: access block 17: tag mismatch"; got != want {
+		t.Errorf("Error text %q, want %q", got, want)
+	}
+	if !errors.Is(err, cause) {
+		t.Error("Error does not unwrap to its cause")
 	}
 }

@@ -915,3 +915,15 @@ func TestNewClientDuringOutage(t *testing.T) {
 		t.Fatal("restarted shard served the wrong bytes")
 	}
 }
+
+// TestHealthStateText names each health state, and a value outside them
+// as unknown.
+func TestHealthStateText(t *testing.T) {
+	for s, want := range map[HealthState]string{
+		Healthy: "healthy", Suspect: "suspect", Down: "down", Recovering: "recovering", Recovering + 1: "unknown",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("HealthState(%d) = %q, want %q", int(s), got, want)
+		}
+	}
+}

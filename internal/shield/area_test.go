@@ -111,3 +111,17 @@ func TestAESEngineAreaInterpolation(t *testing.T) {
 		t.Fatal("anchor points drifted from Table 1")
 	}
 }
+
+// TestErrorAndUtilizationText pins the text an operator reads: an
+// IntegrityError names its region and chunk, and a Utilization prints
+// its three shares to two places.
+func TestErrorAndUtilizationText(t *testing.T) {
+	err := &IntegrityError{Region: "weights", Chunk: 42}
+	if got, want := err.Error(), `shield: integrity violation in region "weights" chunk 42 (off-chip data tampered or replayed)`; got != want {
+		t.Errorf("IntegrityError text %q, want %q", got, want)
+	}
+	u := Utilization{BRAM: 1.5, LUT: 12.345, REG: 0}
+	if got, want := u.String(), "BRAM 1.50% / LUT 12.35% / REG 0.00%"; got != want {
+		t.Errorf("Utilization text %q, want %q", got, want)
+	}
+}

@@ -383,23 +383,7 @@ func newPrefetchRig(tb testing.TB, size uint64, prefetch bool) (*Shield, []byte)
 	}
 	img := make([]byte, size)
 	rand.New(rand.NewSource(24)).Read(img)
-	ct, tags, err := SealRegionData(cfg.Regions[0], 1, dek, img)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	layout, err := sh.Layout("bulk")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := dram.RawWrite(layout.DataBase, ct); err != nil {
-		tb.Fatal(err)
-	}
-	if err := dram.RawWrite(layout.TagBase, tags); err != nil {
-		tb.Fatal(err)
-	}
-	if err := sh.MarkPreloaded("bulk"); err != nil {
-		tb.Fatal(err)
-	}
+	preload(tb, sh, dram, dek, "bulk", img)
 	return sh, img
 }
 
@@ -566,20 +550,7 @@ func TestPrefetchIntegrityTamperLatches(t *testing.T) {
 	}
 	img := make([]byte, size)
 	rand.New(rand.NewSource(26)).Read(img)
-	ct, tags, err := SealRegionData(cfg.Regions[0], 1, dek, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, _ := sh.Layout("bulk")
-	if err := dram.RawWrite(layout.DataBase, ct); err != nil {
-		t.Fatal(err)
-	}
-	if err := dram.RawWrite(layout.TagBase, tags); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.MarkPreloaded("bulk"); err != nil {
-		t.Fatal(err)
-	}
+	preload(t, sh, dram, dek, "bulk", img)
 	// Flip a byte in a chunk the prefetcher (not the demand miss) fetches.
 	raw, err := dram.RawRead(10*512, 1)
 	if err != nil {

@@ -99,13 +99,13 @@ func isIntegrity(err error) bool {
 	return errors.As(err, &ie)
 }
 
-// FuzzOpenRegionData flips bytes of a sealed region image two split grains
-// long (so the open splits across Ps wherever there are two) and checks
-// the whole-image oracle: OpenRegionData returns the exact plaintext if
-// no byte changed, and otherwise no plaintext and an IntegrityError for
-// the lowest chunk whose ciphertext or tag changed. flips is read as
-// 5-byte records: a big-endian offset into the ciphertext followed by the
-// tags, and the byte to XOR there.
+// FuzzOpenRegionData flips bytes of a region image sealed into device
+// memory, two split grains long (so the open splits across Ps wherever
+// there are two), and checks the whole-image oracle: OpenRegions returns
+// the exact plaintext if no byte changed, and otherwise no plaintext and
+// an IntegrityError for the lowest chunk whose ciphertext or tag changed.
+// flips is read as 5-byte records: a big-endian offset into the
+// ciphertext followed by the tags, and the byte to XOR there.
 func FuzzOpenRegionData(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 0x80})
@@ -126,24 +126,34 @@ func FuzzOpenRegionData(f *testing.F) {
 		for i := range plain {
 			plain[i] = byte(i * 131)
 		}
-		ct, tags, err := SealRegionData(cfg, 5, dek, plain)
-		if err != nil {
+		sealed := []RegionImage{{Config: cfg, Layout: RegionLayout{RegionID: 5}, Plain: plain}}
+		dram := layOut(sealed)
+		if err := SealRegions(dek, dram, sealed); err != nil {
 			f.Fatal(err)
 		}
+		ct, tags := sealedBytes(f, dram, sealed[0].Layout)
 		imgs = append(imgs, image{cfg, plain, ct, tags})
 	}
 	f.Fuzz(func(t *testing.T, flips []byte) {
 		for _, img := range imgs {
-			ct := append([]byte(nil), img.ct...)
-			tags := append([]byte(nil), img.tags...)
+			opened := []RegionImage{{Config: img.cfg, Layout: RegionLayout{RegionID: 5}}}
+			dram := layOut(opened)
+			l := opened[0].Layout
+			if err := dram.RawWrite(l.DataBase, img.ct); err != nil {
+				t.Fatal(err)
+			}
+			if err := dram.RawWrite(l.TagBase, img.tags); err != nil {
+				t.Fatal(err)
+			}
 			for r := flips; len(r) >= 5; r = r[5:] {
-				off := int(binary.BigEndian.Uint32(r) % uint32(len(ct)+len(tags)))
-				if off < len(ct) {
-					ct[off] ^= r[4]
+				off := uint64(binary.BigEndian.Uint32(r) % uint32(len(img.ct)+len(img.tags)))
+				if off < l.DataSize {
+					flipByte(t, dram, l.DataBase+off, r[4])
 				} else {
-					tags[off-len(ct)] ^= r[4]
+					flipByte(t, dram, l.TagBase+off-l.DataSize, r[4])
 				}
 			}
+			ct, tags := sealedBytes(t, dram, l)
 			want := -1
 			cs := img.cfg.ChunkSize
 			for c := 0; c < img.cfg.Chunks() && want < 0; c++ {
@@ -152,7 +162,8 @@ func FuzzOpenRegionData(f *testing.F) {
 					want = c
 				}
 			}
-			got, err := OpenRegionData(img.cfg, 5, dek, ct, tags, nil)
+			err := OpenRegions(dek, dram, opened)
+			got := opened[0].Plain
 			if want < 0 {
 				if err != nil || !bytes.Equal(got, img.plain) {
 					t.Fatalf("%v: untouched image: err = %v, plaintext equal = %t", img.cfg.MAC, err, bytes.Equal(got, img.plain))
@@ -208,23 +219,7 @@ func FuzzProvisionLoadKey(f *testing.F) {
 	for i := range img {
 		img[i] = byte(i * 7)
 	}
-	ct, tags, err := SealRegionData(rc, 1, fuzzLoadKeyDEK, img)
-	if err != nil {
-		f.Fatal(err)
-	}
-	layout, err := sh.Layout(rc.Name)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := dram.RawWrite(layout.DataBase, ct); err != nil {
-		f.Fatal(err)
-	}
-	if err := dram.RawWrite(layout.TagBase, tags); err != nil {
-		f.Fatal(err)
-	}
-	if err := sh.MarkPreloaded(rc.Name); err != nil {
-		f.Fatal(err)
-	}
+	preload(f, sh, dram, fuzzLoadKeyDEK, rc.Name, img)
 	buf := make([]byte, rc.Size)
 
 	f.Fuzz(func(t *testing.T, ephemeral, sealed []byte) {

@@ -8,7 +8,30 @@ import (
 	"testing"
 
 	"shef/internal/crypto/aesx"
+	"shef/internal/mem"
 )
+
+// preload seals img as the Data Owner into sh's region through dram, the
+// host's DMA, and marks the region preloaded.
+func preload(tb testing.TB, sh *Shield, dram *mem.DRAM, dek []byte, region string, img []byte) {
+	tb.Helper()
+	layout, err := sh.Layout(region)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var rc RegionConfig
+	for _, r := range sh.Config().Regions {
+		if r.Name == region {
+			rc = r
+		}
+	}
+	if err := SealRegions(dek, dram, []RegionImage{{Config: rc, Layout: layout, Plain: img}}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sh.MarkPreloaded(region); err != nil {
+		tb.Fatal(err)
+	}
+}
 
 // TestPreloadPath exercises the full host input path: the Data Owner seals
 // a region image, the (untrusted) host DMAs it into DRAM, the Shield is
@@ -16,24 +39,11 @@ import (
 func TestPreloadPath(t *testing.T) {
 	rig := newRig(t, simpleConfig())
 	cfg := rig.shield.Config().Regions[0]
-	layout, err := rig.shield.Layout("data")
-	if err != nil {
-		t.Fatal(err)
-	}
 	image := make([]byte, cfg.Size)
 	for i := range image {
 		image[i] = byte(i * 7)
 	}
-	ct, tags, err := SealRegionData(cfg, layout.RegionID, rig.dek, image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Host DMA (raw, untrusted path).
-	rig.dram.RawWrite(layout.DataBase, ct)
-	rig.dram.RawWrite(layout.TagBase, tags)
-	if err := rig.shield.MarkPreloaded("data"); err != nil {
-		t.Fatal(err)
-	}
+	preload(t, rig.shield, rig.dram, rig.dek, "data", image)
 	got := make([]byte, cfg.Size)
 	if _, err := rig.shield.ReadBurst(cfg.Base, got); err != nil {
 		t.Fatal(err)
@@ -58,8 +68,6 @@ func TestResultExportPath(t *testing.T) {
 	if err := rig.shield.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ct, _ := rig.dram.RawRead(layout.DataBase, int(layout.DataSize))
-	tags, _ := rig.dram.RawRead(layout.TagBase, int(layout.TagSize))
 
 	snap, err := rig.shield.CounterSnapshot("data")
 	if err != nil {
@@ -75,11 +83,11 @@ func TestResultExportPath(t *testing.T) {
 		t.Fatal("forged counter snapshot accepted")
 	}
 
-	got, err := OpenRegionData(cfg, layout.RegionID, rig.dek, ct, tags, snap.Counters)
-	if err != nil {
+	imgs := []RegionImage{{Config: cfg, Layout: layout, Counters: snap.Counters}}
+	if err := OpenRegions(rig.dek, rig.dram, imgs); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, result) {
+	if !bytes.Equal(imgs[0].Plain, result) {
 		t.Fatal("exported result did not decrypt on the data owner side")
 	}
 }
@@ -87,16 +95,16 @@ func TestResultExportPath(t *testing.T) {
 func TestOpenRegionDataDetectsTamper(t *testing.T) {
 	cfg := simpleConfig().Regions[1] // non-fresh region: nil counters
 	dek := bytes.Repeat([]byte{9}, 32)
-	image := make([]byte, cfg.Size)
-	ct, tags, err := SealRegionData(cfg, 2, dek, image)
-	if err != nil {
+	imgs := []RegionImage{{Config: cfg, Layout: RegionLayout{RegionID: 2}, Plain: make([]byte, cfg.Size)}}
+	dram := layOut(imgs)
+	if err := SealRegions(dek, dram, imgs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenRegionData(cfg, 2, dek, ct, tags, nil); err != nil {
+	if err := OpenRegions(dek, dram, imgs); err != nil {
 		t.Fatalf("clean image rejected: %v", err)
 	}
-	ct[0] ^= 1
-	if _, err := OpenRegionData(cfg, 2, dek, ct, tags, nil); err == nil {
+	flipByte(t, dram, imgs[0].Layout.DataBase, 1)
+	if err := OpenRegions(dek, dram, imgs); err == nil {
 		t.Fatal("tampered export accepted")
 	}
 }
@@ -104,13 +112,19 @@ func TestOpenRegionDataDetectsTamper(t *testing.T) {
 func TestSealRegionDataSizeChecks(t *testing.T) {
 	cfg := simpleConfig().Regions[0]
 	dek := bytes.Repeat([]byte{9}, 32)
-	if _, _, err := SealRegionData(cfg, 1, dek, make([]byte, 10)); err == nil {
+	imgs := []RegionImage{{Config: cfg, Layout: RegionLayout{RegionID: 1}, Plain: make([]byte, 10)}}
+	dram := layOut(imgs)
+	if err := SealRegions(dek, dram, imgs); err == nil {
 		t.Fatal("short image accepted")
 	}
-	if _, err := OpenRegionData(cfg, 1, dek, make([]byte, cfg.Size), nil, nil); err == nil {
+	noTags := imgs[0]
+	noTags.Layout.TagSize = 0
+	if err := OpenRegions(dek, dram, []RegionImage{noTags}); err == nil {
 		t.Fatal("missing tags accepted")
 	}
-	if _, err := OpenRegionData(cfg, 1, dek, make([]byte, cfg.Size), make([]byte, cfg.Chunks()*TagSize), make([]uint32, 1)); err == nil {
+	short := imgs[0]
+	short.Counters = make([]uint32, 1)
+	if err := OpenRegions(dek, dram, []RegionImage{short}); err == nil {
 		t.Fatal("short counter array accepted")
 	}
 }
@@ -152,10 +166,11 @@ func splitImage(cfg RegionConfig) ([]byte, []uint32) {
 	return img, counters
 }
 
-// TestSealRegionDataSameAtAnyProcs: the owner-side seal gives the same
-// ciphertext and tags whether it runs on one P or splits across several,
-// and the image opens back at every width.
-func TestSealRegionDataSameAtAnyProcs(t *testing.T) {
+// TestSealRegionsSameAtAnyProcs: the owner-side seal of one region
+// writes the same ciphertext and tags to device memory whether it runs on
+// one P or splits across several, and the image opens back at every
+// width.
+func TestSealRegionsSameAtAnyProcs(t *testing.T) {
 	dek := bytes.Repeat([]byte{0x5A}, 32)
 	for _, mac := range []MACKind{HMAC, PMAC} {
 		cfg := splitRegion(mac)
@@ -164,17 +179,20 @@ func TestSealRegionDataSameAtAnyProcs(t *testing.T) {
 		for _, procs := range []int{1, 2, 4} {
 			func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				ct, tags, err := SealRegionData(cfg, 7, dek, img)
-				if err != nil {
+				imgs := []RegionImage{{Config: cfg, Layout: RegionLayout{RegionID: 7}, Plain: img}}
+				dram := layOut(imgs)
+				if err := SealRegions(dek, dram, imgs); err != nil {
 					t.Fatal(err)
 				}
+				ct, tags := sealedBytes(t, dram, imgs[0].Layout)
 				if refCT == nil {
 					refCT, refTags = ct, tags
 				} else if !bytes.Equal(ct, refCT) || !bytes.Equal(tags, refTags) {
 					t.Errorf("%v at GOMAXPROCS=%d: sealed image differs from GOMAXPROCS=1", mac, procs)
 				}
-				got, err := OpenRegionData(cfg, 7, dek, ct, tags, nil)
-				if err != nil || !bytes.Equal(got, img) {
+				imgs[0].Plain = nil
+				err := OpenRegions(dek, dram, imgs)
+				if got := imgs[0].Plain; err != nil || !bytes.Equal(got, img) {
 					t.Errorf("%v at GOMAXPROCS=%d: open: err = %v, plaintext equal = %t", mac, procs, err, bytes.Equal(got, img))
 				}
 			}()
@@ -182,12 +200,12 @@ func TestSealRegionDataSameAtAnyProcs(t *testing.T) {
 	}
 }
 
-// TestOpenRegionDataLowestFailure: with tampered chunks in several
-// workers' pieces, the owner-side open returns no plaintext and the
-// IntegrityError of the lowest tampered chunk, whether it runs on one P
-// or splits. The workers claim ascending pieces of 64 chunks at two Ps
+// TestOpenRegionsLowestFailure: with tampered chunks of one region in
+// several workers' pieces, the owner-side open returns no plaintext and
+// the IntegrityError of the lowest tampered chunk, whether it runs on one
+// P or splits. The workers claim ascending pieces of 64 chunks at two Ps
 // and 32 at four.
-func TestOpenRegionDataLowestFailure(t *testing.T) {
+func TestOpenRegionsLowestFailure(t *testing.T) {
 	dek := bytes.Repeat([]byte{0x5A}, 32)
 	type flip struct {
 		chunk int
@@ -206,34 +224,28 @@ func TestOpenRegionDataLowestFailure(t *testing.T) {
 		for _, mac := range []MACKind{HMAC, PMAC} {
 			cfg := splitRegion(mac)
 			img, counters := splitImage(cfg)
-			s, err := newSealer(cfg, 7, dek)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Seal each chunk at its own epoch, as a Shield's flushes leave
 			// a freshness-protected region.
-			ct, tags := make([]byte, cfg.Size), make([]byte, cfg.Chunks()*TagSize)
-			sc, cs := s.newScratch(), cfg.ChunkSize
-			for c := range counters {
-				s.sealChunkWith(sc, ct[c*cs:(c+1)*cs], tags[c*TagSize:(c+1)*TagSize], c, counters[c], img[c*cs:(c+1)*cs])
-			}
+			imgs := []RegionImage{{Config: cfg, Layout: RegionLayout{RegionID: 7}, Counters: counters}}
+			dram := layOut(imgs)
+			sealAtEpochs(t, dek, dram, imgs[0], img)
 			for _, fl := range tc.flips {
 				if fl.tag {
-					tags[fl.chunk*TagSize+3] ^= 0x40
+					flipByte(t, dram, imgs[0].Layout.TagBase+uint64(fl.chunk*TagSize+3), 0x40)
 				} else {
-					ct[fl.chunk*cs+17] ^= 0x01
+					flipByte(t, dram, imgs[0].Layout.DataBase+uint64(fl.chunk*cfg.ChunkSize+17), 0x01)
 				}
 			}
 			for _, procs := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%v/GOMAXPROCS=%d/flips=%v", mac, procs, tc.flips)
 				func() {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					got, err := OpenRegionData(cfg, 7, dek, ct, tags, counters)
+					err := OpenRegions(dek, dram, imgs)
 					var ie *IntegrityError
 					if !errors.As(err, &ie) || ie.Chunk != tc.want || ie.Region != cfg.Name {
 						t.Errorf("%s: err = %v, want an IntegrityError for chunk %d", name, err, tc.want)
 					}
-					if got != nil {
+					if got := imgs[0].Plain; got != nil {
 						t.Errorf("%s: returned %d bytes of plaintext with the error", name, len(got))
 					}
 				}()

@@ -15,6 +15,7 @@ import (
 	"shef/internal/crypto/hmacx"
 	"shef/internal/crypto/kdf"
 	"shef/internal/crypto/pmacx"
+	"shef/internal/mem"
 	"shef/internal/parallel"
 )
 
@@ -199,14 +200,13 @@ func (s *Shield) Layout(region string) (RegionLayout, error) {
 }
 
 // RegionImage is one region of a Data Owner seal or open: the region's
-// configuration and ID (see Layout), and its image. SealRegions reads
-// Plain and sets CT and Tags; OpenRegions reads CT, Tags and Counters and
-// sets Plain.
+// configuration, its device-memory layout (see Layout) and its
+// plaintext. SealRegions reads Plain; OpenRegions reads Counters and sets
+// Plain.
 type RegionImage struct {
-	Config   RegionConfig
-	ID       uint32
-	Plain    []byte
-	CT, Tags []byte
+	Config RegionConfig
+	Layout RegionLayout
+	Plain  []byte
 	// Counters holds the per-chunk write epochs of a freshness-protected
 	// region (from Shield.CounterSnapshot, relayed over an authenticated
 	// channel); nil means epoch zero everywhere.
@@ -214,64 +214,61 @@ type RegionImage struct {
 }
 
 // SealRegions encrypts full region images in the Shield's chunk format
-// at epoch zero, setting each image's CT and Tags from its Plain. The
-// Data Owner runs this in a secure location before handing the
-// ciphertext and tags to the untrusted host program for DMA. Every
-// chunk of every image is sealed in one split.
-func SealRegions(dek []byte, imgs []RegionImage) error {
-	for _, im := range imgs {
-		if uint64(len(im.Plain)) != im.Config.Size {
-			return fmt.Errorf("shield: region %q image is %d bytes, want %d", im.Config.Name, len(im.Plain), im.Config.Size)
-		}
-	}
-	sealers, err := newSealers(dek, imgs)
+// at epoch zero and writes each image's ciphertext and tags into dram at
+// its layout. The Data Owner seals in a secure location; the writes are
+// the untrusted host program's DMA, which moves the bytes without
+// understanding them. Every chunk of every image is sealed in one split.
+func SealRegions(dek []byte, dram *mem.DRAM, imgs []RegionImage) error {
+	sealers, err := newSealers(dek, imgs, true)
 	if err != nil {
 		return err
 	}
-	for i := range imgs {
-		imgs[i].CT = make([]byte, len(imgs[i].Plain))
-		imgs[i].Tags = make([]byte, imgs[i].Config.Chunks()*TagSize)
-	}
-	return eachChunk(sealers, func(sc *sealScratch, r, c int) error {
+	return eachRun(sealers, func(sc *sealScratch, r, c0, c1 int, ct, tags []byte) error {
 		im, cs := &imgs[r], imgs[r].Config.ChunkSize
-		sealers[r].sealChunkWith(sc, im.CT[c*cs:(c+1)*cs], im.Tags[c*TagSize:(c+1)*TagSize], c, 0, im.Plain[c*cs:(c+1)*cs])
-		return nil
+		for c := c0; c < c1; c++ {
+			i := c - c0
+			sealers[r].sealChunkWith(sc, ct[i*cs:(i+1)*cs], tags[i*TagSize:(i+1)*TagSize], c, 0, im.Plain[c*cs:(c+1)*cs])
+		}
+		if err := dram.RawWrite(im.Layout.DataBase+uint64(c0*cs), ct); err != nil {
+			return err
+		}
+		return dram.RawWrite(im.Layout.TagBase+uint64(c0*TagSize), tags)
 	})
 }
 
-// OpenRegions verifies and decrypts full region images DMAed out of
-// device DRAM, setting each image's Plain from its CT, Tags and Counters.
-// Every chunk of every image is opened in one split. A tampered image
-// returns the *IntegrityError of the first failing image in imgs' order,
-// at its lowest-index failing chunk, and sets no plaintext.
-func OpenRegions(dek []byte, imgs []RegionImage) error {
-	for _, im := range imgs {
-		cfg := im.Config
-		if uint64(len(im.CT)) != cfg.Size {
-			return fmt.Errorf("shield: region %q ciphertext is %d bytes, want %d", cfg.Name, len(im.CT), cfg.Size)
-		}
-		if len(im.Tags) != cfg.Chunks()*TagSize {
-			return fmt.Errorf("shield: region %q tag array has wrong size", cfg.Name)
-		}
-		if im.Counters != nil && len(im.Counters) != cfg.Chunks() {
-			return fmt.Errorf("shield: region %q counter array has wrong size", cfg.Name)
-		}
-	}
-	sealers, err := newSealers(dek, imgs)
+// OpenRegions reads full region images back out of dram at their
+// layouts (the host's DMA), verifies and decrypts them, and sets each
+// image's Plain. Every chunk of every image is opened in one split. A
+// tampered image returns the *IntegrityError of the first failing image
+// in imgs' order, at its lowest-index failing chunk, and sets no
+// plaintext.
+func OpenRegions(dek []byte, dram *mem.DRAM, imgs []RegionImage) error {
+	sealers, err := newSealers(dek, imgs, false)
 	if err != nil {
 		return err
 	}
 	plain := make([][]byte, len(imgs))
 	for i := range imgs {
-		plain[i] = make([]byte, len(imgs[i].CT))
+		plain[i] = make([]byte, imgs[i].Config.Size)
 	}
-	err = eachChunk(sealers, func(sc *sealScratch, r, c int) error {
+	err = eachRun(sealers, func(sc *sealScratch, r, c0, c1 int, ct, tags []byte) error {
 		im, cs := &imgs[r], imgs[r].Config.ChunkSize
-		ctr := uint32(0)
-		if im.Counters != nil {
-			ctr = im.Counters[c]
+		if err := dram.RawReadInto(im.Layout.DataBase+uint64(c0*cs), ct); err != nil {
+			return err
 		}
-		return sealers[r].openChunkWith(sc, plain[r][c*cs:(c+1)*cs], c, ctr, im.CT[c*cs:(c+1)*cs], im.Tags[c*TagSize:(c+1)*TagSize])
+		if err := dram.RawReadInto(im.Layout.TagBase+uint64(c0*TagSize), tags); err != nil {
+			return err
+		}
+		for c := c0; c < c1; c++ {
+			i, ctr := c-c0, uint32(0)
+			if im.Counters != nil {
+				ctr = im.Counters[c]
+			}
+			if err := sealers[r].openChunkWith(sc, plain[r][c*cs:(c+1)*cs], c, ctr, ct[i*cs:(i+1)*cs], tags[i*TagSize:(i+1)*TagSize]); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -282,32 +279,22 @@ func OpenRegions(dek []byte, imgs []RegionImage) error {
 	return nil
 }
 
-// SealRegionData is SealRegions for one region: it returns the sealed
-// ciphertext and tags of data.
-func SealRegionData(cfg RegionConfig, regionID uint32, dek, data []byte) (ct, tags []byte, err error) {
-	imgs := []RegionImage{{Config: cfg, ID: regionID, Plain: data}}
-	if err := SealRegions(dek, imgs); err != nil {
-		return nil, nil, err
-	}
-	return imgs[0].CT, imgs[0].Tags, nil
-}
-
-// OpenRegionData is OpenRegions for one region: it returns the plaintext
-// of ct, or the lowest-index failing chunk's *IntegrityError and no
-// plaintext.
-func OpenRegionData(cfg RegionConfig, regionID uint32, dek, ct, tags []byte, counters []uint32) ([]byte, error) {
-	imgs := []RegionImage{{Config: cfg, ID: regionID, CT: ct, Tags: tags, Counters: counters}}
-	if err := OpenRegions(dek, imgs); err != nil {
-		return nil, err
-	}
-	return imgs[0].Plain, nil
-}
-
-// newSealers builds the sealer of each image's region.
-func newSealers(dek []byte, imgs []RegionImage) ([]*sealer, error) {
+// newSealers checks each image's layout and counters against its
+// configuration, and its plaintext's size for a seal, and builds the
+// sealer of its region.
+func newSealers(dek []byte, imgs []RegionImage, seal bool) ([]*sealer, error) {
 	sealers := make([]*sealer, len(imgs))
 	for i, im := range imgs {
-		s, err := newSealer(im.Config, im.ID, dek)
+		cfg := im.Config
+		switch {
+		case seal && uint64(len(im.Plain)) != cfg.Size:
+			return nil, fmt.Errorf("shield: region %q image is %d bytes, want %d", cfg.Name, len(im.Plain), cfg.Size)
+		case im.Layout.DataSize != cfg.Size || im.Layout.TagSize != uint64(cfg.Chunks()*TagSize):
+			return nil, fmt.Errorf("shield: region %q layout does not match its configuration", cfg.Name)
+		case im.Counters != nil && len(im.Counters) != cfg.Chunks():
+			return nil, fmt.Errorf("shield: region %q counter array has wrong size", cfg.Name)
+		}
+		s, err := newSealer(cfg, im.Layout.RegionID, dek)
 		if err != nil {
 			return nil, err
 		}
@@ -316,18 +303,25 @@ func newSealers(dek []byte, imgs []RegionImage) ([]*sealer, error) {
 	return sealers, nil
 }
 
-// eachChunk runs f(sc, r, c) on every chunk c of every region r, in one
-// split over the regions' chunks laid end to end in sealers' order. The
-// split follows the rule a stream batch's split uses, applied to the
+// eachRun runs f(sc, r, c0, c1, ct, tags) on every chunk of every region
+// r, as runs [c0, c1) of one region's chunks, in one split over the
+// regions' chunks laid end to end in sealers' order. ct and tags are the
+// worker's staging for the run, (c1-c0) chunks and tags long. A run
+// holds at most splitGrainBytes of ciphertext, or one chunk where a
+// chunk is larger, whatever the size of the worker's piece: at one P the
+// piece is the whole range.
+//
+// The split follows the rule a stream batch's split uses, applied to the
 // regions' total size: parallel.Workers over their bytes at
 // splitGrainBytes, so regions under two grains in all stay on the
 // caller. Each worker builds a seal scratch for each region it meets,
-// once for all its pieces, and a piece stops at its first failure, which
-// the worker records. A worker's pieces ascend, so its first failure is
-// its lowest, and it skips the rest of its pieces; eachChunk returns the
-// lowest failure among the workers: the first failing region's lowest
-// failing chunk.
-func eachChunk(sealers []*sealer, f func(sc *sealScratch, r, c int) error) error {
+// once for all its pieces, and a piece stops at its first failing run,
+// which the worker records. A worker's runs ascend, and runs do not
+// overlap, so the failed run that starts lowest holds the lowest
+// failure; a worker skips the rest of its pieces, and eachRun returns
+// the error of the lowest failed run among the workers: the first
+// failing region's lowest failing chunk.
+func eachRun(sealers []*sealer, f func(sc *sealScratch, r, c0, c1 int, ct, tags []byte) error) error {
 	// first[r] is region r's first chunk in the split's index space.
 	first := make([]int, len(sealers)+1)
 	size := 0
@@ -337,9 +331,10 @@ func eachChunk(sealers []*sealer, f func(sc *sealScratch, r, c int) error) error
 	}
 	p := parallel.Workers(size, splitGrainBytes)
 	type worker struct {
-		sc    []*sealScratch // by region, built on first use
-		chunk int
-		err   error
+		sc       []*sealScratch // by region, built on first use
+		ct, tags []byte         // one run's staging
+		run      int            // the first chunk of the failed run
+		err      error
 	}
 	workers := make([]worker, p)
 	var g parallel.Group
@@ -352,8 +347,8 @@ func eachChunk(sealers []*sealer, f func(sc *sealScratch, r, c int) error) error
 			wk.sc = make([]*sealScratch, len(sealers))
 		}
 		r := sort.SearchInts(first[1:], lo+1) // the region holding chunk lo
-		for i := lo; i < hi; i++ {
-			for i >= first[r+1] {
+		for lo < hi {
+			for lo >= first[r+1] {
 				r++
 			}
 			sc := wk.sc[r]
@@ -361,17 +356,24 @@ func eachChunk(sealers []*sealer, f func(sc *sealScratch, r, c int) error) error
 				sc = sealers[r].newScratch()
 				wk.sc[r] = sc
 			}
-			if err := f(sc, r, i-first[r]); err != nil {
-				wk.chunk, wk.err = i, err
+			cs := sealers[r].cfg.ChunkSize
+			n := min(max(1, splitGrainBytes/cs), hi-lo, first[r+1]-lo)
+			if len(wk.ct) < n*cs || len(wk.tags) < n*TagSize {
+				wk.ct = make([]byte, max(len(wk.ct), n*cs))
+				wk.tags = make([]byte, max(len(wk.tags), n*TagSize))
+			}
+			if err := f(sc, r, lo-first[r], lo-first[r]+n, wk.ct[:n*cs], wk.tags[:n*TagSize]); err != nil {
+				wk.run, wk.err = lo, err
 				return
 			}
+			lo += n
 		}
 	}))
 	var err error
 	lowest := 0
 	for _, wk := range workers {
-		if wk.err != nil && (err == nil || wk.chunk < lowest) {
-			err, lowest = wk.err, wk.chunk
+		if wk.err != nil && (err == nil || wk.run < lowest) {
+			err, lowest = wk.err, wk.run
 		}
 	}
 	return err

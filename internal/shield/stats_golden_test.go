@@ -69,23 +69,7 @@ func newMixShield(t *testing.T, cfg Config, img []byte, bare bool) *Shield {
 	if err := sh.ProvisionLoadKey(lk); err != nil {
 		t.Fatal(err)
 	}
-	ct, tags, err := SealRegionData(cfg.Regions[0], 1, dek, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := sh.Layout("mix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dram.RawWrite(layout.DataBase, ct); err != nil {
-		t.Fatal(err)
-	}
-	if err := dram.RawWrite(layout.TagBase, tags); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.MarkPreloaded("mix"); err != nil {
-		t.Fatal(err)
-	}
+	preload(t, sh, dram, dek, "mix", img)
 	return sh
 }
 

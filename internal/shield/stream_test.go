@@ -376,23 +376,7 @@ func newStreamRigParams(tb testing.TB, cfg Config, size uint64, params perf.Para
 	}
 	img := make([]byte, size)
 	rand.New(rand.NewSource(17)).Read(img)
-	ct, tags, err := SealRegionData(cfg.Regions[0], 1, dek, img)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	layout, err := sh.Layout("bulk")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := dram.RawWrite(layout.DataBase, ct); err != nil {
-		tb.Fatal(err)
-	}
-	if err := dram.RawWrite(layout.TagBase, tags); err != nil {
-		tb.Fatal(err)
-	}
-	if err := sh.MarkPreloaded("bulk"); err != nil {
-		tb.Fatal(err)
-	}
+	preload(tb, sh, dram, dek, "bulk", img)
 	return sh, img
 }
 

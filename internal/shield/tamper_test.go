@@ -59,23 +59,7 @@ func newTamperRig(t *testing.T, mac MACKind, resident []int) (*testRig, []byte) 
 	rig := newRig(t, cfg)
 	img := make([]byte, cfg.Regions[0].Size)
 	rand.New(rand.NewSource(31)).Read(img)
-	ct, tags, err := SealRegionData(cfg.Regions[0], 1, rig.dek, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := rig.shield.Layout("bulk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.dram.RawWrite(layout.DataBase, ct); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.dram.RawWrite(layout.TagBase, tags); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.shield.MarkPreloaded("bulk"); err != nil {
-		t.Fatal(err)
-	}
+	preload(t, rig.shield, rig.dram, rig.dek, "bulk", img)
 	for _, c := range resident {
 		if _, err := rig.shield.ReadBurst(uint64(c*tamperChunk), make([]byte, tamperChunk)); err != nil {
 			t.Fatal(err)
